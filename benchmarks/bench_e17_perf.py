@@ -1,196 +1,82 @@
-"""E17 — Memoized analysis + kernel fast path: parity-gated speedups.
+"""E17 — Kernel fast path: parity-gated event-dispatch speedup.
 
-Claim (performance, conditional on E12/E15 semantics): the two
-fast paths added for large fuzz campaigns — the content-addressed
-analysis memo cache (:mod:`repro.perf`) and the bucket-queue
-simulation kernel (:class:`repro.sim.kernel.BucketEventQueue`) — are
-*pure* speedups: byte-identical verdicts, bounds, declines and
-telemetry, measurably faster.
+Claim (performance, conditional on E12/E15 semantics): the bucket-queue
+simulation kernel (:class:`repro.sim.kernel.BucketEventQueue`) is a
+*pure* speedup over the reference heap queue
+(:class:`repro.sim.kernel.HeapEventQueue`): the same events dispatched
+in the same order, measurably faster.
 
-Setup mirrors the canonical fuzz campaign: 200 mutants drawn from the
-seed-7 base population (the same ``derive_seed`` stream E15 replays)
-are analysed with the memo off, cold, and warm; the kernel dispatches
-identical same-timestamp burst workloads through the reference heap
-queue and the bucket queue.  Parity is asserted on every run — the
-regression corpus verdicts, property-generated bounds, and the full
-mutant replay must fingerprint identically in every cache state —
-while the timing gates (>= 3x warm-cache analysis speedup, >= 1.5x
-kernel event throughput) are enforced only in full mode.  ``--quick``
-shrinks the populations and skips the timing gates (CI machines make
-timing assertions flaky) but still fails on any parity mismatch.
+Setup: identical same-timestamp burst workloads (``slots`` instants of
+``burst`` events each) are dispatched through both queues.  Parity is
+asserted on every run — both queues execute every event, in the
+identical order — while the timing gate (>= 1.5x kernel event
+throughput) is enforced only in full mode.  ``--quick`` shrinks the
+workload and skips the timing gate (CI machines make timing assertions
+flaky) but still fails on any parity mismatch.
 
-Every run persists a machine-readable trajectory to
-``BENCH_e17_perf.json`` at the repo root: raw seconds, derived
-systems/sec and events/sec, speedups, cache stats, and gate verdicts.
+A full run persists its machine-readable trajectory to
+``BENCH_e17_perf.json`` at the repo root (raw events/sec, speedup and
+gate verdicts); a quick run writes ``.bench_build/BENCH_e17_perf.json``
+instead, leaving the committed file alone.
 """
 
 import argparse
-import hashlib
-import json
 import os
-import random
 import time
 
 from _tables import print_table
+from trajectory import REPO_ROOT, write_bench
 
-from repro import perf
-from repro.exec.shard import derive_seed
-from repro.perf.memo import CacheConfig
 from repro.sim.kernel import (BucketEventQueue, HeapEventQueue,
                               Simulator)
-from repro.verify.generator import generate, generate_many
-from repro.verify.mutate import mutate
-from repro.verify.oracle import analyze_bounds, verify_system
-from repro.verify.serialize import system_from_dict
 
-SEED = 7
-ORACLE_SPEEDUP_FLOOR = 3.0
 KERNEL_SPEEDUP_FLOOR = 1.5
-REPO_ROOT = os.path.normpath(
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-CORPUS_DIR = os.path.join(REPO_ROOT, "tests", "corpus")
-TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_e17_perf.json")
 
 
-def _mutant_population(count: int) -> list:
-    """The canonical fuzz-replay population: ``count`` mutants over the
-    seed-7 base batch, seeded exactly as the campaign's global
-    execution indices derive them."""
-    bases = list(generate_many(SEED, 8, "small"))
-    mutants = []
-    for index in range(count):
-        mutant, _ = mutate(bases[index % len(bases)],
-                           random.Random(derive_seed(SEED, index)))
-        mutants.append(mutant)
-    return mutants
+def _burst(queue_cls, slots: int, burst: int, callback) -> Simulator:
+    """A simulator with ``burst`` events scheduled at each of ``slots``
+    instants; ``callback(slot, index)`` builds each event's callback."""
+    sim = Simulator(queue=queue_cls())
+    for slot in range(slots):
+        for index in range(burst):
+            sim.schedule_at(slot * 100, callback(slot, index))
+    return sim
 
 
-def _bounds_fingerprint(system) -> str:
-    bounds, declined = analyze_bounds(system)
-    body = json.dumps({"bounds": [list(b) for b in bounds],
-                       "declined": declined},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode()).hexdigest()
+def _kernel_parity(slots: int, burst: int) -> int:
+    """Both queues dispatch the burst workload in the identical order."""
+    def dispatch_order(queue_cls) -> list:
+        order = []
+        sim = _burst(queue_cls, slots, burst,
+                     lambda slot, index: lambda: order.append((slot, index)))
+        sim.run_until(slots * 100)
+        return order
+
+    heap = dispatch_order(HeapEventQueue)
+    assert len(heap) == slots * burst, "heap queue dropped events"
+    assert dispatch_order(BucketEventQueue) == heap, \
+        "bucket queue dispatch order diverged from the heap reference"
+    return len(heap)
 
 
-def _verdict_digest(system, horizon=None) -> str:
-    verdict = verify_system(system, horizon)
-    body = json.dumps(verdict.to_dict(), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(body.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Parity (asserted on every run, quick or full)
-# ----------------------------------------------------------------------
-def _corpus_parity(limit: int) -> int:
-    """Corpus verdicts byte-identical with the memo off, cold and warm."""
-    names = sorted(name for name in os.listdir(CORPUS_DIR)
-                   if name.endswith(".json")
-                   and name != "known_issues.json")[:limit]
-    for name in names:
-        with open(os.path.join(CORPUS_DIR, name),
-                  encoding="utf-8") as handle:
-            payload = json.load(handle)
-        horizon = payload.get("horizon")
-        perf.configure(None)
-        baseline = _verdict_digest(
-            system_from_dict(payload["system"]), horizon)
-        perf.configure(CacheConfig(True, 8192))
-        cold = _verdict_digest(
-            system_from_dict(payload["system"]), horizon)
-        warm = _verdict_digest(
-            system_from_dict(payload["system"]), horizon)
-        perf.configure(None)
-        assert baseline == cold == warm, f"corpus parity broke: {name}"
-    return len(names)
-
-
-def _generated_parity(seeds: int) -> int:
-    """Generated-system bounds identical in every cache state."""
-    for seed in range(seeds):
-        perf.configure(None)
-        baseline = _bounds_fingerprint(generate(seed, "small"))
-        perf.configure(CacheConfig(True, 8192))
-        cold = _bounds_fingerprint(generate(seed, "small"))
-        warm = _bounds_fingerprint(generate(seed, "small"))
-        perf.configure(None)
-        assert baseline == cold == warm, f"generated parity broke: {seed}"
-    return seeds
-
-
-def _replay_parity(mutants: list) -> None:
-    """The timed population itself: off == cold == warm, per mutant."""
-    perf.configure(None)
-    baseline = [_bounds_fingerprint(s) for s in mutants]
-    perf.configure(CacheConfig(True, 8192))
-    cold = [_bounds_fingerprint(s) for s in mutants]
-    warm = [_bounds_fingerprint(s) for s in mutants]
-    perf.configure(None)
-    assert cold == baseline, "mutant replay parity broke (cold)"
-    assert warm == baseline, "mutant replay parity broke (warm)"
-
-
-# ----------------------------------------------------------------------
-# Timing
-# ----------------------------------------------------------------------
-def _time_oracle(mutants: list, repeats: int = 3) -> dict:
-    def sweep():
-        for system in mutants:
-            analyze_bounds(system)
-
-    def best():
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            sweep()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    perf.configure(None)
-    off = best()
-    perf.configure(CacheConfig(True, 8192))
-    start = time.perf_counter()
-    sweep()
-    cold = time.perf_counter() - start
-    warm = best()
-    stats = perf.stats()
-    perf.configure(None)
-    count = len(mutants)
-    return {
-        "systems": count,
-        "off_s": round(off, 6), "cold_s": round(cold, 6),
-        "warm_s": round(warm, 6),
-        "off_sys_per_s": round(count / off, 1),
-        "cold_sys_per_s": round(count / cold, 1),
-        "warm_sys_per_s": round(count / warm, 1),
-        "warm_speedup": round(off / warm, 2),
-        "cold_overhead": round(cold / off, 3),
-        "cache": stats,
-    }
-
-
-def _time_kernel(times: int, burst: int) -> dict:
+def _time_kernel(slots: int, burst: int) -> dict:
     def throughput(queue_cls) -> float:
-        sim = Simulator(queue=queue_cls())
         counter = [0]
 
         def tick():
             counter[0] += 1
 
-        for slot in range(times):
-            for _ in range(burst):
-                sim.schedule_at(slot * 100, tick)
+        sim = _burst(queue_cls, slots, burst, lambda slot, index: tick)
         start = time.perf_counter()
-        sim.run_until(times * 100)
+        sim.run_until(slots * 100)
         elapsed = time.perf_counter() - start
-        assert sim.executed == times * burst
+        assert sim.executed == slots * burst
         return sim.executed / elapsed
 
     heap = min(throughput(HeapEventQueue) for _ in range(3))
     bucket = min(throughput(BucketEventQueue) for _ in range(3))
     return {
-        "events": times * burst,
+        "events": slots * burst,
         "heap_events_per_s": round(heap, 0),
         "bucket_events_per_s": round(bucket, 0),
         "speedup": round(bucket / heap, 2),
@@ -201,63 +87,33 @@ def _time_kernel(times: int, burst: int) -> dict:
 # Harness
 # ----------------------------------------------------------------------
 def run(quick: bool = False) -> list[dict]:
-    mutant_count = 40 if quick else 200
-    corpus_limit = 12 if quick else 10_000
-    generated_seeds = 10 if quick else 30
     kernel_shape = (60, 60) if quick else (300, 300)
 
-    mutants = _mutant_population(mutant_count)
-    corpus_checked = _corpus_parity(corpus_limit)
-    generated_checked = _generated_parity(generated_seeds)
-    _replay_parity(mutants)
-
-    oracle = _time_oracle(mutants)
+    parity_events = _kernel_parity(*kernel_shape)
     kernel = _time_kernel(*kernel_shape)
 
-    trajectory = {
+    path = write_bench({
         "bench": "e17_perf",
         "quick": quick,
-        "parity": {"corpus_systems": corpus_checked,
-                   "generated_seeds": generated_checked,
-                   "replay_mutants": mutant_count,
-                   "ok": True},
-        "oracle": oracle,
+        "parity": {"kernel_events": parity_events, "ok": True},
         "kernel": kernel,
         "gates": {
-            "oracle_warm_speedup_floor": ORACLE_SPEEDUP_FLOOR,
             "kernel_speedup_floor": KERNEL_SPEEDUP_FLOOR,
             "enforced": not quick,
-            "oracle_ok": oracle["warm_speedup"] >= ORACLE_SPEEDUP_FLOOR,
             "kernel_ok": kernel["speedup"] >= KERNEL_SPEEDUP_FLOOR,
         },
-    }
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
 
     rows = [
-        {"row": "parity: corpus verdicts",
-         "value": f"{corpus_checked} systems identical off/cold/warm"},
-        {"row": "parity: generated bounds",
-         "value": f"{generated_checked} seeds identical off/cold/warm"},
-        {"row": "parity: mutant replay",
-         "value": f"{mutant_count} mutants identical off/cold/warm"},
-        {"row": "oracle off",
-         "value": f"{oracle['off_sys_per_s']:.0f} systems/s"},
-        {"row": "oracle cold cache",
-         "value": (f"{oracle['cold_sys_per_s']:.0f} systems/s "
-                   f"({oracle['cold_overhead']:.2f}x off cost)")},
-        {"row": "oracle warm cache",
-         "value": (f"{oracle['warm_sys_per_s']:.0f} systems/s "
-                   f"({oracle['warm_speedup']:.2f}x)")},
+        {"row": "parity: dispatch order",
+         "value": f"{parity_events} events identical heap/bucket"},
         {"row": "kernel heap queue",
          "value": f"{kernel['heap_events_per_s']:.0f} events/s"},
         {"row": "kernel bucket queue",
          "value": (f"{kernel['bucket_events_per_s']:.0f} events/s "
                    f"({kernel['speedup']:.2f}x)")},
-        {"row": "trajectory", "value": os.path.basename(TRAJECTORY_PATH)},
+        {"row": "trajectory", "value": os.path.relpath(path, REPO_ROOT)},
         {"row": "_quick", "value": str(quick)},
-        {"row": "_oracle_speedup", "value": str(oracle["warm_speedup"])},
         {"row": "_kernel_speedup", "value": str(kernel["speedup"])},
     ]
     return rows
@@ -265,22 +121,17 @@ def run(quick: bool = False) -> list[dict]:
 
 def check(rows: list[dict]) -> None:
     by_row = {row["row"]: row["value"] for row in rows}
-    # Parity already asserted inside run() — reaching here means every
-    # fingerprint matched.  Timing gates apply to full runs only.
+    # Parity already asserted inside run() — reaching here means the
+    # dispatch orders matched.  The timing gate applies to full runs.
     if by_row["_quick"] == "True":
         return
-    oracle_speedup = float(by_row["_oracle_speedup"])
     kernel_speedup = float(by_row["_kernel_speedup"])
-    assert oracle_speedup >= ORACLE_SPEEDUP_FLOOR, (
-        f"warm-cache analysis speedup {oracle_speedup}x is below the "
-        f"{ORACLE_SPEEDUP_FLOOR}x acceptance floor")
     assert kernel_speedup >= KERNEL_SPEEDUP_FLOOR, (
         f"bucket-queue speedup {kernel_speedup}x is below the "
         f"{KERNEL_SPEEDUP_FLOOR}x acceptance floor")
 
 
-TITLE = (f"E17: memoized analysis + kernel fast path "
-         f"(seed {SEED}, 200-mutant replay)")
+TITLE = "E17: kernel fast path (bucket vs heap event queue)"
 
 
 def bench_e17_perf(benchmark):
@@ -292,8 +143,9 @@ def bench_e17_perf(benchmark):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="smaller populations, parity asserts only "
-                             "(timing measured and recorded, never gated)")
+                        help="smaller workload, parity asserts only "
+                             "(timing measured and written under "
+                             ".bench_build/, never gated)")
     options = parser.parse_args()
     table_rows = run(quick=options.quick)
     check(table_rows)

@@ -15,18 +15,20 @@ Claims:
   of the bare simulation's wall time — observability that is not used
   is (nearly) free, the property E14 pins for the obs layer.
 
-Every run persists a machine-readable trajectory to
-``BENCH_e19_meas.json`` at the repo root: raw seconds, events/sec,
-speedups, digests and gate verdicts.
+A full run persists its machine-readable trajectory to
+``BENCH_e19_meas.json`` at the repo root (raw seconds, events/sec,
+speedups, digests and gate verdicts); a quick run writes
+``.bench_build/BENCH_e19_meas.json`` instead, leaving the committed
+file alone.
 """
 
 import argparse
-import json
 import os
 import tempfile
 import time
 
 from _tables import print_table
+from trajectory import REPO_ROOT, write_bench
 
 from repro.meas.batch import measure_models
 from repro.meas.mtf import MtfReader, MtfWriter
@@ -40,9 +42,6 @@ from repro.verify.oracle import build_system
 SEED = 7
 MTF_SPEEDUP_FLOOR = 3.0
 DETACHED_OVERHEAD_CEIL = 1.05
-REPO_ROOT = os.path.normpath(
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_e19_meas.json")
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +183,7 @@ def run(quick: bool = False) -> list[dict]:
     spill = _time_spill(records)
     overhead = _time_detached_overhead(horizon)
 
-    trajectory = {
+    path = write_bench({
         "bench": "e19_meas",
         "quick": quick,
         "determinism": {
@@ -204,10 +203,7 @@ def run(quick: bool = False) -> list[dict]:
             "mtf_ok": spill["speedup"] >= MTF_SPEEDUP_FLOOR,
             "overhead_ok": overhead["overhead"] <= DETACHED_OVERHEAD_CEIL,
         },
-    }
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
 
     rows = [
         {"row": "determinism: registry digests",
@@ -223,7 +219,7 @@ def run(quick: bool = False) -> list[dict]:
                    f"({spill['speedup']:.2f}x)")},
         {"row": "detached service overhead",
          "value": f"{(overhead['overhead'] - 1) * 100:+.2f}%"},
-        {"row": "trajectory", "value": os.path.basename(TRAJECTORY_PATH)},
+        {"row": "trajectory", "value": os.path.relpath(path, REPO_ROOT)},
         {"row": "_quick", "value": str(quick)},
         {"row": "_mtf_speedup", "value": str(spill["speedup"])},
         {"row": "_overhead", "value": str(overhead["overhead"])},

@@ -22,6 +22,11 @@ aggregator normalises them into ``BENCH_trajectory.json``:
 Run ``PYTHONPATH=src python benchmarks/trajectory.py`` to rebuild the
 committed file after refreshing any ``BENCH_*.json``; ``--check``
 rebuilds in memory and exits 1 on drift (the CI gate).
+
+Benchmarks persist their documents through :func:`write_bench`: a full
+run writes the committed ``BENCH_<name>.json`` at the repo root, a
+``--quick`` run writes under :data:`QUICK_DIR` instead, so a smoke run
+never clobbers a committed full-mode file.
 """
 
 import argparse
@@ -35,6 +40,21 @@ TRAJECTORY_VERSION = 1
 OUTPUT_NAME = "BENCH_trajectory.json"
 REPO_ROOT = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+#: Where quick runs write: gitignored, and never read by :func:`discover`.
+QUICK_DIR = os.path.join(REPO_ROOT, ".bench_build")
+
+
+def write_bench(doc: dict) -> str:
+    """Persist one benchmark document as ``BENCH_<bench>.json`` — at the
+    repo root for a full run, under :data:`QUICK_DIR` when
+    ``doc["quick"]`` is set.  Returns the path written."""
+    directory = QUICK_DIR if doc["quick"] else REPO_ROOT
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"BENCH_{doc['bench']}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
 def discover(root: str = REPO_ROOT) -> list[str]:

@@ -161,62 +161,6 @@ def _add_exec_arguments(parser) -> None:
                              "(stdout stays byte-identical)")
 
 
-def _add_cache_arguments(parser) -> None:
-    """The analysis memo-cache flags shared by `verify` and `fuzz`."""
-    parser.add_argument("--analysis-cache",
-                        choices=("off", "memory", "disk"), default="off",
-                        dest="analysis_cache",
-                        help="memoize per-layer analysis results keyed "
-                             "by content digest (default off; results "
-                             "and digests are identical either way)")
-    parser.add_argument("--analysis-cache-dir", metavar="DIR",
-                        dest="analysis_cache_dir",
-                        help="directory for the disk cache tier "
-                             "(required with --analysis-cache=disk; "
-                             "shared across --jobs workers and "
-                             "--resume restarts)")
-    parser.add_argument("--analysis-cache-capacity", type=int,
-                        default=4096, metavar="N",
-                        dest="analysis_cache_capacity",
-                        help="in-memory LRU entries per process "
-                             "(default 4096)")
-
-
-def _cache_config(options, parser):
-    """A CacheConfig from the cache flags (None when off)."""
-    if options.analysis_cache == "off":
-        return None
-    if options.analysis_cache == "disk" and not options.analysis_cache_dir:
-        parser.error("--analysis-cache=disk requires "
-                     "--analysis-cache-dir")
-    if options.analysis_cache_capacity < 1:
-        parser.error("--analysis-cache-capacity must be >= 1")
-    from repro.perf import CacheConfig
-
-    return CacheConfig.from_mode(options.analysis_cache,
-                                 options.analysis_cache_dir,
-                                 options.analysis_cache_capacity)
-
-
-def _print_cache_stats(cache, jobs: int) -> None:
-    """One summary line for an enabled cache.  With jobs>1 the memo
-    lives in worker processes, so only the mode is reportable here."""
-    if cache is None:
-        return
-    from repro import perf
-
-    mode = "disk" if cache.disk_dir else "memory"
-    stats = perf.stats() if jobs == 1 else None
-    if stats is None:
-        print(f"analysis cache: {mode} (per-worker; stats stay in the "
-              f"worker processes)")
-    else:
-        print(f"analysis cache: {mode} entries={stats['entries']} "
-              f"hits={stats['hits']} misses={stats['misses']} "
-              f"evictions={stats['evictions']} "
-              f"disk_hits={stats['disk_hits']}")
-
-
 def _make_progress(options, total_chunks: int, total_items: int):
     """A live ProgressMeter when --progress was given, else None."""
     if not options.progress:
@@ -414,13 +358,11 @@ def verify(args: list[str]) -> int:
     parser.add_argument("--size", choices=sorted(SIZES), default="small")
     _add_model_argument(parser)
     _add_exec_arguments(parser)
-    _add_cache_arguments(parser)
     _add_telemetry_arguments(parser)
     _add_daq_arguments(parser)
     options = parser.parse_args(args)
     if options.resume and not options.checkpoint:
         parser.error("--resume requires --checkpoint")
-    cache = _cache_config(options, parser)
     models = _load_models(options, parser)
     daq_period = _daq_period(options, parser)
     count = len(models) if models else options.systems
@@ -436,19 +378,18 @@ def verify(args: list[str]) -> int:
                 models, jobs=options.jobs,
                 checkpoint=options.checkpoint, resume=options.resume,
                 progress=_make_progress(options, count, count),
-                cache=cache, daq_period=daq_period)
+                daq_period=daq_period)
         else:
             report = verify_many(
                 options.seed, options.systems, options.size,
                 jobs=options.jobs, checkpoint=options.checkpoint,
                 resume=options.resume,
                 progress=_make_progress(options, count, count),
-                cache=cache, daq_period=daq_period)
+                daq_period=daq_period)
     finally:
         if telemetry:
             obs.disable()
     print(format_report(report))
-    _print_cache_stats(cache, options.jobs)
     if options.daq:
         _emit_daq(options,
                   [(verdict.name, verdict.daq_rows)
@@ -502,12 +443,10 @@ def fuzz_command(args: list[str]) -> int:
                              "under DIR (e.g. tests/corpus)")
     _add_model_argument(parser)
     _add_exec_arguments(parser)
-    _add_cache_arguments(parser)
     _add_telemetry_arguments(parser)
     options = parser.parse_args(args)
     if options.resume and not options.checkpoint:
         parser.error("--resume requires --checkpoint")
-    cache = _cache_config(options, parser)
     models = _load_models(options, parser)
     seeds = None if models is None else [m.build() for m in models]
     telemetry = _telemetry_wanted(options)
@@ -523,12 +462,11 @@ def fuzz_command(args: list[str]) -> int:
             until_dry=options.until_dry,
             progress=_make_progress(options, options.budget,
                                     options.budget),
-            cache=cache, seeds=seeds)
+            seeds=seeds)
     finally:
         if telemetry:
             obs.disable()
     print(format_fuzz_report(report))
-    _print_cache_stats(cache, options.jobs)
     if options.corpus_dir and report.findings:
         for path in write_corpus(report, options.corpus_dir):
             print(f"  wrote {path}")

@@ -90,9 +90,9 @@ def response_time(task: TaskSpec, tasks: list[TaskSpec],
     ceiling = task.period
     w = task.wcet + blocking
     # ``rta.fixpoint_iterations`` counts iterations on *every* exit —
-    # convergence and both divergence paths — so fixpoint-cost and
-    # cache-hit-rate metrics see pathological task sets instead of
-    # under-reporting exactly the expensive cases.  Divergent exits
+    # convergence and both divergence paths — so fixpoint-cost metrics
+    # and the fuzzer's feedback signature see pathological task sets
+    # instead of under-reporting exactly the expensive cases.  Divergent exits
     # additionally bump ``rta.divergences`` (and never
     # ``rta.tasks_analyzed``, which stays a success counter).
     for iteration in range(1, MAX_ITERATIONS + 1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.exec.shard import Chunk, shard
@@ -38,13 +38,6 @@ class Plan:
     items: tuple = field(default_factory=tuple)
     base_seed: int = 0
     chunk_size: int = 1
-    #: Optional picklable zero-argument callable run once at the start
-    #: of every chunk, *in the process executing the chunk* — the hook
-    #: that carries process-local state (e.g. the analysis memo cache
-    #: config, ``functools.partial(repro.perf.memo.ensure, cfg)``) to
-    #: pool workers regardless of start method.  Must be idempotent:
-    #: a long-lived worker runs it once per chunk it picks up.
-    setup: Optional[Callable] = None
 
     def __post_init__(self):
         if self.chunk_size < 1:
@@ -67,9 +60,7 @@ class Plan:
         resume.  The worker callable is deliberately excluded: partials
         capture live objects whose pickled form may differ between the
         interrupted and the resuming process even when the work is the
-        same.  ``setup`` is excluded for the same reason — and because
-        it configures process-local environment (caches), which by
-        definition must not change what the work computes."""
+        same."""
         payload = pickle.dumps(
             (self.label, self.base_seed, self.chunk_size, self.items),
             protocol=_PICKLE_PROTOCOL)

@@ -80,22 +80,16 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _run_chunk(worker, chunk: Chunk, collect: bool = False,
-               setup=None) -> tuple[list, Optional[dict], int, float]:
+def _run_chunk(worker, chunk: Chunk, collect: bool = False
+               ) -> tuple[list, Optional[dict], int, float]:
     """Worker-side chunk body: run every item with its derived seed.
 
     With ``collect=True`` the chunk runs inside a fresh telemetry
     capture scope (identical whether this executes in-process or in a
     worker), and the captured snapshot travels back with the results so
     the parent can merge all chunks in plan order.
-
-    ``setup`` (the plan's setup hook) runs first, before the capture
-    scope opens — it configures process-local environment and must not
-    contribute telemetry to the chunk.
     """
     import os
-    if setup is not None:
-        setup()
     started = time.perf_counter()
     if collect:
         with obs.capture() as telemetry:
@@ -286,7 +280,7 @@ def _serial(plan: Plan, pending: list, collect: bool, journal, note_done,
         journal.record_start(chunk.index)
         try:
             results, telemetry, worker, elapsed = _run_chunk(
-                plan.worker, chunk, collect, plan.setup)
+                plan.worker, chunk, collect)
         except Exception as error:
             if note_failure(chunk, error):
                 queue.insert(0, chunk)
@@ -310,7 +304,7 @@ def _parallel(plan: Plan, pending: list, jobs: int, collect: bool,
         for chunk in batch:
             journal.record_start(chunk.index)
             futures[pool.submit(_run_chunk, plan.worker, chunk,
-                                collect, plan.setup)] = chunk
+                                collect)] = chunk
         # The shared pool dispatches the batch in waves of `workers`
         # chunks; its watchdog allowance covers every wave.  Which
         # chunk is actually hung is only attributable from the
@@ -374,8 +368,7 @@ def _run_isolated(plan: Plan, chunk: Chunk, collect: bool, journal,
         pool = ProcessPoolExecutor(max_workers=1)
         killed = False
         try:
-            future = pool.submit(_run_chunk, plan.worker, chunk, collect,
-                                 plan.setup)
+            future = pool.submit(_run_chunk, plan.worker, chunk, collect)
             results, telemetry, worker, elapsed = future.result(
                 timeout=timeout)
         except FuturesTimeout:

@@ -234,19 +234,16 @@ class Model:
 def verify_models(models: Sequence[Model], jobs: int = 1,
                   horizon: Optional[int] = None, checkpoint=None,
                   resume: bool = False, retries: int = 1, progress=None,
-                  cache=None, daq_period: Optional[int] = None):
+                  daq_period: Optional[int] = None):
     """Differentially verify every model; returns the same
     :class:`~repro.verify.oracle.VerificationReport` as
     ``verify_many`` (jobs=1 and jobs=N digests are identical).
     ``daq_period`` (ns) additionally runs the measurement service's
     default DAQ list per system (``verdict.daq_rows``)."""
     from repro.exec import Plan, execute
-    from repro.perf import memo as perf_memo
     from repro.verify.oracle import (VerificationReport,
                                      _daq_system_worker, _system_worker)
 
-    setup = None if cache is None \
-        else functools.partial(perf_memo.ensure, cache)
     systems = tuple(model.build() for model in models)
     if daq_period is not None:
         label = (f"model-verify-daq:n={len(systems)}:horizon={horizon}"
@@ -256,7 +253,7 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
     else:
         label = f"model-verify:n={len(systems)}:horizon={horizon}"
         worker = functools.partial(_system_worker, horizon)
-    plan = Plan(label, worker, systems, base_seed=0, setup=setup)
+    plan = Plan(label, worker, systems, base_seed=0)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,
                       progress=progress)

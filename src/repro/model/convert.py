@@ -14,8 +14,8 @@ Both serialized faces of the library are built from these primitives:
   ``tests/corpus/``), which delegates here so the byte layout the
   corpus regression suite pins can never drift from the model's.
 
-The cache keys of :mod:`repro.perf.keys` hash these dicts too, so a
-field added here is automatically part of every layer's content key.
+The per-layer keys of :mod:`repro.perf.keys` hash these dicts too, so
+a field added here is automatically part of every layer's content key.
 """
 
 from __future__ import annotations

@@ -1,29 +1,13 @@
-"""``repro.perf`` — memoized analysis and performance plumbing.
+"""``repro.perf`` — per-layer analysis keys.
 
-The paper's componentized analyses make the verification hot loop
-cacheable by construction: each layer (per-ECU RTA, CAN/FlexRay bus
-bounds, TDMA busy-window, the derived e2e chain bound) is a pure
-function of a small sub-model, and most fuzz mutants perturb exactly
-one subsystem.  This package exploits that:
-
-* :mod:`repro.perf.keys` — canonical SHA-256 digests of exactly the
-  inputs each layer reads;
-* :mod:`repro.perf.memo` — a process-local LRU memo (optionally
-  disk-backed) with obs-counter replay, so cached and uncached runs
-  are byte-identical in every digest the repo pins.
-
-The parity guarantee is enforced by ``tests/test_perf_parity.py`` and
-the ``benchmarks/bench_e17_perf.py`` gate; the speedup trajectory is
-persisted machine-readably in ``BENCH_e17_perf.json``.
+The paper's componentized analyses are each a pure function of a
+small sub-model: per-ECU RTA, CAN/FlexRay bus bounds, the TDMA
+busy-window and the derived e2e chain bound.
+:mod:`repro.perf.keys` extracts exactly the inputs each layer reads
+and digests them to canonical SHA-256 keys, so a changed result can
+be traced to the layer whose inputs moved.
 """
 
-from repro.perf.keys import (KEY_FORMAT, layer_inputs, layer_keys,
-                             system_key)
-from repro.perf.memo import (AnalysisMemo, CacheConfig, clear, configure,
-                             ensure, get_memo, stats)
+from repro.perf.keys import KEY_FORMAT, layer_inputs, layer_keys
 
-__all__ = [
-    "KEY_FORMAT", "layer_inputs", "layer_keys", "system_key",
-    "AnalysisMemo", "CacheConfig",
-    "configure", "ensure", "get_memo", "stats", "clear",
-]
+__all__ = ["KEY_FORMAT", "layer_inputs", "layer_keys"]

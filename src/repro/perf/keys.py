@@ -1,4 +1,4 @@
-"""Content-addressed cache keys for per-layer analyses.
+"""Content-addressed keys for per-layer analyses.
 
 Every analysis layer of the differential oracle is a pure function of
 a small slice of the generated system — the RTA of one ECU reads that
@@ -7,23 +7,18 @@ nothing else; the CAN bus analysis reads the frame table and bitrate;
 the TDMA busy-window reads the partition plan.  This module makes that
 slice explicit: :func:`layer_inputs` extracts exactly the sub-model
 each layer reads, and :func:`layer_keys` digests each slice to a
-SHA-256 key.  :func:`system_key` digests the *whole* system dict —
-the over-inclusive composite key under which the oracle memoizes the
-complete ``analyze_bounds`` result, so re-verifying an unchanged
-system costs one digest instead of one per layer.
+SHA-256 key.
 
-The keys are what make memoization *sound*: a fuzz mutant that only
-perturbs the CAN frame table produces byte-identical ``rta:*`` /
-``tdma`` / ``flexray_*`` keys, so those layers' cached results may be
-reused — and a different ``can`` key, so nothing stale is served.  The
+A key changes exactly when its layer's inputs do: a fuzz mutant that
+only perturbs the CAN frame table produces byte-identical ``rta:*`` /
+``tdma`` / ``flexray_*`` keys and a different ``can`` key.  The
 ``e2e`` key is a composite (the chain bound is derived from producer /
 consumer task WCRTs and the chain frame's bus latency), so it changes
 whenever any of its upstream layers change.
 
-Key hygiene over hit rate: a slice may *over*-include fields the
-analysis ignores (e.g. FlexRay writer offsets, which shape the
-simulation but not the static bound) — that only costs cache hits,
-never correctness.  It must never under-include.
+A slice may *over*-include fields the analysis ignores (e.g. FlexRay
+writer offsets, which shape the simulation but not the static bound);
+it must never under-include.
 """
 
 from __future__ import annotations
@@ -37,21 +32,17 @@ from repro.model.convert import (can_to_dict as _can_to_dict,
                                  task_to_dict as _task_to_dict,
                                  tdma_to_dict as _tdma_to_dict)
 from repro.verify.generator import GeneratedSystem
-from repro.verify.serialize import system_to_dict
 
 #: Bumped whenever a slice's shape (or the digest encoding) changes, so
-#: stale on-disk entries from older builds can never collide with
-#: current keys.
+#: keys from older builds can never collide with current ones.
 KEY_FORMAT = 2
 
 
 def _digest(layer: str, payload) -> str:
     # Pickle, not JSON: the payloads are JSON-native dicts built by
     # deterministic code paths (fixed insertion order), and the C
-    # pickler serializes them ~3x faster — which matters because key
-    # computation is the entire cost of a warm cache hit.  Different
-    # content can never collide; at worst a changed construction path
-    # costs a cache miss, never a stale hit.
+    # pickler serializes them ~3x faster.  Different content can never
+    # collide.
     body = pickle.dumps((KEY_FORMAT, layer, payload), protocol=4)
     return hashlib.sha256(body).hexdigest()
 
@@ -120,14 +111,3 @@ def layer_keys(system: GeneratedSystem) -> dict[str, str]:
         })
     return keys
 
-
-def system_key(system: GeneratedSystem) -> str:
-    """One key over the entire system dict — the composite under which
-    the full ``analyze_bounds`` result is memoized.
-
-    Deliberately over-inclusive (it hashes fields no analysis reads,
-    e.g. fault scenarios): that only costs composite hits on systems
-    that differ in analysis-irrelevant ways — they fall through to the
-    per-layer entries, which still reuse every untouched slice.
-    """
-    return _digest("system", system_to_dict(system))

@@ -93,11 +93,6 @@ def signature_tokens(verdict: SystemVerdict, counters: dict) -> list[str]:
     for violation in verdict.invariant_violations:
         tokens.add(f"inv:{violation.invariant}")
     for name, value in counters.items():
-        # perf.* counters are cache telemetry (hit/miss bookkeeping),
-        # not system behaviour — admitting them would make coverage
-        # depend on cache temperature and break cached/uncached parity.
-        if name.startswith("perf."):
-            continue
         tokens.add(f"ctr:{name}:{int(value).bit_length()}")
     return sorted(tokens)
 
@@ -308,7 +303,7 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
          shrink_probes: int = 2000,
          interrupt_after: Optional[int] = None,
          until_dry: Optional[int] = None,
-         cache=None, seeds=None) -> FuzzReport:
+         seeds=None) -> FuzzReport:
     """Run one coverage-guided fuzzing campaign of ``budget`` verify
     executions (shrink probes are not counted against the budget).
 
@@ -330,14 +325,6 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
     (of *when* the run stops, never of what any prefix computed) for a
     bounded CI footprint.
 
-    ``cache`` (a :class:`repro.perf.CacheConfig`, or None) enables the
-    analysis memo cache in the processes running verification — fuzz
-    replay is the cache's best case, since most mutants perturb one
-    subsystem and every other layer's bounds re-solve from the memo.
-    Counter replay plus the ``perf.*`` signature filter keep coverage
-    tokens, corpus admission, and report digests byte-identical to an
-    uncached campaign.
-
     ``seeds`` (a sequence of :class:`GeneratedSystem`) replaces the
     generated seed round: the campaign starts from exactly those
     systems — e.g. model documents (``repro fuzz --model``) — and
@@ -345,10 +332,6 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
     """
     from repro.exec import Plan, execute
     from repro.exec.shard import derive_seed
-    from repro.perf import memo as perf_memo
-
-    setup = None if cache is None \
-        else functools.partial(perf_memo.ensure, cache)
 
     report = FuzzReport(seed, budget, size)
     seen_keys: set[FailureKey] = set()
@@ -392,7 +375,7 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
 
         plan = Plan(f"fuzz:seed={seed}:size={size}:round={round_no}",
                     functools.partial(_fuzz_worker, horizon),
-                    items, base_seed=seed, setup=setup)
+                    items, base_seed=seed)
         round_checkpoint = None if checkpoint is None \
             else f"{checkpoint}.round{round_no:04d}"
         round_resume = (resume and round_checkpoint is not None

@@ -224,47 +224,41 @@ class VerificationReport:
 # Analytic side
 # ----------------------------------------------------------------------
 # Each layer is solved by a dedicated pure function of exactly the
-# sub-model that :func:`repro.perf.layer_keys` digests, returning a
-# JSON-native ``{"rows": [[subject, bound-or-None], ...]}`` (None =
-# the analysis declined for that subject).  That purity is what lets
-# :func:`analyze_bounds` route every solve through the analysis memo
-# cache when one is configured — and it is test-enforced:
-# ``tests/test_perf_parity.py`` pins cached == uncached digests and
-# ``tests/test_perf_invalidation.py`` pins the key/mutator matrix.
+# sub-model that :func:`repro.perf.layer_keys` digests, returning
+# ``[(subject, bound-or-None), ...]`` (None = the analysis declined for
+# that subject).  ``tests/test_perf_invalidation.py`` pins the
+# key/mutator matrix.
 
-def _solve_rta(specs, cs_map) -> dict:
+def _solve_rta(specs, cs_map) -> list:
     """Per-ECU task WCRTs.  ``wcrt - jitter`` is the from-release
     bound, which is what the kernel's activation-to-completion
     measurement observes (release jitter of the sporadic consumer is
     realised by the bus, not re-applied by the kernel)."""
     result = rta.analyze(specs, cs_map)
-    return {"rows": [
-        [spec.name,
-         None if result.wcrt[spec.name] < 0
-         else result.wcrt[spec.name] - spec.jitter]
-        for spec in specs]}
+    return [(spec.name,
+             None if result.wcrt[spec.name] < 0
+             else result.wcrt[spec.name] - spec.jitter)
+            for spec in specs]
 
 
-def _solve_can(frame_specs, bitrate_bps) -> dict:
+def _solve_can(frame_specs, bitrate_bps) -> list:
     """CAN frame WCRTs in arbitration (can_id) order; negative WCRTs
     (analysis declined) pass through as None rows."""
     frames = sorted(frame_specs, key=lambda f: f.can_id)
     result = can_rta.analyze(frames, bitrate_bps)
-    return {"rows": [
-        [frame.name,
-         None if result.wcrt[frame.name] < 0
-         else result.wcrt[frame.name]]
-        for frame in frames]}
+    return [(frame.name,
+             None if result.wcrt[frame.name] < 0
+             else result.wcrt[frame.name])
+            for frame in frames]
 
 
-def _solve_flexray_static(config, writers) -> dict:
-    return {"rows": [
-        [writer.assignment.frame_name,
-         flexray_rta.static_latency_bound(config, writer.assignment)]
-        for writer in writers]}
+def _solve_flexray_static(config, writers) -> list:
+    return [(writer.assignment.frame_name,
+             flexray_rta.static_latency_bound(config, writer.assignment))
+            for writer in writers]
 
 
-def _solve_flexray_dynamic(config, writers) -> dict:
+def _solve_flexray_dynamic(config, writers) -> list:
     specs = [w.spec for w in writers]
     rows = []
     for writer in writers:
@@ -273,13 +267,12 @@ def _solve_flexray_dynamic(config, writers) -> dict:
             bound = flexray_rta.dynamic_latency_bound(
                 writer.spec, competitors, config)
         except AnalysisError:
-            rows.append([writer.spec.name, None])
-            continue
-        rows.append([writer.spec.name, bound])
-    return {"rows": rows}
+            bound = None
+        rows.append((writer.spec.name, bound))
+    return rows
 
 
-def _solve_tdma(plan) -> dict:
+def _solve_tdma(plan) -> list:
     scheduler = plan.scheduler()
     rows = []
     for partition in plan.partitions:
@@ -292,24 +285,23 @@ def _solve_tdma(plan) -> dict:
                 scheduler, partition, hp.wcet, period=hp.period,
                 max_activations=hp.max_activations)
         except AnalysisError:
-            rows.append([hp.name, None])
-            continue
-        rows.append([hp.name, bound])
-    return {"rows": rows}
+            bound = None
+        rows.append((hp.name, bound))
+    return rows
 
 
-def _solve_e2e(chain, producer, consumer, frame_wcrt) -> dict:
+def _solve_e2e(chain, producer, consumer, frame_wcrt) -> list:
     """Chain bound from already-solved producer/consumer/bus numbers —
-    pure in them, so its composite cache key hashes the upstream layer
+    pure in them, so its composite layer key hashes the upstream layer
     keys rather than re-deriving the inputs."""
     if producer is None or consumer is None or frame_wcrt < 0:
-        return {"rows": [[chain.pdu_name, None]]}
+        return [(chain.pdu_name, None)]
     model = Chain(chain.pdu_name, [
         Stage("producer", producer),
         Stage("frame", frame_wcrt, SAMPLED, period=chain.period),
         Stage("consumer", consumer),
     ])
-    return {"rows": [[chain.pdu_name, model.worst_case_latency()]]}
+    return [(chain.pdu_name, model.worst_case_latency())]
 
 
 def analyze_bounds(system: GeneratedSystem
@@ -320,51 +312,17 @@ def analyze_bounds(system: GeneratedSystem
     Subsystems a shrunk or mutated system no longer carries (chain,
     CAN, FlexRay, TDMA) simply contribute no rows; the layers that are
     present are analysed exactly as for a full system.
-
-    When an analysis memo cache is configured
-    (:func:`repro.perf.configure`), memoization is two-level: the
-    complete result is cached under the whole-system composite key
-    (:func:`repro.perf.system_key`), so re-analysing an unchanged
-    system costs one digest and one lookup; on a composite miss each
-    layer's solve is routed through the memo under that layer's content
-    key, so a mutant still reuses every untouched layer.  With no cache
-    the solvers run directly.  All paths produce identical rows,
-    declines and obs counters — the cache is invisible everywhere but
-    in wall clock and ``perf.cache.*`` telemetry.
     """
-    from repro.perf import get_memo, system_key
-
-    memo = get_memo()
-    if memo is None:
-        return _solve_layers(system, None)
-
-    def solve_all() -> dict:
-        bounds, declined = _solve_layers(system, memo)
-        return {"bounds": [list(row) for row in bounds],
-                "declined": declined}
-
-    out = memo.solve("system", system_key(system), solve_all)
-    return ([tuple(row) for row in out["bounds"]], list(out["declined"]))
-
-
-def _solve_layers(system: GeneratedSystem, memo
-                  ) -> tuple[list[tuple[str, str, int]], list[str]]:
-    """One pass over every present layer, each solve routed through
-    ``memo`` under its per-layer key (or run directly when None)."""
-    from repro.perf import layer_keys
-
-    keys = layer_keys(system) if memo is not None else None
-
-    def solve(layer: str, solver) -> dict:
-        if memo is None:
-            return solver()
-        return memo.solve(layer, keys[layer], solver)
-
     bounds: list[tuple[str, str, int]] = []
     declined: list[str] = []
-    chain = system.chain
 
-    task_bound: dict[str, int] = {}
+    def collect(layer: str, rows: list) -> None:
+        for name, bound in rows:
+            if bound is None:
+                declined.append(f"{layer}:{name}")
+            else:
+                bounds.append((layer, name, bound))
+
     for ecu in system.fp_ecus:
         specs = system.tasksets[ecu]
         names = {t.name for t in specs}
@@ -377,62 +335,31 @@ def _solve_layers(system: GeneratedSystem, memo
                 cs_map.setdefault(section.task, []).append(
                     (system.resources[section.resource],
                      section.duration))
-        out = solve(f"rta:{ecu}",
-                    functools.partial(_solve_rta, specs, cs_map))
-        for name, bound in out["rows"]:
-            if bound is None:
-                declined.append(f"rta:{name}")
-                continue
-            task_bound[name] = bound
-            bounds.append(("rta", name, bound))
+        collect("rta", _solve_rta(specs, cs_map))
+    task_bound = {name: bound for _, name, bound in bounds}
 
     can_wcrt: Optional[dict] = None
     if system.can is not None:
-        out = solve("can", functools.partial(
-            _solve_can, system.can.frame_specs, system.can.bitrate_bps))
+        rows = _solve_can(system.can.frame_specs, system.can.bitrate_bps)
         can_wcrt = {name: (-1 if bound is None else bound)
-                    for name, bound in out["rows"]}
-        for name, bound in out["rows"]:
-            if bound is None:
-                declined.append(f"can:{name}")
-                continue
-            bounds.append(("can", name, bound))
+                    for name, bound in rows}
+        collect("can", rows)
 
     if system.flexray is not None:
         config = system.flexray.config
-        out = solve("flexray_static", functools.partial(
-            _solve_flexray_static, config,
-            system.flexray.static_writers))
-        for name, bound in out["rows"]:
-            bounds.append(("flexray_static", name, bound))
-        out = solve("flexray_dynamic", functools.partial(
-            _solve_flexray_dynamic, config,
-            system.flexray.dynamic_writers))
-        for name, bound in out["rows"]:
-            if bound is None:
-                declined.append(f"flexray_dynamic:{name}")
-                continue
-            bounds.append(("flexray_dynamic", name, bound))
+        collect("flexray_static", _solve_flexray_static(
+            config, system.flexray.static_writers))
+        collect("flexray_dynamic", _solve_flexray_dynamic(
+            config, system.flexray.dynamic_writers))
 
     if system.tdma is not None:
-        out = solve("tdma", functools.partial(_solve_tdma, system.tdma))
-        for name, bound in out["rows"]:
-            if bound is None:
-                declined.append(f"tdma:{name}")
-                continue
-            bounds.append(("tdma", name, bound))
+        collect("tdma", _solve_tdma(system.tdma))
 
+    chain = system.chain
     if chain is not None and can_wcrt is not None:
-        out = solve("e2e", functools.partial(
-            _solve_e2e, chain,
-            task_bound.get(chain.producer),
-            task_bound.get(chain.consumer),
-            can_wcrt.get(chain.pdu_name, -1)))
-        for name, bound in out["rows"]:
-            if bound is None:
-                declined.append(f"e2e:{name}")
-                continue
-            bounds.append(("e2e", name, bound))
+        collect("e2e", _solve_e2e(chain, task_bound.get(chain.producer),
+                                  task_bound.get(chain.consumer),
+                                  can_wcrt.get(chain.pdu_name, -1)))
     return bounds, declined
 
 
@@ -775,7 +702,6 @@ def verify_many(seed: int, count: int, size: str = "small",
                 checkpoint=None, resume: bool = False, retries: int = 1,
                 progress=None,
                 interrupt_after: Optional[int] = None,
-                cache=None,
                 daq_period: Optional[int] = None) -> VerificationReport:
     """Generate and differentially verify ``count`` systems.
 
@@ -785,17 +711,9 @@ def verify_many(seed: int, count: int, size: str = "small",
     so ``jobs=1`` and ``jobs=N`` produce identical report digests.
     ``checkpoint``/``resume`` journal per-system verdicts and skip
     completed systems on restart.
-
-    ``cache`` (a :class:`repro.perf.CacheConfig`, or None) enables the
-    analysis memo cache in whichever process runs each chunk via the
-    plan's setup hook; the memo replays obs counters on hits, so report
-    digests are identical with the cache on or off, at any job count.
     """
     from repro.exec import Plan, execute
-    from repro.perf import memo as perf_memo
 
-    setup = None if cache is None \
-        else functools.partial(perf_memo.ensure, cache)
     systems = tuple(generate_many(seed, count, size))
     if daq_period is not None:
         label = (f"verify-daq:size={size}:horizon={horizon}"
@@ -805,7 +723,7 @@ def verify_many(seed: int, count: int, size: str = "small",
     else:
         label = f"verify:size={size}:horizon={horizon}"
         worker = functools.partial(_system_worker, horizon)
-    plan = Plan(label, worker, systems, base_seed=seed, setup=setup)
+    plan = Plan(label, worker, systems, base_seed=seed)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,
                       progress=progress, interrupt_after=interrupt_after)

@@ -143,6 +143,38 @@ def test_committed_trajectory_is_in_sync():
                                                     "e19_meas"}
 
 
+def test_write_bench_routes_quick_runs_out_of_discovery(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(trajectory, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setattr(trajectory, "QUICK_DIR",
+                        str(tmp_path / ".bench_build"))
+    quick = trajectory.write_bench({"bench": "alpha", "quick": True})
+    assert quick == str(tmp_path / ".bench_build" / "BENCH_alpha.json")
+    assert trajectory.discover(str(tmp_path)) == []
+    full = trajectory.write_bench({"bench": "alpha", "quick": False})
+    assert trajectory.discover(str(tmp_path)) == [full]
+
+
+def test_quick_bench_run_leaves_the_committed_file_alone(tmp_path,
+                                                         monkeypatch):
+    """A ``--quick`` E17 run writes under the quick directory; the
+    committed full-mode ``BENCH_e17_perf.json`` keeps its bytes."""
+    monkeypatch.syspath_prepend(os.path.dirname(_SPEC.origin))
+    import bench_e17_perf
+    import trajectory as bench_trajectory
+
+    monkeypatch.setattr(bench_trajectory, "QUICK_DIR", str(tmp_path))
+    committed = os.path.join(trajectory.REPO_ROOT, "BENCH_e17_perf.json")
+    with open(committed, "rb") as handle:
+        before = handle.read()
+    rows = bench_e17_perf.run(quick=True)
+    bench_e17_perf.check(rows)
+    with open(committed, "rb") as handle:
+        assert handle.read() == before
+    with open(tmp_path / "BENCH_e17_perf.json", encoding="utf-8") as handle:
+        assert json.load(handle)["quick"] is True
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ persisted corpus seed through ``legacy -> model -> legacy`` has to
 reproduce the original system dict byte-for-byte, and
 ``model -> system -> model`` has to reproduce the identical model
 digest.  These are the properties that let the fuzzer's corpus, the
-perf cache keys (``KEY_FORMAT`` payloads) and the new scenario
+per-layer analysis keys (``KEY_FORMAT`` payloads) and the scenario
 library all speak through one converter layer without drift.
 """
 

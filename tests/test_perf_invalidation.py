@@ -1,21 +1,23 @@
-"""Cache-key invalidation soundness, per fuzz mutator.
+"""Per-layer analysis keys (:mod:`repro.perf.keys`) and their
+invalidation soundness, per fuzz mutator.
 
-The memo cache is sound only if every input an analysis layer reads is
-part of that layer's key.  The fuzzer's mutators are a ready-made
-adversary: each one perturbs a specific subsystem, so for every mutator
-we can state which layers' keys are *allowed* to change — and any key
-change outside that family would mean a layer reads state its key does
-not cover (the unsound direction), while a mutator that never changes
-its primary layer's key would mean stale cache entries serve mutated
-systems (the other unsound direction).  Both directions are pinned
-here, for every mutator in :data:`repro.verify.mutate.MUTATORS`.
+A layer key is sound only if every input the analysis layer reads is
+part of it.  The fuzzer's mutators are a ready-made adversary: each one
+perturbs a specific subsystem, so for every mutator we can state which
+layers' keys are *allowed* to change — and any key change outside that
+family would mean a layer reads state its key does not cover, while a
+mutator that never changes its primary layer's key would mean the key
+misses the very input the mutator exists to perturb.  Both directions
+are pinned here, for every mutator in
+:data:`repro.verify.mutate.MUTATORS`.
 """
 
+import json
 import random
 
 import pytest
 
-from repro.perf.keys import layer_keys
+from repro.perf.keys import layer_inputs, layer_keys
 from repro.verify.generator import generate
 from repro.verify.mutate import MUTATORS, _prune_faults
 from repro.verify.serialize import system_to_dict
@@ -138,7 +140,7 @@ def test_mutator_changes_only_its_allowed_layer_keys(name, mutator):
         mutant_keys = layer_keys(mutant)
         if system_to_dict(mutant) == base_dict:
             # A no-op draw (e.g. a slot swapped with itself): the keys
-            # must agree exactly — same content, same cache entries.
+            # must agree exactly — same content, same keys.
             assert mutant_keys == base_keys, name
             continue
         changed = ({layer for layer in base_keys
@@ -158,7 +160,7 @@ def test_mutator_changes_only_its_allowed_layer_keys(name, mutator):
 @pytest.mark.parametrize("name,mutator", MUTATORS)
 def test_mutator_invalidates_its_primary_layer_somewhere(name, mutator):
     """Each mutator must actually dirty the layer it targets on at
-    least one seed — otherwise its cache entries would go stale."""
+    least one seed — otherwise its key misses the perturbed input."""
     target = primary_family(name)
     for seed in SEED_RANGE:
         base = base_for(name, seed)
@@ -177,8 +179,8 @@ def test_mutator_invalidates_its_primary_layer_somewhere(name, mutator):
 
 
 def test_unrelated_layer_reuse_across_mutation():
-    """The point of it all: mutate one subsystem, and every untouched
-    layer's key — hence its cache entry — survives verbatim."""
+    """Mutate one subsystem, and every untouched layer's key survives
+    verbatim."""
     from repro.verify.mutate import MUTATORS as table
 
     by_name = dict(table)
@@ -197,3 +199,49 @@ def test_unrelated_layer_reuse_across_mutation():
             assert mutant_keys[layer] == base_keys[layer], layer
         return
     pytest.fail("no seed produced a TDMA-carrying system to mutate")
+
+
+def test_layer_keys_are_deterministic_and_hex():
+    system = generate(3, "small")
+    keys_a = layer_keys(system)
+    keys_b = layer_keys(generate(3, "small"))
+    assert keys_a == keys_b
+    assert keys_a
+    for key in keys_a.values():
+        assert len(key) == 64 and int(key, 16) >= 0
+
+
+def test_layer_keys_cover_every_analyzed_layer():
+    system = generate(3, "small")
+    keys = layer_keys(system)
+    for ecu in system.fp_ecus:
+        assert f"rta:{ecu}" in keys
+    if system.can is not None:
+        assert "can" in keys
+    if system.flexray is not None:
+        assert "flexray_static" in keys and "flexray_dynamic" in keys
+    if system.tdma is not None:
+        assert "tdma" in keys
+    if system.chain is not None and system.can is not None:
+        assert "e2e" in keys
+
+
+def test_e2e_key_depends_on_its_producer_rta_key():
+    """The composite e2e key embeds its dependency layers' keys, so a
+    task change invalidates the chain bound even though the chain plan
+    itself is untouched."""
+    system = generate(3, "small")
+    assert system.chain is not None and system.can is not None
+    keys = layer_keys(system)
+    producer = system.chain.producer_ecu
+    task = system.tasksets[producer][0]
+    task.wcet += 1
+    bumped = layer_keys(system)
+    assert bumped[f"rta:{producer}"] != keys[f"rta:{producer}"]
+    assert bumped["e2e"] != keys["e2e"]
+
+
+def test_layer_inputs_are_json_native():
+    system = generate(5, "small")
+    inputs = layer_inputs(system)
+    assert json.loads(json.dumps(inputs, sort_keys=True)) == inputs
