@@ -22,29 +22,18 @@ checks every one is detected within bound, contained, and recovered.
 convert legacy corpus dicts, list/validate/run the bundled scenario
 library, and compile every model into the requirement-traced pytest
 suite under ``tests/generated/`` (``model testgen``; ``--check`` is
-the CI drift gate over its SHA-256 sync manifest).  ``verify``, ``resilience`` and ``fuzz`` accept ``--model
-PATH|NAME`` (repeatable) to run explicit model documents — or bundled
-scenarios by name — instead of seeded random systems.
-
-``campaign``, ``verify`` and ``fuzz`` accept the execution-engine flags
-``--jobs N`` (process-pool fan-out; any N prints the identical report
-digest), ``--checkpoint PATH`` (JSONL journal of per-chunk results),
-``--resume`` (skip journaled chunks after an interrupted run) and
-``--progress`` (live rate/ETA lines on stderr) — plus the telemetry
-flags ``--metrics PATH`` (Prometheus text), ``--trace-out PATH``
-(Chrome trace-event JSON for ``chrome://tracing`` / Perfetto) and
-``--events PATH`` (JSONL event log).  ``stats`` summarizes any of those
-exported files: top spans by cumulative time, histogram percentiles,
-and the DLT error-event table.
+the CI drift gate over its SHA-256 sync manifest).
 
 ``meas`` is the measurement & calibration plane (:mod:`repro.meas`):
 print the A2L-style registry generated from a model, run cyclic DAQ
 sampling over model documents (``meas daq``), and inspect columnar MTF
-mass-trace stores (``meas mtf``).  ``campaign`` and ``verify`` accept
-``--daq`` / ``--daq-period-us`` / ``--mtf-out`` to sample the default
-DAQ list alongside each run; the measurement digest printed is
-invariant under ``--jobs`` and ``--resume``, and MTF files are
-summarized by ``stats``.
+mass-trace stores (``meas mtf``).  ``stats`` summarizes exported
+telemetry and MTF files: top spans by cumulative time, histogram
+percentiles, and the DLT error-event table.
+
+The shared flag groups (exec, telemetry, DAQ, ``--model``), which
+subcommand takes which, and the 0/1/2 exit contract live in
+:mod:`repro.cli`.
 """
 
 from __future__ import annotations
@@ -52,6 +41,7 @@ from __future__ import annotations
 import sys
 
 import repro
+from repro import cli
 
 
 def info() -> int:
@@ -146,140 +136,10 @@ def selftest() -> int:
     return 0 if status == "PASS" else 1
 
 
-def _add_exec_arguments(parser) -> None:
-    """The execution-engine flags shared by `campaign` and `verify`."""
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1: in-process; "
-                             "any N yields the identical report digest)")
-    parser.add_argument("--checkpoint", metavar="PATH",
-                        help="JSONL journal recording per-chunk results")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip chunks already journaled as done in "
-                             "--checkpoint; re-run in-flight/failed ones")
-    parser.add_argument("--progress", action="store_true",
-                        help="live chunk/rate/ETA lines on stderr "
-                             "(stdout stays byte-identical)")
-
-
-def _make_progress(options, total_chunks: int, total_items: int):
-    """A live ProgressMeter when --progress was given, else None."""
-    if not options.progress:
-        return None
-    from repro.exec import ProgressMeter
-
-    return ProgressMeter(total_chunks, total_items,
-                         emit=lambda line: print(line, file=sys.stderr))
-
-
-def _add_model_argument(parser) -> None:
-    """The model-input flag shared by `verify`, `resilience`, `fuzz`."""
-    parser.add_argument("--model", action="append", default=[],
-                        metavar="PATH|NAME", dest="models",
-                        help="run this model document (file path) or "
-                             "bundled scenario (by name) instead of "
-                             "seeded random systems; repeatable")
-
-
-def _load_models(options, parser):
-    """The validated Models behind every --model flag (or None)."""
-    if not options.models:
-        return None
-    from repro.errors import ConfigurationError
-    from repro.model.cli import model_from_ref
-
-    try:
-        return [model_from_ref(ref) for ref in options.models]
-    except ConfigurationError as exc:
-        parser.error(str(exc))
-
-
-def _add_daq_arguments(parser) -> None:
-    """The measurement flags shared by `campaign` and `verify`."""
-    parser.add_argument("--daq", action="store_true",
-                        help="attach the measurement service and run "
-                             "the default DAQ sampling list alongside "
-                             "each run (prints the jobs/resume-"
-                             "invariant measurement digest)")
-    parser.add_argument("--daq-period-us", type=int, default=1000,
-                        dest="daq_period_us", metavar="US",
-                        help="DAQ sampling period in µs (default 1000)")
-    parser.add_argument("--mtf-out", metavar="PATH", dest="mtf_out",
-                        help="write the DAQ samples to this columnar "
-                             "MTF store (requires --daq; summarize "
-                             "with `repro stats`)")
-
-
-def _daq_period(options, parser):
-    """The DAQ period in ns (None when --daq was not given)."""
-    if options.mtf_out and not options.daq:
-        parser.error("--mtf-out requires --daq")
-    if not options.daq:
-        return None
-    if options.daq_period_us < 1:
-        parser.error("--daq-period-us must be >= 1")
-    from repro.units import us
-
-    return us(options.daq_period_us)
-
-
-def _emit_daq(options, pairs, sample_count: int,
-              measurement_digest: str) -> None:
-    """Print the measurement digest and write the optional MTF store.
-
-    ``pairs`` is ``[(label, rows), ...]`` with rows shaped
-    ``[time, daq_list, entry, value]``; entries are namespaced by
-    label in the store so several systems share one file."""
-    print(f"daq samples: {sample_count}")
-    print(f"measurement digest: sha256:{measurement_digest}")
-    if not options.mtf_out:
-        return
-    from repro.meas.mtf import MtfWriter
-
-    with MtfWriter(options.mtf_out) as writer:
-        for label, rows in sorted(pairs, key=lambda pair: pair[0]):
-            writer.write_batch([
-                (time, f"daq.{daq_name}", f"{label}:{entry}",
-                 {"value": value})
-                for time, daq_name, entry, value in rows])
-    print(f"wrote {options.mtf_out} ({sample_count} samples)")
-
-
-def _add_telemetry_arguments(parser) -> None:
-    """The telemetry export flags shared by `campaign` and `verify`."""
-    parser.add_argument("--metrics", metavar="PATH",
-                        help="write merged metrics as Prometheus text")
-    parser.add_argument("--trace-out", metavar="PATH", dest="trace_out",
-                        help="write spans + DLT events as Chrome "
-                             "trace-event JSON (chrome://tracing, "
-                             "Perfetto)")
-    parser.add_argument("--events", metavar="PATH",
-                        help="write the full telemetry as a JSONL "
-                             "event log")
-
-
-def _telemetry_wanted(options) -> bool:
-    return bool(options.metrics or options.trace_out or options.events)
-
-
-def _export_telemetry(options) -> None:
-    """Write the requested export files and print the telemetry digest
-    (deterministic: identical for any --jobs level)."""
-    from repro import obs
-
-    if options.metrics:
-        obs.write_prometheus(options.metrics)
-    if options.trace_out:
-        obs.write_chrome_trace(options.trace_out)
-    if options.events:
-        obs.write_events_jsonl(options.events)
-    print(f"telemetry digest: sha256:{obs.digest()}")
-
-
 def campaign(args: list[str]) -> int:
     """Run the reference fault campaign (the `campaign` subcommand)."""
     import argparse
 
-    from repro import obs
     from repro.analysis import format_robustness, robustness_report
     from repro.faults import ReferenceWorld, reference_cells, run_campaign
     from repro.units import ms
@@ -289,30 +149,19 @@ def campaign(args: list[str]) -> int:
         description="reference fault-injection campaign")
     parser.add_argument("--smoke", action="store_true",
                         help="run a single corruption cell (CI gate)")
-    _add_exec_arguments(parser)
-    _add_telemetry_arguments(parser)
-    _add_daq_arguments(parser)
-    options = parser.parse_args(args)
-    if options.resume and not options.checkpoint:
-        parser.error("--resume requires --checkpoint")
-    daq_period = _daq_period(options, parser)
+    cli.add_exec_flags(parser)
+    cli.add_telemetry_flags(parser)
+    cli.add_daq_flags(parser)
+    options = cli.check(parser, parser.parse_args(args))
 
     cells = reference_cells()
     if options.smoke:
         cells = cells[:1]  # one corruption cell: fast CI regression gate
-    telemetry = _telemetry_wanted(options)
-    if telemetry:
-        obs.reset()
-        obs.enable()
-    try:
+    with cli.telemetry(options):
         report = run_campaign(
-            ReferenceWorld, cells, horizon=ms(300), jobs=options.jobs,
-            checkpoint=options.checkpoint, resume=options.resume,
-            progress=_make_progress(options, len(cells), len(cells)),
-            daq_period=daq_period)
-    finally:
-        if telemetry:
-            obs.disable()
+            ReferenceWorld, cells, horizon=ms(300),
+            daq_period=cli.daq_period(options),
+            **cli.exec_kwargs(options, len(cells)))
     print(f"fault campaign: {report.cells} cell(s), horizon 300 ms")
     for result in report.results:
         status = "DETECTED" if result.detected else "UNDETECTED"
@@ -322,13 +171,9 @@ def campaign(args: list[str]) -> int:
               f"recovered={result.recovered}")
     print(format_robustness(robustness_report(report)))
     print(f"report digest: sha256:{report.digest()}")
-    if options.daq:
-        _emit_daq(options,
-                  [(result.cell.label, result.daq_rows)
-                   for result in report.results],
-                  report.daq_sample_count, report.measurement_digest())
-    if telemetry:
-        _export_telemetry(options)
+    cli.emit_daq(options, report, [(result.cell.label, result.daq_rows)
+                                   for result in report.results])
+    cli.export_telemetry(options)
     corrupted = sum(r.extra.get("undetected_corrupted", 0)
                     for r in report.results)
     healthy = (report.detection_rate == 1.0
@@ -347,7 +192,6 @@ def verify(args: list[str]) -> int:
     invariant violation."""
     import argparse
 
-    from repro import obs
     from repro.verify import SIZES, format_report, verify_many
 
     parser = argparse.ArgumentParser(
@@ -356,47 +200,28 @@ def verify(args: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--systems", type=int, default=25)
     parser.add_argument("--size", choices=sorted(SIZES), default="small")
-    _add_model_argument(parser)
-    _add_exec_arguments(parser)
-    _add_telemetry_arguments(parser)
-    _add_daq_arguments(parser)
-    options = parser.parse_args(args)
-    if options.resume and not options.checkpoint:
-        parser.error("--resume requires --checkpoint")
-    models = _load_models(options, parser)
-    daq_period = _daq_period(options, parser)
-    count = len(models) if models else options.systems
-    telemetry = _telemetry_wanted(options)
-    if telemetry:
-        obs.reset()
-        obs.enable()
-    try:
+    cli.add_model_flag(parser)
+    cli.add_exec_flags(parser)
+    cli.add_telemetry_flags(parser)
+    cli.add_daq_flags(parser)
+    options = cli.check(parser, parser.parse_args(args))
+    models = options.models
+    run = cli.exec_kwargs(options,
+                          len(models) if models else options.systems)
+    with cli.telemetry(options):
         if models:
             from repro.model import verify_models
 
             report = verify_models(
-                models, jobs=options.jobs,
-                checkpoint=options.checkpoint, resume=options.resume,
-                progress=_make_progress(options, count, count),
-                daq_period=daq_period)
+                models, daq_period=cli.daq_period(options), **run)
         else:
             report = verify_many(
                 options.seed, options.systems, options.size,
-                jobs=options.jobs, checkpoint=options.checkpoint,
-                resume=options.resume,
-                progress=_make_progress(options, count, count),
-                daq_period=daq_period)
-    finally:
-        if telemetry:
-            obs.disable()
+                daq_period=cli.daq_period(options), **run)
     print(format_report(report))
-    if options.daq:
-        _emit_daq(options,
-                  [(verdict.name, verdict.daq_rows)
-                   for verdict in report.verdicts],
-                  report.daq_sample_count, report.measurement_digest())
-    if telemetry:
-        _export_telemetry(options)
+    cli.emit_daq(options, report, [(verdict.name, verdict.daq_rows)
+                                   for verdict in report.verdicts])
+    cli.export_telemetry(options)
     return 0 if report.passed else 1
 
 
@@ -409,7 +234,6 @@ def fuzz_command(args: list[str]) -> int:
     failure could not be fully shrunk (or the engine itself failed)."""
     import argparse
 
-    from repro import obs
     from repro.verify import SIZES
     from repro.verify.fuzz import (DEFAULT_SEED_BATCH, format_fuzz_report,
                                    fuzz, write_corpus)
@@ -441,37 +265,24 @@ def fuzz_command(args: list[str]) -> int:
     parser.add_argument("--corpus-dir", metavar="DIR", dest="corpus_dir",
                         help="persist minimized counterexamples as JSON "
                              "under DIR (e.g. tests/corpus)")
-    _add_model_argument(parser)
-    _add_exec_arguments(parser)
-    _add_telemetry_arguments(parser)
-    options = parser.parse_args(args)
-    if options.resume and not options.checkpoint:
-        parser.error("--resume requires --checkpoint")
-    models = _load_models(options, parser)
-    seeds = None if models is None else [m.build() for m in models]
-    telemetry = _telemetry_wanted(options)
-    if telemetry:
-        obs.reset()
-        obs.enable()
-    try:
+    cli.add_model_flag(parser)
+    cli.add_exec_flags(parser)
+    cli.add_telemetry_flags(parser)
+    options = cli.check(parser, parser.parse_args(args))
+    seeds = None if options.models is None else [
+        model.build() for model in options.models]
+    with cli.telemetry(options):
         report = fuzz(
             options.seed, options.budget, options.size,
-            jobs=options.jobs, checkpoint=options.checkpoint,
-            resume=options.resume, seed_batch=options.seed_batch,
+            seed_batch=options.seed_batch,
             max_seconds=options.max_seconds,
-            until_dry=options.until_dry,
-            progress=_make_progress(options, options.budget,
-                                    options.budget),
-            seeds=seeds)
-    finally:
-        if telemetry:
-            obs.disable()
+            until_dry=options.until_dry, seeds=seeds,
+            **cli.exec_kwargs(options, options.budget))
     print(format_fuzz_report(report))
     if options.corpus_dir and report.findings:
         for path in write_corpus(report, options.corpus_dir):
             print(f"  wrote {path}")
-    if telemetry:
-        _export_telemetry(options)
+    cli.export_telemetry(options)
     return 0 if not report.unshrunk else 1
 
 
@@ -484,7 +295,6 @@ def resilience(args: list[str]) -> int:
     on any unmet obligation."""
     import argparse
 
-    from repro import obs
     from repro.verify import SIZES
     from repro.verify.resilience import (format_resilience_report,
                                          run_resilience)
@@ -496,38 +306,23 @@ def resilience(args: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--systems", type=int, default=3)
     parser.add_argument("--size", choices=sorted(SIZES), default="small")
-    _add_model_argument(parser)
-    _add_exec_arguments(parser)
-    _add_telemetry_arguments(parser)
-    options = parser.parse_args(args)
-    if options.resume and not options.checkpoint:
-        parser.error("--resume requires --checkpoint")
-    models = _load_models(options, parser)
-    count = len(models) if models else options.systems
-    telemetry = _telemetry_wanted(options)
-    if telemetry:
-        obs.reset()
-        obs.enable()
-    try:
+    cli.add_model_flag(parser)
+    cli.add_exec_flags(parser)
+    cli.add_telemetry_flags(parser)
+    options = cli.check(parser, parser.parse_args(args))
+    models = options.models
+    run = cli.exec_kwargs(options,
+                          len(models) if models else options.systems)
+    with cli.telemetry(options):
         if models:
             from repro.model import resilience_models
 
-            report = resilience_models(
-                models, jobs=options.jobs,
-                checkpoint=options.checkpoint, resume=options.resume,
-                progress=_make_progress(options, count, count))
+            report = resilience_models(models, **run)
         else:
-            report = run_resilience(
-                options.seed, options.systems, options.size,
-                jobs=options.jobs, checkpoint=options.checkpoint,
-                resume=options.resume,
-                progress=_make_progress(options, count, count))
-    finally:
-        if telemetry:
-            obs.disable()
+            report = run_resilience(options.seed, options.systems,
+                                    options.size, **run)
     print(format_resilience_report(report))
-    if telemetry:
-        _export_telemetry(options)
+    cli.export_telemetry(options)
     return 0 if report.passed else 1
 
 

@@ -16,8 +16,9 @@
                                  (``--signal/--start/--end``)
 ==============================  ======================================
 
-Exit codes follow the ``repro model`` convention: ``0`` ok, ``1`` an
-operation failed, ``2`` an input could not be read.
+Exit codes follow the :mod:`repro.cli` contract: ``0`` ok, ``1`` a
+document is invalid or an operation failed, ``2`` an input could not
+be read or the command line is malformed.
 """
 
 from __future__ import annotations
@@ -25,75 +26,32 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import cli
+from repro.cli import EXIT_INVALID, EXIT_OK, EXIT_UNREADABLE
 from repro.errors import ConfigurationError, ReproError
 from repro.meas.batch import measure_models
-from repro.meas.mtf import MtfReader, MtfWriter, is_mtf_file, summarize_mtf
+from repro.meas.mtf import MtfReader, is_mtf_file, summarize_mtf
 from repro.meas.registry import build_registry
-from repro.meas.service import DEFAULT_DAQ_PERIOD
 from repro.units import ms, us
 
-EXIT_OK, EXIT_FAILED, EXIT_UNREADABLE = 0, 1, 2
 
-
-def _models(refs: list[str]):
-    from repro.model.cli import model_from_ref
-    return [model_from_ref(ref) for ref in refs]
-
-
-def _load_status(exc: ConfigurationError) -> int:
-    """1 for a readable-but-invalid document, 2 for unreadable input —
-    the ``repro model`` convention."""
-    from repro.model.schema import ModelValidationError
-    return EXIT_FAILED if isinstance(exc, ModelValidationError) \
-        else EXIT_UNREADABLE
-
-
-def _registry(refs: list[str]) -> int:
-    try:
-        models = _models(refs)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return _load_status(exc)
+def _registry(models) -> int:
     for model in models:
         print(build_registry(model).format_table())
     return EXIT_OK
 
 
-def _daq(options) -> int:
+def _daq(options, models) -> int:
+    horizon = None if options.horizon_ms is None else ms(options.horizon_ms)
     try:
-        models = _models(options.refs)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return _load_status(exc)
-    period = us(options.period_us) if options.period_us else \
-        DEFAULT_DAQ_PERIOD
-    horizon = ms(options.horizon_ms) if options.horizon_ms else None
-    progress = None
-    if options.progress:
-        from repro.exec import ProgressMeter
-        progress = ProgressMeter(
-            len(models), len(models),
-            emit=lambda line: print(line, file=sys.stderr))
-    try:
-        report = measure_models(models, period=period, horizon=horizon,
-                                jobs=options.jobs,
-                                checkpoint=options.checkpoint,
-                                resume=options.resume,
-                                progress=progress)
+        report = measure_models(models, period=us(options.period_us),
+                                horizon=horizon,
+                                **cli.exec_kwargs(options, len(models)))
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_FAILED
+        return EXIT_INVALID
     print(report.format())
-    if options.mtf_out:
-        with MtfWriter(options.mtf_out) as writer:
-            for name, rows in sorted(report.results,
-                                     key=lambda pair: pair[0]):
-                writer.write_batch([
-                    (time, f"daq.{daq_name}", f"{name}:{entry}",
-                     {"value": value})
-                    for time, daq_name, entry, value in rows])
-        print(f"wrote {options.mtf_out} "
-              f"({report.sample_count} samples)")
+    cli.write_mtf(options, report.results, report.sample_count)
     return EXIT_OK
 
 
@@ -137,17 +95,15 @@ def meas_command(args: list[str]) -> int:
     sub = commands.add_parser(
         "daq", help="run the default DAQ list against each model")
     sub.add_argument("refs", nargs="+", metavar="PATH|NAME")
-    sub.add_argument("--period-us", type=int, default=0,
-                     help="sampling period in µs (default 1000)")
-    sub.add_argument("--horizon-ms", type=int, default=0,
+    sub.add_argument("--period-us", type=int, dest="period_us",
+                     default=cli.DEFAULT_DAQ_PERIOD_US,
+                     help="sampling period in µs "
+                          f"(default {cli.DEFAULT_DAQ_PERIOD_US})")
+    sub.add_argument("--horizon-ms", type=int, dest="horizon_ms",
                      help="simulation horizon in ms (default: per "
                           "system, 4x its longest period)")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--checkpoint", metavar="PATH")
-    sub.add_argument("--resume", action="store_true")
-    sub.add_argument("--progress", action="store_true")
-    sub.add_argument("--mtf-out", metavar="PATH",
-                     help="also write every sample to this MTF store")
+    cli.add_exec_flags(sub)
+    cli.add_mtf_flag(sub)
 
     sub = commands.add_parser(
         "mtf", help="summarize an MTF store or read one signal")
@@ -158,8 +114,14 @@ def meas_command(args: list[str]) -> int:
     sub.add_argument("--end", type=int, default=None, metavar="NS")
 
     options = parser.parse_args(args)
+    if options.command == "mtf":
+        return _mtf(options)
+    command = commands.choices[options.command]
+    cli.check(command, options)
+    try:
+        models = cli.load_models(options.refs)
+    except ConfigurationError as exc:
+        return cli.load_failure(command.prog, exc)
     if options.command == "registry":
-        return _registry(options.refs)
-    if options.command == "daq":
-        return _daq(options)
-    return _mtf(options)
+        return _registry(models)
+    return _daq(options, models)

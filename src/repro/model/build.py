@@ -20,7 +20,6 @@ guarantees as ``verify_many`` / ``run_resilience``.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -240,20 +239,12 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
     ``verify_many`` (jobs=1 and jobs=N digests are identical).
     ``daq_period`` (ns) additionally runs the measurement service's
     default DAQ list per system (``verdict.daq_rows``)."""
-    from repro.exec import Plan, execute
-    from repro.verify.oracle import (VerificationReport,
-                                     _daq_system_worker, _system_worker)
+    from repro.exec import execute
+    from repro.verify.oracle import VerificationReport, verify_plan
 
     systems = tuple(model.build() for model in models)
-    if daq_period is not None:
-        label = (f"model-verify-daq:n={len(systems)}:horizon={horizon}"
-                 f":period={daq_period}")
-        worker = functools.partial(_daq_system_worker, horizon,
-                                   daq_period)
-    else:
-        label = f"model-verify:n={len(systems)}:horizon={horizon}"
-        worker = functools.partial(_system_worker, horizon)
-    plan = Plan(label, worker, systems, base_seed=0)
+    plan = verify_plan("model-verify", f"n={len(systems)}", systems,
+                       horizon, daq_period, 0)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,
                       progress=progress)

@@ -23,10 +23,9 @@
                             MISSING / EXTRA)
 =========================  ===========================================
 
-Exit codes follow the convention: ``0`` everything valid / every
-obligation met, ``1`` a document is invalid or a verification failed,
-``2`` an input could not be read at all (missing file, broken JSON,
-usage error — argparse's own convention).
+Exit codes follow the :mod:`repro.cli` contract: ``0`` everything
+valid / every obligation met, ``1`` a document is invalid or a
+verification failed, ``2`` an input could not be read at all.
 """
 
 from __future__ import annotations
@@ -35,15 +34,14 @@ import argparse
 import sys
 from typing import Optional
 
+from repro import cli
+from repro.cli import EXIT_INVALID, EXIT_OK, EXIT_UNREADABLE
 from repro.errors import ConfigurationError
 from repro.model.build import (Model, load_document, resilience_models,
                                verify_models)
 from repro.model.scenarios import (SCENARIO_FILES, scenario_description,
                                    scenario_names, scenario_path)
 from repro.model.schema import model_digest, validate_document
-
-#: Exit codes: valid / invalid / unreadable.
-EXIT_OK, EXIT_INVALID, EXIT_UNREADABLE = 0, 1, 2
 
 
 def _load_ref(ref: str) -> dict:
@@ -155,28 +153,19 @@ def _scenarios_validate() -> int:
     return status
 
 
-def _scenarios_run(names: list[str], jobs: int,
-                   options=None) -> int:
-    names = names or scenario_names()
+def _scenarios_run(options) -> int:
+    names = options.names or scenario_names()
     try:
         models = [Model.from_document(load_document(scenario_path(name)))
                   for name in names]
     except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNREADABLE
-    telemetry = options is not None and bool(
-        options.metrics or options.trace_out or options.events)
-    if telemetry:
-        from repro import obs
-
-        obs.reset()
-        obs.enable()
+        return cli.load_failure("repro model scenarios run", exc)
     status = EXIT_OK
     width = max(len(name) for name in names)
-    try:
+    with cli.telemetry(options):
         for name, model in zip(names, models):
-            verification = verify_models([model], jobs=jobs)
-            resilience = resilience_models([model], jobs=jobs)
+            verification = verify_models([model], jobs=options.jobs)
+            resilience = resilience_models([model], jobs=options.jobs)
             passed = verification.passed and resilience.passed
             checks = sum(len(v.checks) for v in verification.verdicts)
             scenarios = sum(len(row["verdicts"])
@@ -189,26 +178,15 @@ def _scenarios_run(names: list[str], jobs: int,
                   f"(scenarios={scenarios} unmet={resilience.unmet})")
             if not passed:
                 status = EXIT_INVALID
-    finally:
-        if telemetry:
-            obs.disable()
     print(f"scenario matrix: {'PASS' if status == EXIT_OK else 'FAIL'} "
           f"({len(names)} scenario(s))")
-    if telemetry:
-        if options.metrics:
-            obs.write_prometheus(options.metrics)
-        if options.trace_out:
-            obs.write_chrome_trace(options.trace_out)
-        if options.events:
-            obs.write_events_jsonl(options.events)
-        print(f"telemetry digest: sha256:{obs.digest()}")
+    cli.export_telemetry(options)
     return status
 
 
 def _testgen(options) -> int:
     """Generate the model-driven pytest suite, or ``--check`` it."""
     from repro.model import testgen
-    from repro.model.schema import ModelValidationError
 
     try:
         if options.check:
@@ -219,12 +197,8 @@ def _testgen(options) -> int:
             return EXIT_OK if in_sync else EXIT_INVALID
         modules = testgen.write_suite(options.refs,
                                       output_dir=options.output_dir)
-    except ModelValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
     except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNREADABLE
+        return cli.load_failure("repro model testgen", exc)
     for module in modules:
         print(f"wrote {options.output_dir}/{module.filename} "
               f"({testgen.TESTS_PER_MODEL} tests) "
@@ -280,19 +254,12 @@ def model_command(args: list[str]) -> int:
     actions.add_parser("list", help="names + one-line descriptions")
     actions.add_parser(
         "validate", help="CI gate: validate + round-trip every scenario")
-    sub = actions.add_parser(
+    run = actions.add_parser(
         "run", help="verify + resilience matrix per scenario (E18)")
-    sub.add_argument("names", nargs="*", metavar="NAME",
+    run.add_argument("names", nargs="*", metavar="NAME",
                      help="scenario names (default: all)")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--metrics", metavar="PATH",
-                     help="write merged metrics as Prometheus text")
-    sub.add_argument("--trace-out", metavar="PATH", dest="trace_out",
-                     help="write spans + DLT events as Chrome "
-                          "trace-event JSON")
-    sub.add_argument("--events", metavar="PATH",
-                     help="write the full telemetry as a JSONL event "
-                          "log")
+    cli.add_jobs_flag(run)
+    cli.add_telemetry_flags(run)
 
     options = parser.parse_args(args)
     if options.command == "validate":
@@ -310,4 +277,4 @@ def model_command(args: list[str]) -> int:
         return _scenarios_list()
     if options.action == "validate":
         return _scenarios_validate()
-    return _scenarios_run(options.names, options.jobs, options)
+    return _scenarios_run(cli.check(run, options))

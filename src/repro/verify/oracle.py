@@ -675,26 +675,34 @@ def verify_system(system: GeneratedSystem,
     return verdict
 
 
-def _system_worker(horizon: Optional[int], system: GeneratedSystem,
-                   seed: int) -> SystemVerdict:
+def _system_worker(horizon: Optional[int], daq_period: Optional[int],
+                   system: GeneratedSystem, seed: int) -> SystemVerdict:
     """Plan worker (module-level, hence picklable): one system per call.
 
     The ``seed`` argument is the engine's spawn-derived per-item seed;
     the system spec was already generated from it, so verification
     itself draws no randomness and the argument is unused.
     """
-    return verify_system(system, horizon)
-
-
-def _daq_system_worker(horizon: Optional[int], daq_period: int,
-                       system: GeneratedSystem,
-                       seed: int) -> SystemVerdict:
-    """Plan worker for ``--daq`` runs: verification plus sampling.
-
-    A separate worker (and a separate plan label in
-    :func:`verify_many`) so checkpoint journals of plain and DAQ runs
-    never mix result shapes."""
     return verify_system(system, horizon, daq_period)
+
+
+def verify_plan(kind: str, scope: str, systems: tuple,
+                horizon: Optional[int], daq_period: Optional[int],
+                base_seed: int):
+    """The exec plan verifying ``systems`` (shared by
+    :func:`verify_many` and :func:`repro.model.build.verify_models`).
+
+    DAQ runs get their own ``<kind>-daq`` label: the checkpoint
+    fingerprint covers the label, so journals of plain and sampling
+    runs never mix result shapes."""
+    from repro.exec import Plan
+
+    label = f"{kind}:{scope}:horizon={horizon}"
+    if daq_period is not None:
+        label = f"{kind}-daq:{scope}:horizon={horizon}:period={daq_period}"
+    return Plan(label, functools.partial(_system_worker, horizon,
+                                         daq_period),
+                systems, base_seed=base_seed)
 
 
 def verify_many(seed: int, count: int, size: str = "small",
@@ -712,18 +720,11 @@ def verify_many(seed: int, count: int, size: str = "small",
     ``checkpoint``/``resume`` journal per-system verdicts and skip
     completed systems on restart.
     """
-    from repro.exec import Plan, execute
+    from repro.exec import execute
 
-    systems = tuple(generate_many(seed, count, size))
-    if daq_period is not None:
-        label = (f"verify-daq:size={size}:horizon={horizon}"
-                 f":period={daq_period}")
-        worker = functools.partial(_daq_system_worker, horizon,
-                                   daq_period)
-    else:
-        label = f"verify:size={size}:horizon={horizon}"
-        worker = functools.partial(_system_worker, horizon)
-    plan = Plan(label, worker, systems, base_seed=seed)
+    plan = verify_plan("verify", f"size={size}",
+                       tuple(generate_many(seed, count, size)), horizon,
+                       daq_period, seed)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,
                       progress=progress, interrupt_after=interrupt_after)

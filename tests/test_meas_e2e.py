@@ -122,6 +122,22 @@ def test_verify_many_with_daq_parity():
     assert one.digest() == two.digest()
 
 
+def test_verify_plan_labels_keep_journals_resumable():
+    """A checkpoint journal is keyed by the plan fingerprint, which
+    covers the label: the four verify labels must stay byte-identical
+    for journals written by earlier versions to resume."""
+    from repro.verify.oracle import verify_plan
+
+    labels = [verify_plan(kind, scope, (), None, period, 0).label
+              for kind, scope in (("verify", "size=small"),
+                                  ("model-verify", "n=1"))
+              for period in (None, ms(1))]
+    assert labels == ["verify:size=small:horizon=None",
+                      "verify-daq:size=small:horizon=None:period=1000000",
+                      "model-verify:n=1:horizon=None",
+                      "model-verify-daq:n=1:horizon=None:period=1000000"]
+
+
 def test_campaign_with_daq_keeps_report_digest():
     from repro.faults import ReferenceWorld, reference_cells, run_campaign
 
