@@ -19,10 +19,11 @@ checks every one is detected within bound, contained, and recovered.
 
 ``model`` works with the versioned system exchange format
 (:mod:`repro.model`): validate documents, print deterministic digests,
-convert legacy corpus dicts, list/validate/run the bundled scenario
-library, and compile every model into the requirement-traced pytest
-suite under ``tests/generated/`` (``model testgen``; ``--check`` is
-the CI drift gate over its SHA-256 sync manifest).
+unwrap fuzz counterexamples into model documents, list/validate/run
+the bundled scenario library, and compile every model into the
+requirement-traced pytest suite under ``tests/generated/`` (``model
+testgen``; ``--check`` is the CI drift gate over its SHA-256 sync
+manifest).
 
 ``meas`` is the measurement & calibration plane (:mod:`repro.meas`):
 print the A2L-style registry generated from a model, run cyclic DAQ

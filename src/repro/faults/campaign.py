@@ -16,14 +16,13 @@ plain data structure consumable by :mod:`repro.analysis.system_report`.
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro import obs
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 from repro.faults.model import Fault
 from repro.faults.monitor import containment_violations
@@ -183,10 +182,8 @@ class CampaignReport:
                                        row["onset"],
                                        -1 if row["duration"] is None
                                        else row["duration"]))
-        canonical = json.dumps({"horizon": self.horizon, "cells": rows},
-                               sort_keys=True, separators=(",", ":"),
-                               default=repr)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest({"horizon": self.horizon, "cells": rows},
+                                default=repr)
 
     @property
     def daq_sample_count(self) -> int:

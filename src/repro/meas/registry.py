@@ -25,13 +25,12 @@ CI ``meas-smoke`` job pins.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import (LINK_TIME, POST_BUILD, PRE_COMPILE,
                                ConfigurationSet)
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 
 #: Entry kinds.
@@ -144,10 +143,8 @@ class MeasurementRegistry:
     def digest(self) -> str:
         """SHA-256 over the canonical JSON of all entries — identical
         for identical systems, regardless of construction order."""
-        body = json.dumps({"system": self.system_name,
-                           "entries": self.to_dicts()},
-                          sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return canonical_digest({"system": self.system_name,
+                                 "entries": self.to_dicts()})
 
     def format_table(self) -> str:
         """Human-readable A2L-style listing."""

@@ -25,14 +25,13 @@ engine's plan-order merge) and canonically JSON-serializable (so
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import obs
 from repro.bsw.errors import FAILED, SEVERITY_LOW, ErrorEvent, ErrorManager
 from repro.core.config import ConfigurationSet
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError, MeasurementError
 from repro.meas.registry import (CALIB_PREFIX, CHARACTERISTIC, MEASUREMENT,
                                  MeasurementRegistry, build_registry,
@@ -286,9 +285,7 @@ class MeasurementService:
 
 def samples_digest(rows: list) -> str:
     """Canonical digest of DAQ rows (shared by service and reports)."""
-    body = json.dumps(rows, sort_keys=True, separators=(",", ":"),
-                      default=str)
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return canonical_digest(rows, default=str)
 
 
 # ----------------------------------------------------------------------

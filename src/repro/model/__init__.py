@@ -12,15 +12,16 @@ is that format for the repro library:
   digest for traceability;
 * :mod:`repro.model.convert` — the per-subsystem dict converters
   (tasks, signals, I-PDUs, CAN/FlexRay/TDMA plans, chains, fault
-  scenarios) shared with the legacy corpus format of
-  :mod:`repro.verify.serialize`;
+  scenarios) the document is assembled from;
 * :mod:`repro.model.build` — compile a validated model into the live
   :class:`~repro.verify.generator.GeneratedSystem` the differential
   oracle consumes, and back, so ``repro verify`` / ``repro
   resilience`` / ``repro fuzz`` all run from a model file;
 * :mod:`repro.model.scenarios` — the bundled scenario library
   (ADAS sensor fusion, gateway-heavy multi-bus, TDMA overload,
-  FlexRay mixed cluster, limp-home cascade), each loadable by name;
+  FlexRay mixed cluster, limp-home cascade), each loadable by name,
+  and :func:`~repro.model.scenarios.load_ref`, the one loader behind
+  every ``PATH|NAME`` reference;
 * :mod:`repro.model.testgen` — model-driven pytest generation: compile
   every model into a deterministic requirement-traced test module under
   ``tests/generated/`` with a SHA-256 sync manifest, and detect drift
@@ -31,13 +32,14 @@ is that format for the repro library:
   ``scenarios``).
 """
 
+from repro.digest import canonical_json
 from repro.model.build import (Model, load_document, model_from_system,
                                resilience_models, system_from_model,
                                verify_models)
 from repro.model.schema import (FORMAT, FORMAT_VERSION, SUPPORTED_VERSIONS,
-                                ModelValidationError, canonical_json,
-                                ensure_valid, is_model_document,
-                                model_digest, validate_document)
+                                ModelValidationError, ensure_valid,
+                                is_model_document, model_digest,
+                                validate_document)
 from repro.model.scenarios import (load_scenario, scenario_description,
                                    scenario_names, scenario_path)
 

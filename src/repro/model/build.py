@@ -11,8 +11,8 @@ to an identical :func:`~repro.model.schema.model_digest` (pinned by
 ``tests/test_model_roundtrip.py``).
 
 :class:`Model` wraps a document with the ergonomic face (validate on
-construction, digest, build, round-trip, autodetecting loader for
-legacy corpus files), and :func:`verify_models` /
+construction, digest, build, round-trip, unwrapping of fuzz
+counterexample payloads), and :func:`verify_models` /
 :func:`resilience_models` fan batches of models out over
 :mod:`repro.exec` with the same jobs/resume-invariant digest
 guarantees as ``verify_many`` / ``run_resilience``.
@@ -150,12 +150,15 @@ def system_from_model(doc: dict) -> GeneratedSystem:
 # the Model wrapper
 # ----------------------------------------------------------------------
 def load_document(path: str) -> dict:
-    """Parse one JSON document from ``path`` (no validation)."""
-    with open(path, encoding="utf-8") as handle:
-        try:
+    """Parse one JSON document from ``path`` (no validation); an
+    unreadable file raises :class:`ConfigurationError`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not valid JSON ({exc})")
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read ({exc})")
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})")
 
 
 @dataclass(frozen=True)
@@ -179,25 +182,15 @@ class Model:
 
     @classmethod
     def from_data(cls, data, validate: bool = True) -> "Model":
-        """Autodetecting constructor: a model document, a legacy
-        ``GeneratedSystem`` dict (``repro.verify.serialize``), or a
-        corpus counterexample payload (its ``system`` entry) all
-        coerce to a :class:`Model`."""
+        """A model document, or a fuzz counterexample payload whose
+        ``system`` entry is one, as a :class:`Model`."""
+        if isinstance(data, dict) and not schema.is_model_document(data):
+            data = data.get("system")
         if schema.is_model_document(data):
             return cls.from_document(data, validate=validate)
-        if isinstance(data, dict) and isinstance(data.get("system"),
-                                                 dict):
-            return cls.from_data(data["system"], validate=validate)
-        if isinstance(data, dict) and "tasksets" in data:
-            from repro.verify.serialize import system_from_dict
-            return cls.from_system(system_from_dict(data))
         raise ConfigurationError(
-            "unrecognized document: neither a repro.model document, a "
-            "legacy system dict, nor a corpus counterexample")
-
-    @classmethod
-    def from_file(cls, path: str, validate: bool = True) -> "Model":
-        return cls.from_data(load_document(path), validate=validate)
+            "unrecognized document: neither a repro.model document nor "
+            "a corpus counterexample wrapping one")
 
     # -- views ---------------------------------------------------------
     @property

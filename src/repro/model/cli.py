@@ -3,9 +3,9 @@
 =========================  ===========================================
 ``validate PATH|NAME ...``  schema-check documents; print every problem
 ``digest PATH|NAME ...``    print each document's deterministic SHA-256
-``convert PATH``            re-emit any accepted input (model document,
-                            legacy corpus dict, counterexample payload)
-                            as a canonical model document
+``convert PATH``            re-emit a model document, or the one a
+                            fuzz counterexample payload wraps, as a
+                            canonical model document
 ``scenarios list``          the bundled scenario library
 ``scenarios validate``      CI gate: every bundled scenario validates
                             and round-trips digest-identically
@@ -37,35 +37,23 @@ from typing import Optional
 from repro import cli
 from repro.cli import EXIT_INVALID, EXIT_OK, EXIT_UNREADABLE
 from repro.errors import ConfigurationError
-from repro.model.build import (Model, load_document, resilience_models,
-                               verify_models)
-from repro.model.scenarios import (SCENARIO_FILES, scenario_description,
-                                   scenario_names, scenario_path)
+from repro.model.build import Model, resilience_models, verify_models
+from repro.model.scenarios import (load_ref, load_scenario,
+                                   scenario_description, scenario_names)
 from repro.model.schema import model_digest, validate_document
-
-
-def _load_ref(ref: str) -> dict:
-    """The document behind ``ref``: a bundled scenario name or a file
-    path.  Raises :class:`ConfigurationError` (unreadable) only."""
-    if ref in SCENARIO_FILES:
-        return load_document(scenario_path(ref))
-    try:
-        return load_document(ref)
-    except OSError as exc:
-        raise ConfigurationError(f"{ref}: cannot read ({exc})")
 
 
 def model_from_ref(ref: str) -> Model:
     """The validated :class:`Model` behind a path or scenario name
-    (accepts legacy corpus dicts too, like ``convert``)."""
-    return Model.from_data(_load_ref(ref))
+    (a counterexample payload yields the document it wraps)."""
+    return Model.from_data(load_ref(ref))
 
 
 def _validate(refs: list[str]) -> int:
     status = EXIT_OK
     for ref in refs:
         try:
-            document = _load_ref(ref)
+            document = load_ref(ref)
         except ConfigurationError as exc:
             print(f"{ref}: UNREADABLE — {exc}", file=sys.stderr)
             status = max(status, EXIT_UNREADABLE)
@@ -85,7 +73,7 @@ def _digest(refs: list[str]) -> int:
     status = EXIT_OK
     for ref in refs:
         try:
-            document = _load_ref(ref)
+            document = load_ref(ref)
         except ConfigurationError as exc:
             print(f"{ref}: UNREADABLE — {exc}", file=sys.stderr)
             status = max(status, EXIT_UNREADABLE)
@@ -102,7 +90,7 @@ def _digest(refs: list[str]) -> int:
 
 def _convert(ref: str, output: Optional[str]) -> int:
     try:
-        data = _load_ref(ref)
+        data = load_ref(ref)
     except ConfigurationError as exc:
         print(f"{ref}: UNREADABLE — {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
@@ -133,7 +121,7 @@ def _scenarios_validate() -> int:
     round-trip (model -> live system -> model) digest-identically."""
     status = EXIT_OK
     for name in scenario_names():
-        document = load_document(scenario_path(name))
+        document = load_ref(name)
         problems = validate_document(document)
         if problems:
             print(f"{name}: INVALID ({len(problems)} problem(s))")
@@ -156,8 +144,7 @@ def _scenarios_validate() -> int:
 def _scenarios_run(options) -> int:
     names = options.names or scenario_names()
     try:
-        models = [Model.from_document(load_document(scenario_path(name)))
-                  for name in names]
+        models = [load_scenario(name) for name in names]
     except ConfigurationError as exc:
         return cli.load_failure("repro model scenarios run", exc)
     status = EXIT_OK
@@ -226,9 +213,9 @@ def model_command(args: list[str]) -> int:
     sub.add_argument("refs", nargs="+", metavar="PATH|NAME")
 
     sub = commands.add_parser(
-        "convert", help="re-emit any accepted input (model document, "
-                        "legacy corpus dict, counterexample payload) as "
-                        "a canonical model document")
+        "convert", help="re-emit a model document, or the one a "
+                        "counterexample payload wraps, as a canonical "
+                        "model document")
     sub.add_argument("ref", metavar="PATH|NAME")
     sub.add_argument("--output", "-o", metavar="PATH",
                      help="write here instead of stdout")

@@ -1,21 +1,18 @@
-"""Per-subsystem dict converters shared by every serialized face.
+"""Per-subsystem dict converters behind every serialized view.
 
 One converter pair per building block — task specs, signals, I-PDUs,
 CAN frame specs, CAN/FlexRay/TDMA plans, E2E chains, fault scenarios —
 each mapping between the live dataclasses and plain JSON-native dicts
 with every field spelled out (no pickling, readable by a human).
 
-Both serialized faces of the library are built from these primitives:
-
-* the **model document** of :mod:`repro.model.schema` (the versioned
-  exchange format behind ``repro model`` and the scenario library);
-* the **legacy corpus format** of :mod:`repro.verify.serialize`
-  (flat ``GeneratedSystem`` dicts, as persisted under
-  ``tests/corpus/``), which delegates here so the byte layout the
-  corpus regression suite pins can never drift from the model's.
-
-The per-layer keys of :mod:`repro.perf.keys` hash these dicts too, so
-a field added here is automatically part of every layer's content key.
+The **model document** (:mod:`repro.model.build`, the versioned
+exchange format behind ``repro model``, the scenario library and the
+fuzz corpus under ``tests/corpus/``) is assembled from these
+primitives, and it is the only form a system is read back from.  Two
+write-only views hash them as well: the fuzzer's flat system view
+(:mod:`repro.verify.fuzz`, inside every fuzz digest and corpus file
+name) and the per-layer keys of :mod:`repro.perf.keys` — so a field
+added here is automatically part of every layer's content key.
 """
 
 from __future__ import annotations

@@ -63,6 +63,16 @@ def scenario_path(name: str) -> str:
             f"{', '.join(scenario_names())}") from None
 
 
+def load_ref(ref: str) -> dict:
+    """The raw JSON document behind a ``PATH|NAME`` reference — a
+    bundled scenario name, else a file path — unvalidated.  This is the
+    one loader behind every ``--model`` and ``repro model`` / ``repro
+    meas`` reference; unreadable input raises
+    :class:`ConfigurationError`."""
+    return load_document(scenario_path(ref) if ref in SCENARIO_FILES
+                         else ref)
+
+
 def load_scenario(name: str, validate: bool = True) -> Model:
     """Load one bundled scenario by name (validated by default)."""
     return Model.from_document(load_document(scenario_path(name)),

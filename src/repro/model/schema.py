@@ -58,9 +58,7 @@ views — can cite it (the MBSE sync-hash pattern).
 
 from __future__ import annotations
 
-import hashlib
-import json
-
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 from repro.verify.generator import SCENARIO_KINDS
 
@@ -511,17 +509,7 @@ def ensure_valid(doc) -> None:
 # ----------------------------------------------------------------------
 # digest
 # ----------------------------------------------------------------------
-def canonical_json(doc: dict) -> str:
-    """The canonical serialized form: sorted keys, no whitespace.
-
-    Object key order never affects the digest; list order (tasks,
-    frames, writers, scenarios) does — it is semantically meaningful
-    (priority ties, packing order, plan order).
-    """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def model_digest(doc: dict) -> str:
     """Deterministic SHA-256 over the canonical form — the model's
     traceability anchor (cited by reports and generated views)."""
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return canonical_digest(doc)

@@ -46,8 +46,8 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.model import schema
-from repro.model.build import Model, load_document
-from repro.model.scenarios import SCENARIO_FILES, scenario_path
+from repro.model.build import Model
+from repro.model.scenarios import SCENARIO_FILES, load_ref, scenario_path
 
 #: Bumping this forces every generated module STALE (regenerate).
 GENERATOR_VERSION = 1
@@ -342,20 +342,18 @@ def render_module(model: Model, source: str, source_path: str,
 def _resolve(ref: str) -> tuple[Model, str, bool]:
     """(validated model, document path, is-bundled) behind ``ref``.
 
-    Raises :class:`ConfigurationError` for unreadable inputs and
-    :class:`~repro.model.schema.ModelValidationError` for invalid
-    documents (the CLI maps them to exit 2 / 1 respectively)."""
-    if ref in SCENARIO_FILES:
-        path = scenario_path(ref)
-        document = load_document(path)
-        relative = os.path.relpath(path)
-        source_path = relative if not relative.startswith("..") else path
-        return (Model.from_document(document), source_path, True)
-    try:
-        document = load_document(ref)
-    except OSError as exc:
-        raise ConfigurationError(f"{ref}: cannot read ({exc})")
-    return Model.from_data(document), ref, False
+    Only a model document compiles: the generated ``_document()``
+    reloads the file as it is, so anything else — a counterexample
+    payload included — raises
+    :class:`~repro.model.schema.ModelValidationError`.  Unreadable
+    inputs raise :class:`ConfigurationError` (the CLI maps the two to
+    exit 1 / 2)."""
+    model = Model.from_document(load_ref(ref))
+    if ref not in SCENARIO_FILES:
+        return model, ref, False
+    path = scenario_path(ref)
+    relative = os.path.relpath(path)
+    return model, (relative if not relative.startswith("..") else path), True
 
 
 def plan_modules(refs: Optional[Sequence[str]] = None

@@ -32,11 +32,10 @@ while telemetry is enabled.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from typing import Optional, Sequence
 
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 
 #: Default histogram buckets: log-spaced nanosecond durations from 1 µs
@@ -288,9 +287,7 @@ class MetricsRegistry:
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON deterministic view."""
-        canonical = json.dumps(self.deterministic_view(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest(self.deterministic_view())
 
     def reset(self) -> None:
         with self._lock:

@@ -9,11 +9,11 @@ compared with the same vocabulary.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 
 
@@ -214,9 +214,7 @@ class Trace:
         the kernel-queue parity tests pin (bucket vs heap dispatch must
         be byte-identical, not merely statistically alike).
         """
-        body = json.dumps(self.to_dicts(), sort_keys=True,
-                          separators=(",", ":"), default=str)
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_dicts(), default=str)
 
     def save_csv(self, path: str) -> int:
         """Write the trace as CSV (data dict serialized per-key into a

@@ -5,10 +5,10 @@ both the analytic bounds and the simulation stack
 (:mod:`repro.verify.oracle`); trace-level safety properties are checked
 by :mod:`repro.verify.invariants`.  On top of that sits the
 coverage-guided fuzzer: structural mutation
-(:mod:`repro.verify.mutate`), campaign loop (:mod:`repro.verify.fuzz`),
-counterexample minimization (:mod:`repro.verify.shrink`) and JSON
-persistence (:mod:`repro.verify.serialize`).  Entry points:
-``repro verify`` and ``repro fuzz``.
+(:mod:`repro.verify.mutate`), campaign loop (:mod:`repro.verify.fuzz`)
+and counterexample minimization (:mod:`repro.verify.shrink`).  Systems
+are persisted and read back as :mod:`repro.model` documents.  Entry
+points: ``repro verify`` and ``repro fuzz``.
 """
 
 from repro.verify.fuzz import (FuzzReport, format_fuzz_report, fuzz,
@@ -26,7 +26,6 @@ from repro.verify.oracle import (Check, SystemVerdict, VerificationReport,
                                  analyze_bounds, build_system,
                                  format_report, make_invariants,
                                  verify_many, verify_system)
-from repro.verify.serialize import system_from_dict, system_to_dict
 from repro.verify.shrink import (ShrinkResult, failure_keys, shrink,
                                  system_size)
 
@@ -43,5 +42,4 @@ __all__ = [
     "ShrinkResult", "failure_keys", "shrink", "system_size",
     "FuzzReport", "fuzz", "format_fuzz_report", "signature_tokens",
     "write_corpus",
-    "system_to_dict", "system_from_dict",
 ]

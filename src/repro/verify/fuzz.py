@@ -35,7 +35,6 @@ prefix of a ``--budget 400`` run.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import random
@@ -44,10 +43,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import obs
+from repro.digest import canonical_digest
 from repro.verify.generator import GeneratedSystem, generate_many
 from repro.verify.mutate import mutate
 from repro.verify.oracle import SystemVerdict, verify_system
-from repro.verify.serialize import system_to_dict
 from repro.verify.shrink import (FailureKey, ShrinkResult, failure_keys,
                                  shrink, system_size)
 
@@ -59,7 +58,8 @@ DEFAULT_SEED_BATCH = 16
 #: Corpus counterexample file format version.  Format 2 added the
 #: ``status`` field (``"open"`` = still reproduces, documented in
 #: ``known_issues.json``; ``"fixed"`` = kept as a must-NOT-reproduce
-#: regression) and system format 2 (fault scenarios).
+#: regression).  The ``system`` entry is a :mod:`repro.model` document
+#: and carries its own ``format`` / ``format_version``.
 CORPUS_FORMAT = 2
 #: Tightness bucket width is 1/8 (log-free linear buckets; tightness
 #: lives in [0, ~2] so 8 buckets per unit resolve the interesting band).
@@ -121,6 +121,41 @@ def _fuzz_worker(horizon: Optional[int], item: tuple, seed: int) -> dict:
 # ----------------------------------------------------------------------
 # Report
 # ----------------------------------------------------------------------
+def _system_view(system: GeneratedSystem) -> dict:
+    """The flat system dict that :meth:`FuzzReport.digest` and
+    :meth:`Finding.file_name` hash.
+
+    Write-only: corpus files carry the model document
+    (:func:`repro.model.build.model_from_system`), and nothing reads
+    this view back.  It is the pre-model corpus layout, ``format`` 2
+    included, kept byte for byte because every pinned fuzz digest and
+    corpus file name covers it.  (``repro.model`` imports this
+    package's siblings, so the converters resolve at call time.)
+    """
+    from repro.model import convert
+
+    return {
+        "format": 2,
+        "name": system.name, "seed": system.seed, "size": system.size,
+        "tasksets": {ecu: [convert.task_to_dict(t) for t in tasks]
+                     for ecu, tasks in sorted(system.tasksets.items())},
+        "resources": dict(sorted(system.resources.items())),
+        "critical_sections": [
+            {"task": s.task, "resource": s.resource, "pre": s.pre,
+             "duration": s.duration, "post": s.post}
+            for s in system.critical_sections],
+        "chain": (None if system.chain is None
+                  else convert.chain_to_dict(system.chain)),
+        "can": (None if system.can is None
+                else convert.can_to_dict(system.can)),
+        "flexray": (None if system.flexray is None
+                    else convert.flexray_to_dict(system.flexray)),
+        "tdma": (None if system.tdma is None
+                 else convert.tdma_to_dict(system.tdma)),
+        "faults": [convert.fault_to_dict(f) for f in system.faults],
+    }
+
+
 @dataclass
 class CorpusEntry:
     """One system kept alive for mutation."""
@@ -141,14 +176,17 @@ class Finding:
     shrink: ShrinkResult
 
     def file_payload(self, seed: int) -> dict:
-        """The JSON corpus-file body for this finding."""
+        """The JSON corpus-file body for this finding; its ``system``
+        entry is the minimal system's model document."""
+        from repro.model.build import model_from_system
+
         return {
             "format": CORPUS_FORMAT,
             "status": "open",
             "failure": {"kind": self.key[0], "detail": self.key[1],
                         "subject": self.key[2]},
             "horizon": self.shrink.horizon,
-            "system": system_to_dict(self.shrink.system),
+            "system": model_from_system(self.shrink.system),
             "fuzz": {"seed": seed, "exec": self.exec_index,
                      "lineage": list(self.lineage)},
             "shrink": {"original_size": self.original_size,
@@ -160,11 +198,9 @@ class Finding:
 
     def file_name(self) -> str:
         """Deterministic, content-addressed corpus file name."""
-        body = json.dumps(
+        sha = canonical_digest(
             {"failure": list(self.key),
-             "system": system_to_dict(self.shrink.system)},
-            sort_keys=True, separators=(",", ":"))
-        sha = hashlib.sha256(body.encode()).hexdigest()[:10]
+             "system": _system_view(self.shrink.system)})[:10]
         detail = "".join(c if c.isalnum() else "-" for c in self.key[1])
         return f"{self.key[0]}-{detail}-{sha}.json"
 
@@ -212,15 +248,14 @@ class FuzzReport:
             "coverage": sorted(self.coverage),
             "corpus": [{"lineage": list(e.lineage),
                         "new_tokens": list(e.new_tokens),
-                        "system": system_to_dict(e.system)}
+                        "system": _system_view(e.system)}
                        for e in self.corpus],
             "findings": [{"key": list(f.key),
                           "exec": f.exec_index,
-                          "system": system_to_dict(f.shrink.system)}
+                          "system": _system_view(f.shrink.system)}
                          for f in self.findings],
         }
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(body.encode()).hexdigest()
+        return canonical_digest(payload)
 
 
 def format_fuzz_report(report: FuzzReport) -> str:

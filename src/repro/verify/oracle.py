@@ -24,9 +24,7 @@ one thing this harness exists to catch.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-import json
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,6 +36,7 @@ from repro.analysis.probes import ChainProbe
 from repro.com.com import CanComAdapter, ComStack, PERIODIC
 from repro.com.e2e import E2eReceiver, e2e_protected_pdu, protect_link
 from repro.com.signal import SignalSpec
+from repro.digest import canonical_digest
 from repro.errors import AnalysisError
 from repro.network.can import CanBus
 from repro.network.flexray import FlexRayBus
@@ -168,9 +167,7 @@ class VerificationReport:
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form — two runs of the same
         (seed, count, size) must produce the identical digest."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest(self.to_dict())
 
     @property
     def daq_sample_count(self) -> int:

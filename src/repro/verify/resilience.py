@@ -34,13 +34,12 @@ fuzzer's failure keys and the shrinker.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import obs
+from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 from repro.faults.campaign import DETECTION_CATEGORIES
 from repro.faults.injector import (CanBusErrorAdapter, CanNodeAdapter,
@@ -633,9 +632,7 @@ class ResilienceReport:
                 "size": self.size, "rows": ordered}
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest(self.to_dict())
 
     def kind_summary(self) -> dict[str, dict]:
         """Per-kind aggregate: counts and latency spread (the E16

@@ -15,9 +15,14 @@ from repro import cli
 from repro.__main__ import main
 from repro.meas.service import DEFAULT_DAQ_PERIOD
 from repro.units import us
+from repro.verify.fuzz import _system_view
+from repro.verify.generator import generate
 
-#: Both relative to the test's working directory, ``tmp_path``.
-INVALID, MISSING = "invalid.json", "missing.json"
+#: All relative to the test's working directory, ``tmp_path``.
+INVALID, MISSING, BINARY = "invalid.json", "missing.json", "binary.json"
+#: The pre-model corpus layout: a bare flat system dict, and an old
+#: format-2 counterexample payload wrapping one.
+LEGACY, LEGACY_PAYLOAD = "legacy.json", "legacy-payload.json"
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -40,6 +45,11 @@ ROWS = (
        for command in ("verify", "resilience", "fuzz")]
     + [(command, ["--model", MISSING], 2, "cannot read")
        for command in ("verify", "resilience", "fuzz")]
+    + [(command, ["--model", BINARY], 2, "not valid JSON")
+       for command in ("verify", "resilience", "fuzz")]
+    + [(command, ["--model", legacy], 2, "unrecognized document")
+       for command in ("verify", "resilience", "fuzz")
+       for legacy in (LEGACY, LEGACY_PAYLOAD)]
     + [(command, ["--mtf-out", "x.mtf"], 2, "--mtf-out requires --daq")
        for command in ("verify", "campaign")]
     + [("meas-daq", ["--period-us", "-5"], 2, "--period-us must be >= 1"),
@@ -57,6 +67,14 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
     # Readable JSON, recognizably a model document, but invalid.
     (tmp_path / INVALID).write_text(json.dumps({"format": "repro.model",
                                                 "format_version": 1}))
+    (tmp_path / BINARY).write_bytes(b"\xff\xfe\x00model")
+    legacy = _system_view(generate(3, "small"))
+    (tmp_path / LEGACY).write_text(json.dumps(legacy))
+    (tmp_path / LEGACY_PAYLOAD).write_text(json.dumps(
+        {"format": 2, "status": "fixed", "horizon": 400_000_000,
+         "failure": {"kind": "soundness", "detail": "tdma",
+                     "subject": "TDMA0.P0.T0"},
+         "system": legacy}))
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

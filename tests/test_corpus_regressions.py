@@ -17,9 +17,10 @@ Each carries a ``status``:
   ``soundness-tdma-*`` seeds are the multi-activation TDMA busy-window
   fix's regressions.)
 
-Regardless of status, every file must be structurally valid and its
-JSON round-trip faithful — re-serializing the loaded system
-reproduces the file's ``system`` dict byte-for-byte.
+Regardless of status, every file's ``system`` entry must be a valid
+:mod:`repro.model` document whose round-trip is faithful —
+re-describing the loaded system reproduces the document
+byte-for-byte.
 """
 
 import json
@@ -27,9 +28,9 @@ import os
 
 import pytest
 
+from repro.model import Model, model_from_system, validate_document
 from repro.verify.oracle import verify_system
 from repro.verify.mutate import validate_system
-from repro.verify.serialize import system_from_dict, system_to_dict
 from repro.verify.shrink import failure_keys, shrink
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -64,6 +65,10 @@ def failure_key(payload):
     return (failure["kind"], failure["detail"], failure["subject"])
 
 
+def load_system(payload):
+    return Model.from_document(payload["system"]).build()
+
+
 def test_corpus_is_seeded():
     """The corpus ships with at least the counterexamples found while
     developing the fuzzer (now pinned as fixed-defect regressions)."""
@@ -78,15 +83,14 @@ def test_entry_declares_a_status(name):
 @pytest.mark.parametrize("name", corpus_files())
 def test_counterexample_is_well_formed(name):
     payload = load(name)
-    system = system_from_dict(payload["system"])
-    assert validate_system(system) == []
+    assert validate_document(payload["system"]) == []
+    assert validate_system(load_system(payload)) == []
 
 
 @pytest.mark.parametrize("name", corpus_files())
 def test_counterexample_roundtrips_byte_exactly(name):
     payload = load(name)
-    system = system_from_dict(payload["system"])
-    assert system_to_dict(system) == payload["system"]
+    assert model_from_system(load_system(payload)) == payload["system"]
 
 
 @pytest.mark.parametrize("name", corpus_files())
@@ -94,7 +98,7 @@ def test_failure_status_matches_reality(name):
     """Open failures must reproduce and be documented; fixed failures
     must stay fixed."""
     payload = load(name)
-    system = system_from_dict(payload["system"])
+    system = load_system(payload)
     key = failure_key(payload)
     keys = failure_keys(verify_system(system, payload["horizon"]))
     if payload["status"] == "open":
@@ -122,13 +126,12 @@ def test_open_counterexample_is_shrink_minimal(name):
     Fixed entries are exempt: their failure no longer reproduces, so
     the shrinker has nothing to preserve."""
     payload = load(name)
-    system = system_from_dict(payload["system"])
-    result = shrink(system, failure_key(payload),
+    result = shrink(load_system(payload), failure_key(payload),
                     horizon=payload["horizon"])
     assert result.accepted == 0, (
         f"{name}: shrinker removed {result.accepted} more component(s) "
         f"— re-minimize and re-persist this counterexample")
-    assert system_to_dict(result.system) == payload["system"]
+    assert model_from_system(result.system) == payload["system"]
 
 
 def test_every_known_issue_is_exercised():

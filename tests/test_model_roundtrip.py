@@ -1,14 +1,12 @@
-"""Round-trip fidelity between the legacy corpus format and the
-versioned model exchange format.
+"""Round-trip fidelity of the model exchange format.
 
-The exchange format restructures the flat corpus dict (COM/network
-split, TDMA as an ECU entry) but must lose nothing: replaying every
-persisted corpus seed through ``legacy -> model -> legacy`` has to
-reproduce the original system dict byte-for-byte, and
-``model -> system -> model`` has to reproduce the identical model
-digest.  These are the properties that let the fuzzer's corpus, the
-per-layer analysis keys (``KEY_FORMAT`` payloads) and the scenario
-library all speak through one converter layer without drift.
+The model document is the only system description the library reads
+back, so ``model -> system -> model`` must lose nothing: it has to
+reproduce the identical model digest, and the rebuilt system has to
+keep the fuzzer's flat system view (``repro.verify.fuzz._system_view``,
+hashed into every fuzz digest and corpus file name) byte-for-byte.
+Both are pinned for every generator size class and for every persisted
+corpus seed, whose ``system`` entry is itself a model document.
 """
 
 import glob
@@ -17,9 +15,11 @@ import os
 
 import pytest
 
-from repro.model import Model, model_digest, model_from_system
+from repro.errors import ConfigurationError
+from repro.model import (Model, model_digest, model_from_system,
+                         system_from_model)
+from repro.verify.fuzz import _system_view
 from repro.verify.generator import generate, generate_many
-from repro.verify.serialize import system_from_dict, system_to_dict
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(
@@ -27,27 +27,33 @@ CORPUS_FILES = sorted(
     if os.path.basename(path) != "known_issues.json")
 
 
+def assert_roundtrip(model: Model) -> None:
+    """model -> system -> model keeps the digest and the fuzz view."""
+    again = model.roundtrip()
+    assert again.digest() == model.digest()
+    assert _system_view(again.build()) == _system_view(model.build())
+
+
 @pytest.mark.parametrize("path", CORPUS_FILES,
                          ids=[os.path.basename(p) for p in CORPUS_FILES])
 def test_corpus_seed_survives_model_roundtrip(path):
-    """legacy dict -> Model -> system -> legacy dict is the identity."""
+    """document -> system -> document is the identity."""
     with open(path, encoding="utf-8") as handle:
         original = json.load(handle)["system"]
-    model = Model.from_data(original)
-    assert system_to_dict(model.build()) == original
-    # and the model view itself is digest-stable through its own trip
-    assert model.digest() == model.roundtrip().digest()
+    model = Model.from_document(original)
+    assert model_from_system(model.build()) == original
+    assert_roundtrip(model)
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES,
                          ids=[os.path.basename(p) for p in CORPUS_FILES])
 def test_corpus_seed_digest_unchanged_via_model(path):
-    """Loading a corpus seed directly vs. through the model format
+    """Loading a corpus seed directly vs. through the payload loader
     produces the same model digest — the format is one canonical view,
     however the system arrived."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    direct = model_from_system(system_from_dict(payload["system"]))
+    direct = model_from_system(system_from_model(payload["system"]))
     via_model = Model.from_data(payload).document
     assert model_digest(direct) == model_digest(via_model)
 
@@ -56,17 +62,16 @@ def test_corpus_seed_digest_unchanged_via_model(path):
 def test_generated_system_roundtrips(seed):
     system = generate(seed, "small")
     model = Model.from_system(system, "generated")
-    rebuilt = model.build()
-    assert system_to_dict(rebuilt) == system_to_dict(system)
-    assert model.roundtrip().digest() == model.digest()
+    assert _system_view(model.build()) == _system_view(system)
+    assert_roundtrip(model)
 
 
 def test_all_size_classes_roundtrip():
     for size in ("small", "medium", "large"):
         for system in generate_many(3, 2, size):
             model = Model.from_system(system)
-            assert system_to_dict(model.build()) == system_to_dict(system)
-            assert model.roundtrip().digest() == model.digest()
+            assert _system_view(model.build()) == _system_view(system)
+            assert_roundtrip(model)
 
 
 def test_counterexample_payload_autodetected():
@@ -77,13 +82,14 @@ def test_counterexample_payload_autodetected():
     with open(CORPUS_FILES[0], encoding="utf-8") as handle:
         payload = json.load(handle)
     model = Model.from_data(payload)
-    assert system_to_dict(model.build()) == payload["system"]
+    assert model_from_system(model.build()) == payload["system"]
 
 
-def test_legacy_loader_reads_model_documents():
-    """system_from_dict autodetects a model document, so every legacy
-    consumer reads the new format for free."""
-    system = generate(11, "small")
-    doc = model_from_system(system)
-    rebuilt = system_from_dict(doc)
-    assert system_to_dict(rebuilt) == system_to_dict(system)
+def test_pre_model_system_dicts_are_refused():
+    """The flat pre-model corpus layout is no longer read, bare or
+    wrapped in a counterexample payload."""
+    legacy = _system_view(generate(11, "small"))
+    for data in (legacy, {"format": 2, "system": legacy}):
+        with pytest.raises(ConfigurationError,
+                           match="unrecognized document"):
+            Model.from_data(data)

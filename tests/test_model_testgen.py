@@ -249,3 +249,21 @@ def test_cli_invalid_model_exits_1(tmp_path, capsys):
                           str(tmp_path / "g"),
                           str(bad)]) == EXIT_INVALID
     assert "invalid model document" in capsys.readouterr().err
+
+
+def test_cli_counterexample_payload_exits_1_and_writes_nothing(
+        tmp_path, capsys):
+    """A fuzz counterexample payload wraps a model document but is not
+    one: the generated ``_document()`` would reload the wrapper, so
+    testgen refuses it instead of writing a suite that cannot pass."""
+    corpus = os.path.join(os.path.dirname(__file__), "corpus",
+                          "soundness-tdma-10ffac85dc.json")
+    out = tmp_path / "g"
+    assert model_command(["testgen", "--output-dir", str(out),
+                          corpus]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("repro model testgen: error: ")
+    assert "is this a repro.model document?" in line
+    assert not out.exists()

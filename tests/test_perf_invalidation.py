@@ -17,10 +17,10 @@ import random
 
 import pytest
 
+from repro.model import model_from_system
 from repro.perf.keys import layer_inputs, layer_keys
 from repro.verify.generator import generate
 from repro.verify.mutate import MUTATORS, _prune_faults
-from repro.verify.serialize import system_to_dict
 
 #: mutator name -> layer families whose keys the mutation may change.
 #: Families name key prefixes: "rta" covers every ``rta:<ecu>`` key.
@@ -132,13 +132,13 @@ def test_mutator_changes_only_its_allowed_layer_keys(name, mutator):
     for seed in SEED_RANGE:
         base = base_for(name, seed)
         base_keys = layer_keys(base)
-        base_dict = system_to_dict(base)
+        base_dict = model_from_system(base)
         mutant = apply(mutator, random.Random(seed), base)
         if mutant is None:
             continue
         applied += 1
         mutant_keys = layer_keys(mutant)
-        if system_to_dict(mutant) == base_dict:
+        if model_from_system(mutant) == base_dict:
             # A no-op draw (e.g. a slot swapped with itself): the keys
             # must agree exactly — same content, same keys.
             assert mutant_keys == base_keys, name

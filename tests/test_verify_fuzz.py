@@ -16,12 +16,12 @@ import pytest
 
 from repro import obs
 from repro.errors import ExecutionInterrupted
+from repro.model import Model
 from repro.verify.fuzz import (CorpusEntry, Finding, FuzzReport,
                                format_fuzz_report, fuzz, signature_tokens,
                                write_corpus)
 from repro.verify.generator import generate
 from repro.verify.oracle import verify_system
-from repro.verify.serialize import system_from_dict
 from repro.verify.shrink import ShrinkResult, failure_keys, shrink
 
 BUDGET = 24  # 16 seed systems + one mutation round
@@ -184,7 +184,7 @@ def test_write_corpus_roundtrip(tmp_path):
     # persisted horizon (under the legacy bound the finding came from)
     from tests.test_verify_shrink import legacy_tdma_bound
 
-    system = system_from_dict(payload["system"])
+    system = Model.from_document(payload["system"]).build()
     key = (payload["failure"]["kind"], payload["failure"]["detail"],
            payload["failure"]["subject"])
     with legacy_tdma_bound():

@@ -8,21 +8,20 @@ input.  These properties are what make the fuzz loop resumable and
 """
 
 import copy
-import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.model import canonical_json, model_from_system
 from repro.verify.generator import generate
 from repro.verify.mutate import MUTATORS, mutate, validate_system
-from repro.verify.serialize import system_to_dict
 
 MUTATOR_NAMES = [name for name, _ in MUTATORS]
 
 
 def canonical(system) -> str:
-    return json.dumps(system_to_dict(system), sort_keys=True)
+    return canonical_json(model_from_system(system))
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,16 @@ shrinking machinery.
 """
 
 import contextlib
-import json
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import AnalysisError
+from repro.model import model_from_system
 from repro.units import ms
 from repro.verify.generator import generate
 from repro.verify.mutate import _retask, validate_system
 from repro.verify.oracle import default_horizon, verify_system
-from repro.verify.serialize import system_to_dict
 from repro.verify.shrink import (failure_keys, shrink, system_size,
                                  _candidates)
 
@@ -101,8 +100,8 @@ def test_shrinking_is_idempotent(shrunk):
     _system, key, result = shrunk
     again = shrink(result.system, key, horizon=result.horizon)
     assert again.accepted == 0
-    assert (json.dumps(system_to_dict(again.system), sort_keys=True)
-            == json.dumps(system_to_dict(result.system), sort_keys=True))
+    assert model_from_system(again.system) \
+        == model_from_system(result.system)
 
 
 def test_shrink_result_is_complete_and_minimal(shrunk):
