@@ -2,9 +2,10 @@
 
 Claim (performance, conditional on E12/E15 semantics): the bucket-queue
 simulation kernel (:class:`repro.sim.kernel.BucketEventQueue`) is a
-*pure* speedup over the reference heap queue
-(:class:`repro.sim.kernel.HeapEventQueue`): the same events dispatched
-in the same order, measurably faster.
+*pure* speedup over the reference heap queue (``HeapEventQueue`` in
+``tests/kernel_reference.py``: one heap of ``(time, priority, seq)``
+tuples): the same events dispatched in the same order, measurably
+faster.
 
 Setup: identical same-timestamp burst workloads (``slots`` instants of
 ``burst`` events each) are dispatched through both queues.  Parity is
@@ -22,13 +23,16 @@ instead, leaving the committed file alone.
 
 import argparse
 import os
+import sys
 import time
 
 from _tables import print_table
 from trajectory import REPO_ROOT, write_bench
 
-from repro.sim.kernel import (BucketEventQueue, HeapEventQueue,
-                              Simulator)
+from repro.sim.kernel import BucketEventQueue, Simulator
+
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from kernel_reference import HeapEventQueue  # noqa: E402
 
 KERNEL_SPEEDUP_FLOOR = 1.5
 

@@ -25,7 +25,8 @@ from repro import obs
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 from repro.faults.model import Fault
-from repro.faults.monitor import containment_violations
+from repro.faults.monitor import (containment_violations,
+                                  first_detection, last_recovery)
 from repro.sim.trace import summarize
 
 #: Trace categories counted as *detection* of an injected fault.  E2E
@@ -330,16 +331,9 @@ def run_cell(factory: Callable[..., CampaignWorld], cell: CampaignCell,
     return result
 
 
-def _cell_worker(factory, horizon: int, cell: CampaignCell,
-                 seed: int) -> CellResult:
+def _cell_worker(factory, horizon: int, daq_period: Optional[int],
+                 cell: CampaignCell, seed: int) -> CellResult:
     """Plan worker (module-level, hence picklable): one cell per call."""
-    return run_cell(factory, cell, horizon, seed)
-
-
-def _daq_cell_worker(factory, horizon: int, daq_period: int,
-                     cell: CampaignCell, seed: int) -> CellResult:
-    """Plan worker for ``--daq`` campaigns (separate label, so plain
-    and DAQ checkpoint journals never mix result shapes)."""
     return run_cell(factory, cell, horizon, seed, daq_period)
 
 
@@ -362,17 +356,13 @@ def run_campaign(factory: Callable[..., CampaignWorld],
     """
     from repro.exec import Plan, execute
 
-    cells = tuple(cells)
-    if daq_period is not None:
-        plan = Plan(f"campaign-daq:horizon={horizon}"
-                    f":period={daq_period}",
-                    functools.partial(_daq_cell_worker, factory, horizon,
-                                      daq_period),
-                    cells, base_seed=base_seed)
-    else:
-        plan = Plan(f"campaign:horizon={horizon}",
-                    functools.partial(_cell_worker, factory, horizon),
-                    cells, base_seed=base_seed)
+    # DAQ runs get their own label: the checkpoint fingerprint covers
+    # it, so plain and DAQ journals never mix result shapes.
+    label = (f"campaign:horizon={horizon}" if daq_period is None else
+             f"campaign-daq:horizon={horizon}:period={daq_period}")
+    plan = Plan(label, functools.partial(_cell_worker, factory, horizon,
+                                         daq_period),
+                tuple(cells), base_seed=base_seed)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,
                       progress=progress, interrupt_after=interrupt_after)
@@ -383,19 +373,11 @@ def run_campaign(factory: Callable[..., CampaignWorld],
 def _evaluate(world: CampaignWorld, cell: CampaignCell,
               horizon: int) -> CellResult:
     trace = world.trace
-    detection_time = None
-    detection_source = None
     categories = getattr(world, "detection_categories",
                          lambda c: DETECTION_CATEGORIES)(cell)
-    for category in categories:
-        for record in trace.records(category):
-            if record.time < cell.onset:
-                continue
-            if detection_time is None or record.time < detection_time:
-                detection_time = record.time
-                detection_source = record.category
-            break  # records are time-ordered per category
-    detected = detection_time is not None
+    detection = first_detection(trace, categories, cell.onset)
+    detected = detection is not None
+    detection_time = detection.time if detected else None
 
     errors_snapshot = {}
     confirmed_dtcs: list[int] = []
@@ -424,16 +406,8 @@ def _evaluate(world: CampaignWorld, cell: CampaignCell,
             or world.modes.current == nominal
         recovered = healed_clean and mode_nominal
         if recovered:
-            candidates = [r.time for r in trace.records("dem.healed")
-                          if r.time >= cell.end]
-            candidates += [r.time for r in
-                           trace.records("recovery.deescalate")
-                           if r.time >= cell.end]
-            if world.modes is not None:
-                candidates += [t for t, mode in world.modes.history
-                               if t >= cell.end and mode == nominal]
-            if candidates:
-                recovery_time = max(candidates)
+            recovery_time = last_recovery(trace, cell.end, world.modes,
+                                          nominal)
 
     return CellResult(
         cell=cell,
@@ -441,7 +415,7 @@ def _evaluate(world: CampaignWorld, cell: CampaignCell,
         detection_time=detection_time,
         detection_latency=(detection_time - cell.onset
                            if detected else None),
-        detection_source=detection_source,
+        detection_source=detection.category if detected else None,
         confirmed_dtcs=confirmed_dtcs,
         degraded=degraded,
         contained=not escaped,

@@ -6,6 +6,10 @@ damage (deadline misses, COM timeouts, collisions) attributed to subjects
 *outside* the region — exactly the paper's error-containment criterion.
 :func:`compare_runs` supports the stronger differential form: a victim's
 observable timing must be identical with and without the fault.
+
+:func:`first_detection` and :func:`last_recovery` are the detect and
+recover evidence both fault evaluators (campaign cells and resilience
+scenarios) read from a trace.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.errors import FaultContainmentViolation
-from repro.sim.trace import Trace
+from repro.sim.trace import Record, Trace
 
 #: Trace categories that indicate damage to the subject.
 DAMAGE_CATEGORIES = (
@@ -24,6 +28,9 @@ DAMAGE_CATEGORIES = (
     "ttp.membership_drop",
     "flexray.slot_lost",
 )
+
+#: Trace categories that mark a recovery step after a fault window.
+RECOVERY_CATEGORIES = ("dem.healed", "recovery.deescalate")
 
 
 def containment_violations(trace: Trace, region: Iterable[str],
@@ -49,6 +56,34 @@ def containment_violations(trace: Trace, region: Iterable[str],
             if not in_region(record.subject):
                 violations.append(record)
     return violations
+
+
+def first_detection(trace: Trace, categories: Iterable[str],
+                    since: int) -> Optional[Record]:
+    """The earliest record of ``categories`` at or after ``since``; on
+    a tie the category listed first wins.  None when nothing fired."""
+    first = None
+    for category in categories:
+        for record in trace.records(category):
+            if record.time >= since:
+                if first is None or record.time < first.time:
+                    first = record
+                break  # records are time-ordered per category
+    return first
+
+
+def last_recovery(trace: Trace, since: int, modes,
+                  nominal: Optional[str]) -> Optional[int]:
+    """Time of the latest recovery evidence at or after ``since``: a
+    healed DEM event, a recovery de-escalation or, unless ``modes`` is
+    None, the mode machine's return to ``nominal``.  None when there
+    is none."""
+    times = [record.time for category in RECOVERY_CATEGORIES
+             for record in trace.records(category) if record.time >= since]
+    if modes is not None:
+        times += [time for time, mode in modes.history
+                  if time >= since and mode == nominal]
+    return max(times, default=None)
 
 
 def assert_contained(trace: Trace, region: Iterable[str],

@@ -9,31 +9,31 @@ instant fire in ascending priority, then insertion order.  This makes
 simultaneous hardware events (e.g. two CAN controllers requesting the bus on
 the same bit edge) deterministic without hidden dependence on heap internals.
 
-Two queue implementations share that contract:
+The queue is a :class:`BucketEventQueue`: an int-heap of *distinct*
+timestamps over per-timestamp buckets.  Simulated workloads are
+dominated by same-instant bursts (every task release at a hyperperiod
+boundary, every CAN controller reacting to the same bus edge), and a
+bucket turns each burst into O(1) list appends and cursor bumps instead
+of O(log n) heap churn per event.  A bucket stays a plain FIFO list
+while every event in it shares one priority — the overwhelmingly common
+case — and converts itself to a (priority, seq) heap on the first
+mixed-priority push.  ``tests/kernel_reference.py`` holds the plain
+single-heap reference that ``tests/test_kernel_queue.py`` pins event
+order and trace digests against.
 
-* :class:`BucketEventQueue` (the default) — an int-heap of *distinct*
-  timestamps over per-timestamp buckets.  Simulated workloads are
-  dominated by same-instant bursts (every task release at a hyperperiod
-  boundary, every CAN controller reacting to the same bus edge), and a
-  bucket turns each burst into O(1) list appends/pops instead of
-  O(log n) heap churn per event.  A bucket stays a plain FIFO list
-  while every event in it shares one priority — the overwhelmingly
-  common case — and converts itself to a (priority, seq) heap on the
-  first mixed-priority push.
-* :class:`HeapEventQueue` — the classic single binary heap of handles,
-  kept as the executable reference: ``tests/test_kernel_queue.py``
-  pins byte-identical event order and trace digests across both.
-
-``run_until`` dispatches in timestamp batches (one ``now`` update and
-one bucket walk per distinct instant), re-checking the queue head after
-every callback so events a callback schedules *at the current instant*
-interleave by (priority, seq) exactly as the single-heap loop did.
+``run_until`` and ``run`` share one dispatch loop that makes one queue
+call per event: :meth:`BucketEventQueue.pop` removes and returns the
+next live event due at or before the horizon.  Events a callback
+schedules *at the current instant* therefore interleave by
+(priority, seq) with the ones already waiting, exactly as popping one
+global heap would.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Optional
 
 from repro import obs
@@ -61,51 +61,9 @@ class EventHandle:
         """Prevent the event from firing.  Safe to call more than once."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return ((self.time, self.priority, self.seq)
-                < (other.time, other.priority, other.seq))
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time} prio={self.priority} {state}>"
-
-
-class HeapEventQueue:
-    """Reference queue: one binary heap ordered by (time, priority, seq).
-
-    This is the historical implementation, kept both as the equivalence
-    baseline for :class:`BucketEventQueue` and as a drop-in for
-    workloads with strictly scattered timestamps.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self):
-        self._heap: list[EventHandle] = []
-
-    def push(self, handle: EventHandle) -> None:
-        heapq.heappush(self._heap, handle)
-
-    def peek(self) -> Optional[EventHandle]:
-        """The next live event without removing it (drops cancelled
-        entries it encounters); None when the queue is empty."""
-        heap = self._heap
-        while heap:
-            if heap[0].cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0]
-        return None
-
-    def pop(self) -> Optional[EventHandle]:
-        head = self.peek()
-        if head is not None:
-            heapq.heappop(self._heap)
-        return head
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
 
 
 class _Bucket:
@@ -147,31 +105,25 @@ class _Bucket:
             self.items = []
             self.head = 0
 
-    def peek(self) -> Optional[EventHandle]:
-        if self.heap is not None:
-            heap = self.heap
+    def pop(self) -> Optional[EventHandle]:
+        """Remove and return the next live event; None once drained."""
+        heap = self.heap
+        if heap is not None:
             while heap:
-                if heap[0][2].cancelled:
-                    heapq.heappop(heap)
-                    continue
-                return heap[0][2]
+                handle = heapq.heappop(heap)[2]
+                if not handle.cancelled:
+                    return handle
             return None
         items = self.items
         head = self.head
-        while head < len(items) and items[head].cancelled:
+        while head < len(items):
+            handle = items[head]
             head += 1
+            if not handle.cancelled:
+                self.head = head
+                return handle
         self.head = head
-        return items[head] if head < len(items) else None
-
-    def pop(self) -> Optional[EventHandle]:
-        handle = self.peek()
-        if handle is None:
-            return None
-        if self.heap is not None:
-            heapq.heappop(self.heap)
-        else:
-            self.head += 1
-        return handle
+        return None
 
     @property
     def pending(self) -> int:
@@ -187,10 +139,9 @@ class BucketEventQueue:
 
     Heap operations happen per *distinct timestamp*, not per event, and
     compare plain ints instead of handle tuples; every same-instant
-    burst beyond the first event costs O(1).  ``_times`` may carry a
-    stale entry for a timestamp whose bucket drained and was recreated
-    within the same instant; :meth:`peek` discards stale entries
-    lazily, exactly like cancelled handles.
+    burst beyond the first event costs O(1).  A drained bucket stays in
+    place until the next :meth:`pop` finds it empty, so an event
+    scheduled back into the current instant joins it.
     """
 
     __slots__ = ("_times", "_buckets")
@@ -207,41 +158,25 @@ class BucketEventQueue:
         else:
             bucket.add(handle)
 
-    def _head(self) -> Optional[tuple[int, _Bucket, EventHandle]]:
-        while self._times:
-            time = self._times[0]
-            bucket = self._buckets.get(time)
-            head = None if bucket is None else bucket.peek()
-            if head is None:
-                if bucket is not None:
-                    del self._buckets[time]
-                heapq.heappop(self._times)
-                continue
-            return time, bucket, head
+    def pop(self, horizon: float) -> Optional[EventHandle]:
+        """Remove and return the next live event due at or before
+        ``horizon``; None when there is none.  Cancelled entries and
+        drained buckets are dropped on the way."""
+        times = self._times
+        while times:
+            time = times[0]
+            if time > horizon:
+                return None
+            handle = self._buckets[time].pop()
+            if handle is not None:
+                return handle
+            del self._buckets[time]
+            heapq.heappop(times)
         return None
-
-    def peek(self) -> Optional[EventHandle]:
-        entry = self._head()
-        return None if entry is None else entry[2]
-
-    def pop(self) -> Optional[EventHandle]:
-        entry = self._head()
-        if entry is None:
-            return None
-        _, bucket, handle = entry
-        bucket.pop()
-        return handle
 
     @property
     def pending(self) -> int:
         return sum(bucket.pending for bucket in self._buckets.values())
-
-
-#: Queue class a :class:`Simulator` builds when none is injected.
-#: Module attribute on purpose: equivalence tests (and bisection of a
-#: suspected ordering bug) can swap in :class:`HeapEventQueue` for
-#: every simulator a harness constructs internally.
-DEFAULT_QUEUE_CLASS = BucketEventQueue
 
 
 class Simulator:
@@ -254,17 +189,16 @@ class Simulator:
         sim.run_until(10_000)
 
     ``queue`` injects an event-queue instance (anything implementing
-    push/peek/pop/pending); by default a fresh
-    :data:`DEFAULT_QUEUE_CLASS` is used.
+    ``push(handle)``, ``pop(horizon)`` and ``pending``); by default a
+    fresh :class:`BucketEventQueue` is used.
     """
 
     def __init__(self, queue=None):
         self.now: int = 0
         #: total events executed (introspection / throughput metrics).
         self.executed: int = 0
-        self._queue = queue if queue is not None else DEFAULT_QUEUE_CLASS()
+        self._queue = queue if queue is not None else BucketEventQueue()
         self._seq = itertools.count()
-        self._running = False
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -291,18 +225,29 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the single next pending event.
+    def _dispatch(self, horizon: float,
+                  limit: Optional[int]) -> tuple[int, int]:
+        """Run events due at or before ``horizon`` until ``limit`` have
+        fired, the queue runs dry or :meth:`stop` is called.
 
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
+        Returns (events run, distinct instants among them).  ``now``
+        moves only when an event's time differs from the previous one's.
         """
-        handle = self._queue.pop()
-        if handle is None:
-            return False
-        self.now = handle.time
-        self.executed += 1
-        handle.callback()
-        return True
+        self._stopped = False
+        pop = self._queue.pop
+        events = instants = 0
+        previous = None
+        while not self._stopped and events != limit:
+            handle = pop(horizon)
+            if handle is None:
+                break
+            if handle.time != previous:
+                previous = self.now = handle.time
+                instants += 1
+            events += 1
+            self.executed += 1
+            handle.callback()
+        return events, instants
 
     def run_until(self, horizon: int) -> None:
         """Run all events with time <= ``horizon``; leave ``now`` at the
@@ -310,38 +255,16 @@ class Simulator:
         if horizon < self.now:
             raise SimulationError(
                 f"horizon {horizon} is before now={self.now}")
-        self._stopped = False
         # Telemetry is deliberately coarse here: one counter update per
-        # run_until call (executed-event and dispatch-batch deltas), not
-        # per event — the kernel loop is the hottest path in the repo
-        # and must not pay a per-event flag check.
-        executed_before = self.executed
-        batches = 0
-        queue = self._queue
-        while not self._stopped:
-            head = queue.peek()
-            if head is None or head.time > horizon:
-                break
-            batch_time = head.time
-            self.now = batch_time
-            batches += 1
-            # Drain this instant as one batch.  Callbacks may schedule
-            # new events at the same instant; re-peeking after every
-            # callback keeps them interleaved by (priority, seq) with
-            # the events already waiting — identical to popping a
-            # single global heap one event at a time.
-            while not self._stopped:
-                handle = queue.peek()
-                if handle is None or handle.time != batch_time:
-                    break
-                queue.pop()
-                self.executed += 1
-                handle.callback()
+        # call (events and distinct instants), not per event — the
+        # kernel loop is the hottest path in the repo and must not pay
+        # a per-event flag check.
+        events, instants = self._dispatch(horizon, None)
         if not self._stopped:
             self.now = horizon
-        if self.executed != executed_before:
-            obs.count("sim.events", self.executed - executed_before)
-            obs.count("sim.dispatch_batches", batches)
+        if events:
+            obs.count("sim.events", events)
+            obs.count("sim.dispatch_batches", instants)
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).
@@ -349,15 +272,13 @@ class Simulator:
         Returns the number of events executed.  Guard long-running models
         with ``max_events`` to catch accidental infinite event chains.
         """
-        self._stopped = False
-        count = 0
-        while not self._stopped and self.step():
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
-        if count:
-            obs.count("sim.events", count)
-        return count
+        if max_events is not None and max_events < 0:
+            raise SimulationError(
+                f"max_events must be >= 0 (got {max_events})")
+        events, _ = self._dispatch(math.inf, max_events)
+        if events:
+            obs.count("sim.events", events)
+        return events
 
     def stop(self) -> None:
         """Stop ``run``/``run_until`` after the current event returns."""

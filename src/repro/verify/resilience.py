@@ -48,7 +48,8 @@ from repro.faults.injector import (CanBusErrorAdapter, CanNodeAdapter,
                                    GuardedCanNodeAdapter, TaskAdapter)
 from repro.faults.model import (BABBLING, CORRUPTION, CRASH, DELAY, Fault,
                                 OMISSION)
-from repro.faults.monitor import containment_violations
+from repro.faults.monitor import (containment_violations,
+                                  first_detection, last_recovery)
 from repro.network.guardian import SlotGuardian
 from repro.units import ms
 from repro.verify.generator import FaultScenario, GeneratedSystem
@@ -452,21 +453,12 @@ def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
     onset = scenario.start
 
     # --- detected within bound ---------------------------------------
-    detection_time = None
-    source = None
-    for category in plan.categories:
-        for record in world.trace.records(category):
-            if record.time < onset:
-                continue
-            if detection_time is None or record.time < detection_time:
-                detection_time = record.time
-                source = category
-            break  # records are time-ordered per category
-    verdict.detected = detection_time is not None
-    verdict.detection_time = detection_time
-    verdict.detection_source = source
+    detection = first_detection(world.trace, plan.categories, onset)
+    verdict.detected = detection is not None
     if verdict.detected:
-        verdict.detection_latency = detection_time - onset
+        verdict.detection_time = detection.time
+        verdict.detection_source = detection.category
+        verdict.detection_latency = detection.time - onset
     # If the fault-free baseline already shows the same evidence the
     # system is overloaded on its own; detection can't be attributed.
     verdict.detection_waived = any(
@@ -496,15 +488,9 @@ def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
         nominal = world.modes.current == "nominal"
         verdict.recovered = healed and nominal
         if verdict.recovered:
-            candidates = [r.time for r in world.trace.records("dem.healed")
-                          if r.time >= scenario.end]
-            candidates += [r.time for r in
-                           world.trace.records("recovery.deescalate")
-                           if r.time >= scenario.end]
-            candidates += [t for t, mode in world.modes.history
-                           if t >= scenario.end and mode == "nominal"]
-            if candidates:
-                verdict.recovery_time = max(candidates)
+            verdict.recovery_time = last_recovery(
+                world.trace, scenario.end, world.modes, "nominal")
+            if verdict.recovery_time is not None:
                 verdict.recovery_latency = (verdict.recovery_time
                                             - scenario.end)
     # No recovery stack (no chain): nothing can confirm, vacuously ok.

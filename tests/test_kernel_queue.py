@@ -1,21 +1,24 @@
-"""Bucket-queue vs heap-queue equivalence for the simulation kernel.
+"""Bucket-queue vs reference-queue equivalence for the simulation kernel.
 
-:class:`~repro.sim.kernel.BucketEventQueue` (the fast default) and
-:class:`~repro.sim.kernel.HeapEventQueue` (the reference) must be
-observationally indistinguishable: identical event execution order on
-ties, priorities, cancellations and same-instant rescheduling, and
-byte-identical trace digests for full generated-system simulations.
-Any divergence here means the fast path changed simulation semantics,
-which would silently re-date every pinned digest in the repo.
+:class:`~repro.sim.kernel.BucketEventQueue` (the kernel's queue) and
+:class:`kernel_reference.HeapEventQueue` (the plain single-heap
+reference) must be observationally indistinguishable: identical event
+execution order on ties, priorities, cancellations and same-instant
+rescheduling, identical ``now``/``executed``/``pending`` at every
+horizon boundary, and byte-identical trace digests for full
+generated-system simulations.  Any divergence here means the fast path
+changed simulation semantics, which would silently re-date every pinned
+digest in the repo.
 """
 
 import random
 
 import pytest
 
-import repro.sim.kernel as kernel
-from repro.sim.kernel import (BucketEventQueue, HeapEventQueue,
-                              Simulator)
+from kernel_reference import HeapEventQueue
+
+from repro import obs
+from repro.sim.kernel import BucketEventQueue, Simulator
 from repro.sim.trace import Trace
 from repro.verify.generator import generate
 from repro.verify.oracle import build_system, verify_system
@@ -23,8 +26,8 @@ from repro.verify.oracle import build_system, verify_system
 QUEUES = (HeapEventQueue, BucketEventQueue)
 
 
-def run_workload(queue_cls, script):
-    """Run a schedule script and return the execution log.
+def run_workload(queue_cls, script, horizons=(10_000,), tail=None):
+    """Run a schedule script; return a snapshot after every call.
 
     ``script`` is a list of directives applied before the run:
     ``("at", time, priority, tag)`` schedules a logging event,
@@ -32,6 +35,10 @@ def run_workload(queue_cls, script):
     ``("respawn", time, priority, tag, delay, count)`` schedules an
     event that re-schedules ``count`` followers ``delay`` ns apart
     (``delay=0`` lands them in the *current* batch).
+
+    The simulator runs ``run_until`` to each of ``horizons`` in turn,
+    then ``run(max_events=tail)`` unless ``tail`` is None.  Each
+    snapshot is ``(log, now, executed, pending)`` after that call.
     """
     sim = Simulator(queue=queue_cls())
     log = []
@@ -60,8 +67,18 @@ def run_workload(queue_cls, script):
             sim.schedule_at(time, make_respawner(tag, delay, count,
                                                  priority),
                             priority=priority)
-    sim.run_until(10_000)
-    return log, sim.executed, sim.now
+
+    def snapshot():
+        return list(log), sim.now, sim.executed, sim.pending
+
+    snapshots = []
+    for horizon in horizons:
+        sim.run_until(horizon)
+        snapshots.append(snapshot())
+    if tail is not None:
+        sim.run(max_events=tail)
+        snapshots.append(snapshot())
+    return snapshots
 
 
 def random_script(rng):
@@ -84,12 +101,60 @@ def random_script(rng):
     return script
 
 
+def random_horizons(rng, script):
+    """Ascending ``run_until`` horizons: some exactly at scripted event
+    times, some strictly between them, so calls end mid-burst and
+    mid-respawn-chain."""
+    times = sorted({d[1] for d in script if d[0] in ("at", "respawn")})
+    exact = rng.sample(times, rng.randint(1, len(times)))
+    between = [time + rng.randint(1, 6)
+               for time in rng.sample(times, rng.randint(1, len(times)))]
+    return sorted(exact + between + [rng.choice(exact)])
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_random_workloads_execute_identically(seed):
-    script = random_script(random.Random(seed))
-    heap_run = run_workload(HeapEventQueue, script)
-    bucket_run = run_workload(BucketEventQueue, script)
-    assert bucket_run == heap_run
+    rng = random.Random(seed)
+    script = random_script(rng)
+    horizons = random_horizons(rng, script)
+    tail = rng.choice([None, 0, 1, 3, 1_000])
+    heap_run = run_workload(HeapEventQueue, script, horizons, tail)
+    bucket_run = run_workload(BucketEventQueue, script, horizons, tail)
+    for call, (heap, bucket) in enumerate(zip(heap_run, bucket_run)):
+        assert bucket == heap, f"diverged after call {call}"
+
+
+@pytest.mark.parametrize("queue_cls", QUEUES)
+def test_horizon_splits_a_burst_and_its_respawns(queue_cls):
+    """Horizons at and just past a burst instant: the burst and its
+    same-instant children finish in the call that reaches it, delayed
+    children wait for the next call, and a ``run`` tail resumes them."""
+    script = [("at", 100, 0, "a"), ("respawn", 100, 0, "r", 0, 2),
+              ("respawn", 100, 1, "s", 7, 2), ("at", 110, 0, "b")]
+    snapshots = run_workload(queue_cls, script, (100, 103, 107), tail=1)
+    burst = [(100, "a"), (100, "r"), (100, "r.c0"), (100, "r.c1"),
+             (100, "s")]
+    assert snapshots == [
+        (burst, 100, 5, 3),
+        (burst, 103, 5, 3),
+        (burst + [(107, "s.c0"), (107, "s.c1")], 107, 7, 1),
+        (burst + [(107, "s.c0"), (107, "s.c1"), (110, "b")], 110, 8, 0),
+    ]
+
+
+@pytest.mark.parametrize("queue_cls", QUEUES)
+def test_dispatch_batches_count_distinct_instants(queue_cls):
+    """``sim.dispatch_batches`` counts distinct instants per
+    ``run_until`` call — a same-instant respawn adds events, not
+    batches.  The fuzz signature's counter tokens depend on it."""
+    script = [("at", 100, 0, "a"), ("respawn", 200, 0, "r", 0, 2),
+              ("at", 300, 0, "c")]
+    with obs.capture() as telemetry:
+        [(log, *_)] = run_workload(queue_cls, script)
+    counters = telemetry.snapshot()["metrics"]["counters"]
+    assert len(log) == 5
+    assert counters["sim.events"] == 5
+    assert counters["sim.dispatch_batches"] == 3
 
 
 @pytest.mark.parametrize("queue_cls", QUEUES)
@@ -189,13 +254,16 @@ def run_system(monkeypatch, queue_cls, seed):
     import itertools
 
     import repro.osek.task as osek_task
+    import repro.verify.oracle as oracle
 
-    monkeypatch.setattr(kernel, "DEFAULT_QUEUE_CLASS", queue_cls)
+    monkeypatch.setattr(oracle, "Simulator",
+                        lambda: Simulator(queue=queue_cls()))
     # Job sequence numbers come from a process-global counter and land
     # in trace records; restart it so both queue runs see id 0 first.
     monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
     system = generate(seed, "small")
     built = build_system(system)
+    assert type(built.sim._queue) is queue_cls
     built.sim.run_until(built.horizon)
     verdict = verify_system(generate(seed, "small"))
     return built.trace.digest(), verdict.to_dict()
@@ -226,6 +294,5 @@ def test_trace_digest_is_order_and_content_sensitive():
 
 def test_default_queue_is_the_bucket_queue():
     """The fast path is the default; this pin makes an accidental
-    fallback to the reference queue a visible test failure."""
-    assert kernel.DEFAULT_QUEUE_CLASS is BucketEventQueue
-    assert isinstance(Simulator()._queue, BucketEventQueue)
+    fallback to another queue a visible test failure."""
+    assert type(Simulator()._queue) is BucketEventQueue

@@ -138,6 +138,25 @@ def test_verify_plan_labels_keep_journals_resumable():
                       "model-verify-daq:n=1:horizon=None:period=1000000"]
 
 
+def test_campaign_plan_labels_keep_journals_resumable(tmp_path):
+    """The same contract for the plain and DAQ campaign labels, read
+    back from the plan header of the journal each run writes."""
+    import json
+
+    from repro.faults import ReferenceWorld, reference_cells, run_campaign
+
+    labels = []
+    for period in (None, ms(1)):
+        journal = tmp_path / f"campaign-{period}.jsonl"
+        run_campaign(ReferenceWorld, reference_cells()[:1],
+                     horizon=ms(300), checkpoint=journal,
+                     daq_period=period)
+        with open(journal, encoding="utf-8") as handle:
+            labels.append(json.loads(handle.readline())["label"])
+    assert labels == ["campaign:horizon=300000000",
+                      "campaign-daq:horizon=300000000:period=1000000"]
+
+
 def test_campaign_with_daq_keeps_report_digest():
     from repro.faults import ReferenceWorld, reference_cells, run_campaign
 

@@ -113,14 +113,24 @@ def test_stop_halts_run():
 
 
 def test_run_max_events_limits_execution():
-    sim = Simulator()
+    def endless_chain():
+        sim = Simulator()
 
-    def forever():
+        def forever():
+            sim.schedule(1, forever)
+
         sim.schedule(1, forever)
+        return sim
 
-    sim.schedule(1, forever)
-    count = sim.run(max_events=500)
-    assert count == 500
+    for max_events in (500, 1, 0):
+        sim = endless_chain()
+        assert sim.run(max_events=max_events) == max_events
+        assert sim.executed == max_events
+        assert sim.pending == 1
+    sim = endless_chain()
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-1)
+    assert sim.executed == 0
 
 
 def test_zero_delay_event_runs_at_current_time():
