@@ -27,12 +27,19 @@ Benchmarks persist their documents through :func:`write_bench`: a full
 run writes the committed ``BENCH_<name>.json`` at the repo root, a
 ``--quick`` run writes under :data:`QUICK_DIR` instead, so a smoke run
 never clobbers a committed full-mode file.
+
+``--pipeline PARENT.json CHANGE.json`` turns two results files of the
+pipeline benchmark (``benchmarks/pipeline/run.py --out``) into
+``BENCH_pipeline.json``: per workload, each side's median of every
+end-to-end metric over its untraced runs, and its run count.  Rerun
+without options afterwards to re-aggregate.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 
 TRAJECTORY_FORMAT = "repro.bench.trajectory"
@@ -55,6 +62,48 @@ def write_bench(doc: dict) -> str:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
+
+
+def _untraced_runs(path: str) -> dict:
+    """``workload -> [run]`` of one ``run.py --out`` file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            runs = json.load(handle)["runs"]
+        by_workload: dict = {}
+        for run in runs:
+            if not run["trace"]:
+                by_workload.setdefault(run["workload"], []).append(run)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a pipeline results file ({exc!r})")
+    return by_workload
+
+
+def pipeline_bench(parent: str, change: str) -> dict:
+    """The ``BENCH_pipeline.json`` document for two ``run.py --out``
+    files: per workload both sides ran, each side's run count and its
+    median of every end-to-end metric ``BENCHMARK.json`` declares."""
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"),
+              encoding="utf-8") as handle:
+        names = [m["name"] for m in json.load(handle)["end_to_end"]]
+    sides = {"parent": _untraced_runs(parent),
+             "change": _untraced_runs(change)}
+    workloads: dict = {}
+    for workload in sorted(set(sides["parent"]) & set(sides["change"])):
+        workloads[workload] = {}
+        for side, by_workload in sides.items():
+            runs = by_workload[workload]
+            try:
+                medians = {name: statistics.median(
+                    run["metrics"][name]["value"] for run in runs)
+                    for name in names}
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{side} {workload}: a run lacks "
+                                 f"end-to-end metric {exc!r}")
+            workloads[workload][side] = dict(medians, runs=len(runs))
+    if not workloads:
+        raise ValueError(f"{parent}, {change}: no workload with "
+                         f"untraced runs on both sides")
+    return {"bench": "pipeline", "quick": False, "workloads": workloads}
 
 
 def discover(root: str = REPO_ROOT) -> list[str]:
@@ -182,7 +231,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--check", action="store_true",
                         help="rebuild in memory and fail on drift "
                              "against the committed aggregate")
+    parser.add_argument("--pipeline", nargs=2,
+                        metavar=("PARENT.json", "CHANGE.json"),
+                        help="write BENCH_pipeline.json from two "
+                             "pipeline benchmark results files")
     options = parser.parse_args(argv)
+    if options.pipeline:
+        try:
+            path = write_bench(pipeline_bench(*options.pipeline))
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        print(f"wrote {path}; rerun benchmarks/trajectory.py to "
+              f"re-aggregate")
+        return 0
     output = os.path.join(options.root, OUTPUT_NAME)
     try:
         text = trajectory_json(build_trajectory(options.root))

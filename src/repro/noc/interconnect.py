@@ -81,9 +81,11 @@ class Interconnect:
 
     def latencies(self, category: str, name: Optional[str] = None
                   ) -> list[int]:
-        """Observed latencies from the trace, by category and name."""
-        return [r.data["latency"]
-                for r in self.trace.records(category, name)]
+        """Observed latencies from the trace, by category and name.
+
+        Records without a ``latency`` key (gated drops under a ``"noc"``
+        prefix query) are skipped."""
+        return self.trace.data_values(category, "latency", name)
 
 
 class SharedBusInterconnect(Interconnect):

@@ -10,6 +10,7 @@ compared with the same vocabulary.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -39,6 +40,13 @@ class Record:
 class Trace:
     """Append-only record store with simple query helpers.
 
+    Beside the record list the trace keeps an index, appended in
+    :meth:`log`: ``category -> [Record]`` and ``(category, subject) ->
+    [Record]``, both in log order and holding references to the same
+    record objects.  :meth:`records` answers a query whose category
+    matches one recorded category from that category's list, so bound
+    checks over a long run never rescan it.
+
     By default the trace grows without bound — every record of a run is
     queryable, which is what the verification oracle and the invariants
     need.  Long soak simulations can instead cap memory with
@@ -52,6 +60,9 @@ class Trace:
     :meth:`close` spills the retained tail too, so end-of-run records
     are never silently dropped.  With both parameters at their
     defaults the behaviour is exactly the historical unbounded one.
+    Each batch eviction rebuilds the index from the retained tail, so
+    the index never holds an evicted record and its upkeep stays
+    amortised O(1) per :meth:`log`, like the eviction itself.
     """
 
     def __init__(self, max_records: Optional[int] = None,
@@ -60,6 +71,10 @@ class Trace:
             raise ConfigurationError(
                 f"max_records must be >= 4, got {max_records}")
         self._records: list[Record] = []
+        self._by_category: defaultdict[str, list[Record]] = \
+            defaultdict(list)
+        self._by_subject: defaultdict[tuple[str, str], list[Record]] = \
+            defaultdict(list)
         self._max_records = max_records
         self._spill_target = spill
         self._spill = as_spill_sink(spill)
@@ -70,7 +85,10 @@ class Trace:
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
         """Append one record.  ``time`` must be non-decreasing per caller
         discipline; the trace itself does not enforce global ordering."""
-        self._records.append(Record(time, category, subject, data))
+        record = Record(time, category, subject, data)
+        self._records.append(record)
+        self._by_category[category].append(record)
+        self._by_subject[category, subject].append(record)
         if self._max_records is not None \
                 and len(self._records) > self._max_records:
             # Evict down to 3/4 of the cap in one batch, so the
@@ -82,6 +100,15 @@ class Trace:
                 self._spill(evicted)
             self.spilled += len(evicted)
             del self._records[:len(evicted)]
+            self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the index from the retained records."""
+        self._by_category.clear()
+        self._by_subject.clear()
+        for record in self._records:
+            self._by_category[record.category].append(record)
+            self._by_subject[record.category, record.subject].append(record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -93,11 +120,30 @@ class Trace:
                 subject: Optional[str] = None,
                 predicate: Optional[Callable[[Record], bool]] = None
                 ) -> list[Record]:
-        """Filtered view of the trace.
+        """Filtered view of the trace, in log order, as a fresh list.
 
         ``category`` matches exactly or as a dotted prefix (``"task"``
-        matches ``"task.activate"``).
+        matches ``"task.activate"``).  When it matches one recorded
+        category, the answer comes from the index: that category's list,
+        or its ``(category, subject)`` list when ``subject`` is given,
+        filtered by ``predicate``.  A query without a category, or whose
+        prefix spans several recorded categories, scans the whole trace.
         """
+        if category is not None:
+            prefix = category + "."
+            found = [name for name in self._by_category
+                     if name == category or name.startswith(prefix)]
+            if len(found) < 2:
+                if not found:
+                    return []
+                if subject is None:
+                    candidates = self._by_category[found[0]]
+                else:
+                    candidates = self._by_subject.get((found[0], subject),
+                                                      ())
+                if predicate is None:
+                    return list(candidates)
+                return [rec for rec in candidates if predicate(rec)]
         out = []
         for rec in self._records:
             if category is not None and not _category_matches(rec.category,
@@ -171,6 +217,8 @@ class Trace:
     def clear(self) -> None:
         """Discard all records."""
         self._records.clear()
+        self._by_category.clear()
+        self._by_subject.clear()
 
     def close(self) -> None:
         """Flush the retained tail to the spill target and close it.
@@ -186,7 +234,7 @@ class Trace:
         if self._spill is not None and self._records:
             self._spill(list(self._records))
             self.spilled += len(self._records)
-            self._records.clear()
+            self.clear()
         closer = getattr(self._spill_target, "close", None)
         if callable(closer):
             closer()

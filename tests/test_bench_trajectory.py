@@ -205,3 +205,76 @@ def test_cli_malformed_source_exits_2(bench_root, capsys):
         handle.write("[1, 2")
     assert trajectory.main(["--root", bench_root]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# --pipeline: BENCH_pipeline.json from two run.py --out files
+# ----------------------------------------------------------------------
+E2E = ("items_per_s", "item_ms_p50", "item_ms_p90", "events_per_s",
+       "setup_s", "peak_rss_mb")
+
+
+def pipeline_results(path, runs):
+    """A ``run.py --out`` document holding ``runs``, each given as
+    ``(workload, traced, scale)``: every end-to-end metric reads
+    ``scale`` times its position in :data:`E2E` plus one."""
+    doc = {"format": 1, "host": {"nproc": 2}, "runs": [
+        {"workload": workload, "seed": 11, "trace": traced,
+         "seconds": 20, "correct": True,
+         "metrics": {name: {"value": scale * (i + 1), "unit": "x"}
+                     for i, name in enumerate(E2E)}}
+        for workload, traced, scale in runs]}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return str(path)
+
+
+@pytest.fixture
+def pipeline_pair(tmp_path):
+    parent = pipeline_results(tmp_path / "parent.json", [
+        ("verify-large", False, 1), ("verify-large", False, 3),
+        ("verify-large", False, 2), ("verify-large", True, 100),
+        ("campaign", False, 5)])
+    change = pipeline_results(tmp_path / "change.json", [
+        ("verify-large", False, 4), ("verify-large", False, 6),
+        ("fuzz", False, 7)])
+    return parent, change
+
+
+def test_pipeline_bench_takes_untraced_medians_per_side(pipeline_pair):
+    doc = trajectory.pipeline_bench(*pipeline_pair)
+    assert doc["bench"] == "pipeline" and doc["quick"] is False
+    # only workloads both sides ran; the traced run is left out
+    assert list(doc["workloads"]) == ["verify-large"]
+    sides = doc["workloads"]["verify-large"]
+    assert sides["parent"] == dict(
+        {name: 2 * (i + 1) for i, name in enumerate(E2E)}, runs=3)
+    assert sides["change"] == dict(
+        {name: 5 * (i + 1) for i, name in enumerate(E2E)}, runs=2)
+
+
+def test_cli_pipeline_writes_an_aggregatable_bench(pipeline_pair,
+                                                   tmp_path,
+                                                   monkeypatch, capsys):
+    root = tmp_path / "root"
+    root.mkdir()
+    with open(os.path.join(trajectory.REPO_ROOT, "BENCHMARK.json"),
+              encoding="utf-8") as spec:
+        (root / "BENCHMARK.json").write_text(spec.read())
+    monkeypatch.setattr(trajectory, "REPO_ROOT", str(root))
+    assert trajectory.main(["--pipeline", *pipeline_pair]) == 0
+    assert "BENCH_pipeline.json" in capsys.readouterr().out
+    entry, = trajectory.build_trajectory(str(root))["entries"]
+    assert entry["bench"] == "pipeline"
+    assert entry["metrics"]["workloads.verify-large.change.items_per_s"] \
+        == 5
+    assert entry["metrics"]["workloads.verify-large.parent.runs"] == 3
+
+
+def test_cli_pipeline_rejects_a_non_results_file(pipeline_pair, tmp_path,
+                                                 capsys):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text('{"runs": [{"workload": "fuzz"}]}')
+    assert trajectory.main(["--pipeline", pipeline_pair[0],
+                            str(bogus)]) == 2
+    assert "not a pipeline results file" in capsys.readouterr().err

@@ -1,5 +1,9 @@
 """Unit tests for trace recording and derived metrics."""
 
+from hypothesis import given, settings, strategies as st
+
+from trace_reference import reference_records
+
 from repro.sim import Trace, summarize
 from repro.sim.clock import DriftingClock, precision
 
@@ -253,3 +257,67 @@ def test_mistyped_spill_target_rejected():
 
     with pytest.raises(ConfigurationError):
         Trace(max_records=8, spill=object())
+
+
+# ----------------------------------------------------------------------
+# Index parity: indexed records() against the reference scan
+# ----------------------------------------------------------------------
+#: Categories sharing dotted prefixes, so a query can match one
+#: recorded category, several, or none at a token boundary.
+CATEGORIES = ("task", "task.activate", "task.activate.x", "taskish")
+SUBJECTS = ("A", "B", "C")
+#: Every query form: category exact, prefix or absent, times subject,
+#: times predicate.
+QUERIES = [(category, subject, predicate)
+           for category in (None, "task.act", "bus") + CATEGORIES
+           for subject in (None,) + SUBJECTS
+           for predicate in (None, lambda r: r.data["n"] % 2 == 0,
+                             lambda r: r.time >= 5)]
+
+#: A step logs one record, runs every query, or resets the trace.
+_step = st.one_of(
+    st.tuples(st.sampled_from(CATEGORIES), st.sampled_from(SUBJECTS),
+              st.integers(0, 9)),
+    st.sampled_from(("query", "query", "query", "query", "clear",
+                     "close")))
+
+
+def assert_index_holds_only_retained(trace):
+    retained = list(trace)
+    by_category = {c: [r for r in retained if r.category == c]
+                   for c in {r.category for r in retained}}
+    by_subject = {(r.category, r.subject): [] for r in retained}
+    for rec in retained:
+        by_subject[rec.category, rec.subject].append(rec)
+    for index, expected in ((trace._by_category, by_category),
+                            (trace._by_subject, by_subject)):
+        assert {key: [id(r) for r in records]
+                for key, records in index.items()} \
+            == {key: [id(r) for r in records]
+                for key, records in expected.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound=st.one_of(st.none(), st.integers(4, 9)),
+       steps=st.lists(_step, max_size=60))
+def test_indexed_records_match_the_reference_scan(bound, steps):
+    spilled = []
+    trace = (Trace() if bound is None
+             else Trace(max_records=bound, spill=spilled.append))
+    for seq, step in enumerate(steps):
+        if step == "query":
+            for query in QUERIES:
+                got = trace.records(*query)
+                expected = reference_records(trace, *query)
+                assert [id(r) for r in got] == [id(r) for r in expected]
+                got.append(None)
+                got.clear()
+                assert trace.records(*query) == expected
+        elif step in ("clear", "close"):
+            getattr(trace, step)()
+        else:
+            category, subject, n = step
+            trace.log(seq, category, subject, n=n)
+        assert_index_holds_only_retained(trace)
+    evicted = {id(r) for batch in spilled for r in batch}
+    assert not evicted & {id(r) for r in trace}
