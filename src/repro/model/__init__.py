@@ -7,9 +7,10 @@ policies — from which every executable view is derived.  This package
 is that format for the repro library:
 
 * :mod:`repro.model.schema` — the document layout, explicit
-  ``format_version``, structural + reference-integrity validation with
-  human-readable error messages, and a deterministic SHA-256 model
-  digest for traceability;
+  ``format_version``, the one validator of a well-formed system
+  (record tables, references, cross-record rules, constructor ranges,
+  fault scenarios) with human-readable error messages, and a
+  deterministic SHA-256 model digest for traceability;
 * :mod:`repro.model.convert` — the per-subsystem dict converters
   (tasks, signals, I-PDUs, CAN/FlexRay/TDMA plans, chains, fault
   scenarios) the document is assembled from;

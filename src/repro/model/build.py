@@ -21,6 +21,7 @@ guarantees as ``verify_many`` / ``run_resilience``.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,26 +103,39 @@ def model_from_system(system: GeneratedSystem,
     }
 
 
+@contextmanager
+def at_path(path: str):
+    """Prefix a :class:`ConfigurationError` raised inside with the
+    document path of the section being built."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def system_from_model(doc: dict) -> GeneratedSystem:
     """The live :class:`GeneratedSystem` a (valid) document describes.
 
     Callers that load untrusted input go through
     :func:`repro.model.schema.ensure_valid` first (:class:`Model` does
-    so on construction); this function assumes the references resolve.
+    so on construction); this function assumes the layout is right and
+    the references resolve.  A value a constructor refuses raises
+    :class:`ConfigurationError` prefixed with its section's path.
     """
     meta = doc["meta"]
     system = GeneratedSystem(meta["name"], meta.get("seed", 0),
                              meta.get("size", MODEL_SIZE))
     osek = doc["osek"]
     for name, ecu in osek["ecus"].items():
-        if ecu["scheduler"] == "tdma":
-            system.tdma = convert.tdma_from_dict(
-                {"ecu": name, "partitions": ecu["partitions"],
-                 "major_frame": ecu["major_frame"],
-                 "tasks": ecu["tasks"]})
-        else:
-            system.tasksets[name] = [convert.task_from_dict(t)
-                                     for t in ecu["tasks"]]
+        with at_path(f"osek.ecus.{name}"):
+            if ecu["scheduler"] == "tdma":
+                system.tdma = convert.tdma_from_dict(
+                    {"ecu": name, "partitions": ecu["partitions"],
+                     "major_frame": ecu["major_frame"],
+                     "tasks": ecu["tasks"]})
+            else:
+                system.tasksets[name] = [convert.task_from_dict(t)
+                                         for t in ecu["tasks"]]
     system.resources = {name: data["ceiling"]
                         for name, data
                         in (osek.get("resources") or {}).items()}
@@ -134,13 +148,15 @@ def system_from_model(doc: dict) -> GeneratedSystem:
         system.chain = convert.chain_from_dict(chains[0])
     can = doc["network"]["can"]
     if can is not None:
-        system.can = convert.can_from_dict(
-            {"bitrate_bps": can["bitrate_bps"],
-             "frames": doc["com"]["frames"],
-             "frame_specs": can["frame_specs"]})
+        with at_path("network.can"):
+            system.can = convert.can_from_dict(
+                {"bitrate_bps": can["bitrate_bps"],
+                 "frames": doc["com"]["frames"],
+                 "frame_specs": can["frame_specs"]})
     flexray = doc["network"]["flexray"]
     if flexray is not None:
-        system.flexray = convert.flexray_from_dict(flexray)
+        with at_path("network.flexray"):
+            system.flexray = convert.flexray_from_dict(flexray)
     system.faults = [convert.fault_from_dict(f)
                      for f in doc["resilience"]["scenarios"]]
     return system
@@ -181,13 +197,13 @@ class Model:
         return cls(model_from_system(system, description))
 
     @classmethod
-    def from_data(cls, data, validate: bool = True) -> "Model":
+    def from_data(cls, data) -> "Model":
         """A model document, or a fuzz counterexample payload whose
-        ``system`` entry is one, as a :class:`Model`."""
+        ``system`` entry is one, as a validated :class:`Model`."""
         if isinstance(data, dict) and not schema.is_model_document(data):
             data = data.get("system")
         if schema.is_model_document(data):
-            return cls.from_document(data, validate=validate)
+            return cls.from_document(data)
         raise ConfigurationError(
             "unrecognized document: neither a repro.model document nor "
             "a corpus counterexample wrapping one")

@@ -17,6 +17,8 @@ added here is automatically part of every layer's content key.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from repro.com.ipdu import IPdu, SignalMapping
 from repro.com.packing import PackedFrame
 from repro.com.signal import SignalSpec
@@ -177,7 +179,7 @@ def flexray_from_dict(data: dict) -> FlexRayPlan:
 
 
 def chain_from_dict(data: dict) -> ChainPlan:
-    return ChainPlan(**data)
+    return ChainPlan(**{f.name: data[f.name] for f in fields(ChainPlan)})
 
 
 def tdma_from_dict(data: dict) -> TdmaPlan:
@@ -188,4 +190,4 @@ def tdma_from_dict(data: dict) -> TdmaPlan:
 
 def fault_from_dict(data: dict) -> FaultScenario:
     return FaultScenario(data["kind"], data["start"], data["duration"],
-                         data.get("target", ""))
+                         data["target"])

@@ -25,29 +25,49 @@ distributed system, the declarative exchange format of paper §2:
     }
 
 ``format_version`` is explicit and checked first: the loader refuses
-unknown versions instead of guessing.  The ``ttp`` / ``tte`` sections
-are *reserved* — the key must be present (so a document always names
-every subsystem) but only ``null`` is accepted until the corresponding
+unknown versions instead of guessing.  Every ``network`` key must be
+present (``null`` for an absent bus).  The ``ttp`` / ``tte`` sections
+are *reserved*: only ``null`` is accepted until the corresponding
 schedule specs grow an executable view.
 
-:func:`validate_document` performs structural checks (required
-sections, field presence, basic types/ranges) and **reference
-integrity** — every cross-reference in the document must resolve:
+:func:`validate_document` is the one definition of a well-formed
+system, for documents and ``GeneratedSystem`` objects alike:
+:func:`repro.verify.mutate.validate_system` validates a system's
+document.  Every problem is a ``"<path>: <message>"`` row (e.g.
+``com.chains[0]: producer task 'E9.prod' is not a task of ECU 'E0'``),
+so a hand-edited file fails with something actionable, never a
+``KeyError`` three layers down.  It works in four parts:
 
-* ``com.frames[*].sender``  → a fixed-priority ECU in ``osek.ecus``;
-* ``com.frames[*].ipdu.name`` and ``com.chains[*].pdu_name``
-  (signal→frame packing)     → a ``network.can.frame_specs`` entry;
-* ``com.chains[*].producer/consumer`` (task→ECU mapping)
-                             → a task on the named ECU;
-* ``osek.critical_sections[*].task/resource``
-                             → a defined task / resource;
-* TDMA ``tasks[*].partition`` → the ECU's partition list;
-* ``resilience.scenarios[*]`` → the subsystem they inject into.
+1. **Record tables.**  Every record
+   :func:`~repro.model.build.system_from_model` reads (task, critical
+   section, CAN frame spec, COM frame, I-PDU, signal mapping, signal,
+   FlexRay config, static and dynamic writer, E2E chain, fault
+   scenario, and the objects holding them) has one layout below giving
+   each field's JSON type; one helper checks a record against it.
+2. **References and cross-record rules.**  Every reference resolves: a
+   COM frame's sender to a fixed-priority ECU, its I-PDU and a chain's
+   PDU to a CAN frame spec, chain producer/consumer and critical
+   section tasks to tasks, resources and TDMA partitions to their
+   declarations, FlexRay writers to cluster nodes.  And the rules no
+   single record can check hold: task names unique in the system and
+   priorities unique per ECU; resource ceilings at or above every
+   user's priority; no negative or all-zero critical section; unique
+   CAN frame names and identifiers, I-PDU names and signal names; each
+   COM frame at its spec's period and within its DLC; distinct FlexRay
+   nodes, static slots (inside the static segment) and dynamic frame
+   ids; writers with ``0 <= offset < period``; no empty TDMA partition.
+3. **Value ranges belong to the constructors.**  The validator then
+   builds the system (:func:`~repro.model.build.system_from_model`,
+   the chain's E2E PDU and profile, the TDMA schedule) and reports a
+   :class:`~repro.errors.ConfigurationError` as a row.  Ranges such as
+   ``0 < bcet <= wcet``, DLC 0..8, the E2E counter width, max delta and
+   data id, the FlexRay repetition and base cycle, or a major frame
+   long enough for its partitions are written once, there.
+4. **Fault scenarios** are checked on the built system by
+   :func:`repro.verify.resilience.scenario_problems` (kind, target,
+   required subsystem, the 1 s cap, the guaranteed-detection floor).
 
-Every problem is reported as ``"<path>: <message>"`` (e.g.
-``com.chains[0]: producer task 'E9.prod' is not a task of ECU 'E0'``)
-so a hand-edited scenario file fails with something actionable, never
-a ``KeyError`` three layers down.
+A document that validates therefore also builds.
 
 :func:`model_digest` is the traceability anchor: a SHA-256 over the
 canonical JSON form (sorted keys, no whitespace).  Two documents with
@@ -60,7 +80,6 @@ from __future__ import annotations
 
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
-from repro.verify.generator import SCENARIO_KINDS
 
 #: Magic tag every model document carries in its ``format`` field.
 FORMAT = "repro.model"
@@ -75,17 +94,6 @@ SECTIONS = ("meta", "osek", "com", "network", "resilience")
 
 #: Reserved network sections: key required, only ``null`` accepted.
 RESERVED_NETWORKS = ("ttp", "tte")
-
-#: Every field of a serialized task spec (see
-#: :func:`repro.model.convert.task_to_dict`).
-TASK_FIELDS = ("name", "wcet", "period", "offset", "deadline", "priority",
-               "partition", "max_activations", "budget", "jitter", "bcet",
-               "criticality")
-
-#: Every field of a serialized E2E chain.
-CHAIN_FIELDS = ("producer", "producer_ecu", "consumer", "consumer_ecu",
-                "signal_name", "signal_bits", "pdu_name", "period",
-                "data_id", "counter_bits", "max_delta_counter", "timeout")
 
 SCHEDULERS = ("fixed-priority", "tdma")
 
@@ -109,281 +117,314 @@ def is_model_document(data) -> bool:
 
 
 # ----------------------------------------------------------------------
-# validation
+# record tables
 # ----------------------------------------------------------------------
-def _is_int(value, minimum=None) -> bool:
-    if not isinstance(value, int) or isinstance(value, bool):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The JSON types a layout names (``"int|null"`` admits null too).
+_TYPES = {
+    "int": _is_int,
+    "int|null": lambda v: v is None or _is_int(v),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "str|null": lambda v: v is None or isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "[str]": lambda v: isinstance(v, list)
+    and all(isinstance(x, str) for x in v),
+    "object": lambda v: isinstance(v, dict),
+    "object|null": lambda v: v is None or isinstance(v, dict),
+}
+
+#: One layout per record: every field and its JSON type.
+TASK = {"name": "str", "wcet": "int", "period": "int", "offset": "int",
+        "deadline": "int|null", "priority": "int",
+        "partition": "str|null", "max_activations": "int",
+        "budget": "int|null", "jitter": "int", "bcet": "int|null",
+        "criticality": "str"}
+OSEK = {"ecus": "object"}
+FP_ECU = {"scheduler": "str", "tasks": "list"}
+TDMA_ECU = {"scheduler": "str", "partitions": "[str]",
+            "major_frame": "int", "tasks": "list"}
+RESOURCE = {"ceiling": "int"}
+CRITICAL_SECTION = {"task": "str", "resource": "str", "pre": "int",
+                    "duration": "int", "post": "int"}
+COM = {"frames": "list", "chains": "list"}
+COM_FRAME = {"ipdu": "object", "period": "int", "sender": "str"}
+IPDU = {"name": "str", "size_bytes": "int", "mappings": "list"}
+SIGNAL_MAPPING = {"signal": "object", "start_bit": "int",
+                  "update_bit": "int|null"}
+SIGNAL = {"name": "str", "width_bits": "int", "initial": "int",
+          "transfer": "str", "timeout": "int|null"}
+E2E_CHAIN = {"producer": "str", "producer_ecu": "str", "consumer": "str",
+             "consumer_ecu": "str", "signal_name": "str",
+             "signal_bits": "int", "pdu_name": "str", "period": "int",
+             "data_id": "int", "counter_bits": "int",
+             "max_delta_counter": "int", "timeout": "int"}
+NETWORK = {"can": "object|null", "flexray": "object|null"}
+CAN = {"bitrate_bps": "int", "frame_specs": "list"}
+FRAME_SPEC = {"name": "str", "can_id": "int", "dlc": "int", "period": "int",
+              "deadline": "int|null", "extended": "bool", "jitter": "int"}
+FLEXRAY = {"config": "object", "nodes": "[str]", "static_writers": "list",
+           "dynamic_writers": "list"}
+FLEXRAY_CONFIG = {"slot_length": "int", "n_static_slots": "int",
+                  "minislot_length": "int", "n_minislots": "int",
+                  "nit_length": "int", "bitrate_bps": "int"}
+STATIC_WRITER = {"slot": "int", "node": "str", "frame_name": "str",
+                 "base_cycle": "int", "repetition": "int", "period": "int",
+                 "offset": "int"}
+DYNAMIC_WRITER = {"name": "str", "frame_id": "int", "size_bytes": "int",
+                  "node": "str", "period": "int", "offset": "int"}
+RESILIENCE = {"scenarios": "list"}
+FAULT_SCENARIO = {"kind": "str", "start": "int", "duration": "int",
+                  "target": "str"}
+
+
+#: JSON names of the Python types ``json`` decodes to.
+_JSON_NAMES = {"NoneType": "null", "dict": "object", "float": "number"}
+
+
+def _record(path: str, data, layout: dict, problems: list[str]) -> bool:
+    """True when ``data`` is an object carrying every field of
+    ``layout`` with its JSON type; each miss is a problem row."""
+    if not isinstance(data, dict):
+        problems.append(f"{path}: expected an object")
         return False
-    return minimum is None or value >= minimum
+    missing = [name for name in layout if name not in data]
+    if missing:
+        problems.append(f"{path}: missing field(s) {', '.join(missing)}")
+        return False
+    wrong = [name for name, kind in layout.items()
+             if not _TYPES[kind](data[name])]
+    for name in wrong:
+        got = type(data[name]).__name__
+        problems.append(f"{path}.{name}: expected "
+                        f"{layout[name].replace('|', ' or ')}, got "
+                        f"{_JSON_NAMES.get(got, got)}")
+    return not wrong
 
 
-def _check_tasks(path: str, tasks, problems: list[str],
-                 partitions=None) -> list[str]:
-    """Validate one ECU's task list; returns the task names."""
-    names: list[str] = []
-    if not isinstance(tasks, list):
-        problems.append(f"{path}.tasks: expected a list of tasks")
-        return names
-    for i, task in enumerate(tasks):
-        where = f"{path}.tasks[{i}]"
-        if not isinstance(task, dict):
-            problems.append(f"{where}: expected a task object")
-            continue
-        missing = [f for f in TASK_FIELDS if f not in task]
-        if missing:
-            problems.append(f"{where}: missing task field(s) "
-                            f"{', '.join(missing)}")
-            continue
-        name = task["name"]
-        if not isinstance(name, str) or not name:
-            problems.append(f"{where}: task name must be a non-empty "
-                            f"string")
-            continue
-        names.append(name)
-        if not _is_int(task["wcet"], 1):
-            problems.append(f"{where}: wcet must be a positive integer")
-        if not _is_int(task["period"], 1):
-            problems.append(f"{where}: period must be a positive integer")
-        if not _is_int(task["priority"]):
-            problems.append(f"{where}: priority must be an integer")
-        if partitions is not None \
-                and task["partition"] not in partitions:
-            problems.append(
-                f"{where}: partition {task['partition']!r} is not one "
-                f"of this ECU's partitions {sorted(partitions)}")
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    if duplicates:
-        problems.append(f"{path}: duplicate task name(s) "
-                        f"{', '.join(duplicates)}")
-    return names
+def _records(path: str, items, layout: dict,
+             problems: list[str]) -> list[tuple[str, dict]]:
+    """``(path, record)`` for every well-shaped record of list
+    ``items``."""
+    if not isinstance(items, list):
+        problems.append(f"{path}: expected a list")
+        return []
+    return [(f"{path}[{i}]", item) for i, item in enumerate(items)
+            if _record(f"{path}[{i}]", item, layout, problems)]
 
 
-def _validate_osek(osek, problems: list[str]):
-    """Validate ``osek``; returns ({ecu: set(task names)} for
-    fixed-priority ECUs, set of tdma ECU names, resource names)."""
+def _duplicates(values) -> list:
+    values = list(values)
+    return sorted({v for v in values if values.count(v) > 1})
+
+
+# ----------------------------------------------------------------------
+# references and cross-record rules
+# ----------------------------------------------------------------------
+def _validate_osek(osek, problems: list[str]) -> dict[str, set]:
+    """Validate ``osek``; returns {fixed-priority ECU: task names}."""
     fp_tasks: dict[str, set] = {}
-    tdma_ecus: set = set()
-    resources: set = set()
-    if not isinstance(osek, dict):
-        problems.append("osek: expected an object")
-        return fp_tasks, tdma_ecus, resources
-    ecus = osek.get("ecus")
-    if not isinstance(ecus, dict):
-        problems.append("osek.ecus: expected an object mapping ECU "
-                        "names to configurations")
-        ecus = {}
-    for name, ecu in sorted(ecus.items()):
+    if not _record("osek", osek, OSEK, problems):
+        return fp_tasks
+    owner: dict[str, str] = {}      # task name -> its ECU
+    priority: dict[str, int] = {}   # fixed-priority task -> priority
+    tdma_ecus = []
+    for name, ecu in sorted(osek["ecus"].items()):
         path = f"osek.ecus.{name}"
-        if not isinstance(ecu, dict):
-            problems.append(f"{path}: expected an object")
+        tdma = isinstance(ecu, dict) and ecu.get("scheduler") == "tdma"
+        if not _record(path, ecu, TDMA_ECU if tdma else FP_ECU, problems):
             continue
-        scheduler = ecu.get("scheduler")
-        if scheduler not in SCHEDULERS:
+        if ecu["scheduler"] not in SCHEDULERS:
             problems.append(
-                f"{path}: unknown scheduler {scheduler!r}; expected one "
-                f"of {', '.join(SCHEDULERS)}")
+                f"{path}: unknown scheduler {ecu['scheduler']!r}; "
+                f"expected one of {', '.join(SCHEDULERS)}")
             continue
-        if scheduler == "tdma":
-            tdma_ecus.add(name)
-            partitions = ecu.get("partitions")
-            if not (isinstance(partitions, list) and partitions):
-                problems.append(f"{path}: a tdma ECU needs a non-empty "
-                                f"'partitions' list")
-                partitions = []
-            if not _is_int(ecu.get("major_frame"), 1):
-                problems.append(f"{path}: a tdma ECU needs a positive "
-                                f"integer 'major_frame'")
-            _check_tasks(path, ecu.get("tasks", []), problems,
-                         partitions=set(partitions))
-        else:
-            names = _check_tasks(path, ecu.get("tasks", []), problems)
-            fp_tasks[name] = set(names)
+        tasks = _records(f"{path}.tasks", ecu["tasks"], TASK, problems)
+        levels: dict[int, str] = {}     # priority -> task, on this ECU
+        for where, task in tasks:
+            if not task["name"]:
+                problems.append(f"{where}: task name must not be empty")
+            if task["name"] in owner:
+                problems.append(f"{where}: duplicate task name "
+                                f"{task['name']!r} (also on ECU "
+                                f"{owner[task['name']]!r})")
+            if task["priority"] in levels:
+                problems.append(
+                    f"{where}: task priorities not unique on ECU {name!r} "
+                    f"({task['priority']} is also "
+                    f"{levels[task['priority']]!r})")
+            owner.setdefault(task["name"], name)
+            levels.setdefault(task["priority"], task["name"])
+        if not tdma:
+            fp_tasks[name] = {task["name"] for _, task in tasks}
+            priority.update((t["name"], t["priority"]) for _, t in tasks)
+            continue
+        tdma_ecus.append(name)
+        for where, task in tasks:
+            if task["partition"] not in ecu["partitions"]:
+                problems.append(
+                    f"{where}: partition {task['partition']!r} is not one "
+                    f"of this ECU's partitions {sorted(ecu['partitions'])}")
+        populated = {task["partition"] for _, task in tasks}
+        for partition in ecu["partitions"]:
+            if partition not in populated:
+                problems.append(f"{path}: partition {partition!r} has no "
+                                f"tasks")
     if len(tdma_ecus) > 1:
         problems.append(
             f"osek.ecus: at most one tdma ECU is supported, got "
-            f"{len(tdma_ecus)} ({', '.join(sorted(tdma_ecus))})")
+            f"{len(tdma_ecus)} ({', '.join(tdma_ecus)})")
 
-    for name, resource in sorted((osek.get("resources") or {}).items()):
-        if not (isinstance(resource, dict)
-                and _is_int(resource.get("ceiling"))):
-            problems.append(f"osek.resources.{name}: expected an object "
-                            f"with an integer 'ceiling'")
-            continue
-        resources.add(name)
-
-    all_tasks = {t for names in fp_tasks.values() for t in names}
-    for i, section in enumerate(osek.get("critical_sections") or []):
-        where = f"osek.critical_sections[{i}]"
-        if not isinstance(section, dict):
-            problems.append(f"{where}: expected an object")
-            continue
-        missing = [f for f in ("task", "resource", "pre", "duration",
-                               "post") if f not in section]
-        if missing:
-            problems.append(f"{where}: missing field(s) "
-                            f"{', '.join(missing)}")
-            continue
-        if section["task"] not in all_tasks:
+    resources = osek.get("resources") or {}
+    if not isinstance(resources, dict):
+        problems.append("osek.resources: expected an object")
+        resources = {}
+    ceilings = {name: resource["ceiling"]
+                for name, resource in sorted(resources.items())
+                if _record(f"osek.resources.{name}", resource, RESOURCE,
+                           problems)}
+    for where, section in _records(
+            "osek.critical_sections", osek.get("critical_sections") or [],
+            CRITICAL_SECTION, problems):
+        task, resource = section["task"], section["resource"]
+        if task not in priority:
+            problems.append(f"{where}: task {task!r} is not defined on "
+                            f"any fixed-priority ECU")
+        if resource not in ceilings:
+            problems.append(f"{where}: resource {resource!r} is not "
+                            f"declared in osek.resources")
+        elif task in priority and ceilings[resource] < priority[task]:
             problems.append(
-                f"{where}: task {section['task']!r} is not defined on "
-                f"any fixed-priority ECU")
-        if section["resource"] not in resources:
-            problems.append(
-                f"{where}: resource {section['resource']!r} is not "
-                f"declared in osek.resources")
-    return fp_tasks, tdma_ecus, resources
+                f"osek.resources.{resource}: ceiling {ceilings[resource]} "
+                f"below the priority {priority[task]} of its user {task!r}")
+        parts = (section["pre"], section["duration"], section["post"])
+        if min(parts) < 0 or not any(parts):
+            problems.append(f"{where}: pre, duration and post must be "
+                            f"non-negative and not all zero")
+    return fp_tasks
 
 
-def _validate_network(network, problems: list[str]):
-    """Validate ``network``; returns (CAN frame-spec names,
-    FlexRay static frame names)."""
-    can_frames: set = set()
-    static_frames: set = set()
-    if not isinstance(network, dict):
-        problems.append("network: expected an object")
-        return can_frames, static_frames
-    for reserved in RESERVED_NETWORKS:
-        if reserved not in network:
-            problems.append(f"network.{reserved}: reserved section must "
-                            f"be present (use null)")
-        elif network[reserved] is not None:
-            problems.append(
-                f"network.{reserved}: {reserved.upper()} schedules are "
-                f"reserved in format_version {FORMAT_VERSION}; only "
-                f"null is accepted")
+def _validate_network(network, problems: list[str]) -> dict[str, dict]:
+    """Validate ``network``; returns the CAN frame specs by name."""
+    if isinstance(network, dict):
+        for reserved in RESERVED_NETWORKS:
+            if reserved not in network:
+                problems.append(f"network.{reserved}: reserved section "
+                                f"must be present (use null)")
+            elif network[reserved] is not None:
+                problems.append(
+                    f"network.{reserved}: {reserved.upper()} schedules "
+                    f"are reserved in format_version {FORMAT_VERSION}; "
+                    f"only null is accepted")
+    if not _record("network", network, NETWORK, problems):
+        return {}
 
-    can = network.get("can")
-    if can is not None:
-        if not isinstance(can, dict):
-            problems.append("network.can: expected an object or null")
-        else:
-            if not _is_int(can.get("bitrate_bps"), 1):
-                problems.append("network.can: bitrate_bps must be a "
-                                "positive integer")
-            specs = can.get("frame_specs")
-            if not isinstance(specs, list):
-                problems.append("network.can.frame_specs: expected a "
-                                "list")
-                specs = []
-            names, ids = [], []
-            for i, spec in enumerate(specs):
-                where = f"network.can.frame_specs[{i}]"
-                if not isinstance(spec, dict) or "name" not in spec \
-                        or "can_id" not in spec:
-                    problems.append(f"{where}: expected an object with "
-                                    f"'name' and 'can_id'")
-                    continue
-                names.append(spec["name"])
-                ids.append(spec["can_id"])
-                if not _is_int(spec.get("period"), 1):
-                    problems.append(f"{where}: period must be a "
-                                    f"positive integer")
-            for dup in sorted({n for n in names if names.count(n) > 1}):
-                problems.append(f"network.can.frame_specs: duplicate "
-                                f"frame name {dup!r}")
-            for dup in sorted({i for i in ids if ids.count(i) > 1}):
-                problems.append(f"network.can.frame_specs: duplicate "
-                                f"CAN identifier {dup:#x}")
-            can_frames = set(names)
+    specs: dict[str, dict] = {}
+    can = network["can"]
+    if can is not None and _record("network.can", can, CAN, problems):
+        if can["bitrate_bps"] < 1:
+            problems.append("network.can: bitrate_bps must be a "
+                            "positive integer")
+        shaped = [spec for _, spec in _records(
+            "network.can.frame_specs", can["frame_specs"], FRAME_SPEC,
+            problems)]
+        specs = {spec["name"]: spec for spec in shaped}
+        for dup in _duplicates(spec["name"] for spec in shaped):
+            problems.append(f"network.can.frame_specs: duplicate frame "
+                            f"name {dup!r}")
+        for dup in _duplicates(spec["can_id"] for spec in shaped):
+            problems.append(f"network.can.frame_specs: duplicate CAN "
+                            f"identifier {dup:#x}")
 
-    flexray = network.get("flexray")
-    if flexray is not None:
-        if not isinstance(flexray, dict):
-            problems.append("network.flexray: expected an object or null")
-        else:
-            config = flexray.get("config")
-            if not isinstance(config, dict):
-                problems.append("network.flexray.config: expected an "
-                                "object")
-                config = {}
-            for knob in ("slot_length", "n_static_slots",
-                         "minislot_length", "n_minislots", "nit_length",
-                         "bitrate_bps"):
-                if not _is_int(config.get(knob), 1):
-                    problems.append(f"network.flexray.config: {knob} "
-                                    f"must be a positive integer")
-            nodes = flexray.get("nodes")
-            if not (isinstance(nodes, list) and nodes):
-                problems.append("network.flexray: needs a non-empty "
-                                "'nodes' list")
-                nodes = []
-            n_slots = config.get("n_static_slots")
-            for i, writer in enumerate(flexray.get("static_writers")
-                                       or []):
-                where = f"network.flexray.static_writers[{i}]"
-                if not isinstance(writer, dict):
-                    problems.append(f"{where}: expected an object")
-                    continue
-                static_frames.add(writer.get("frame_name"))
-                if writer.get("node") not in nodes:
-                    problems.append(
-                        f"{where}: node {writer.get('node')!r} is not "
-                        f"in the cluster's node list")
-                if _is_int(n_slots, 1) and not (
-                        _is_int(writer.get("slot"), 1)
-                        and writer["slot"] <= n_slots):
-                    problems.append(
-                        f"{where}: slot {writer.get('slot')!r} outside "
-                        f"the static segment (1..{n_slots})")
-            for i, writer in enumerate(flexray.get("dynamic_writers")
-                                       or []):
-                where = f"network.flexray.dynamic_writers[{i}]"
-                if not isinstance(writer, dict):
-                    problems.append(f"{where}: expected an object")
-                    continue
-                if writer.get("node") not in nodes:
-                    problems.append(
-                        f"{where}: node {writer.get('node')!r} is not "
-                        f"in the cluster's node list")
-    return can_frames, static_frames
+    flexray = network["flexray"]
+    if flexray is None or not _record("network.flexray", flexray, FLEXRAY,
+                                      problems):
+        return specs
+    config, nodes = flexray["config"], flexray["nodes"]
+    n_slots = None
+    if _record("network.flexray.config", config, FLEXRAY_CONFIG, problems):
+        n_slots = config["n_static_slots"]
+        for knob in ("minislot_length", "n_minislots", "nit_length",
+                     "bitrate_bps"):
+            if config[knob] < 1:
+                problems.append(f"network.flexray.config: {knob} must be "
+                                f"a positive integer")
+    for dup in _duplicates(nodes):
+        problems.append(f"network.flexray.nodes: duplicate node {dup!r}")
+    static = _records("network.flexray.static_writers",
+                      flexray["static_writers"], STATIC_WRITER, problems)
+    dynamic = _records("network.flexray.dynamic_writers",
+                       flexray["dynamic_writers"], DYNAMIC_WRITER, problems)
+    for where, writer in static + dynamic:
+        if writer["node"] not in nodes:
+            problems.append(f"{where}: node {writer['node']!r} is not in "
+                            f"the cluster's node list")
+        if not 0 <= writer["offset"] < writer["period"]:
+            problems.append(f"{where}: needs 0 <= offset < period (offset "
+                            f"{writer['offset']}, period {writer['period']})")
+    for where, writer in static:
+        if n_slots is not None and not 1 <= writer["slot"] <= n_slots:
+            problems.append(f"{where}: slot {writer['slot']} outside the "
+                            f"static segment (1..{n_slots})")
+    for dup in _duplicates(writer["slot"] for _, writer in static):
+        problems.append(f"network.flexray.static_writers: duplicate "
+                        f"static slot {dup}")
+    for dup in _duplicates(writer["frame_id"] for _, writer in dynamic):
+        problems.append(f"network.flexray.dynamic_writers: duplicate "
+                        f"dynamic frame id {dup}")
+    return specs
 
 
-def _validate_com(com, problems: list[str], fp_tasks, can_frames,
-                  has_can: bool):
-    if not isinstance(com, dict):
-        problems.append("com: expected an object")
+def _validate_com(com, problems: list[str], fp_tasks: dict[str, set],
+                  specs: dict[str, dict], has_can: bool) -> None:
+    if not _record("com", com, COM, problems):
         return
-    for i, frame in enumerate(com.get("frames") or []):
-        where = f"com.frames[{i}]"
-        if not (isinstance(frame, dict) and isinstance(
-                frame.get("ipdu"), dict)):
-            problems.append(f"{where}: expected an object with an "
-                            f"'ipdu'")
+    mapped: dict[str, str] = {}     # signal name -> its I-PDU
+    pdus: set = set()
+    for where, frame in _records("com.frames", com["frames"], COM_FRAME,
+                                 problems):
+        if frame["sender"] not in fp_tasks:
+            problems.append(f"{where}: sender {frame['sender']!r} is not "
+                            f"a fixed-priority ECU")
+        ipdu = frame["ipdu"]
+        if not _record(f"{where}.ipdu", ipdu, IPDU, problems):
             continue
-        pdu_name = frame["ipdu"].get("name")
-        if pdu_name not in can_frames:
+        name = ipdu["name"]
+        spec = specs.get(name)
+        if spec is None:
             problems.append(
-                f"{where}: I-PDU {pdu_name!r} has no matching "
-                f"network.can frame spec (signal->frame packing "
-                f"reference is dangling)")
-        if frame.get("sender") not in fp_tasks:
-            problems.append(
-                f"{where}: sender {frame.get('sender')!r} is not a "
-                f"fixed-priority ECU")
-        for j, mapping in enumerate(frame["ipdu"].get("mappings") or []):
-            if not (isinstance(mapping, dict)
-                    and isinstance(mapping.get("signal"), dict)):
-                problems.append(f"{where}.mappings[{j}]: expected a "
-                                f"signal mapping object")
+                f"{where}: I-PDU {name!r} has no matching network.can "
+                f"frame spec (signal->frame packing reference is "
+                f"dangling)")
+        elif ipdu["size_bytes"] > spec["dlc"]:
+            problems.append(f"{where}: I-PDU {name!r} payload "
+                            f"({ipdu['size_bytes']}B) exceeds dlc "
+                            f"{spec['dlc']}")
+        if spec is not None and frame["period"] != spec["period"]:
+            problems.append(f"{where}: period {frame['period']} != frame "
+                            f"spec period {spec['period']}")
+        if name in pdus:
+            problems.append(f"{where}: duplicate I-PDU name {name!r}")
+        pdus.add(name)
+        for at, mapping in _records(f"{where}.ipdu.mappings",
+                                    ipdu["mappings"], SIGNAL_MAPPING,
+                                    problems):
+            signal = mapping["signal"]
+            if not _record(f"{at}.signal", signal, SIGNAL, problems):
+                continue
+            first = mapped.setdefault(signal["name"], name)
+            if first != name:
+                problems.append(f"{at}: signal {signal['name']!r} is "
+                                f"already mapped into I-PDU {first!r}")
 
-    chains = com.get("chains")
-    if chains is None:
-        problems.append("com.chains: expected a list (use [] for no "
-                        "chain)")
-        chains = []
+    chains = com["chains"]
     if len(chains) > 1:
         problems.append(f"com.chains: at most one E2E chain is "
                         f"supported, got {len(chains)}")
-    for i, chain in enumerate(chains):
-        where = f"com.chains[{i}]"
-        if not isinstance(chain, dict):
-            problems.append(f"{where}: expected an object")
-            continue
-        missing = [f for f in CHAIN_FIELDS if f not in chain]
-        if missing:
-            problems.append(f"{where}: missing chain field(s) "
-                            f"{', '.join(missing)}")
-            continue
+    for where, chain in _records("com.chains", chains, E2E_CHAIN, problems):
         if not has_can:
             problems.append(f"{where}: an E2E chain needs a CAN bus "
                             f"(network.can is null)")
@@ -398,65 +439,52 @@ def _validate_com(com, problems: list[str], fp_tasks, can_frames,
                 problems.append(
                     f"{where}: {role} task {task!r} is not a task of "
                     f"ECU {ecu!r}")
-        if chain["pdu_name"] not in can_frames:
+        pdu, signal = chain["pdu_name"], chain["signal_name"]
+        if pdu not in specs:
             problems.append(
-                f"{where}: chain PDU {chain['pdu_name']!r} has no "
-                f"matching network.can frame spec")
-        if not _is_int(chain["period"], 1):
+                f"{where}: chain PDU {pdu!r} has no matching "
+                f"network.can frame spec")
+        if pdu in pdus:
+            problems.append(f"{where}: chain PDU {pdu!r} is also a "
+                            f"com.frames I-PDU")
+        if signal in mapped:
+            problems.append(f"{where}: chain signal {signal!r} is already "
+                            f"mapped into I-PDU {mapped[signal]!r}")
+        if chain["period"] < 1:
             problems.append(f"{where}: period must be a positive "
                             f"integer")
-        elif _is_int(chain["timeout"]) \
-                and chain["timeout"] < chain["period"]:
+        elif chain["timeout"] < chain["period"]:
             problems.append(f"{where}: timeout below the chain period")
 
 
-def _validate_resilience(resilience, problems: list[str], has_chain,
-                         has_can, static_frames):
-    if not isinstance(resilience, dict):
-        problems.append("resilience: expected an object")
-        return
-    scenarios = resilience.get("scenarios")
-    if not isinstance(scenarios, list):
-        problems.append("resilience.scenarios: expected a list (use [] "
-                        "for none)")
-        return
-    for i, scenario in enumerate(scenarios):
-        where = f"resilience.scenarios[{i}]"
-        if not isinstance(scenario, dict):
-            problems.append(f"{where}: expected an object")
-            continue
-        kind = scenario.get("kind")
-        if kind not in SCENARIO_KINDS:
-            problems.append(
-                f"{where}: unknown fault kind {kind!r}; expected one "
-                f"of {', '.join(SCENARIO_KINDS)}")
-            continue
-        if not _is_int(scenario.get("start"), 0):
-            problems.append(f"{where}: start must be a non-negative "
-                            f"integer")
-        if not _is_int(scenario.get("duration"), 1):
-            problems.append(f"{where}: duration must be a positive "
-                            f"integer")
-        if kind == "flexray-slot-loss" \
-                and scenario.get("target") not in static_frames:
-            problems.append(
-                f"{where}: target {scenario.get('target')!r} is not a "
-                f"FlexRay static writer frame")
-        if kind.startswith("e2e-") or kind in ("can-error-burst",
-                                               "can-bus-off",
-                                               "ecu-reset"):
-            if not has_chain:
-                problems.append(f"{where}: fault kind {kind!r} injects "
-                                f"into the E2E chain, but the model "
-                                f"has none")
-        if kind == "tdma-babble" and not has_can:
-            problems.append(f"{where}: fault kind {kind!r} needs a CAN "
-                            f"bus")
+# ----------------------------------------------------------------------
+# validation
+# ----------------------------------------------------------------------
+def _build_problems(doc: dict) -> list[str]:
+    """Parts 3 and 4: build the system a well-shaped, well-referenced
+    document describes; a constructor's refusal is one row, else every
+    fault scenario's problems are."""
+    from repro.model.build import at_path, system_from_model
+    from repro.verify.resilience import scenario_problems
+
+    try:
+        system = system_from_model(doc)
+        if system.chain is not None:
+            with at_path("com.chains[0]"):
+                system.chain.pdu()
+        if system.tdma is not None:
+            with at_path(f"osek.ecus.{system.tdma.ecu}"):
+                system.tdma.scheduler()
+    except ConfigurationError as exc:
+        return [str(exc)]
+    return [f"resilience.scenarios[{i}]: {problem}"
+            for i, scenario in enumerate(system.faults)
+            for problem in scenario_problems(system, scenario)]
 
 
 def validate_document(doc) -> list[str]:
     """Every problem of ``doc``, as readable ``"<path>: <message>"``
-    rows; an empty list means the document is valid."""
+    rows; an empty list means the document is valid (and builds)."""
     if not isinstance(doc, dict):
         return ["model: document must be a JSON object"]
     problems: list[str] = []
@@ -484,19 +512,15 @@ def validate_document(doc) -> list[str]:
         problems.append("meta: expected an object")
     elif not (isinstance(meta.get("name"), str) and meta["name"]):
         problems.append("meta.name: expected a non-empty string")
-
-    fp_tasks, tdma_ecus, _resources = _validate_osek(doc["osek"],
-                                                     problems)
+    fp_tasks = _validate_osek(doc["osek"], problems)
+    specs = _validate_network(doc["network"], problems)
     network = doc["network"] if isinstance(doc["network"], dict) else {}
-    can_frames, static_frames = _validate_network(doc["network"],
-                                                  problems)
-    has_can = isinstance(network.get("can"), dict)
-    com = doc["com"] if isinstance(doc["com"], dict) else {}
-    _validate_com(doc["com"], problems, fp_tasks, can_frames, has_can)
-    has_chain = bool(com.get("chains")) and has_can
-    _validate_resilience(doc["resilience"], problems, has_chain,
-                         has_can, static_frames)
-    return problems
+    _validate_com(doc["com"], problems, fp_tasks, specs,
+                  isinstance(network.get("can"), dict))
+    if _record("resilience", doc["resilience"], RESILIENCE, problems):
+        _records("resilience.scenarios", doc["resilience"]["scenarios"],
+                 FAULT_SCENARIO, problems)
+    return problems or _build_problems(doc)
 
 
 def ensure_valid(doc) -> None:

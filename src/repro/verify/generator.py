@@ -22,7 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.com.e2e import E2eProfile
+from repro.com.e2e import E2eProfile, e2e_protected_pdu
+from repro.com.ipdu import IPdu
 from repro.com.packing import PackableSignal, PackedFrame, pack_signals
 from repro.com.signal import SignalSpec
 from repro.errors import ConfigurationError
@@ -111,6 +112,14 @@ class ChainPlan:
         """Build the (stateless) E2E profile for either link end."""
         return E2eProfile(self.data_id, self.counter_bits,
                           self.max_delta_counter, self.timeout)
+
+    def pdu(self) -> IPdu:
+        """Build the protected 8-byte I-PDU either link end registers:
+        the chain signal, then the E2E counter and CRC."""
+        return e2e_protected_pdu(
+            self.pdu_name, 8, [SignalSpec(self.signal_name,
+                                          self.signal_bits)],
+            self.profile())
 
 
 @dataclass(frozen=True)

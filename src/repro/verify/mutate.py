@@ -10,9 +10,11 @@ layouts the packing heuristic would never emit.  Mutators walk an
 existing :class:`~repro.verify.generator.GeneratedSystem` toward those
 edges **without leaving well-formedness**:
 
-* every mutant satisfies :func:`validate_system` (unique priorities,
-  frames that fit their bus payload, disjoint FlexRay slots, chains
-  referencing live tasks);
+* every mutant satisfies :func:`validate_system` — the model document
+  check :func:`repro.model.schema.validate_document` applied to the
+  mutant's document (unique priorities, frames that fit their bus
+  payload, disjoint FlexRay slots, chains referencing live tasks, fault
+  windows above their detection floor);
 * mutation is a pure function of ``(system, rng)`` — the same parent
   and seed always produce the same mutant, which is what makes fuzzing
   runs resumable and ``--jobs`` invariant.
@@ -57,147 +59,19 @@ Mutator = Callable[[random.Random, GeneratedSystem],
 # Well-formedness
 # ----------------------------------------------------------------------
 def validate_system(system: GeneratedSystem) -> list[str]:
-    """Well-formedness problems of ``system`` (empty list = valid).
+    """Well-formedness problems of ``system`` (empty list = valid): the
+    problems of its model document, so
+    :func:`repro.model.schema.validate_document` is the one definition
+    of a well-formed system.
 
     This is the contract every mutator and every shrink step must
     re-establish; it intentionally does *not* include analysability —
     unanalysable-but-well-formed systems are exactly the edge cases the
     fuzzer exists to reach.
     """
-    problems: list[str] = []
+    from repro.model import model_from_system, validate_document
 
-    def check_tasks(ecu: str, tasks) -> None:
-        names = [t.name for t in tasks]
-        if len(set(names)) != len(names):
-            problems.append(f"{ecu}: duplicate task names")
-        priorities = [t.priority for t in tasks]
-        if len(set(priorities)) != len(priorities):
-            problems.append(f"{ecu}: task priorities not unique")
-
-    for ecu, tasks in system.tasksets.items():
-        check_tasks(ecu, tasks)
-
-    task_names = {t.name for tasks in system.tasksets.values()
-                  for t in tasks}
-
-    for section in system.critical_sections:
-        if section.task not in task_names:
-            problems.append(
-                f"critical section references dead task {section.task}")
-        if section.resource not in system.resources:
-            problems.append(
-                f"critical section references unknown resource "
-                f"{section.resource}")
-        if section.pre + section.duration + section.post <= 0:
-            problems.append(f"critical section of {section.task} is empty")
-    by_name = {t.name: t for tasks in system.tasksets.values()
-               for t in tasks}
-    for resource, ceiling in system.resources.items():
-        users = [by_name[s.task].priority
-                 for s in system.critical_sections
-                 if s.resource == resource and s.task in by_name]
-        if users and ceiling < max(users):
-            problems.append(f"resource {resource}: ceiling {ceiling} "
-                            f"below a user's priority {max(users)}")
-
-    chain = system.chain
-    if chain is not None:
-        if system.can is None:
-            problems.append("chain present but no CAN plan to carry it")
-        if chain.producer not in {
-                t.name for t in system.tasksets.get(chain.producer_ecu, [])}:
-            problems.append(f"chain producer {chain.producer} is not a "
-                            f"task of {chain.producer_ecu}")
-        if chain.consumer not in {
-                t.name for t in system.tasksets.get(chain.consumer_ecu, [])}:
-            problems.append(f"chain consumer {chain.consumer} is not a "
-                            f"task of {chain.consumer_ecu}")
-        if chain.period <= 0:
-            problems.append("chain period must be > 0")
-        if chain.timeout < chain.period:
-            problems.append("chain timeout below its period")
-        if chain.counter_bits < 1:
-            problems.append("chain counter needs at least one bit")
-        if not 0 < chain.max_delta_counter < (1 << chain.counter_bits):
-            problems.append("chain max_delta_counter out of counter range")
-
-    can = system.can
-    if can is not None:
-        names = [s.name for s in can.frame_specs]
-        if len(set(names)) != len(names):
-            problems.append("CAN: duplicate frame names")
-        ids = [s.can_id for s in can.frame_specs]
-        if len(set(ids)) != len(ids):
-            problems.append("CAN: duplicate identifiers")
-        specs = {s.name: s for s in can.frame_specs}
-        if chain is not None and chain.pdu_name not in specs:
-            problems.append(f"CAN: no frame spec for chain PDU "
-                            f"{chain.pdu_name}")
-        for frame in can.frames:
-            spec = specs.get(frame.ipdu.name)
-            if spec is None:
-                problems.append(f"CAN: packed frame {frame.ipdu.name} "
-                                f"has no frame spec")
-                continue
-            if frame.ipdu.size_bytes > spec.dlc:
-                problems.append(f"CAN: {frame.ipdu.name} payload "
-                                f"({frame.ipdu.size_bytes}B) exceeds "
-                                f"dlc {spec.dlc}")
-            if frame.period != spec.period:
-                problems.append(f"CAN: {frame.ipdu.name} packed period "
-                                f"{frame.period} != spec period "
-                                f"{spec.period}")
-
-    flexray = system.flexray
-    if flexray is not None:
-        slots = [w.assignment.slot for w in flexray.static_writers]
-        if len(set(slots)) != len(slots):
-            problems.append("FlexRay: static slots not disjoint")
-        for writer in flexray.static_writers:
-            if not 1 <= writer.assignment.slot \
-                    <= flexray.config.n_static_slots:
-                problems.append(f"FlexRay: slot {writer.assignment.slot} "
-                                f"outside the static segment")
-            if writer.assignment.node not in flexray.nodes:
-                problems.append(f"FlexRay: writer node "
-                                f"{writer.assignment.node} not attached")
-            if writer.period <= 0 or not 0 <= writer.offset < writer.period:
-                problems.append(f"FlexRay: writer of slot "
-                                f"{writer.assignment.slot} has a bad "
-                                f"period/offset")
-        frame_ids = [w.spec.frame_id for w in flexray.dynamic_writers]
-        if len(set(frame_ids)) != len(frame_ids):
-            problems.append("FlexRay: duplicate dynamic frame ids")
-        for writer in flexray.dynamic_writers:
-            if writer.node not in flexray.nodes:
-                problems.append(f"FlexRay: dynamic writer node "
-                                f"{writer.node} not attached")
-            if writer.period <= 0 or not 0 <= writer.offset < writer.period:
-                problems.append(f"FlexRay: dynamic {writer.spec.name} has "
-                                f"a bad period/offset")
-
-    tdma = system.tdma
-    if tdma is not None:
-        check_tasks(tdma.ecu, tdma.tasks)
-        if not tdma.partitions:
-            problems.append("TDMA: no partitions")
-        populated = {t.partition for t in tdma.tasks}
-        for task in tdma.tasks:
-            if task.partition not in tdma.partitions:
-                problems.append(f"TDMA: task {task.name} references "
-                                f"unknown partition {task.partition}")
-        for partition in tdma.partitions:
-            if partition not in populated:
-                problems.append(f"TDMA: partition {partition} has no tasks")
-        if tdma.major_frame < len(tdma.partitions):
-            problems.append("TDMA: major frame too short to give every "
-                            "partition a window")
-
-    if system.faults:
-        from repro.verify.resilience import scenario_problems
-        for scenario in system.faults:
-            problems.extend(scenario_problems(system, scenario))
-    return problems
+    return validate_document(model_from_system(system))
 
 
 # ----------------------------------------------------------------------

@@ -34,8 +34,7 @@ from repro.analysis import can_rta, flexray_rta, rta, tdma_bound
 from repro.analysis.e2e import Chain, SAMPLED, Stage
 from repro.analysis.probes import ChainProbe
 from repro.com.com import CanComAdapter, ComStack, PERIODIC
-from repro.com.e2e import E2eReceiver, e2e_protected_pdu, protect_link
-from repro.com.signal import SignalSpec
+from repro.com.e2e import E2eReceiver, protect_link
 from repro.digest import canonical_digest
 from repro.errors import AnalysisError
 from repro.network.can import CanBus
@@ -445,16 +444,9 @@ def build_system(system: GeneratedSystem) -> BuiltSystem:
     on_producer_complete = on_consumer_complete = None
     if chain is not None and system.can is not None:
         profile = chain.profile()
-
-        def chain_pdu():
-            return e2e_protected_pdu(
-                chain.pdu_name, 8,
-                [SignalSpec(chain.signal_name, chain.signal_bits)],
-                profile)
-
         tx_stack = stacks[chain.producer_ecu]
-        tx_stack.add_tx_pdu(chain_pdu(), PERIODIC, chain.period)
-        rx_stack.add_rx_pdu(chain_pdu())
+        tx_stack.add_tx_pdu(chain.pdu(), PERIODIC, chain.period)
+        rx_stack.add_rx_pdu(chain.pdu())
         receiver = protect_link(tx_stack, rx_stack, chain.pdu_name,
                                 profile)
         probe = ChainProbe(chain.pdu_name)

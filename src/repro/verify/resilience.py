@@ -90,9 +90,11 @@ def min_duration(system: GeneratedSystem, kind: str, target: str = "") -> int:
 
     A loss window shorter than the E2E timeout is legitimately
     invisible; a crash shorter than the watchdog window never misses a
-    deadline.  Scenario generators (and :func:`scenario_problems`) keep
-    windows at or above this floor so an undetected fault is always a
-    real defect, never an under-sized experiment.
+    deadline.  Scenario generators keep windows at or above this floor,
+    and :func:`scenario_problems` (so every model document check, see
+    :func:`repro.model.schema.validate_document`) rejects windows below
+    it, so an undetected fault is always a real defect, never an
+    under-sized experiment.
     """
     chain = system.chain
     if kind == "e2e-corruption":
@@ -120,11 +122,14 @@ def _static_writer(system: GeneratedSystem, frame_name: str):
 
 def scenario_problems(system: GeneratedSystem,
                       scenario: FaultScenario) -> list[str]:
-    """Validation problems of one scenario against its system.
+    """Validation problems of one scenario against its built system.
 
-    Used by :func:`repro.verify.mutate.validate_system`; an empty list
-    means the scenario is well-formed *and* its window is large enough
-    for detection to be guaranteed (see :func:`min_duration`).
+    The only definition of a well-formed fault scenario: the model
+    document check :func:`repro.model.schema.validate_document` (and
+    so :func:`repro.verify.mutate.validate_system`) runs it on every
+    scenario, and the mutator prunes scenarios it rejects.  An empty
+    list means the scenario is well-formed *and* its window is large
+    enough for detection to be guaranteed (see :func:`min_duration`).
     """
     problems: list[str] = []
     label = scenario.label()

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from broken_models import BROKEN, write_broken
 from repro import cli
 from repro.__main__ import main
 from repro.meas.service import DEFAULT_DAQ_PERIOD
@@ -43,6 +44,9 @@ ROWS = (
                        "meas-daq")]
     + [(command, ["--model", INVALID], 1, "invalid model document")
        for command in ("verify", "resilience", "fuzz")]
+    + [(command, ["--model", broken], 1, "invalid model document")
+       for command in ("verify", "resilience", "fuzz")
+       for broken in BROKEN]
     + [(command, ["--model", MISSING], 2, "cannot read")
        for command in ("verify", "resilience", "fuzz")]
     + [(command, ["--model", BINARY], 2, "not valid JSON")
@@ -75,6 +79,7 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
          "failure": {"kind": "soundness", "detail": "tdma",
                      "subject": "TDMA0.P0.T0"},
          "system": legacy}))
+    write_broken(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

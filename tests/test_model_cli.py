@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from broken_models import BROKEN, write_broken
 from repro.__main__ import main
 from repro.model.cli import (EXIT_INVALID, EXIT_OK, EXIT_UNREADABLE,
                              model_command, model_from_ref)
@@ -69,6 +70,14 @@ def test_validate_invalid(invalid_file, capsys):
     out = capsys.readouterr().out
     assert "INVALID" in out
     assert "unknown version 99" in out
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_validate_rejects_rule_breaking_document(name, tmp_path, capsys):
+    write_broken(tmp_path)
+    assert model_command(["validate", str(tmp_path / name)]) \
+        == EXIT_INVALID
+    assert "INVALID" in capsys.readouterr().out
 
 
 def test_validate_missing_file(capsys):
