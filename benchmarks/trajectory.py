@@ -1,7 +1,7 @@
 """Aggregate every ``BENCH_*.json`` trajectory into one machine-readable
 file.
 
-Each gated benchmark (E17, E19, ...) persists its raw numbers to a
+Each persisting benchmark (E17, E19, ...) writes its raw numbers to a
 ``BENCH_<name>.json`` at the repo root.  Those files are written by
 different benchmarks at different times with different shapes; anything
 tracking the performance trajectory across PRs (plots, regression

@@ -33,7 +33,7 @@ import json
 import struct
 import zlib
 from array import array
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import Record
@@ -46,17 +46,6 @@ TRAILER_MAGIC = b"MTFINDEX"
 
 #: Records buffered per signal before a column block is flushed.
 DEFAULT_CHUNK_RECORDS = 4096
-
-RecordLike = Union[Record, tuple]
-
-
-def _parts(record: RecordLike) -> tuple[int, str, str, dict]:
-    """(time, category, subject, data) of a Record or a 4-tuple."""
-    if isinstance(record, Record):
-        return record.time, record.category, record.subject, record.data
-    time, category, subject, data = record
-    return time, category, subject, data
-
 
 class MtfWriter:
     """Append-only columnar writer.
@@ -85,12 +74,14 @@ class MtfWriter:
         self.records_written = 0
 
     # -- sink protocols ------------------------------------------------
-    def write_batch(self, records: list[RecordLike]) -> None:
-        """Append a batch of records (Trace spill / DAQ sink entry)."""
+    def write_batch(self, records: list[Record]) -> None:
+        """Append a batch of records (Trace spill / DAQ sink entry):
+        :class:`~repro.sim.trace.Record` objects or plain
+        ``(time, category, subject, data)`` tuples."""
         if self._closed:
             raise ConfigurationError(f"{self.path}: writer is closed")
         for record in records:
-            time, category, subject, data = _parts(record)
+            time, category, subject, data = record
             signal = f"{category}:{subject}"
             buffer = self._buffers.get(signal)
             if buffer is None:

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: a queue of timestamped callbacks and a
+The kernel is deliberately small: one heap of timestamped callbacks and a
 ``now`` cursor.  All time is integer nanoseconds (:mod:`repro.units`),
 so event ordering is exact and runs are reproducible.
 
@@ -9,24 +9,21 @@ instant fire in ascending priority, then insertion order.  This makes
 simultaneous hardware events (e.g. two CAN controllers requesting the bus on
 the same bit edge) deterministic without hidden dependence on heap internals.
 
-The queue is a :class:`BucketEventQueue`: an int-heap of *distinct*
-timestamps over per-timestamp buckets.  Simulated workloads are
-dominated by same-instant bursts (every task release at a hyperperiod
-boundary, every CAN controller reacting to the same bus edge), and a
-bucket turns each burst into O(1) list appends and cursor bumps instead
-of O(log n) heap churn per event.  A bucket stays a plain FIFO list
-while every event in it shares one priority — the overwhelmingly common
-case — and converts itself to a (priority, seq) heap on the first
-mixed-priority push.  ``tests/kernel_reference.py`` holds the plain
-single-heap reference that ``tests/test_kernel_queue.py`` pins event
-order and trace digests against.
+Every event is one ``(time, priority, seq, handle)`` tuple on that heap:
+:meth:`Simulator.schedule_at` pushes it and the dispatch loop pops it
+inline, so an event costs one tuple push and one pop and no queue method
+call.  The tuples compare in C and ``seq`` is unique, so the handle is
+never compared.  There is no per-instant bucket: the pipeline workloads
+dispatch 1.2–2.3 events per distinct instant, so most buckets would hold
+one event and cost more than the heap entries they save (EXPERIMENTS
+E17, E22).  ``tests/kernel_reference.py`` holds an independent reference
+that fires the smallest live ``(time, priority, seq)`` by linear search;
+``tests/test_kernel_queue.py`` pins event order and trace digests against
+it.
 
-``run_until`` and ``run`` share one dispatch loop that makes one queue
-call per event: :meth:`BucketEventQueue.pop` removes and returns the
-next live event due at or before the horizon.  Events a callback
-schedules *at the current instant* therefore interleave by
-(priority, seq) with the ones already waiting, exactly as popping one
-global heap would.
+``run_until`` and ``run`` share one dispatch loop.  Events a callback
+schedules *at the current instant* go onto the same heap and interleave
+by (priority, seq) with the ones already waiting.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from repro.errors import SimulationError
 class EventHandle:
     """Handle to a scheduled event, usable for cancellation.
 
-    Cancellation is lazy: the queue entry stays in place but is skipped
+    Cancellation is lazy: the heap entry stays in place but is skipped
     when popped.  This keeps ``cancel`` O(1).
     """
 
@@ -66,119 +63,6 @@ class EventHandle:
         return f"<EventHandle t={self.time} prio={self.priority} {state}>"
 
 
-class _Bucket:
-    """Events of one timestamp.
-
-    Lives as a FIFO list (``items`` + ``head`` cursor) while every
-    event pushed so far shares one priority — seq order *is* priority
-    order then, and push/pop are O(1) appends and cursor bumps.  The
-    first push with a different priority converts the unconsumed tail
-    into a (priority, seq, handle) heap; ``heap is not None`` marks
-    the converted state.
-    """
-
-    __slots__ = ("items", "head", "heap")
-
-    def __init__(self, handle: EventHandle):
-        self.items: list[EventHandle] = [handle]
-        self.head = 0
-        self.heap: Optional[list] = None
-
-    def add(self, handle: EventHandle) -> None:
-        if self.heap is not None:
-            heapq.heappush(self.heap,
-                           (handle.priority, handle.seq, handle))
-        elif not self.items \
-                or handle.priority == self.items[0].priority:
-            # Uniform priority so far (items[0] is a valid witness even
-            # when already consumed — FIFO mode implies it shares the
-            # bucket's one priority): seq is monotonic, append keeps
-            # (priority, seq) order.
-            self.items.append(handle)
-        else:
-            self.heap = [(h.priority, h.seq, h)
-                         for h in self.items[self.head:]
-                         if not h.cancelled]
-            heapq.heapify(self.heap)
-            heapq.heappush(self.heap,
-                           (handle.priority, handle.seq, handle))
-            self.items = []
-            self.head = 0
-
-    def pop(self) -> Optional[EventHandle]:
-        """Remove and return the next live event; None once drained."""
-        heap = self.heap
-        if heap is not None:
-            while heap:
-                handle = heapq.heappop(heap)[2]
-                if not handle.cancelled:
-                    return handle
-            return None
-        items = self.items
-        head = self.head
-        while head < len(items):
-            handle = items[head]
-            head += 1
-            if not handle.cancelled:
-                self.head = head
-                return handle
-        self.head = head
-        return None
-
-    @property
-    def pending(self) -> int:
-        if self.heap is not None:
-            return sum(1 for entry in self.heap
-                       if not entry[2].cancelled)
-        return sum(1 for h in self.items[self.head:] if not h.cancelled)
-
-
-class BucketEventQueue:
-    """Array-backed bucket queue: an int-heap of distinct timestamps
-    plus a :class:`_Bucket` per timestamp.
-
-    Heap operations happen per *distinct timestamp*, not per event, and
-    compare plain ints instead of handle tuples; every same-instant
-    burst beyond the first event costs O(1).  A drained bucket stays in
-    place until the next :meth:`pop` finds it empty, so an event
-    scheduled back into the current instant joins it.
-    """
-
-    __slots__ = ("_times", "_buckets")
-
-    def __init__(self):
-        self._times: list[int] = []
-        self._buckets: dict[int, _Bucket] = {}
-
-    def push(self, handle: EventHandle) -> None:
-        bucket = self._buckets.get(handle.time)
-        if bucket is None:
-            self._buckets[handle.time] = _Bucket(handle)
-            heapq.heappush(self._times, handle.time)
-        else:
-            bucket.add(handle)
-
-    def pop(self, horizon: float) -> Optional[EventHandle]:
-        """Remove and return the next live event due at or before
-        ``horizon``; None when there is none.  Cancelled entries and
-        drained buckets are dropped on the way."""
-        times = self._times
-        while times:
-            time = times[0]
-            if time > horizon:
-                return None
-            handle = self._buckets[time].pop()
-            if handle is not None:
-                return handle
-            del self._buckets[time]
-            heapq.heappop(times)
-        return None
-
-    @property
-    def pending(self) -> int:
-        return sum(bucket.pending for bucket in self._buckets.values())
-
-
 class Simulator:
     """Event-driven simulator with integer-nanosecond virtual time.
 
@@ -187,17 +71,13 @@ class Simulator:
         sim = Simulator()
         sim.schedule(1000, lambda: print("fired at", sim.now))
         sim.run_until(10_000)
-
-    ``queue`` injects an event-queue instance (anything implementing
-    ``push(handle)``, ``pop(horizon)`` and ``pending``); by default a
-    fresh :class:`BucketEventQueue` is used.
     """
 
-    def __init__(self, queue=None):
+    def __init__(self):
         self.now: int = 0
         #: total events executed (introspection / throughput metrics).
         self.executed: int = 0
-        self._queue = queue if queue is not None else BucketEventQueue()
+        self._heap: list[tuple[int, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._stopped = False
 
@@ -218,8 +98,9 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}")
-        handle = EventHandle(time, priority, next(self._seq), callback)
-        self._queue.push(handle)
+        seq = next(self._seq)
+        handle = EventHandle(time, priority, seq, callback)
+        heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -228,21 +109,25 @@ class Simulator:
     def _dispatch(self, horizon: float,
                   limit: Optional[int]) -> tuple[int, int]:
         """Run events due at or before ``horizon`` until ``limit`` have
-        fired, the queue runs dry or :meth:`stop` is called.
+        fired, the heap runs dry or :meth:`stop` is called.
 
         Returns (events run, distinct instants among them).  ``now``
         moves only when an event's time differs from the previous one's.
+        Cancelled entries are dropped as they reach the top.
         """
         self._stopped = False
-        pop = self._queue.pop
+        heap = self._heap
+        pop = heapq.heappop
         events = instants = 0
         previous = None
-        while not self._stopped and events != limit:
-            handle = pop(horizon)
-            if handle is None:
+        while heap and not self._stopped and events != limit:
+            if heap[0][0] > horizon:
                 break
-            if handle.time != previous:
-                previous = self.now = handle.time
+            time, _, _, handle = pop(heap)
+            if handle.cancelled:
+                continue
+            if time != previous:
+                previous = self.now = time
                 instants += 1
             events += 1
             self.executed += 1
@@ -251,7 +136,7 @@ class Simulator:
 
     def run_until(self, horizon: int) -> None:
         """Run all events with time <= ``horizon``; leave ``now`` at the
-        horizon even if the queue drains early."""
+        horizon even if the heap drains early."""
         if horizon < self.now:
             raise SimulationError(
                 f"horizon {horizon} is before now={self.now}")
@@ -267,7 +152,7 @@ class Simulator:
             obs.count("sim.dispatch_batches", instants)
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``max_events`` fire).
+        """Run until the heap drains (or ``max_events`` fire).
 
         Returns the number of events executed.  Guard long-running models
         with ``max_events`` to catch accidental infinite event chains.
@@ -287,7 +172,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return self._queue.pending
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __repr__(self) -> str:
         return f"<Simulator now={self.now} pending={self.pending}>"

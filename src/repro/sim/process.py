@@ -12,7 +12,7 @@ sequential coding style while the kernel stays callback-based underneath.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable
+from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -81,12 +81,15 @@ class Process:
         self._gen = generator
         self.done = False
         self.result: Any = None
+        #: the signal this process is blocked on, if any.
+        self._waiting_on: Optional[Signal] = None
         self._pending_handle = sim.schedule(0, lambda: self._resume(None))
 
     def _resume(self, value: Any) -> None:
         if self.done:
             return
         self._pending_handle = None
+        self._waiting_on = None
         try:
             request = self._gen.send(value)
         except StopIteration as stop:
@@ -98,18 +101,25 @@ class Process:
                 request.ticks, lambda: self._resume(None))
         elif isinstance(request, Wait):
             request.signal._waiters.append(self)
+            self._waiting_on = request.signal
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded {request!r}; "
                 f"expected Delay or Wait")
 
     def kill(self) -> None:
-        """Terminate the process without running it further."""
+        """Terminate the process without running it further.  A process
+        blocked on a :class:`Signal` leaves the signal's waiters."""
         if self.done:
             return
         self.done = True
         if self._pending_handle is not None:
             self._pending_handle.cancel()
+        # A process killed by a co-waiter while its signal fires is no
+        # longer in the signal's list; it is skipped as done instead.
+        if self._waiting_on is not None \
+                and self in self._waiting_on._waiters:
+            self._waiting_on._waiters.remove(self)
         self._gen.close()
 
     def __repr__(self) -> str:

@@ -11,26 +11,30 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One traced occurrence.
 
     ``category`` is a dotted event kind such as ``"task.activate"`` or
     ``"bus.tx_done"``; ``subject`` names the entity (task name, frame id);
     ``data`` carries event-specific details.
+
+    A record is an immutable named tuple: assigning a field raises
+    ``AttributeError``, and building one is a single tuple allocation,
+    which matters because simulations log close to one record per
+    event.  Being a tuple, a record also compares equal to the plain
+    tuple ``(time, category, subject, data)``.
     """
 
     time: int
     category: str
     subject: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def get(self, key: str, default=None):
         """Tolerant access to an optional ``data`` key (never raises)."""
@@ -259,7 +263,7 @@ class Trace:
 
         Two traces digest equal iff they recorded the same events in
         the same order with the same payloads — the equivalence notion
-        the kernel-queue parity tests pin (bucket vs heap dispatch must
+        the kernel parity tests pin (kernel and reference dispatch must
         be byte-identical, not merely statistically alike).
         """
         return canonical_digest(self.to_dicts(), default=str)

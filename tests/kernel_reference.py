@@ -1,34 +1,58 @@
-"""Reference event queue for kernel parity checks.
+"""Reference kernel for parity checks.
 
-The plainest queue that honours the kernel's ordering contract: one
-binary heap of ``(time, priority, seq, handle)`` tuples.  The parity
-tests and the E17 bench run the same workloads through it and through
-the kernel's bucket queue via ``Simulator(queue=HeapEventQueue())``.
+:class:`ReferenceSimulator` states the kernel's ordering contract as
+directly as it can be stated: scheduled events sit in a plain list, and
+each dispatch step fires the live event with the smallest
+``(time, priority, seq)``, found by a linear search.  It shares no
+queue code with :class:`repro.sim.kernel.Simulator`: it overrides the
+three methods that touch the queue (``schedule_at``, ``_dispatch`` and
+``pending``) and inherits only the public surface around them
+(``schedule``, ``run_until``, ``run``, ``stop`` and the telemetry
+counters).  The parity tests and the E17 bench run the same workloads
+through both.
 """
 
-import heapq
+from repro.errors import SimulationError
+from repro.sim.kernel import EventHandle, Simulator
 
 
-class HeapEventQueue:
-    """Single heap ordered by (time, priority, seq)."""
+def _order(handle):
+    return handle.time, handle.priority, handle.seq
+
+
+class ReferenceSimulator(Simulator):
+    """Fires the smallest live (time, priority, seq) event, one linear
+    search per event."""
 
     def __init__(self):
-        self._heap = []
+        super().__init__()
+        self._events = []
 
-    def push(self, handle):
-        heapq.heappush(self._heap, (handle.time, handle.priority,
-                                    handle.seq, handle))
+    def schedule_at(self, time, callback, priority=0):
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before now={self.now}")
+        handle = EventHandle(time, priority, next(self._seq), callback)
+        self._events.append(handle)
+        return handle
 
-    def pop(self, horizon):
-        """Remove and return the next live event due at or before
-        ``horizon``; None when there is none."""
-        heap = self._heap
-        while heap and heap[0][0] <= horizon:
-            handle = heapq.heappop(heap)[3]
-            if not handle.cancelled:
-                return handle
-        return None
+    def _dispatch(self, horizon, limit):
+        self._stopped = False
+        events = instants = 0
+        while not self._stopped and events != limit:
+            self._events = [h for h in self._events if not h.cancelled]
+            handle = min(self._events, key=_order, default=None)
+            if handle is None or handle.time > horizon:
+                break
+            self._events.remove(handle)
+            if events == 0 or handle.time != self.now:
+                instants += 1
+            self.now = handle.time
+            events += 1
+            self.executed += 1
+            handle.callback()
+        return events, instants
 
     @property
     def pending(self):
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return sum(1 for h in self._events if not h.cancelled)

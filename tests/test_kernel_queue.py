@@ -1,32 +1,38 @@
-"""Bucket-queue vs reference-queue equivalence for the simulation kernel.
+"""Kernel vs reference equivalence for the simulation kernel.
 
-:class:`~repro.sim.kernel.BucketEventQueue` (the kernel's queue) and
-:class:`kernel_reference.HeapEventQueue` (the plain single-heap
-reference) must be observationally indistinguishable: identical event
-execution order on ties, priorities, cancellations and same-instant
-rescheduling, identical ``now``/``executed``/``pending`` at every
-horizon boundary, and byte-identical trace digests for full
-generated-system simulations.  Any divergence here means the fast path
-changed simulation semantics, which would silently re-date every pinned
-digest in the repo.
+:class:`~repro.sim.kernel.Simulator` (one heap of event tuples) and
+:class:`kernel_reference.ReferenceSimulator` (a linear search for the
+smallest live ``(time, priority, seq)``) must be observationally
+indistinguishable: identical event execution order on ties,
+priorities, cancellations and same-instant rescheduling, identical
+``now``/``executed``/``pending`` at every horizon boundary, and
+byte-identical trace digests for full generated-system simulations.
+Any divergence here means the kernel changed simulation semantics,
+which would silently re-date every pinned digest in the repo.
 """
 
 import random
 
 import pytest
 
-from kernel_reference import HeapEventQueue
+from kernel_reference import ReferenceSimulator
 
 from repro import obs
-from repro.sim.kernel import BucketEventQueue, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 from repro.verify.generator import generate
 from repro.verify.oracle import build_system, verify_system
 
-QUEUES = (HeapEventQueue, BucketEventQueue)
+#: Each single-simulator case runs on both sides.  Test ids are tracked
+#: across revisions, so the cases keep the ids of the two event queues
+#: they first compared: the reference side runs as ``HeapEventQueue``,
+#: the kernel as ``BucketEventQueue``.
+BOTH_SIDES = pytest.mark.parametrize(
+    "sim_cls", (ReferenceSimulator, Simulator),
+    ids=("HeapEventQueue", "BucketEventQueue"))
 
 
-def run_workload(queue_cls, script, horizons=(10_000,), tail=None):
+def run_workload(sim_cls, script, horizons=(10_000,), tail=None):
     """Run a schedule script; return a snapshot after every call.
 
     ``script`` is a list of directives applied before the run:
@@ -40,7 +46,7 @@ def run_workload(queue_cls, script, horizons=(10_000,), tail=None):
     then ``run(max_events=tail)`` unless ``tail`` is None.  Each
     snapshot is ``(log, now, executed, pending)`` after that call.
     """
-    sim = Simulator(queue=queue_cls())
+    sim = sim_cls()
     log = []
     handles = {}
 
@@ -101,6 +107,26 @@ def random_script(rng):
     return script
 
 
+def pipeline_script(rng):
+    """The traffic shape the pipeline workloads run: 20-60 distinct
+    times with 1-3 events each, plus the same cancels and respawns."""
+    script = []
+    tags = []
+    times = rng.sample(range(0, 5_000), rng.randint(20, 60))
+    for time in times:
+        for _ in range(rng.randint(1, 3)):
+            tag = f"e{len(tags)}"
+            script.append(("at", time, rng.choice([0, 0, 0, 1, -3]), tag))
+            tags.append(tag)
+    for _ in range(rng.randint(0, len(tags) // 4)):
+        script.append(("cancel", rng.choice(tags)))
+    for index in range(rng.randint(0, 6)):
+        script.append(("respawn", rng.choice(times),
+                       rng.choice([0, 2]), f"r{index}",
+                       rng.choice([0, 0, 7, 300]), rng.randint(1, 3)))
+    return script
+
+
 def random_horizons(rng, script):
     """Ascending ``run_until`` horizons: some exactly at scripted event
     times, some strictly between them, so calls end mid-burst and
@@ -112,26 +138,38 @@ def random_horizons(rng, script):
     return sorted(exact + between + [rng.choice(exact)])
 
 
+def assert_same_runs(script, horizons, tail):
+    reference = run_workload(ReferenceSimulator, script, horizons, tail)
+    kernel = run_workload(Simulator, script, horizons, tail)
+    assert len(kernel) == len(reference)
+    for call, (expected, actual) in enumerate(zip(reference, kernel)):
+        assert actual == expected, f"diverged after call {call}"
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_random_workloads_execute_identically(seed):
     rng = random.Random(seed)
     script = random_script(rng)
     horizons = random_horizons(rng, script)
-    tail = rng.choice([None, 0, 1, 3, 1_000])
-    heap_run = run_workload(HeapEventQueue, script, horizons, tail)
-    bucket_run = run_workload(BucketEventQueue, script, horizons, tail)
-    for call, (heap, bucket) in enumerate(zip(heap_run, bucket_run)):
-        assert bucket == heap, f"diverged after call {call}"
+    assert_same_runs(script, horizons, rng.choice([None, 0, 1, 3, 1_000]))
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_horizon_splits_a_burst_and_its_respawns(queue_cls):
+@pytest.mark.parametrize("seed", range(50))
+def test_pipeline_shaped_workloads_execute_identically(seed):
+    rng = random.Random(1_000 + seed)
+    script = pipeline_script(rng)
+    horizons = random_horizons(rng, script)
+    assert_same_runs(script, horizons, rng.choice([None, 0, 1, 3, 1_000]))
+
+
+@BOTH_SIDES
+def test_horizon_splits_a_burst_and_its_respawns(sim_cls):
     """Horizons at and just past a burst instant: the burst and its
     same-instant children finish in the call that reaches it, delayed
     children wait for the next call, and a ``run`` tail resumes them."""
     script = [("at", 100, 0, "a"), ("respawn", 100, 0, "r", 0, 2),
               ("respawn", 100, 1, "s", 7, 2), ("at", 110, 0, "b")]
-    snapshots = run_workload(queue_cls, script, (100, 103, 107), tail=1)
+    snapshots = run_workload(sim_cls, script, (100, 103, 107), tail=1)
     burst = [(100, "a"), (100, "r"), (100, "r.c0"), (100, "r.c1"),
              (100, "s")]
     assert snapshots == [
@@ -142,26 +180,26 @@ def test_horizon_splits_a_burst_and_its_respawns(queue_cls):
     ]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_dispatch_batches_count_distinct_instants(queue_cls):
+@BOTH_SIDES
+def test_dispatch_batches_count_distinct_instants(sim_cls):
     """``sim.dispatch_batches`` counts distinct instants per
     ``run_until`` call — a same-instant respawn adds events, not
     batches.  The fuzz signature's counter tokens depend on it."""
     script = [("at", 100, 0, "a"), ("respawn", 200, 0, "r", 0, 2),
               ("at", 300, 0, "c")]
     with obs.capture() as telemetry:
-        [(log, *_)] = run_workload(queue_cls, script)
+        [(log, *_)] = run_workload(sim_cls, script)
     counters = telemetry.snapshot()["metrics"]["counters"]
     assert len(log) == 5
     assert counters["sim.events"] == 5
     assert counters["sim.dispatch_batches"] == 3
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_fifo_within_same_time_and_priority(queue_cls):
-    """Equal (time, priority) events fire in insertion order — the
-    regression that a bucket's FIFO mode must honour seq order."""
-    sim = Simulator(queue=queue_cls())
+@BOTH_SIDES
+def test_fifo_within_same_time_and_priority(sim_cls):
+    """Equal (time, priority) events fire in insertion order: seq
+    breaks the tie."""
+    sim = sim_cls()
     log = []
     for index in range(20):
         sim.schedule_at(100, lambda i=index: log.append(i))
@@ -169,9 +207,9 @@ def test_fifo_within_same_time_and_priority(queue_cls):
     assert log == list(range(20))
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_priority_orders_within_a_batch(queue_cls):
-    sim = Simulator(queue=queue_cls())
+@BOTH_SIDES
+def test_priority_orders_within_a_batch(sim_cls):
+    sim = sim_cls()
     log = []
     sim.schedule_at(100, lambda: log.append("late"), priority=5)
     sim.schedule_at(100, lambda: log.append("early"), priority=-5)
@@ -181,12 +219,11 @@ def test_priority_orders_within_a_batch(queue_cls):
     assert log == ["early", "mid-a", "mid-b", "late"]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_mixed_priority_push_after_partial_drain(queue_cls):
+@BOTH_SIDES
+def test_mixed_priority_push_after_partial_drain(sim_cls):
     """A same-instant event scheduled *during* the batch with a better
-    priority than the remaining tail must jump the queue — this is the
-    bucket's FIFO-to-heap conversion path."""
-    sim = Simulator(queue=queue_cls())
+    priority than the remaining tail must jump the queue."""
+    sim = sim_cls()
     log = []
 
     def first():
@@ -200,9 +237,9 @@ def test_mixed_priority_push_after_partial_drain(queue_cls):
     assert log == ["first", "urgent", "second", "third"]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_cancelled_events_never_fire_and_pending_agrees(queue_cls):
-    sim = Simulator(queue=queue_cls())
+@BOTH_SIDES
+def test_cancelled_events_never_fire_and_pending_agrees(sim_cls):
+    sim = sim_cls()
     log = []
     keep = sim.schedule_at(50, lambda: log.append("keep"))
     drop = sim.schedule_at(50, lambda: log.append("drop"))
@@ -215,12 +252,11 @@ def test_cancelled_events_never_fire_and_pending_agrees(queue_cls):
     assert sim.executed == 2
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_reschedule_at_drained_timestamp(queue_cls):
-    """Scheduling back into the current instant after its bucket
-    drained must still fire within the same run (the stale-times
-    normalization path of the bucket queue)."""
-    sim = Simulator(queue=queue_cls())
+@BOTH_SIDES
+def test_reschedule_at_drained_timestamp(sim_cls):
+    """Scheduling back into the current instant after everything due
+    there has fired must still fire within the same run."""
+    sim = sim_cls()
     log = []
 
     def fire():
@@ -234,9 +270,9 @@ def test_reschedule_at_drained_timestamp(queue_cls):
     assert sim.now == 200
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_stop_inside_a_batch_halts_dispatch(queue_cls):
-    sim = Simulator(queue=queue_cls())
+@BOTH_SIDES
+def test_stop_inside_a_batch_halts_dispatch(sim_cls):
+    sim = sim_cls()
     log = []
     sim.schedule_at(100, lambda: (log.append("a"), sim.stop()))
     sim.schedule_at(100, lambda: log.append("b"))
@@ -250,20 +286,19 @@ def test_stop_inside_a_batch_halts_dispatch(queue_cls):
 # ----------------------------------------------------------------------
 # Full-system equivalence: the oracle's simulations are byte-identical
 # ----------------------------------------------------------------------
-def run_system(monkeypatch, queue_cls, seed):
+def run_system(monkeypatch, sim_cls, seed):
     import itertools
 
     import repro.osek.task as osek_task
     import repro.verify.oracle as oracle
 
-    monkeypatch.setattr(oracle, "Simulator",
-                        lambda: Simulator(queue=queue_cls()))
+    monkeypatch.setattr(oracle, "Simulator", sim_cls)
     # Job sequence numbers come from a process-global counter and land
-    # in trace records; restart it so both queue runs see id 0 first.
+    # in trace records; restart it so both runs see id 0 first.
     monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
     system = generate(seed, "small")
     built = build_system(system)
-    assert type(built.sim._queue) is queue_cls
+    assert type(built.sim) is sim_cls
     built.sim.run_until(built.horizon)
     verdict = verify_system(generate(seed, "small"))
     return built.trace.digest(), verdict.to_dict()
@@ -271,10 +306,10 @@ def run_system(monkeypatch, queue_cls, seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 17])
 def test_generated_system_traces_and_verdicts_match(monkeypatch, seed):
-    heap = run_system(monkeypatch, HeapEventQueue, seed)
-    bucket = run_system(monkeypatch, BucketEventQueue, seed)
-    assert bucket[0] == heap[0]      # trace digest byte-identical
-    assert bucket[1] == heap[1]      # full oracle verdict identical
+    reference = run_system(monkeypatch, ReferenceSimulator, seed)
+    kernel = run_system(monkeypatch, Simulator, seed)
+    assert kernel[0] == reference[0]     # trace digest byte-identical
+    assert kernel[1] == reference[1]     # full oracle verdict identical
 
 
 def test_trace_digest_is_order_and_content_sensitive():
@@ -291,8 +326,3 @@ def test_trace_digest_is_order_and_content_sensitive():
     d.log(1, "y", "s"), d.log(1, "x", "s")
     assert c.digest() != d.digest()
 
-
-def test_default_queue_is_the_bucket_queue():
-    """The fast path is the default; this pin makes an accidental
-    fallback to another queue a visible test failure."""
-    assert type(Simulator()._queue) is BucketEventQueue

@@ -102,6 +102,49 @@ def test_kill_stops_process():
     assert p.done
 
 
+def test_kill_releases_the_signal_the_process_waits_on():
+    """A killed waiter no longer counts as blocked on its signal, and a
+    later fire does not reach it."""
+    sim = Simulator()
+    sig = Signal("go")
+    woken = []
+
+    def waiter():
+        yield Wait(sig)
+        woken.append(sim.now)
+
+    p = spawn(sim, waiter())
+    sim.run()
+    assert sig.waiter_count == 1
+    p.kill()
+    assert sig.waiter_count == 0
+    sig.fire()
+    assert woken == [] and p.done
+
+
+def test_waiter_killed_by_a_co_waiter_during_fire_stays_dead():
+    sim = Simulator()
+    sig = Signal()
+    woken = []
+    procs = {}
+
+    def killer():
+        yield Wait(sig)
+        woken.append("killer")
+        procs["victim"].kill()
+
+    def victim():
+        yield Wait(sig)
+        woken.append("victim")
+
+    procs["killer"] = spawn(sim, killer())
+    procs["victim"] = spawn(sim, victim())
+    sim.run()
+    sig.fire()
+    assert woken == ["killer"]
+    assert procs["victim"].done and sig.waiter_count == 0
+
+
 def test_process_bad_yield_raises():
     sim = Simulator()
 

@@ -1,10 +1,11 @@
 """Unit tests for trace recording and derived metrics."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trace_reference import reference_records
 
-from repro.sim import Trace, summarize
+from repro.sim import Record, Trace, summarize
 from repro.sim.clock import DriftingClock, precision
 
 
@@ -118,6 +119,40 @@ def test_record_get_tolerates_missing_data_keys():
     assert full.get("response") == 7
     assert bare.get("response") is None
     assert bare.get("response", -1) == -1
+
+
+def test_record_is_immutable():
+    record = Record(1, "a", "b", {})
+    with pytest.raises(AttributeError):
+        record.time = 2
+    assert record.time == 1
+
+
+def test_record_repr_names_every_field():
+    assert repr(Record(1, "a", "b", {})) == \
+        "Record(time=1, category='a', subject='b', data={})"
+
+
+def test_record_get_returns_the_default_for_a_missing_key():
+    record = Record(1, "a", "b", {"x": 3})
+    assert record.get("x") == 3
+    assert record.get("y") is None
+    assert record.get("y", 7) == 7
+
+
+def test_records_with_equal_fields_compare_equal():
+    assert Record(1, "a", "b", {"x": 1}) == Record(1, "a", "b", {"x": 1})
+    assert Record(1, "a", "b", {"x": 1}) != Record(1, "a", "b", {"x": 2})
+    assert Record(1, "a", "b", {}) == (1, "a", "b", {})
+
+
+def test_logged_record_carries_the_keyword_payload_as_data():
+    tr = Trace()
+    tr.log(5, "task.complete", "T1", response=10, core=0)
+    record, = tr
+    assert record == Record(5, "task.complete", "T1",
+                            {"response": 10, "core": 0})
+    assert record.data == {"response": 10, "core": 0}
 
 
 def test_data_values_skips_records_without_the_key():
