@@ -13,9 +13,11 @@ systems run through analysis + simulation) in three modes.
 closest approximation of un-instrumented code without maintaining a
 second copy of the sources.  ``disabled`` is the stock build with
 telemetry off (the production default: every hook is one module-flag
-check).  ``enabled`` collects everything.  Per mode we report the best
-wall time over several rounds and the overhead relative to
-``stripped``.
+check).  ``enabled`` collects everything.  The workload runs once
+untimed as a warm-up; then each of ``ROUNDS`` rounds times all three
+modes, in reversed order on alternate rounds, so no mode always runs
+first.  Per mode we report the best wall time over the rounds and the
+overhead relative to ``stripped``.
 
 Expected shape: ``disabled`` within 5% of ``stripped`` (the hooks are
 coarse on purpose — the kernel counts executed-event *deltas* per
@@ -38,6 +40,9 @@ ROUNDS = 3
 #: The disabled-mode gate: hooks with telemetry off may cost at most
 #: this fraction over fully stripped-out instrumentation.
 DISABLED_BUDGET = 0.05
+
+#: The modes in forward order; alternate rounds run them reversed.
+MODES = ("stripped", "disabled", "enabled")
 
 #: The obs helpers invoked from instrumented hot paths.  ``stripped``
 #: mode replaces each with the cheapest possible stand-in.
@@ -65,18 +70,6 @@ def _workload():
     return verify_many(SEED, SYSTEMS, SIZE)
 
 
-def _best_wall(fn) -> tuple[float, str]:
-    """Best-of-ROUNDS wall time and the (invariant) report digest."""
-    best, digest = None, None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        report = fn()
-        wall = time.perf_counter() - started
-        best = wall if best is None else min(best, wall)
-        digest = report.digest()
-    return best, digest
-
-
 def run() -> list[dict]:
     obs.disable()
     obs.reset()
@@ -93,20 +86,27 @@ def run() -> list[dict]:
         finally:
             obs.disable()
 
-    rows = []
-    baseline = None
-    for mode, fn in (("stripped", stripped), ("disabled", _workload),
-                     ("enabled", enabled)):
-        wall, digest = _best_wall(fn)
-        if baseline is None:
-            baseline = wall
-        rows.append({
-            "mode": mode,
-            "wall_s": round(wall, 3),
-            "overhead_pct": round((wall / baseline - 1.0) * 100, 1),
-            "report_digest": digest[:12],
-        })
-    rows[-1]["telemetry_digest"] = obs.digest()[:12]
+    runners = {"stripped": stripped, "disabled": _workload,
+               "enabled": enabled}
+    _workload()  # untimed warm-up, so no timed mode pays first-run costs
+    best, digests = {}, {}
+    for round_ in range(ROUNDS):
+        for mode in MODES if round_ % 2 == 0 else MODES[::-1]:
+            started = time.perf_counter()
+            report = runners[mode]()
+            wall = time.perf_counter() - started
+            best[mode] = min(wall, best.get(mode, wall))
+            digests[mode] = report.digest()
+            if mode == "enabled":
+                telemetry = obs.digest()
+    rows = [{
+        "mode": mode,
+        "wall_s": round(best[mode], 3),
+        "overhead_pct": round((best[mode] / best["stripped"] - 1.0) * 100,
+                              1),
+        "report_digest": digests[mode][:12],
+    } for mode in MODES]
+    rows[-1]["telemetry_digest"] = telemetry[:12]
     return rows
 
 
@@ -122,7 +122,8 @@ def check(rows: list[dict]) -> None:
 
 
 TITLE = (f"E14: obs overhead on the E12 verify workload "
-         f"({SYSTEMS} systems, seed {SEED}, best of {ROUNDS})")
+         f"({SYSTEMS} systems, seed {SEED}, best of {ROUNDS} interleaved "
+         f"rounds)")
 
 
 def bench_e14_obs_overhead(benchmark):

@@ -8,8 +8,9 @@ Claims:
   round-trips every record it was given.
 * **Throughput** (gated in full mode only — CI machines make timing
   assertions flaky): the chunked columnar MTF writer sustains at least
-  ``MTF_SPEEDUP_FLOOR``x the events/sec of the JSONL spill path on the
-  same record stream.
+  ``MTF_SPEEDUP_FLOOR``x the events/sec of a JSON-lines writer
+  (:func:`jsonl_spill`, this bench's baseline) on the same record
+  stream.
 * **Overhead** (full mode only): attaching a measurement service
   without running a DAQ list costs at most ``DETACHED_OVERHEAD_CEIL``
   of the bare simulation's wall time — observability that is not used
@@ -23,9 +24,11 @@ file alone.
 """
 
 import argparse
+import json
 import os
 import tempfile
 import time
+from typing import Callable
 
 from _tables import print_table
 from trajectory import REPO_ROOT, write_bench
@@ -34,7 +37,7 @@ from repro.meas.batch import measure_models
 from repro.meas.mtf import MtfReader, MtfWriter
 from repro.meas.registry import build_registry
 from repro.meas.service import MeasurementService
-from repro.sim.trace import Record, jsonl_spill
+from repro.sim.trace import Record
 from repro.units import ms, us
 from repro.verify.generator import generate, generate_many
 from repro.verify.oracle import build_system
@@ -90,6 +93,19 @@ def _mtf_roundtrip(records: list[Record], path: str) -> None:
 # ----------------------------------------------------------------------
 # Timing
 # ----------------------------------------------------------------------
+def jsonl_spill(path: str) -> Callable[[list[Record]], None]:
+    """The JSONL baseline: a batch callable that appends records to
+    ``path`` as JSON lines (one record per line, sorted keys)."""
+    def spill(records: list[Record]) -> None:
+        with open(path, "a", encoding="utf-8") as handle:
+            for rec in records:
+                handle.write(json.dumps(
+                    {"time": rec.time, "category": rec.category,
+                     "subject": rec.subject, "data": rec.data},
+                    sort_keys=True) + "\n")
+    return spill
+
+
 def _record_stream(count: int) -> list[Record]:
     """A spill-shaped stream over a handful of hot signals."""
     return [Record(i * 100, "task.complete", f"T{i % 8}",

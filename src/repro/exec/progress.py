@@ -52,9 +52,6 @@ class ProgressMeter:
         self.chunks_resumed += 1
         self.items_resumed += items
 
-    # Backwards-compatible alias for the pre-rename event name.
-    chunk_skipped = chunk_resumed
-
     def chunk_done(self, items: int, elapsed: float, worker: int) -> None:
         self.chunks_done += 1
         self.items_done += items

@@ -1,11 +1,11 @@
 """MTF: a chunked, columnar, MDF-like mass-trace store.
 
-JSONL spill (:func:`repro.sim.trace.jsonl_spill`) writes one JSON
-object per record — simple, greppable, and far too slow and too flat
-once campaigns produce millions of records.  Real automotive
-measurement tooling logs to MDF: column-oriented, chunked, indexed, so
-a reader can pull *one signal over one time range* without touching
-the rest of the file.  MTF is that idea at this library's scale:
+JSON lines (one JSON object per record) are simple and greppable,
+and far too slow and too flat once campaigns produce millions of
+records.  Real automotive measurement tooling logs to MDF:
+column-oriented, chunked, indexed, so a reader can pull *one signal
+over one time range* without touching the rest of the file.  MTF is
+that idea at this library's scale:
 
 * records are grouped by **signal** (``category:subject``) and written
   in column blocks — one packed ``int64`` array of timestamps plus one
@@ -16,10 +16,10 @@ the rest of the file.  MTF is that idea at this library's scale:
   trailer stores the directory's offset, so a reader opens the file
   with two seeks and resolves any ``(signal, time-range)`` query to
   the exact blocks that overlap it — no scan of the data region;
-* the writer is **append-only** and duck-types both sink protocols of
-  this library: it is a :class:`~repro.sim.trace.Trace` spill target
-  (``write_batch``/``close``) and a DAQ sink for
-  :class:`repro.meas.service.MeasurementService`.
+* the writer is **append-only**: ``write_batch`` takes trace records
+  or plain ``(time, category, subject, data)`` tuples, and ``close``
+  seals the store.  ``--mtf-out`` (:func:`repro.cli.write_mtf`)
+  writes a run's DAQ rows through it after the run.
 
 File layout::
 
@@ -53,8 +53,7 @@ class MtfWriter:
     Records are buffered per signal; once a signal's buffer reaches
     ``chunk_records`` it is flushed as one column block.  ``close()``
     flushes every remaining buffer, writes the directory and the
-    trailer, and is idempotent.  Usable as a context manager and as a
-    ``Trace`` spill target.
+    trailer, and is idempotent.  Usable as a context manager.
     """
 
     def __init__(self, path: str,
@@ -73,9 +72,8 @@ class MtfWriter:
         #: total records accepted (buffered + flushed).
         self.records_written = 0
 
-    # -- sink protocols ------------------------------------------------
     def write_batch(self, records: list[Record]) -> None:
-        """Append a batch of records (Trace spill / DAQ sink entry):
+        """Append a batch of records:
         :class:`~repro.sim.trace.Record` objects or plain
         ``(time, category, subject, data)`` tuples."""
         if self._closed:
@@ -92,8 +90,6 @@ class MtfWriter:
             self.records_written += 1
             if len(buffer[0]) >= self.chunk_records:
                 self._flush_signal(signal)
-
-    __call__ = write_batch  # also usable as a plain spill callable
 
     def _flush_signal(self, signal: str) -> None:
         times, values = self._buffers.pop(signal)

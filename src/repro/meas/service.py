@@ -36,7 +36,7 @@ from repro.errors import ConfigurationError, MeasurementError
 from repro.meas.registry import (CALIB_PREFIX, CHARACTERISTIC, MEASUREMENT,
                                  MeasurementRegistry, build_registry,
                                  calibration_set)
-from repro.sim.trace import Trace, as_spill_sink
+from repro.sim.trace import Trace
 from repro.units import ms
 
 #: The DEM event every applied calibration write reports against.
@@ -150,10 +150,7 @@ class MeasurementService:
         entry = self.registry.entry(name)
         self.reads += 1
         if entry.kind == CHARACTERISTIC:
-            if self.config is None:
-                raise MeasurementError(
-                    f"{self.node}: no configuration set attached")
-            return self.config.get(name[len(CALIB_PREFIX):])
+            return self._characteristic(name)()
         accessor = self._accessors.get(name)
         if accessor is None:
             raise MeasurementError(
@@ -166,6 +163,15 @@ class MeasurementService:
         names = names if names is not None \
             else self.registry.names(MEASUREMENT)
         return {name: self.read(name) for name in names}
+
+    def _characteristic(self, name: str) -> Callable[[], object]:
+        """Reader of one characteristic's current value in the
+        configuration set, so a post-build write shows in later reads."""
+        if self.config is None:
+            raise MeasurementError(
+                f"{self.node}: no configuration set attached")
+        parameter = name[len(CALIB_PREFIX):]
+        return lambda: self.config.get(parameter)
 
     # -- calibration write ---------------------------------------------
     def write(self, name: str, value) -> None:
@@ -208,22 +214,25 @@ class MeasurementService:
                     address=entry.address)
 
     # -- DAQ -----------------------------------------------------------
-    def start_daq(self, daq: DaqList, sink=None) -> None:
-        """Start a cyclic sampling list.
+    def start_daq(self, daq: DaqList) -> None:
+        """Start a cyclic sampling list; its rows land in
+        :attr:`samples`.
 
-        ``sink`` (optional) receives each tick's records — a callable
-        or a writer object with ``write_batch()`` (e.g. an
-        :class:`~repro.meas.mtf.MtfWriter`); samples are also retained
-        in :attr:`samples` for the digest.
-        """
+        A measurement is sampled through its live accessor, a
+        characteristic from the configuration set (the value
+        :meth:`read` returns)."""
         self._require_connected()
         if daq.name in self._daq:
             raise MeasurementError(
                 f"{self.node}: daq list {daq.name!r} already running")
-        for entry in daq.entries:
-            self.registry.entry(entry)  # raises on unknown names
-        run = {"daq": daq, "sink": as_spill_sink(sink),
-               "sink_target": sink, "active": True, "ticks": 0}
+        samplers = []
+        for name in daq.entries:
+            entry = self.registry.entry(name)  # raises on unknown names
+            samplers.append(self._characteristic(name)
+                            if entry.kind == CHARACTERISTIC
+                            else self._accessors.get(name))
+        run = {"daq": daq, "samplers": samplers, "active": True,
+               "ticks": 0}
         self._daq[daq.name] = run
         self.sim.schedule_at(self.sim.now + daq.offset,
                              lambda: self._tick(run),
@@ -234,16 +243,9 @@ class MeasurementService:
             return
         daq = run["daq"]
         now = self.sim.now
-        batch = []
-        for entry in daq.entries:
-            accessor = self._accessors.get(entry)
-            value = accessor() if accessor is not None else None
+        for entry, sample in zip(daq.entries, run["samplers"]):
+            value = sample() if sample is not None else None
             self.samples.append([now, daq.name, entry, value])
-            if run["sink"] is not None:
-                batch.append((now, f"daq.{daq.name}", entry,
-                              {"value": value}))
-        if batch and run["sink"] is not None:
-            run["sink"](batch)
         run["ticks"] += 1
         if obs.enabled():
             obs.count("meas.daq.samples", len(daq.entries))
@@ -251,16 +253,12 @@ class MeasurementService:
                           priority=DAQ_PRIORITY)
 
     def stop_daq(self, name: str) -> None:
-        """Stop one sampling list, sealing its sink when the sink is a
-        writer with ``close()`` (e.g. an MTF store's directory)."""
+        """Stop one sampling list."""
         run = self._daq.pop(name, None)
         if run is None:
             raise MeasurementError(
                 f"{self.node}: no running daq list {name!r}")
         run["active"] = False
-        closer = getattr(run["sink_target"], "close", None)
-        if callable(closer):
-            closer()
 
     def detach(self) -> None:
         """Stop every DAQ list and disconnect."""
@@ -345,14 +343,16 @@ def bind_appliers(built, system) -> dict[str, Callable]:
 def attach_world(world, node: str = "MEAS:world") -> MeasurementService:
     """Attach to any object exposing ``sim`` (and optionally ``trace``,
     ``receiver``) — the fault-campaign ``ReferenceWorld`` shape.  Only
-    generic measurements are registered; there is no calibration set."""
+    generic measurements are registered; there is no calibration set.
+    ``trace.records`` is the length of the world's trace, which keeps
+    every record of the run."""
     accessors: dict[str, Callable[[], object]] = {
         "sim.now": lambda: world.sim.now,
         "sim.executed": lambda: world.sim.executed,
     }
     trace = getattr(world, "trace", None)
     if trace is not None:
-        accessors["trace.records"] = lambda: len(trace) + trace.spilled
+        accessors["trace.records"] = lambda: len(trace)
     receiver = getattr(world, "receiver", None)
     if receiver is not None:
         accessors["e2e.errors"] = lambda: receiver.error_count

@@ -8,11 +8,10 @@ with every field spelled out (no pickling, readable by a human).
 The **model document** (:mod:`repro.model.build`, the versioned
 exchange format behind ``repro model``, the scenario library and the
 fuzz corpus under ``tests/corpus/``) is assembled from these
-primitives, and it is the only form a system is read back from.  Two
-write-only views hash them as well: the fuzzer's flat system view
+primitives, and it is the only form a system is read back from.  One
+write-only view hashes them as well: the fuzzer's flat system view
 (:mod:`repro.verify.fuzz`, inside every fuzz digest and corpus file
-name) and the per-layer keys of :mod:`repro.perf.keys` — so a field
-added here is automatically part of every layer's content key.
+name).
 """
 
 from __future__ import annotations

@@ -81,10 +81,10 @@ class Interconnect:
 
     def latencies(self, category: str, name: Optional[str] = None
                   ) -> list[int]:
-        """Observed latencies from the trace, by category and name.
+        """Observed latencies from the trace, by exact category and name.
 
-        Records without a ``latency`` key (gated drops under a ``"noc"``
-        prefix query) are skipped."""
+        Records without a ``latency`` key (``noc.gated_drop``) are
+        skipped."""
         return self.trace.data_values(category, "latency", name)
 
 

@@ -4,17 +4,16 @@ Every simulated subsystem (OS kernel, buses, NoC, BSW services) reports what
 happened through a :class:`Trace`: a flat, time-ordered list of records.
 Analyses over traces (response times, jitter, end-to-end latencies) live in
 :mod:`repro.sim.trace` so that simulation results and analytic bounds can be
-compared with the same vocabulary.
+compared with the same vocabulary.  A trace keeps every record of its run,
+so a bound check reads all of its observations, never a retained tail.
 """
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from repro.digest import canonical_digest
-from repro.errors import ConfigurationError
 
 
 class Record(NamedTuple):
@@ -42,49 +41,21 @@ class Record(NamedTuple):
 
 
 class Trace:
-    """Append-only record store with simple query helpers.
+    """Append-only, unbounded record store with simple query helpers.
 
     Beside the record list the trace keeps an index, appended in
     :meth:`log`: ``category -> [Record]`` and ``(category, subject) ->
     [Record]``, both in log order and holding references to the same
-    record objects.  :meth:`records` answers a query whose category
-    matches one recorded category from that category's list, so bound
-    checks over a long run never rescan it.
-
-    By default the trace grows without bound — every record of a run is
-    queryable, which is what the verification oracle and the invariants
-    need.  Long soak simulations can instead cap memory with
-    ``max_records``: when the trace exceeds the cap, the oldest quarter
-    (plus any excess) is evicted, optionally handed to a ``spill``
-    target first.  The target is either a plain callable (e.g.
-    :func:`jsonl_spill` to stream records to disk) or a writer object
-    with ``write_batch()`` — and optionally ``close()`` — such as
-    :class:`repro.meas.mtf.MtfWriter`.  Queries then see only the
-    retained tail; :attr:`spilled` counts what was evicted.
-    :meth:`close` spills the retained tail too, so end-of-run records
-    are never silently dropped.  With both parameters at their
-    defaults the behaviour is exactly the historical unbounded one.
-    Each batch eviction rebuilds the index from the retained tail, so
-    the index never holds an evicted record and its upkeep stays
-    amortised O(1) per :meth:`log`, like the eviction itself.
+    record objects.  :meth:`records` answers every query from that
+    index, so bound checks over a long run never rescan it.
     """
 
-    def __init__(self, max_records: Optional[int] = None,
-                 spill=None):
-        if max_records is not None and max_records < 4:
-            raise ConfigurationError(
-                f"max_records must be >= 4, got {max_records}")
+    def __init__(self):
         self._records: list[Record] = []
         self._by_category: defaultdict[str, list[Record]] = \
             defaultdict(list)
         self._by_subject: defaultdict[tuple[str, str], list[Record]] = \
             defaultdict(list)
-        self._max_records = max_records
-        self._spill_target = spill
-        self._spill = as_spill_sink(spill)
-        #: number of records evicted by the bound (0 in unbounded mode).
-        self.spilled = 0
-        self._closed = False
 
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
         """Append one record.  ``time`` must be non-decreasing per caller
@@ -93,26 +64,6 @@ class Trace:
         self._records.append(record)
         self._by_category[category].append(record)
         self._by_subject[category, subject].append(record)
-        if self._max_records is not None \
-                and len(self._records) > self._max_records:
-            # Evict down to 3/4 of the cap in one batch, so the
-            # amortised per-log cost stays O(1) instead of shifting the
-            # whole list on every append at the boundary.
-            keep = (self._max_records * 3) // 4
-            evicted = self._records[:len(self._records) - keep]
-            if self._spill is not None:
-                self._spill(evicted)
-            self.spilled += len(evicted)
-            del self._records[:len(evicted)]
-            self._reindex()
-
-    def _reindex(self) -> None:
-        """Rebuild the index from the retained records."""
-        self._by_category.clear()
-        self._by_subject.clear()
-        for record in self._records:
-            self._by_category[record.category].append(record)
-            self._by_subject[record.category, record.subject].append(record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -120,45 +71,25 @@ class Trace:
     def __iter__(self) -> Iterator[Record]:
         return iter(self._records)
 
-    def records(self, category: Optional[str] = None,
+    def records(self, category: str,
                 subject: Optional[str] = None,
                 predicate: Optional[Callable[[Record], bool]] = None
                 ) -> list[Record]:
-        """Filtered view of the trace, in log order, as a fresh list.
+        """Records of exactly ``category`` (and ``subject``, when given)
+        that pass ``predicate``, in log order, as a fresh list.
 
-        ``category`` matches exactly or as a dotted prefix (``"task"``
-        matches ``"task.activate"``).  When it matches one recorded
-        category, the answer comes from the index: that category's list,
-        or its ``(category, subject)`` list when ``subject`` is given,
-        filtered by ``predicate``.  A query without a category, or whose
-        prefix spans several recorded categories, scans the whole trace.
+        ``category`` is matched exactly: ``"task"`` does not match
+        ``"task.activate"``.  The answer is that category's index list,
+        or its ``(category, subject)`` list, filtered by ``predicate``;
+        a query never adds a key to the index.
         """
-        if category is not None:
-            prefix = category + "."
-            found = [name for name in self._by_category
-                     if name == category or name.startswith(prefix)]
-            if len(found) < 2:
-                if not found:
-                    return []
-                if subject is None:
-                    candidates = self._by_category[found[0]]
-                else:
-                    candidates = self._by_subject.get((found[0], subject),
-                                                      ())
-                if predicate is None:
-                    return list(candidates)
-                return [rec for rec in candidates if predicate(rec)]
-        out = []
-        for rec in self._records:
-            if category is not None and not _category_matches(rec.category,
-                                                              category):
-                continue
-            if subject is not None and rec.subject != subject:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
-        return out
+        if subject is None:
+            candidates = self._by_category.get(category, ())
+        else:
+            candidates = self._by_subject.get((category, subject), ())
+        if predicate is None:
+            return list(candidates)
+        return [rec for rec in candidates if predicate(rec)]
 
     def times(self, category: str, subject: Optional[str] = None) -> list[int]:
         """Timestamps of matching records."""
@@ -224,26 +155,6 @@ class Trace:
         self._by_category.clear()
         self._by_subject.clear()
 
-    def close(self) -> None:
-        """Flush the retained tail to the spill target and close it.
-
-        Without this, end-of-run records — everything logged since the
-        last eviction — would never reach the spill file.  The tail is
-        spilled in order after everything already evicted, the target's
-        own ``close()`` is called when it has one (e.g. an MTF writer
-        sealing its directory), and the trace is emptied.  Idempotent;
-        a no-op spill-wise when no spill target is configured."""
-        if self._closed:
-            return
-        if self._spill is not None and self._records:
-            self._spill(list(self._records))
-            self.spilled += len(self._records)
-            self.clear()
-        closer = getattr(self._spill_target, "close", None)
-        if callable(closer):
-            closer()
-        self._closed = True
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -284,42 +195,6 @@ class Trace:
 
     def __repr__(self) -> str:
         return f"<Trace {len(self._records)} records>"
-
-
-def _category_matches(actual: str, wanted: str) -> bool:
-    return actual == wanted or actual.startswith(wanted + ".")
-
-
-def as_spill_sink(spill) -> Optional[Callable[[list], None]]:
-    """Normalize a spill target to a batch callable.
-
-    Accepts ``None``, a plain callable, or a writer object exposing
-    ``write_batch()`` (the protocol of :class:`repro.meas.mtf.MtfWriter`
-    and the DAQ sinks).  Anything else is a configuration error —
-    silently ignoring a mistyped sink would drop records."""
-    if spill is None:
-        return None
-    write_batch = getattr(spill, "write_batch", None)
-    if callable(write_batch):
-        return write_batch
-    if callable(spill):
-        return spill
-    raise ConfigurationError(
-        f"spill target {spill!r} is neither callable nor a writer "
-        f"with write_batch()")
-
-
-def jsonl_spill(path: str) -> Callable[[list[Record]], None]:
-    """Spill callback for :class:`Trace` that appends evicted records to
-    ``path`` as JSON lines (one record per line, sorted keys)."""
-    def spill(records: list[Record]) -> None:
-        with open(path, "a", encoding="utf-8") as handle:
-            for rec in records:
-                handle.write(json.dumps(
-                    {"time": rec.time, "category": rec.category,
-                     "subject": rec.subject, "data": rec.data},
-                    sort_keys=True) + "\n")
-    return spill
 
 
 def summarize(values: list[int]) -> dict:

@@ -219,11 +219,9 @@ class VerificationReport:
 # ----------------------------------------------------------------------
 # Analytic side
 # ----------------------------------------------------------------------
-# Each layer is solved by a dedicated pure function of exactly the
-# sub-model that :func:`repro.perf.layer_keys` digests, returning
-# ``[(subject, bound-or-None), ...]`` (None = the analysis declined for
-# that subject).  ``tests/test_perf_invalidation.py`` pins the
-# key/mutator matrix.
+# Each layer is solved by a dedicated pure function of its own
+# sub-model, returning ``[(subject, bound-or-None), ...]`` (None = the
+# analysis declined for that subject).
 
 def _solve_rta(specs, cs_map) -> list:
     """Per-ECU task WCRTs.  ``wcrt - jitter`` is the from-release
@@ -287,9 +285,7 @@ def _solve_tdma(plan) -> list:
 
 
 def _solve_e2e(chain, producer, consumer, frame_wcrt) -> list:
-    """Chain bound from already-solved producer/consumer/bus numbers —
-    pure in them, so its composite layer key hashes the upstream layer
-    keys rather than re-deriving the inputs."""
+    """Chain bound from already-solved producer/consumer/bus numbers."""
     if producer is None or consumer is None or frame_wcrt < 0:
         return [(chain.pdu_name, None)]
     model = Chain(chain.pdu_name, [

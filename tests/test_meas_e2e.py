@@ -1,11 +1,11 @@
 """End-to-end acceptance for the measurement & calibration plane.
 
 The tentpole walk: bundled scenario -> registry -> attach to the live
-simulation -> cyclic DAQ list into an MTF store -> post-build
-calibration applied mid-run while a pre-compile write is refused ->
-the MTF file summarized by ``repro stats`` and seek-queried in O(1)
-blocks.  Plus the determinism contract: DAQ digests are byte-identical
-across ``jobs=1``, ``jobs=4`` and a resumed run.
+simulation -> cyclic DAQ list -> post-build calibration applied mid-run
+while a pre-compile write is refused -> the samples written to an MTF
+store after the run, summarized by ``repro stats`` and seek-queried in
+O(1) blocks.  Plus the determinism contract: DAQ digests are
+byte-identical across ``jobs=1``, ``jobs=4`` and a resumed run.
 """
 
 import pytest
@@ -35,10 +35,8 @@ def test_full_measurement_walk(tmp_path, scenario):
     assert service.registry.digest() == registry.digest()
     service.connect()
 
-    # 3. Cyclic DAQ list streaming into an MTF store.
-    path = str(tmp_path / "walk.mtf")
-    service.start_daq(default_daq(service.registry, period=ms(1)),
-                      sink=MtfWriter(path, chunk_records=16))
+    # 3. Cyclic DAQ list.
+    service.start_daq(default_daq(service.registry, period=ms(1)))
 
     # 4. Mid-run calibration: schedule a post-build write and a
     #    pre-compile attempt while the simulation is running.
@@ -66,10 +64,17 @@ def test_full_measurement_walk(tmp_path, scenario):
     assert frame["parameter"] == "chain.timeout"
     assert frame["time"] == ms(20)
 
-    # 5. The MTF store is sealed, summarized by `repro stats`, and a
-    #    narrow seek touches only the overlapping blocks.
+    # 5. The samples are written to an MTF store after the run, the way
+    #    `--mtf-out` writes them; the store is summarized by
+    #    `repro stats`, and a narrow seek touches only the overlapping
+    #    blocks.
     from repro.obs.stats import summarize_paths
 
+    path = str(tmp_path / "walk.mtf")
+    with MtfWriter(path, chunk_records=16) as writer:
+        writer.write_batch([
+            (time, f"daq.{daq_name}", entry, {"value": value})
+            for time, daq_name, entry, value in service.sample_rows()])
     summary = summarize_paths([path])
     assert "MTF store" in summary and "daq.daq0:sim.now" in summary
     with MtfReader(path) as reader:

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.meas.mtf import (DEFAULT_CHUNK_RECORDS, MAGIC, MtfReader,
                             MtfWriter, is_mtf_file, summarize_mtf)
-from repro.sim.trace import Record, Trace
+from repro.sim.trace import Record
 
 
 def write_sample(path, signals=3, per_signal=100, chunk_records=32):
@@ -66,19 +66,6 @@ def test_accepts_trace_records_and_tuples(tmp_path):
         writer.write_batch([(6, "a", "x", {"n": 2})])
     with MtfReader(path) as reader:
         assert reader.read("a:x") == [(5, {"n": 1}), (6, {"n": 2})]
-
-
-def test_usable_as_trace_spill_target(tmp_path):
-    path = str(tmp_path / "spill.mtf")
-    writer = MtfWriter(path, chunk_records=16)
-    trace = Trace(max_records=8, spill=writer)
-    for i in range(40):
-        trace.log(i, "task.complete", "T", n=i)
-    trace.close()  # flushes the tail AND seals the store
-    with MtfReader(path) as reader:
-        rows = reader.read("task.complete:T")
-        assert [t for t, __ in rows] == list(range(40))
-        assert reader.records == 40
 
 
 def test_write_after_close_rejected(tmp_path):

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError, MeasurementError
-from repro.meas.mtf import MtfReader, MtfWriter
 from repro.meas.service import (CALIBRATION_DTC, CALIBRATION_EVENT, DaqList,
                                 MeasurementService, attach_world,
                                 default_daq, samples_digest)
-from repro.units import ms, us
+from repro.units import ms
 from repro.verify.generator import generate as generate_system
 from repro.verify.oracle import build_system
 
@@ -137,20 +136,20 @@ def test_daq_digest_is_deterministic():
     assert digests[0] == digests[1]
 
 
-def test_daq_sink_receives_batches_and_is_sealed(tmp_path, live):
+def test_daq_samples_a_characteristic_from_the_configuration_set(live):
     built, system, service = live
     service.connect()
-    path = str(tmp_path / "daq.mtf")
-    service.start_daq(DaqList("fast", ("sim.now", "sim.executed"),
-                              period=us(500)), sink=MtfWriter(path))
-    built.sim.run_until(ms(5))
-    service.detach()  # stop_daq seals the MTF directory
-    with MtfReader(path) as reader:
-        assert reader.signals() == ["daq.fast:sim.executed",
-                                    "daq.fast:sim.now"]
-        rows = reader.read("daq.fast:sim.now")
-        assert [t for t, __ in rows] == [us(500) * i for i in range(11)]
-        assert all(data["value"] == t for t, data in rows)
+    old = service.read("calib.chain.timeout")
+    service.start_daq(DaqList("cal", ("calib.chain.timeout", "sim.now"),
+                              period=ms(1)))
+    built.sim.schedule_at(ms(2) + 1, lambda: service.write(
+        "calib.chain.timeout", old * 2))
+    built.sim.run_until(ms(4))
+    service.detach()
+    sampled = [(row[0], row[3]) for row in service.samples
+               if row[2] == "calib.chain.timeout"]
+    assert sampled == [(ms(0), old), (ms(1), old), (ms(2), old),
+                       (ms(3), old * 2), (ms(4), old * 2)]
 
 
 def test_daq_validates_names_and_duplicates(live):

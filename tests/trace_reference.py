@@ -1,18 +1,17 @@
 """Reference trace query for index parity checks.
 
 The plainest answer to ``Trace.records(category, subject, predicate)``:
-one ordered scan over every retained record.  The property test in
-``test_sim_trace.py`` runs the same queries through it and through the
-trace's index.
+one ordered scan over every record, matching the category exactly.  The
+property test in ``test_sim_trace.py`` runs the same queries through it
+and through the trace's index.
 """
 
 
-def reference_records(trace, category=None, subject=None, predicate=None):
+def reference_records(trace, category, subject=None, predicate=None):
     """Records of ``trace`` matching the query, in log order."""
     out = []
     for rec in trace:
-        if category is not None and rec.category != category \
-                and not rec.category.startswith(category + "."):
+        if rec.category != category:
             continue
         if subject is not None and rec.subject != subject:
             continue
