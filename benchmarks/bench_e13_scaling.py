@@ -3,8 +3,8 @@
 Claim (paper, Section 4, read through the ROADMAP's scaling lens): an
 integrated architecture's sweeps — fault campaigns, verification
 fleets — are embarrassingly parallel over independent cells, so a
-scheduler that shards them deterministically should convert cores into
-wall-clock speedup *without changing a single byte of the report*.
+scheduler that fans them out deterministically should convert cores
+into wall-clock speedup *without changing a single byte of the report*.
 
 Setup: the reference two-ECU campaign matrix replicated over several
 fault onsets (every cell is an independent world), executed through
@@ -13,11 +13,11 @@ wall time, throughput (cells/second), the speedup over the serial run
 and the campaign report digest.
 
 Expected shape: identical digests at every jobs level (the engine's
-determinism guarantee — seeds derive from the cell index, results merge
-in plan order), and on a machine with >= 4 usable cores a >= 2x
-speedup at 4 jobs.  On fewer cores the digest guarantee still holds;
-the speedup column just flattens toward 1x, so the speedup assertion
-is gated on the visible core count.
+determinism guarantee — each cell's result is a pure function of the
+cell, results merge by cell index), and on a machine with >= 4 usable
+cores a >= 2x speedup at 4 jobs.  On fewer cores the digest guarantee
+still holds; the speedup column just flattens toward 1x, so the
+speedup assertion is gated on the visible core count.
 """
 
 import os

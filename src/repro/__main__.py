@@ -158,7 +158,7 @@ def campaign(args: list[str]) -> int:
     cells = reference_cells()
     if options.smoke:
         cells = cells[:1]  # one corruption cell: fast CI regression gate
-    with cli.telemetry(options):
+    with cli.journal_errors(parser), cli.telemetry(options):
         report = run_campaign(
             ReferenceWorld, cells, horizon=ms(300),
             daq_period=cli.daq_period(options),
@@ -209,7 +209,7 @@ def verify(args: list[str]) -> int:
     models = options.models
     run = cli.exec_kwargs(options,
                           len(models) if models else options.systems)
-    with cli.telemetry(options):
+    with cli.journal_errors(parser), cli.telemetry(options):
         if models:
             from repro.model import verify_models
 
@@ -272,7 +272,7 @@ def fuzz_command(args: list[str]) -> int:
     options = cli.check(parser, parser.parse_args(args))
     seeds = None if options.models is None else [
         model.build() for model in options.models]
-    with cli.telemetry(options):
+    with cli.journal_errors(parser), cli.telemetry(options):
         report = fuzz(
             options.seed, options.budget, options.size,
             seed_batch=options.seed_batch,
@@ -314,7 +314,7 @@ def resilience(args: list[str]) -> int:
     models = options.models
     run = cli.exec_kwargs(options,
                           len(models) if models else options.systems)
-    with cli.telemetry(options):
+    with cli.journal_errors(parser), cli.telemetry(options):
         if models:
             from repro.model import resilience_models
 

@@ -16,10 +16,11 @@ Four flag groups, each declared once here:
 :func:`check` is the one post-parse step: flag combinations and
 ranges are usage errors reported through ``parser.error`` (exit 2),
 and ``--model`` references load through :func:`load_models` with the
-exit mapping of :func:`load_failure`.  The exit contract of every
-subcommand: ``0`` everything valid / every obligation met, ``1`` a
-document is invalid or a verification failed, ``2`` an input could
-not be read or the command line is malformed.
+exit mapping of :func:`load_failure`, which :func:`journal_errors`
+shares for a ``--resume`` journal that cannot be resumed.  The exit
+contract of every subcommand: ``0`` everything valid / every
+obligation met, ``1`` a document is invalid or a verification failed,
+``2`` an input could not be read or the command line is malformed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import contextlib
 import sys
 from typing import Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 #: Exit codes: ok / invalid document or failed check / unreadable input.
 EXIT_OK, EXIT_INVALID, EXIT_UNREADABLE = 0, 1, 2
@@ -52,12 +53,12 @@ def add_exec_flags(parser) -> None:
     """``--jobs`` plus the checkpoint journal and live progress."""
     add_jobs_flag(parser)
     parser.add_argument("--checkpoint", metavar="PATH",
-                        help="JSONL journal recording per-chunk results")
+                        help="JSONL journal recording per-item results")
     parser.add_argument("--resume", action="store_true",
-                        help="skip chunks already journaled as done in "
+                        help="skip items already journaled as done in "
                              "--checkpoint; re-run in-flight/failed ones")
     parser.add_argument("--progress", action="store_true",
-                        help="live chunk/rate/ETA lines on stderr "
+                        help="live item/rate/ETA lines on stderr "
                              "(stdout stays byte-identical)")
 
 
@@ -142,10 +143,11 @@ def load_models(refs: list[str]) -> list:
     return [model_from_ref(ref) for ref in refs]
 
 
-def load_failure(prog: str, exc: ConfigurationError) -> int:
+def load_failure(prog: str, exc: ReproError) -> int:
     """Report a failed load on stderr and return its exit code: 1 for
     a readable document that fails validation, 2 for anything that
-    could not be read at all."""
+    could not be read at all (a model document or a checkpoint
+    journal)."""
     from repro.model.schema import ModelValidationError
 
     print(f"{prog}: error: {exc}", file=sys.stderr)
@@ -164,9 +166,22 @@ def exec_kwargs(options, items: int) -> dict:
         from repro.exec import ProgressMeter
 
         progress = ProgressMeter(
-            items, items, emit=lambda line: print(line, file=sys.stderr))
+            items, emit=lambda line: print(line, file=sys.stderr))
     return {"jobs": options.jobs, "checkpoint": options.checkpoint,
             "resume": options.resume, "progress": progress}
+
+
+@contextlib.contextmanager
+def journal_errors(parser):
+    """Exit 2 with one ``<prog>: error:`` line when the block raises
+    :class:`~repro.errors.JournalError`: the ``--resume`` journal is
+    missing, written for a different plan, or damaged."""
+    from repro.errors import JournalError
+
+    try:
+        yield
+    except JournalError as exc:
+        parser.exit(load_failure(parser.prog, exc))
 
 
 def _telemetry_wanted(options) -> bool:

@@ -77,17 +77,23 @@ class MeasurementError(ReproError):
 class ExecutionError(ReproError):
     """The parallel execution engine could not complete a work plan.
 
-    Raised when chunks exhaust their retry budget, when a checkpoint
-    journal does not match the plan being resumed, or when a resume is
-    requested without a journal to resume from.
+    Raised when items exhaust their retry budget, when the engine is
+    called with invalid arguments, or — as :class:`JournalError` — when
+    a checkpoint journal cannot be resumed.
     """
 
 
+class JournalError(ExecutionError):
+    """A checkpoint journal cannot be resumed: it is missing, was
+    written for a different plan, or is damaged before its trailing
+    line.  The CLI reports it as unreadable input (exit 2)."""
+
+
 class ExecutionInterrupted(ReproError):
-    """A run was cut short before every chunk completed.
+    """A run was cut short before every item completed.
 
     Raised by the ``interrupt_after`` hook of
     :func:`repro.exec.pool.execute` — the programmatic stand-in for a
-    killed process.  Chunks journaled before the interruption survive
+    killed process.  Items journaled before the interruption survive
     and are skipped by a ``resume`` run.
     """

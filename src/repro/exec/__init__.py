@@ -1,20 +1,22 @@
 """Deterministic parallel execution engine for sweeps and campaigns.
 
-``repro.exec`` turns any seeded, embarrassingly parallel workload —
-fault-campaign cells, differential-verification fleets, DSE sweeps —
-into deterministically sharded chunks fanned out over a process pool,
+``repro.exec`` runs any embarrassingly parallel workload — fault-
+campaign cells, differential-verification fleets, fuzzing rounds — as
+one ``worker(item)`` call per item, fanned out over a process pool,
 with the guarantee that ``jobs=1`` and ``jobs=N`` produce
-**byte-identical merged results** (same report digests):
+**byte-identical merged results** (same report digests): each item's
+result is a pure function of the item, and results merge by item
+index, never by completion order.
 
 * :mod:`repro.exec.shard` — spawn-style ``(base_seed, index)`` seed
-  derivation and worker-count-independent chunking;
+  derivation for the generators that build a sweep's items;
 * :mod:`repro.exec.plan` — the picklable work-plan description and its
   checkpoint fingerprint;
 * :mod:`repro.exec.pool` — in-process or process-pool execution with
-  order-independent merging, crash isolation and bounded retry;
+  index-ordered merging, crash isolation and bounded retry;
 * :mod:`repro.exec.checkpoint` — the append-only JSONL journal behind
   ``--resume``;
-* :mod:`repro.exec.progress` — chunks/sec, ETA and per-worker wall-time
+* :mod:`repro.exec.progress` — items/sec, ETA and per-worker wall-time
   metrics, observational only.
 """
 
@@ -22,10 +24,10 @@ from repro.exec.checkpoint import Journal, JournalState
 from repro.exec.plan import Plan
 from repro.exec.pool import ExecutionResult, execute
 from repro.exec.progress import ProgressMeter
-from repro.exec.shard import Chunk, derive_seed, shard
+from repro.exec.shard import derive_seed
 
 __all__ = [
-    "Chunk", "derive_seed", "shard",
+    "derive_seed",
     "Plan",
     "ExecutionResult", "execute",
     "Journal", "JournalState",

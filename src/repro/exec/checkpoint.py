@@ -1,20 +1,25 @@
 """Checkpoint journal: append-only JSONL record of a plan execution.
 
 One journal file per run.  The first line identifies the plan (its
-fingerprint, chunk and item counts); every subsequent line is one
-event:
+fingerprint and item count); every subsequent line is one event about
+one item, addressed by its index in the plan:
 
-* ``start`` — a chunk was handed to a worker;
-* ``done``  — a chunk completed; carries the pickled result payload
-  (base85-encoded so the journal stays line-oriented UTF-8 JSON) plus
-  the worker pid and wall time;
-* ``failed`` — a chunk exhausted its retry budget.
+* ``start`` — an item was handed to a worker;
+* ``done``  — an item completed; carries its pickled result (base85-
+  encoded so the journal stays line-oriented UTF-8 JSON) plus the
+  worker pid and wall time;
+* ``failed`` — an item exhausted its retry budget.
+
+The layout is the one journals had when several items could share a
+record, so journals written then still resume: records key the item
+index as ``"chunk"``, a ``done`` payload is a one-element result list,
+and the header repeats the item count as ``"chunks"``.
 
 Records are flushed line-by-line, so a killed run loses at most the
-chunks that were in flight.  On ``resume`` the journal is replayed:
-``done`` chunks are recovered from their payloads and skipped,
-``start``-without-``done`` chunks (in flight when the run died) and
-``failed`` chunks are re-run.  A journal whose plan fingerprint does
+items that were in flight.  On ``resume`` the journal is replayed:
+``done`` items are recovered from their payloads and skipped,
+``start``-without-``done`` items (in flight when the run died) and
+``failed`` items are re-run.  A journal whose plan fingerprint does
 not match the plan being resumed is refused — silently mixing results
 of two different sweeps is exactly the corruption this check exists to
 prevent.
@@ -23,10 +28,13 @@ A run killed mid-``write`` (power loss, ``kill -9``, a full disk) can
 leave the journal's **last** line truncated or garbled.  That is
 expected damage for an append-only log, so replay tolerates it:
 the trailing line is discarded with a :class:`JournalCorruptionWarning`
-and its chunk simply re-runs — losing one chunk of progress, never
-correctness.  Corruption anywhere *before* the trailing line cannot be
-explained by an interrupted append and still fails the resume with
-:class:`~repro.errors.ExecutionError`, as does a damaged header.
+and its item simply re-runs — losing one item of progress, never
+correctness.  A record is damaged when it does not parse, names no
+item of the plan, or carries a ``done`` payload that is not one result.
+Damage anywhere *before* the trailing line cannot be explained by an
+interrupted append and fails the resume with
+:class:`~repro.errors.JournalError`, as does a missing journal or a
+damaged or foreign header.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, JournalError
 from repro.exec.plan import _PICKLE_PROTOCOL, Plan
 
 
@@ -60,8 +68,8 @@ def _decode_payload(payload: str) -> list:
 class JournalState:
     """Replay of a journal: what is already done, what must re-run."""
 
-    completed: dict = field(default_factory=dict)  # chunk index -> results
-    #: chunk index -> telemetry snapshot (only for journals written
+    completed: dict = field(default_factory=dict)  # item index -> result
+    #: item index -> telemetry snapshot (only for journals written
     #: with telemetry collection enabled).
     telemetry: dict = field(default_factory=dict)
     in_flight: set = field(default_factory=set)
@@ -69,7 +77,7 @@ class JournalState:
 
     @property
     def pending(self) -> set:
-        """Chunks that must re-run: started-but-unfinished or failed."""
+        """Items that must re-run: started-but-unfinished or failed."""
         return (self.in_flight | self.failed) - set(self.completed)
 
 
@@ -86,33 +94,31 @@ class Journal:
         self._handle = open(self.path, "w", encoding="utf-8")
         self._write({"type": "plan", "label": plan.label,
                      "fingerprint": plan.fingerprint(),
-                     "chunks": len(plan.chunks()),
+                     "chunks": plan.n_items,
                      "items": plan.n_items})
 
     def reopen(self) -> None:
         """Continue appending to an existing journal (resume path)."""
         self._handle = open(self.path, "a", encoding="utf-8")
 
-    def record_start(self, chunk_index: int) -> None:
-        self._write({"type": "start", "chunk": chunk_index})
+    def record_start(self, index: int) -> None:
+        self._write({"type": "start", "chunk": index})
 
-    def record_done(self, chunk_index: int, results: list,
-                    elapsed: float, worker: int,
+    def record_done(self, index: int, result, elapsed: float, worker: int,
                     telemetry: Optional[dict] = None) -> None:
-        record = {"type": "done", "chunk": chunk_index,
-                  "payload": _encode_payload(results),
+        record = {"type": "done", "chunk": index,
+                  "payload": _encode_payload([result]),
                   "elapsed": round(elapsed, 6), "worker": worker}
         if telemetry is not None:
-            # Journaled alongside the results so a resumed run can
-            # re-merge the skipped chunks' telemetry in plan order and
+            # Journaled alongside the result so a resumed run can
+            # re-merge the skipped items' telemetry in plan order and
             # keep the telemetry digest identical to an uninterrupted
             # run (same guarantee as the result digest).
             record["telemetry"] = telemetry
         self._write(record)
 
-    def record_failed(self, chunk_index: int, error: str,
-                      attempts: int) -> None:
-        self._write({"type": "failed", "chunk": chunk_index,
+    def record_failed(self, index: int, error: str, attempts: int) -> None:
+        self._write({"type": "failed", "chunk": index,
                      "error": error, "attempts": attempts})
 
     def close(self) -> None:
@@ -128,46 +134,56 @@ class Journal:
         self._handle.flush()
 
     # -- replay --------------------------------------------------------
-    def load(self, plan: Optional[Plan] = None) -> JournalState:
-        """Replay the journal; validate it against ``plan`` if given."""
+    def load(self, plan: Plan) -> JournalState:
+        """Replay the journal, validated against ``plan``."""
         if not os.path.exists(self.path):
-            raise ExecutionError(
+            raise JournalError(
                 f"cannot resume: no checkpoint journal at {self.path}")
-        state = JournalState()
-        with open(self.path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
+        try:
+            with open(self.path, encoding="utf-8") as handle:
+                lines = [line for line in handle if line.strip()]
+        except (OSError, ValueError) as error:
+            raise JournalError(
+                f"cannot resume: journal {self.path} is unreadable "
+                f"({error})")
         if not lines:
-            raise ExecutionError(
+            raise JournalError(
                 f"cannot resume: journal {self.path} is empty")
         try:
             header = json.loads(lines[0])
         except ValueError as error:
-            raise ExecutionError(
+            raise JournalError(
                 f"journal {self.path}: corrupt plan header "
                 f"({error}); refusing to resume")
-        if header.get("type") != "plan":
-            raise ExecutionError(
+        if not isinstance(header, dict) or header.get("type") != "plan":
+            raise JournalError(
                 f"journal {self.path}: missing plan header")
-        if plan is not None \
-                and header.get("fingerprint") != plan.fingerprint():
-            raise ExecutionError(
+        if header.get("fingerprint") != plan.fingerprint():
+            raise JournalError(
                 f"journal {self.path} was written for a different plan "
                 f"(journal {header.get('label')!r} "
                 f"fingerprint {header.get('fingerprint')!r}); refusing "
                 f"to mix results")
+        state = JournalState()
         last = len(lines) - 1
         for position, line in enumerate(lines[1:], start=1):
             try:
                 record = json.loads(line)
-                kind = record.get("type")
-                index = record.get("chunk")
+                if not isinstance(record, dict):
+                    raise ValueError("record is not a JSON object")
+                kind, index = record.get("type"), record.get("chunk")
+                if type(index) is not int or not 0 <= index < plan.n_items:
+                    raise ValueError(f"item index {index!r} is not one of "
+                                     f"the plan's {plan.n_items} items")
                 if kind == "start":
                     state.in_flight.add(index)
                 elif kind == "done":
                     # Decode BEFORE mutating state: a garbled payload
-                    # must not leave a half-registered chunk behind.
+                    # must not leave a half-registered item behind.
                     payload = _decode_payload(record["payload"])
-                    state.completed[index] = payload
+                    if not isinstance(payload, list) or len(payload) != 1:
+                        raise ValueError("done payload is not one result")
+                    state.completed[index] = payload[0]
                     if "telemetry" in record:
                         state.telemetry[index] = record["telemetry"]
                     state.in_flight.discard(index)
@@ -179,15 +195,15 @@ class Journal:
                     pickle.UnpicklingError) as error:
                 if position == last:
                     # An interrupted append can only damage the tail.
-                    # Discard it; the chunk's `start` record (if any)
+                    # Discard it; the item's `start` record (if any)
                     # keeps it in_flight, so it simply re-runs.
                     warnings.warn(
                         f"journal {self.path}: discarding corrupt "
                         f"trailing line ({type(error).__name__}: "
-                        f"{error}); the affected chunk will re-run",
+                        f"{error}); the affected item will re-run",
                         JournalCorruptionWarning, stacklevel=2)
                     break
-                raise ExecutionError(
+                raise JournalError(
                     f"journal {self.path}: corrupt record at line "
                     f"{position + 1} of {last + 1} — damage before the "
                     f"trailing line cannot come from an interrupted "

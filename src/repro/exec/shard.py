@@ -1,18 +1,13 @@
-"""Deterministic sharding and per-item seed derivation.
+"""Spawn-style seed derivation for seeded sweeps.
 
-The execution engine's determinism guarantee rests on two properties
-established here:
-
-* **Index-addressed seeds** — every work item's RNG seed is a pure
-  function of ``(base_seed, item_index)``, hashed through SHA-256
-  (spawn-style derivation, like :meth:`numpy.random.SeedSequence.spawn`),
-  never drawn from a shared sequential stream.  Item 17 gets the same
-  seed whether it runs first, last, serially or on worker 3 of 8 —
-  and whether items 0..16 ran at all.
-* **Stable chunking** — items are split into contiguous chunks whose
-  indices and contents depend only on ``(items, chunk_size)``, not on
-  the worker count, so a journal written by a ``--jobs 1`` run can be
-  resumed by a ``--jobs 8`` run and vice versa.
+A seeded sweep never draws its items' seeds from a shared sequential
+stream: item ``i``'s seed is a pure function of ``(base_seed, i)``,
+hashed through SHA-256 (spawn-style derivation, like
+:meth:`numpy.random.SeedSequence.spawn`).  Item 17 gets the same seed
+whether it is generated first, last, serially or in a worker process —
+and whether items 0..16 were generated at all.  The fleet generator
+(:func:`repro.verify.generator.generate_many`) and the fuzzer's mutant
+RNGs derive their seeds here.
 
 ``hash()`` is deliberately avoided: since PEP 456 it is salted per
 process, which is exactly the order/process dependence this module
@@ -22,10 +17,6 @@ exists to eliminate.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Sequence
-
-from repro.errors import ConfigurationError
 
 #: Domain separator so exec-derived seeds can never collide with a
 #: caller's own use of small integer seeds.
@@ -42,39 +33,3 @@ def derive_seed(base_seed: int, index: int) -> int:
     message = f"{_SEED_DOMAIN}:{base_seed}:{index}".encode()
     digest = hashlib.sha256(message).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous slice of a work plan.
-
-    ``start`` is the global index of the first item, so
-    ``start + local_offset`` addresses any member item globally —
-    that is the index its seed was derived from.
-    """
-
-    index: int
-    start: int
-    items: tuple
-    seeds: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.items)
-
-
-def shard(items: Sequence, chunk_size: int, base_seed: int = 0) -> list[Chunk]:
-    """Split ``items`` into stable contiguous chunks with derived seeds.
-
-    The split depends only on ``(len(items), chunk_size)`` — never on
-    how many workers will consume the chunks.
-    """
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunks = []
-    for index, start in enumerate(range(0, len(items), chunk_size)):
-        members = tuple(items[start:start + chunk_size])
-        seeds = tuple(derive_seed(base_seed, start + offset)
-                      for offset in range(len(members)))
-        chunks.append(Chunk(index, start, members, seeds))
-    return chunks

@@ -16,7 +16,6 @@ plain data structure consumable by :mod:`repro.analysis.system_report`.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -262,30 +261,8 @@ class CampaignWorld:
         return {}
 
 
-def _make_world(factory: Callable[..., CampaignWorld],
-                seed: Optional[int]) -> CampaignWorld:
-    """Build a fresh world, passing ``seed`` to factories that take one.
-
-    Stochastic scenarios declare a ``seed`` parameter (or ``**kwargs``)
-    and receive the cell's spawn-derived seed; deterministic worlds
-    like :class:`ReferenceWorld` are simply called with no arguments.
-    """
-    if seed is None:
-        return factory()
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        return factory()
-    if "seed" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in parameters.values()):
-        return factory(seed=seed)
-    return factory()
-
-
-def run_cell(factory: Callable[..., CampaignWorld], cell: CampaignCell,
-             horizon: int, seed: Optional[int] = None,
-             daq_period: Optional[int] = None) -> CellResult:
+def run_cell(factory: Callable[[], CampaignWorld], cell: CampaignCell,
+             horizon: int, daq_period: Optional[int] = None) -> CellResult:
     """Run one cell: fresh world, one fault, measure, tear down.
 
     ``daq_period`` (ns, optional) attaches a generic measurement
@@ -294,7 +271,7 @@ def run_cell(factory: Callable[..., CampaignWorld], cell: CampaignCell,
     touching the cell's trace or digest."""
     with obs.span("campaign.cell", category="campaign", kind=cell.kind,
                   target=cell.target, onset=cell.onset):
-        world = _make_world(factory, seed)
+        world = factory()
         if cell.end is not None and cell.end >= horizon:
             raise ConfigurationError(
                 f"cell {cell.label}: fault window must close before the "
@@ -332,24 +309,24 @@ def run_cell(factory: Callable[..., CampaignWorld], cell: CampaignCell,
 
 
 def _cell_worker(factory, horizon: int, daq_period: Optional[int],
-                 cell: CampaignCell, seed: int) -> CellResult:
+                 cell: CampaignCell) -> CellResult:
     """Plan worker (module-level, hence picklable): one cell per call."""
-    return run_cell(factory, cell, horizon, seed, daq_period)
+    return run_cell(factory, cell, horizon, daq_period)
 
 
-def run_campaign(factory: Callable[..., CampaignWorld],
+def run_campaign(factory: Callable[[], CampaignWorld],
                  cells: Iterable[CampaignCell],
-                 horizon: int, jobs: int = 1, base_seed: int = 0,
-                 checkpoint=None, resume: bool = False, retries: int = 1,
+                 horizon: int, jobs: int = 1,
+                 checkpoint=None, resume: bool = False,
                  progress=None,
                  interrupt_after: Optional[int] = None,
                  daq_period: Optional[int] = None) -> CampaignReport:
     """Run every cell through a fresh world.
 
-    Cells are executed through :mod:`repro.exec`: sharded one cell per
-    chunk, seeded from ``(base_seed, cell_index)``, and merged back in
-    plan order — so ``jobs=1`` and ``jobs=N`` yield reports with the
-    same :meth:`CampaignReport.digest`.  ``checkpoint``/``resume``
+    Cells are executed through :mod:`repro.exec`: one ``factory()``
+    world per cell, merged back in cell order — so ``jobs=1`` and
+    ``jobs=N`` yield reports with the same
+    :meth:`CampaignReport.digest`.  ``checkpoint``/``resume``
     journal per-cell results to a JSONL file and skip completed cells
     on restart; ``interrupt_after`` aborts after that many completions
     (testing hook for the resume path).
@@ -362,10 +339,10 @@ def run_campaign(factory: Callable[..., CampaignWorld],
              f"campaign-daq:horizon={horizon}:period={daq_period}")
     plan = Plan(label, functools.partial(_cell_worker, factory, horizon,
                                          daq_period),
-                tuple(cells), base_seed=base_seed)
-    outcome = execute(plan, jobs=jobs, retries=retries,
-                      checkpoint=checkpoint, resume=resume,
-                      progress=progress, interrupt_after=interrupt_after)
+                tuple(cells))
+    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress,
+                      interrupt_after=interrupt_after)
     outcome.raise_on_failure()
     return CampaignReport(outcome.results, horizon)
 
@@ -373,9 +350,8 @@ def run_campaign(factory: Callable[..., CampaignWorld],
 def _evaluate(world: CampaignWorld, cell: CampaignCell,
               horizon: int) -> CellResult:
     trace = world.trace
-    categories = getattr(world, "detection_categories",
-                         lambda c: DETECTION_CATEGORIES)(cell)
-    detection = first_detection(trace, categories, cell.onset)
+    detection = first_detection(trace, world.detection_categories(cell),
+                                cell.onset)
     detected = detection is not None
     detection_time = detection.time if detected else None
 

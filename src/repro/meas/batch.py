@@ -52,13 +52,8 @@ class MeasurementReport:
         return "\n".join(lines)
 
 
-def _daq_worker(horizon: Optional[int], period: int, system,
-                seed: int) -> tuple:
-    """Plan worker (module-level, picklable): build, attach, sample.
-
-    ``seed`` is the engine's spawn-derived per-item seed; the system
-    spec is already fully determined, so it is unused — same contract
-    as the verify worker."""
+def _daq_worker(horizon: Optional[int], period: int, system) -> tuple:
+    """Plan worker (module-level, picklable): build, attach, sample."""
     built = build_system(system)
     service = MeasurementService.attach(built, system)
     service.connect()
@@ -72,7 +67,7 @@ def _daq_worker(horizon: Optional[int], period: int, system,
 def measure_models(models: Sequence, period: int = DEFAULT_DAQ_PERIOD,
                    horizon: Optional[int] = None, jobs: int = 1,
                    checkpoint=None, resume: bool = False,
-                   retries: int = 1, progress=None) -> MeasurementReport:
+                   progress=None) -> MeasurementReport:
     """Run the default DAQ list against every model (or system).
 
     Accepts :class:`~repro.model.build.Model` objects or raw
@@ -84,9 +79,8 @@ def measure_models(models: Sequence, period: int = DEFAULT_DAQ_PERIOD,
     plan = Plan(f"meas-daq:n={len(systems)}:period={period}"
                 f":horizon={horizon}",
                 functools.partial(_daq_worker, horizon, period),
-                systems, base_seed=0)
-    outcome = execute(plan, jobs=jobs, retries=retries,
-                      checkpoint=checkpoint, resume=resume,
-                      progress=progress)
+                systems)
+    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress)
     outcome.raise_on_failure()
     return MeasurementReport(period, horizon, list(outcome.results))

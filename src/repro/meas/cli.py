@@ -41,12 +41,13 @@ def _registry(models) -> int:
     return EXIT_OK
 
 
-def _daq(options, models) -> int:
+def _daq(command, options, models) -> int:
     horizon = None if options.horizon_ms is None else ms(options.horizon_ms)
     try:
-        report = measure_models(models, period=us(options.period_us),
-                                horizon=horizon,
-                                **cli.exec_kwargs(options, len(models)))
+        with cli.journal_errors(command):
+            report = measure_models(models, period=us(options.period_us),
+                                    horizon=horizon,
+                                    **cli.exec_kwargs(options, len(models)))
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
@@ -124,4 +125,4 @@ def meas_command(args: list[str]) -> int:
         return cli.load_failure(command.prog, exc)
     if options.command == "registry":
         return _registry(models)
-    return _daq(options, models)
+    return _daq(command, options, models)

@@ -241,7 +241,7 @@ class Model:
 # ----------------------------------------------------------------------
 def verify_models(models: Sequence[Model], jobs: int = 1,
                   horizon: Optional[int] = None, checkpoint=None,
-                  resume: bool = False, retries: int = 1, progress=None,
+                  resume: bool = False, progress=None,
                   daq_period: Optional[int] = None):
     """Differentially verify every model; returns the same
     :class:`~repro.verify.oracle.VerificationReport` as
@@ -254,9 +254,8 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
     systems = tuple(model.build() for model in models)
     plan = verify_plan("model-verify", f"n={len(systems)}", systems,
                        horizon, daq_period, 0)
-    outcome = execute(plan, jobs=jobs, retries=retries,
-                      checkpoint=checkpoint, resume=resume,
-                      progress=progress)
+    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress)
     outcome.raise_on_failure()
     return VerificationReport(0, len(systems), MODEL_SIZE,
                               list(outcome.results))
@@ -264,7 +263,7 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
 
 def resilience_models(models: Sequence[Model], jobs: int = 1,
                       checkpoint=None, resume: bool = False,
-                      retries: int = 1, progress=None):
+                      progress=None):
     """Resilience-verify every model; models that declare their own
     ``resilience.scenarios`` run exactly those, models without get the
     standard fault matrix (mirroring ``run_resilience``)."""
@@ -280,10 +279,9 @@ def resilience_models(models: Sequence[Model], jobs: int = 1,
             system.faults = standard_scenarios(system)
         systems.append(system)
     plan = Plan(f"model-resilience:n={len(systems)}",
-                _resilience_worker, tuple(systems), base_seed=0)
-    outcome = execute(plan, jobs=jobs, retries=retries,
-                      checkpoint=checkpoint, resume=resume,
-                      progress=progress)
+                _resilience_worker, tuple(systems))
+    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress)
     outcome.raise_on_failure()
     return ResilienceReport(0, len(systems), MODEL_SIZE,
                             list(outcome.results))

@@ -196,8 +196,8 @@ def capture():
     The ambient scope (and flag) is restored afterwards and is *not*
     polluted: merging the captured snapshot back — in whatever order
     the caller fixes — is the caller's decision.  This is how the
-    execution engine isolates per-chunk telemetry identically whether
-    the chunk runs in-process (``jobs=1``) or in a worker process.
+    execution engine isolates per-item telemetry identically whether
+    the item runs in-process (``jobs=1``) or in a worker process.
     """
     global _state, _enabled
     previous_state, previous_enabled = _state, _enabled

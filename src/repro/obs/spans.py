@@ -1,7 +1,7 @@
 """Span-based profiling: timed regions with nesting.
 
 A *span* brackets one region of interest — a simulated system run, an
-analysis fixpoint, an execution-engine chunk — and records its
+analysis fixpoint, an execution-engine item — and records its
 wall-clock start and duration together with a nesting depth and a
 per-recorder sequence number.  Spans are the qualitative half of
 :mod:`repro.obs` (the metrics registry is the quantitative half): they
@@ -18,7 +18,7 @@ the execution engine merges worker telemetry in plan order.
 The recorder tracks nesting with a plain stack, which is correct for
 the single-threaded simulation workers that produce nearly all spans;
 concurrent recorders should be process-separated (the execution engine
-already does this via per-chunk capture).
+already does this via per-item capture).
 """
 
 from __future__ import annotations

@@ -97,14 +97,14 @@ def signature_tokens(verdict: SystemVerdict, counters: dict) -> list[str]:
     return sorted(tokens)
 
 
-def _fuzz_worker(horizon: Optional[int], item: tuple, seed: int) -> dict:
+def _fuzz_worker(horizon: Optional[int], item: tuple) -> dict:
     """Plan worker: verify one (system, lineage) item, signature it.
 
     Verification runs inside a private :func:`repro.obs.capture` scope
     so per-execution oracle counters feed the signature without
     polluting (or depending on) ambient telemetry; the ``fuzz.execs``
     tick is emitted *after* the inner scope closes, into whatever
-    chunk-level capture the execution engine has active.
+    per-item capture the execution engine has active.
     """
     system, _parent, _mutator = item
     with obs.capture() as telemetry:
@@ -332,7 +332,7 @@ def _pick_parent(rng: random.Random, corpus_size: int) -> int:
 
 def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
          horizon: Optional[int] = None, checkpoint=None,
-         resume: bool = False, retries: int = 1,
+         resume: bool = False,
          seed_batch: int = DEFAULT_SEED_BATCH, progress=None,
          max_seconds: Optional[float] = None,
          shrink_probes: int = 2000,
@@ -408,6 +408,7 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
                 mutants.append((mutant, parent.lineage[-1], mutator))
             items = tuple(mutants)
 
+        # base_seed keys the fingerprint: round journals keep resuming.
         plan = Plan(f"fuzz:seed={seed}:size={size}:round={round_no}",
                     functools.partial(_fuzz_worker, horizon),
                     items, base_seed=seed)
@@ -415,8 +416,7 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
             else f"{checkpoint}.round{round_no:04d}"
         round_resume = (resume and round_checkpoint is not None
                         and os.path.exists(round_checkpoint))
-        outcome = execute(plan, jobs=jobs, retries=retries,
-                          checkpoint=round_checkpoint,
+        outcome = execute(plan, jobs=jobs, checkpoint=round_checkpoint,
                           resume=round_resume, progress=progress,
                           interrupt_after=interrupt_after)
         outcome.raise_on_failure()

@@ -447,7 +447,7 @@ def generate_many(seed: int, count: int,
     :func:`repro.exec.shard.derive_seed` — a pure function of the batch
     seed and the system's index, with no shared sequential stream — so
     system ``i`` is identical whether the batch is generated serially,
-    in parallel chunks, in any order, or one system at a time
+    in parallel, in any order, or one system at a time
     (``generate_many(s, n)[:k] == generate_many(s, k)``).
     """
     from repro.exec.shard import derive_seed

@@ -661,13 +661,10 @@ def verify_system(system: GeneratedSystem,
 
 
 def _system_worker(horizon: Optional[int], daq_period: Optional[int],
-                   system: GeneratedSystem, seed: int) -> SystemVerdict:
+                   system: GeneratedSystem) -> SystemVerdict:
     """Plan worker (module-level, hence picklable): one system per call.
-
-    The ``seed`` argument is the engine's spawn-derived per-item seed;
-    the system spec was already generated from it, so verification
-    itself draws no randomness and the argument is unused.
-    """
+    Verification draws no randomness, so the verdict is a pure function
+    of the system spec."""
     return verify_system(system, horizon, daq_period)
 
 
@@ -692,8 +689,7 @@ def verify_plan(kind: str, scope: str, systems: tuple,
 
 def verify_many(seed: int, count: int, size: str = "small",
                 horizon: Optional[int] = None, jobs: int = 1,
-                checkpoint=None, resume: bool = False, retries: int = 1,
-                progress=None,
+                checkpoint=None, resume: bool = False, progress=None,
                 interrupt_after: Optional[int] = None,
                 daq_period: Optional[int] = None) -> VerificationReport:
     """Generate and differentially verify ``count`` systems.
@@ -707,12 +703,13 @@ def verify_many(seed: int, count: int, size: str = "small",
     """
     from repro.exec import execute
 
+    # base_seed keys the fingerprint: existing journals keep resuming.
     plan = verify_plan("verify", f"size={size}",
                        tuple(generate_many(seed, count, size)), horizon,
                        daq_period, seed)
-    outcome = execute(plan, jobs=jobs, retries=retries,
-                      checkpoint=checkpoint, resume=resume,
-                      progress=progress, interrupt_after=interrupt_after)
+    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress,
+                      interrupt_after=interrupt_after)
     outcome.raise_on_failure()
     return VerificationReport(seed, count, size, list(outcome.results))
 

@@ -587,7 +587,7 @@ def standard_scenarios(system: GeneratedSystem) -> list[FaultScenario]:
     return scenarios
 
 
-def _resilience_worker(system: GeneratedSystem, seed: int) -> dict:
+def _resilience_worker(system: GeneratedSystem) -> dict:
     """Plan worker (module-level, hence picklable): one system per call."""
     return {"system": system.name, "seed": system.seed,
             "verdicts": [v.to_dict()
@@ -656,9 +656,7 @@ class ResilienceReport:
 
 def run_resilience(seed: int, count: int, size: str = "small",
                    jobs: int = 1, checkpoint=None, resume: bool = False,
-                   retries: int = 1, progress=None,
-                   interrupt_after: Optional[int] = None
-                   ) -> ResilienceReport:
+                   progress=None) -> ResilienceReport:
     """Generate ``count`` systems, attach the standard fault matrix to
     each, and verify resilience — fanned out over :mod:`repro.exec`
     (jobs=1 and jobs=N produce identical digests)."""
@@ -669,11 +667,11 @@ def run_resilience(seed: int, count: int, size: str = "small",
     for system in generate_many(seed, count, size):
         system.faults = standard_scenarios(system)
         systems.append(system)
+    # base_seed keys the fingerprint: existing journals keep resuming.
     plan = Plan(f"resilience:size={size}", _resilience_worker,
                 tuple(systems), base_seed=seed)
-    outcome = execute(plan, jobs=jobs, retries=retries,
-                      checkpoint=checkpoint, resume=resume,
-                      progress=progress, interrupt_after=interrupt_after)
+    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress)
     outcome.raise_on_failure()
     return ResilienceReport(seed, count, size, list(outcome.results))
 

@@ -197,16 +197,3 @@ def test_interrupted_campaign_resumes_to_identical_digest(tmp_path):
     resumed = run_campaign(ReferenceWorld, cells, horizon=HORIZON,
                            checkpoint=path, resume=True)
     assert resumed.digest() == uninterrupted.digest()
-
-
-def test_campaign_seed_reaches_seed_aware_factories():
-    from repro.faults.campaign import _make_world
-
-    class SeedAware(ReferenceWorld):
-        def __init__(self, seed=None):
-            super().__init__()
-            self.seen_seed = seed
-
-    assert _make_world(SeedAware, 1234).seen_seed == 1234
-    assert _make_world(ReferenceWorld, 1234) is not None  # not passed
-    assert _make_world(SeedAware, None).seen_seed is None

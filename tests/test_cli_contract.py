@@ -24,6 +24,14 @@ INVALID, MISSING, BINARY = "invalid.json", "missing.json", "binary.json"
 #: The pre-model corpus layout: a bare flat system dict, and an old
 #: format-2 counterexample payload wrapping one.
 LEGACY, LEGACY_PAYLOAD = "legacy.json", "legacy-payload.json"
+#: Checkpoint journals that cannot be resumed: written for another plan,
+#: a damaged header, empty, not UTF-8, a directory, and none at all.
+#: ``fuzz`` reads its round journal, ``<PATH>.round0000``.
+OTHER_PLAN, CORRUPT_HEADER = "other-plan.jsonl", "corrupt-header.jsonl"
+EMPTY_JOURNAL, BINARY_JOURNAL = "empty.jsonl", "binary.jsonl"
+DIRECTORY_JOURNAL, NO_JOURNAL = "journal-dir", "missing.jsonl"
+#: The subcommands that take ``--checkpoint``/``--resume``.
+RESUMABLE = ("campaign", "verify", "fuzz", "resilience", "meas-daq")
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -40,8 +48,7 @@ ROWS = (
     [(command, ["--jobs", jobs], 2, "--jobs must be >= 1")
      for command in COMMANDS for jobs in ("0", "-2")]
     + [(command, ["--resume"], 2, "--resume requires --checkpoint")
-       for command in ("campaign", "verify", "fuzz", "resilience",
-                       "meas-daq")]
+       for command in RESUMABLE]
     + [(command, ["--model", INVALID], 1, "invalid model document")
        for command in ("verify", "resilience", "fuzz")]
     + [(command, ["--model", broken], 1, "invalid model document")
@@ -59,6 +66,17 @@ ROWS = (
     + [("meas-daq", ["--period-us", "-5"], 2, "--period-us must be >= 1"),
        ("meas-daq", ["--horizon-ms", "-5"], 2,
         "--horizon-ms must be >= 1")]
+    + [(command, ["--checkpoint", journal, "--resume"], 2, message)
+       for command in RESUMABLE
+       for journal, message in ((OTHER_PLAN, "different plan"),
+                                (CORRUPT_HEADER, "corrupt plan header"),
+                                (EMPTY_JOURNAL, "is empty"),
+                                (BINARY_JOURNAL, "unreadable"),
+                                (DIRECTORY_JOURNAL, "unreadable"))]
+    # A missing round journal starts that fuzz round fresh, by design.
+    + [(command, ["--checkpoint", NO_JOURNAL, "--resume"], 2,
+        "no checkpoint journal")
+       for command in RESUMABLE if command != "fuzz"]
 )
 
 
@@ -80,6 +98,16 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
                      "subject": "TDMA0.P0.T0"},
          "system": legacy}))
     write_broken(tmp_path)
+    for round_suffix in ("", ".round0000"):
+        (tmp_path / (OTHER_PLAN + round_suffix)).write_text(json.dumps(
+            {"type": "plan", "label": "other", "fingerprint": "0" * 64,
+             "chunks": 1, "items": 1}) + "\n")
+        (tmp_path / (CORRUPT_HEADER + round_suffix)).write_text(
+            '{"type": "pl\n')
+        (tmp_path / (EMPTY_JOURNAL + round_suffix)).write_text("")
+        (tmp_path / (BINARY_JOURNAL + round_suffix)).write_bytes(
+            b"\xff\xfe\x00journal\n")
+        (tmp_path / (DIRECTORY_JOURNAL + round_suffix)).mkdir()
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

@@ -1,5 +1,7 @@
 """Tests for repro.exec — deterministic parallel execution engine."""
 
+import base64
+import hashlib
 import json
 import os
 import pickle
@@ -7,26 +9,24 @@ from functools import partial
 
 import pytest
 
-from repro.errors import (ConfigurationError, ExecutionError,
-                          ExecutionInterrupted)
-from repro.exec import (Chunk, Journal, Plan, ProgressMeter, derive_seed,
-                        execute, shard)
+from repro.errors import ExecutionError, ExecutionInterrupted, JournalError
+from repro.exec import Journal, Plan, ProgressMeter, derive_seed, execute
 
 
 # ---------------------------------------------------------------------------
 # module-level workers (must be picklable by reference for the pool)
 # ---------------------------------------------------------------------------
-def square_worker(item, seed):
-    return {"item": item, "square": item * item, "seed": seed}
+def square_worker(item):
+    return {"item": item, "square": item * item}
 
 
-def faulty_worker(bad_item, item, seed):
+def faulty_worker(bad_item, item):
     if item == bad_item:
         raise ValueError(f"poisoned item {item}")
     return item + 1
 
 
-def crash_worker(marker_dir, crash_item, item, seed):
+def crash_worker(marker_dir, crash_item, item):
     """Dies (no exception, no cleanup) the first time it sees
     ``crash_item``; succeeds on any retry thanks to the marker file."""
     if item == crash_item:
@@ -37,13 +37,13 @@ def crash_worker(marker_dir, crash_item, item, seed):
     return item * 10
 
 
-def always_crash_worker(crash_item, item, seed):
+def always_crash_worker(crash_item, item):
     if item == crash_item:
         os._exit(3)
     return item * 10
 
 
-def hang_once_worker(marker_dir, hang_item, item, seed):
+def hang_once_worker(marker_dir, hang_item, item):
     """Hangs (hot sleep, no exception) the first time it sees
     ``hang_item``; succeeds on any retry thanks to the marker file."""
     import time as _time
@@ -55,7 +55,7 @@ def hang_once_worker(marker_dir, hang_item, item, seed):
     return item * 10
 
 
-def always_hang_worker(hang_item, item, seed):
+def always_hang_worker(hang_item, item):
     import time as _time
     if item == hang_item:
         _time.sleep(60)
@@ -86,33 +86,6 @@ def test_derived_seed_is_not_sequential():
 
 
 # ---------------------------------------------------------------------------
-# sharding
-# ---------------------------------------------------------------------------
-def test_shard_partitions_all_items_in_order():
-    chunks = shard(list(range(10)), chunk_size=3)
-    assert [c.index for c in chunks] == [0, 1, 2, 3]
-    assert [c.start for c in chunks] == [0, 3, 6, 9]
-    assert [item for c in chunks for item in c.items] == list(range(10))
-    assert all(len(c.seeds) == len(c.items) for c in chunks)
-
-
-def test_shard_seeds_match_global_item_index():
-    chunks = shard(list(range(10)), chunk_size=4, base_seed=5)
-    flat = [seed for c in chunks for seed in c.seeds]
-    assert flat == [derive_seed(5, i) for i in range(10)]
-
-
-def test_shard_is_independent_of_worker_count():
-    # Chunking depends only on (items, chunk_size): nothing else to vary.
-    assert shard(list(range(7)), 2) == shard(tuple(range(7)), 2)
-
-
-def test_shard_rejects_bad_chunk_size():
-    with pytest.raises(ConfigurationError):
-        shard([1, 2], 0)
-
-
-# ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
 def test_plan_fingerprint_identifies_the_work():
@@ -125,11 +98,13 @@ def test_plan_fingerprint_identifies_the_work():
                                       base_seed=5).fingerprint()
     assert plan.fingerprint() != Plan("u", square_worker, (1, 2, 3),
                                       base_seed=4).fingerprint()
+    # Pinned: journals written by earlier versions must keep resuming.
+    assert plan.fingerprint() == ("5199970e7772a6ee00ad440e4ae84ce5"
+                                  "533852a6fecba336816656d44ab8cf2b")
 
 
 def test_plan_round_trips_through_pickle():
-    plan = Plan("t", partial(faulty_worker, 99), tuple(range(6)),
-                chunk_size=2)
+    plan = Plan("t", partial(faulty_worker, 99), tuple(range(6)))
     clone = pickle.loads(pickle.dumps(plan))
     assert clone.label == plan.label
     assert clone.items == plan.items
@@ -140,15 +115,12 @@ def test_plan_round_trips_through_pickle():
 # execution: determinism
 # ---------------------------------------------------------------------------
 def test_serial_and_parallel_results_are_identical():
-    plan = Plan("sq", square_worker, tuple(range(11)), base_seed=3,
-                chunk_size=2)
+    plan = Plan("sq", square_worker, tuple(range(11)), base_seed=3)
     serial = execute(plan, jobs=1)
     parallel = execute(plan, jobs=3)
     assert serial.ok and parallel.ok
     assert serial.results == parallel.results
     assert [r["item"] for r in serial.results] == list(range(11))
-    assert [r["seed"] for r in serial.results] \
-        == [derive_seed(3, i) for i in range(11)]
 
 
 def test_empty_plan_executes_to_empty_results():
@@ -175,7 +147,7 @@ def test_raising_worker_is_retried_then_marked_failed():
     assert "poisoned item 4" in outcome.failures[4]
     # Every healthy item still completed, in plan order.
     assert outcome.results == [1, 2, 3, 4, 6]
-    with pytest.raises(ExecutionError, match="chunk 4"):
+    with pytest.raises(ExecutionError, match="item 4"):
         outcome.raise_on_failure()
 
 
@@ -190,11 +162,11 @@ def test_failed_attempts_are_journaled(tmp_path):
 
 
 def test_crashed_worker_is_isolated_and_retried(tmp_path):
-    # Item 5's worker dies mid-chunk on its first attempt, taking the
-    # shared pool down; isolation re-runs it and the sweep completes.
+    # Item 5's worker dies on its first attempt, taking the shared
+    # pool down; isolation re-runs it and the sweep completes.
     plan = Plan("crashy",
                 partial(crash_worker, str(tmp_path), 5),
-                tuple(range(8)), chunk_size=2)
+                tuple(range(8)))
     outcome = execute(plan, jobs=2, retries=1)
     assert outcome.ok
     assert outcome.results == [i * 10 for i in range(8)]
@@ -214,10 +186,10 @@ def test_permanently_crashing_chunk_is_marked_failed():
 # ---------------------------------------------------------------------------
 def test_hung_worker_is_killed_and_rerun_deterministically(tmp_path):
     # Item 2's worker hangs on its first attempt; the watchdog kills
-    # the pool, isolation re-runs every unresolved chunk, and the
+    # the pool, isolation re-runs every unresolved item, and the
     # merged results match an untroubled run exactly.
     plan = Plan("hangy", partial(hang_once_worker, str(tmp_path), 2),
-                tuple(range(6)), chunk_size=2)
+                tuple(range(6)))
     outcome = execute(plan, jobs=2, retries=1, timeout=1.0)
     assert outcome.ok
     assert outcome.results == [i * 10 for i in range(6)]
@@ -231,12 +203,12 @@ def test_permanently_hung_chunk_exhausts_retries_and_fails():
     assert not outcome.ok
     assert list(outcome.failures) == [1]
     assert "watchdog" in outcome.failures[1]
-    # innocent chunks still completed in isolation
+    # innocent items still completed in isolation
     assert outcome.results == [0, 20]
 
 
 def test_watchdog_does_not_fire_on_healthy_parallel_runs():
-    plan = Plan("sq", square_worker, tuple(range(8)), chunk_size=2)
+    plan = Plan("sq", square_worker, tuple(range(8)))
     timed = execute(plan, jobs=2, timeout=30.0)
     assert timed.ok
     assert timed.results == execute(plan, jobs=1).results
@@ -270,22 +242,22 @@ def test_retries_wait_out_the_fixed_backoff_schedule(monkeypatch):
 # ---------------------------------------------------------------------------
 def test_interrupt_then_resume_matches_uninterrupted_run(tmp_path):
     path = tmp_path / "journal.jsonl"
-    plan = Plan("sq", square_worker, tuple(range(9)), chunk_size=2)
+    plan = Plan("sq", square_worker, tuple(range(9)))
     uninterrupted = execute(plan, jobs=1)
     with pytest.raises(ExecutionInterrupted):
         execute(plan, jobs=1, checkpoint=path, interrupt_after=2)
     resumed = execute(plan, jobs=1, checkpoint=path, resume=True)
     assert resumed.ok
     assert resumed.results == uninterrupted.results
-    assert resumed.chunks_resumed == 2
-    assert resumed.chunks_executed == 3
+    assert resumed.items_resumed == 2
+    assert resumed.items_executed == 7
 
 
 def test_parallel_resume_of_serial_journal(tmp_path):
-    # Chunking never depends on the job count, so a journal written by
-    # one executor is resumable by any other.
+    # Records address items by index, never by job count, so a journal
+    # written by one executor is resumable by any other.
     path = tmp_path / "journal.jsonl"
-    plan = Plan("sq", square_worker, tuple(range(9)), chunk_size=2)
+    plan = Plan("sq", square_worker, tuple(range(9)))
     with pytest.raises(ExecutionInterrupted):
         execute(plan, jobs=1, checkpoint=path, interrupt_after=3)
     resumed = execute(plan, jobs=2, checkpoint=path, resume=True)
@@ -296,13 +268,13 @@ def test_resume_refuses_a_mismatched_journal(tmp_path):
     path = tmp_path / "journal.jsonl"
     execute(Plan("sq", square_worker, (1, 2, 3)), checkpoint=path)
     other = Plan("sq", square_worker, (1, 2, 3, 4))
-    with pytest.raises(ExecutionError, match="different plan"):
+    with pytest.raises(JournalError, match="different plan"):
         execute(other, checkpoint=path, resume=True)
 
 
 def test_resume_without_journal_raises(tmp_path):
     plan = Plan("sq", square_worker, (1,))
-    with pytest.raises(ExecutionError, match="no checkpoint journal"):
+    with pytest.raises(JournalError, match="no checkpoint journal"):
         execute(plan, checkpoint=tmp_path / "missing.jsonl", resume=True)
 
 
@@ -312,13 +284,13 @@ def test_journal_replay_classifies_chunk_states(tmp_path):
     journal = Journal(path)
     journal.begin(plan)
     journal.record_start(0)
-    journal.record_done(0, [41], 0.1, worker=1234)
+    journal.record_done(0, 41, 0.1, worker=1234)
     journal.record_start(1)  # in flight when the run died
     journal.record_start(2)
     journal.record_failed(2, "boom", attempts=2)
     journal.close()
     state = Journal(path).load(plan)
-    assert state.completed == {0: [41]}
+    assert state.completed == {0: 41}
     assert state.pending == {1, 2}
 
 
@@ -328,8 +300,36 @@ def test_fully_journaled_run_resumes_without_executing(tmp_path):
     first = execute(plan, checkpoint=path)
     resumed = execute(plan, checkpoint=path, resume=True)
     assert resumed.results == first.results
-    assert resumed.chunks_executed == 0
-    assert resumed.chunks_resumed == 4
+    assert resumed.items_executed == 0
+    assert resumed.items_resumed == 4
+
+
+def test_journal_in_the_chunked_layout_resumes(tmp_path):
+    # Journals written when several items could share a record: the
+    # header counts "chunks", records key the item index as "chunk",
+    # a done payload is the base85 pickle of a one-element result list,
+    # and the fingerprint hashes the recorded chunk size 1.
+    path = tmp_path / "journal.jsonl"
+    plan = Plan("sq", square_worker, (3, 4, 5), base_seed=9)
+    fingerprint = hashlib.sha256(pickle.dumps(
+        ("sq", 9, 1, (3, 4, 5)), protocol=4)).hexdigest()
+
+    def done(index, item):
+        payload = base64.b85encode(pickle.dumps(
+            [square_worker(item)], protocol=4)).decode("ascii")
+        return {"type": "done", "chunk": index, "payload": payload,
+                "elapsed": 0.1, "worker": 1}
+
+    records = [{"type": "plan", "label": "sq", "fingerprint": fingerprint,
+                "chunks": 3, "items": 3},
+               {"type": "start", "chunk": 0}, done(0, 3),
+               {"type": "start", "chunk": 1},  # in flight when it died
+               {"type": "start", "chunk": 2}, done(2, 5)]
+    path.write_text("".join(json.dumps(record, sort_keys=True) + "\n"
+                            for record in records))
+    resumed = execute(plan, checkpoint=path, resume=True)
+    assert resumed.results == execute(plan).results
+    assert resumed.items_resumed == 2 and resumed.items_executed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +351,14 @@ def test_truncated_trailing_line_is_skipped_with_warning(tmp_path):
     _truncate_last_line(path)
     with pytest.warns(JournalCorruptionWarning, match="trailing line"):
         state = Journal(path).load(plan)
-    # the damaged chunk dropped out of `completed`, so it re-runs
+    # the damaged item dropped out of `completed`, so it re-runs
     assert len(state.completed) == 3
     with pytest.warns(JournalCorruptionWarning):
         resumed = execute(plan, checkpoint=path, resume=True)
     assert resumed.ok
     assert resumed.results == full.results
-    assert resumed.chunks_resumed == 3
-    assert resumed.chunks_executed == 1
+    assert resumed.items_resumed == 3
+    assert resumed.items_executed == 1
 
 
 def test_garbled_trailing_payload_is_skipped_with_warning(tmp_path):
@@ -374,6 +374,56 @@ def test_garbled_trailing_payload_is_skipped_with_warning(tmp_path):
     assert sorted(state.completed) == [0, 1]  # the valid records stand
 
 
+_NO_INDEX, _NOT_AN_OBJECT = object(), object()
+
+
+@pytest.mark.parametrize(
+    "index", [_NO_INDEX, "0", -1, 4, _NOT_AN_OBJECT],
+    ids=["missing", "string", "negative", "past-end", "not-an-object"])
+def test_record_naming_no_plan_item_is_corrupt(tmp_path, index):
+    from repro.exec.checkpoint import JournalCorruptionWarning
+
+    path = tmp_path / "journal.jsonl"
+    plan = Plan("sq", square_worker, tuple(range(4)))
+    full = execute(plan, checkpoint=path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+
+    def damage(position):
+        record = json.loads(lines[position])
+        assert record["type"] == "done"
+        if index is _NOT_AN_OBJECT:
+            record = [record]
+        elif index is _NO_INDEX:
+            del record["chunk"]
+        else:
+            record["chunk"] = index
+        damaged = lines[:position] + [json.dumps(record)] \
+            + lines[position + 1:]
+        path.write_text("\n".join(damaged) + "\n")
+
+    damage(2)  # the first done record, mid-file
+    with pytest.raises(JournalError, match="before the trailing line"):
+        Journal(path).load(plan)
+    damage(len(lines) - 1)  # the last done record, as the trailing line
+    with pytest.warns(JournalCorruptionWarning, match="trailing line"):
+        resumed = execute(plan, checkpoint=path, resume=True)
+    assert resumed.results == full.results
+
+
+def test_done_payload_must_hold_one_result(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    plan = Plan("sq", square_worker, (1, 2))
+    execute(plan, checkpoint=path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    record = json.loads(lines[2])
+    record["payload"] = base64.b85encode(pickle.dumps(
+        [square_worker(1), square_worker(2)])).decode("ascii")
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(JournalError, match="not one result"):
+        Journal(path).load(plan)
+
+
 def test_mid_file_corruption_refuses_to_resume(tmp_path):
     path = tmp_path / "journal.jsonl"
     plan = Plan("sq", square_worker, tuple(range(4)))
@@ -382,7 +432,7 @@ def test_mid_file_corruption_refuses_to_resume(tmp_path):
     lines[2] = lines[2][: len(lines[2]) // 2]  # damage BEFORE the tail
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-    with pytest.raises(ExecutionError, match="before the trailing line"):
+    with pytest.raises(JournalError, match="before the trailing line"):
         Journal(path).load(plan)
 
 
@@ -394,7 +444,7 @@ def test_corrupt_header_refuses_to_resume(tmp_path):
     lines[0] = lines[0][:10]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-    with pytest.raises(ExecutionError, match="header"):
+    with pytest.raises(JournalError, match="header"):
         Journal(path).load(plan)
 
 
@@ -403,38 +453,37 @@ def test_corrupt_header_refuses_to_resume(tmp_path):
 # ---------------------------------------------------------------------------
 def test_progress_meter_rates_and_eta():
     now = [0.0]
-    meter = ProgressMeter(4, 40, clock=lambda: now[0])
+    meter = ProgressMeter(8, clock=lambda: now[0])
     now[0] = 10.0
-    meter.chunk_resumed(10)
-    meter.chunk_done(10, elapsed=4.0, worker=111)
-    meter.chunk_done(10, elapsed=6.0, worker=222)
+    meter.item_resumed()
+    meter.item_resumed()
+    for worker, elapsed in ((111, 1.5), (222, 3.0), (111, 2.5), (222, 3.0)):
+        meter.item_done(elapsed=elapsed, worker=worker)
     snap = meter.snapshot()
-    assert snap["chunks_done"] == 2 and snap["chunks_resumed"] == 1
-    assert snap["items_done"] == 20 and snap["items_resumed"] == 10
-    assert snap["items_per_s"] == pytest.approx(2.0)
-    assert snap["eta_s"] == pytest.approx(5.0)  # 10 items left at 2/s
+    assert snap["items_done"] == 4 and snap["items_resumed"] == 2
+    assert snap["items_per_s"] == pytest.approx(0.4)
+    assert snap["eta_s"] == pytest.approx(5.0)  # 2 items left at 0.4/s
     assert snap["workers"] == {
-        111: {"chunks": 1, "wall_s": 4.0},
-        222: {"chunks": 1, "wall_s": 6.0},
+        111: {"items": 2, "wall_s": 4.0},
+        222: {"items": 2, "wall_s": 6.0},
     }
 
 
 def test_progress_meter_emits_lines():
     lines = []
     now = [0.0]
-    meter = ProgressMeter(2, 4, clock=lambda: now[0], emit=lines.append)
+    meter = ProgressMeter(2, clock=lambda: now[0], emit=lines.append)
     now[0] = 1.0
-    meter.chunk_done(2, elapsed=1.0, worker=1)
+    meter.item_done(elapsed=1.0, worker=1)
     now[0] = 2.0
-    meter.chunk_done(2, elapsed=1.0, worker=1)
+    meter.item_done(elapsed=1.0, worker=1)
     assert len(lines) == 2
-    assert lines[-1].startswith("[2/2 chunks] 4/4 items")
+    assert lines[-1].startswith("[2/2 items]")
 
 
 def test_execution_metrics_flow_through(tmp_path):
-    plan = Plan("sq", square_worker, tuple(range(6)), chunk_size=2)
+    plan = Plan("sq", square_worker, tuple(range(6)))
     outcome = execute(plan, jobs=2)
-    assert outcome.metrics["chunks_done"] == 3
     assert outcome.metrics["items_done"] == 6
     assert outcome.metrics["workers"]  # at least one worker accounted
 

@@ -20,7 +20,7 @@ def clean_obs():
     obs.reset()
 
 
-def counting_worker(item, seed):
+def counting_worker(item):
     obs.count("work.items")
     obs.observe("work.value_ns", item * 1_000)
     obs.dlt(item, obs.INFO, "W", "APP", str(item), "did item")
@@ -29,7 +29,7 @@ def counting_worker(item, seed):
     return item * 2
 
 
-def plain_worker(item, seed):
+def plain_worker(item):
     return item + 1
 
 
@@ -37,7 +37,7 @@ PLAN_ITEMS = tuple(range(10))
 
 
 def run_plan(jobs, **kwargs):
-    plan = Plan("obs-parity", counting_worker, PLAN_ITEMS, chunk_size=2)
+    plan = Plan("obs-parity", counting_worker, PLAN_ITEMS)
     return execute(plan, jobs=jobs, **kwargs)
 
 
@@ -60,7 +60,7 @@ def test_jobs_parity_digest_and_snapshot():
     assert dlt1 == dlt2  # DLT merges in plan order too
     assert view1["counters"]["work.items"] == len(PLAN_ITEMS)
     assert view1["counters"]["span.work.item"] == len(PLAN_ITEMS)
-    assert view1["counters"]["span.exec.chunk"] == 5
+    assert view1["counters"]["span.exec.chunk"] == len(PLAN_ITEMS)
 
 
 def test_span_records_merge_in_plan_order():
@@ -110,44 +110,46 @@ def test_resume_telemetry_parity(tmp_path):
         run_plan(1, checkpoint=path, interrupt_after=2)
     obs.reset()  # the interrupted run's partial telemetry is discarded
     resumed = run_plan(1, checkpoint=path, resume=True)
-    assert resumed.chunks_resumed == 2
-    assert resumed.chunks_executed == 3
+    assert resumed.items_resumed == 2
+    assert resumed.items_executed == 8
     assert obs.digest() == baseline
 
 
 def test_resumed_journal_without_telemetry_still_resumes(tmp_path):
     # A journal written with telemetry disabled has no telemetry keys;
-    # resuming it with telemetry enabled must not fail (resumed chunks
+    # resuming it with telemetry enabled must not fail (resumed items
     # simply contribute no telemetry).
     path = tmp_path / "journal.jsonl"
-    plan = Plan("plain", plain_worker, PLAN_ITEMS, chunk_size=2)
+    plan = Plan("plain", plain_worker, PLAN_ITEMS)
     with pytest.raises(ExecutionInterrupted):
         execute(plan, checkpoint=path, interrupt_after=2)
     obs.enable()
     outcome = execute(plan, checkpoint=path, resume=True)
-    assert outcome.ok and outcome.chunks_resumed == 2
+    assert outcome.ok and outcome.items_resumed == 2
 
 
 def test_execution_result_reports_resumed_vs_executed_items(tmp_path):
     path = tmp_path / "journal.jsonl"
-    plan = Plan("plain", plain_worker, PLAN_ITEMS, chunk_size=2)
+    plan = Plan("plain", plain_worker, PLAN_ITEMS)
     with pytest.raises(ExecutionInterrupted):
         execute(plan, checkpoint=path, interrupt_after=3)
     outcome = execute(plan, checkpoint=path, resume=True)
-    assert outcome.items_resumed == 6
-    assert outcome.items_executed == 4
-    assert outcome.metrics["items_resumed"] == 6
-    assert outcome.metrics["items_done"] == 4
+    assert outcome.items_resumed == 3
+    assert outcome.items_executed == 7
+    assert outcome.metrics["items_resumed"] == 3
+    assert outcome.metrics["items_done"] == 7
 
 
 def test_progress_rate_excludes_resumed_items():
     from repro.exec import ProgressMeter
 
     now = [0.0]
-    meter = ProgressMeter(4, 40, clock=lambda: now[0])
-    meter.chunk_resumed(30)        # journal replay: instant, not work
+    meter = ProgressMeter(40, clock=lambda: now[0])
+    for _ in range(30):
+        meter.item_resumed()       # journal replay: instant, not work
     now[0] = 5.0
-    meter.chunk_done(10, elapsed=5.0, worker=1)
+    for _ in range(10):
+        meter.item_done(elapsed=0.5, worker=1)
     # 10 fresh items over 5 s — NOT (30+10)/5: replay must not inflate.
     assert meter.items_per_second == pytest.approx(2.0)
     assert meter.eta_seconds == pytest.approx(0.0)
