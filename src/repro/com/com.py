@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
+from repro.com.e2e import E2E_OK
 from repro.com.ipdu import IPdu
 from repro.com.signal import SignalSpec, SignalValue, TRIGGERED
 from repro.sim.kernel import Simulator
@@ -168,9 +169,7 @@ class ComStack:
         #: forced app-visible signal values (error reaction: substitute
         #: a default/last-good value while the source is untrusted).
         self._substitutions: dict[str, int] = {}
-        # Late-bound so fault adapters can interpose on _on_pdu.
-        adapter.set_rx_callback(
-            lambda name, payload: self._dispatch_pdu(name, payload))
+        adapter.set_rx_callback(self._dispatch_pdu)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -414,7 +413,6 @@ class ComStack:
         now = self.sim.now
         checker = self._rx_checkers.get(pdu_name)
         if checker is not None:
-            from repro.com.e2e import E2E_OK
             if checker.check(payload) != E2E_OK:
                 # Containment: a failed check never reaches the
                 # application — no value update, no callbacks, no

@@ -48,16 +48,31 @@ CRC_SUFFIX = ".e2e_crc"
 _CRC8_POLY = 0x1D  # SAE J1850, the AUTOSAR Crc_CalculateCRC8 polynomial
 
 
+def _crc8_table(poly: int) -> bytes:
+    """Entry ``i``: the CRC register after shifting byte ``i`` through
+    eight MSB-first steps of ``poly``."""
+    table = bytearray(256)
+    for index in range(256):
+        crc = index
+        for _ in range(8):
+            crc = ((crc << 1) ^ poly if crc & 0x80 else crc << 1) & 0xFF
+        table[index] = crc
+    return bytes(table)
+
+
+_CRC8_TABLE = _crc8_table(_CRC8_POLY)
+
+
 def crc8(data: bytes, start: int = 0xFF) -> int:
-    """CRC-8 (poly 0x1D, SAE J1850) over ``data``, MSB first."""
+    """CRC-8 (poly 0x1D, SAE J1850) over ``data``, MSB first.
+
+    ``start`` is the 8-bit initial register value.  One table lookup
+    per byte; the check value ``crc8(b"123456789")`` is ``0x4B``.
+    """
+    table = _CRC8_TABLE
     crc = start
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 0x80:
-                crc = ((crc << 1) ^ _CRC8_POLY) & 0xFF
-            else:
-                crc = (crc << 1) & 0xFF
+        crc = table[crc ^ byte]
     return crc ^ 0xFF
 
 
@@ -154,6 +169,7 @@ class E2eSender:
         self.ipdu = ipdu
         self.profile = profile
         self.counter_name, self.crc_name = _protection_names(ipdu)
+        self._crc_mapping = ipdu.mapping_of(self.crc_name)
         self._counter = profile.counter_modulo - 1  # first tx wraps to 0
         self.protected_count = 0
 
@@ -163,9 +179,8 @@ class E2eSender:
         values[self.counter_name] = self._counter
         values[self.crc_name] = 0
         blank = self.ipdu.pack(values, updated)
-        crc_mapping = self.ipdu.mapping_of(self.crc_name)
         values[self.crc_name] = _crc_of_payload(
-            self.ipdu, self.profile, blank, crc_mapping)
+            self.ipdu, self.profile, blank, self._crc_mapping)
         updated |= {self.counter_name, self.crc_name}
         self.protected_count += 1
 
@@ -196,6 +211,7 @@ class E2eReceiver:
         self.node = node
         self.counter_name, self.crc_name = _protection_names(ipdu)
         self._crc_mapping = ipdu.mapping_of(self.crc_name)
+        self._counter_mapping = ipdu.mapping_of(self.counter_name)
         self._last_counter: Optional[int] = None
         self._timeout_handle = None
         self._listeners: list[Callable[[str], None]] = []
@@ -212,12 +228,19 @@ class E2eReceiver:
         self._listeners.append(listener)
 
     def check(self, payload: int) -> str:
-        """Classify one reception of the protected PDU."""
-        decoded = self.ipdu.unpack(payload)
-        rx_crc = decoded[self.crc_name]["value"]
-        rx_counter = decoded[self.counter_name]["value"]
-        calc = _crc_of_payload(self.ipdu, self.profile, payload,
-                               self._crc_mapping)
+        """Classify one reception of the protected PDU.
+
+        Only the CRC and counter fields are read, each by shift and
+        mask; the application signals are decoded later, by the COM
+        stack, and only for a reception that passes.
+        """
+        crc_mapping = self._crc_mapping
+        counter_mapping = self._counter_mapping
+        rx_crc = (payload >> crc_mapping.start_bit) \
+            & crc_mapping.spec.max_value
+        rx_counter = (payload >> counter_mapping.start_bit) \
+            & counter_mapping.spec.max_value
+        calc = _crc_of_payload(self.ipdu, self.profile, payload, crc_mapping)
         if calc != rx_crc:
             return self._classify(E2E_CRC_ERROR)
         if self._last_counter is None:

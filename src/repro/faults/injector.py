@@ -204,6 +204,15 @@ class ComSignalAdapter(FaultAdapter):
         """Stop filtering; the interposer stays installed but passive."""
         self._active_fault = None
 
+    def check(self, fault: Fault) -> None:
+        """Also reject a stuck ``params["value"]`` the signal cannot
+        carry: written into the payload, it would spill into the
+        neighbouring fields (an E2E counter or CRC) or fail mid-run."""
+        super().check(fault)
+        if "value" in fault.params:
+            spec = self.com._require(self.signal_name).spec
+            spec._check_range(fault.params["value"])
+
     def uninstall(self) -> None:
         """Remove the interposer from the stack entirely."""
         self._active_fault = None

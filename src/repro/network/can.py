@@ -147,12 +147,6 @@ class CanController:
         """Frames waiting in the transmit queue."""
         return len(self._queue)
 
-    def _head(self):
-        return self._queue[0] if self._queue else None
-
-    def _pop_head(self):
-        return heapq.heappop(self._queue)
-
     def _deliver(self, spec: CanFrameSpec, msg: Message) -> None:
         self.rx_count += 1
         for callback in self._rx_callbacks:
@@ -212,15 +206,28 @@ class CanBus:
         self.sim.schedule(0, self._arbitrate, priority=50)
 
     def _arbitrate(self) -> None:
+        """Start the frame with the lowest identifier if the bus is idle.
+
+        One pass over the controllers' queue heads.  A head is a
+        ``(can_id, seq, spec, msg)`` tuple and ``seq`` is unique, so the
+        smallest head is the lowest id, ties broken by enqueue order.
+        ``_try_start`` schedules an attempt whether or not the bus is
+        busy, and one that finds it busy returns at once.  Not
+        scheduling those would change the number of kernel events every
+        run dispatches, which the pipeline benchmark pins.
+        """
         self._start_pending = False
-        if not self.idle:
+        if self._current is not None or self.sim.now < self.busy_until:
             return
-        contenders = [(c._head()[0], c._head()[1], c)
-                      for c in self.controllers.values() if c._head()]
-        if not contenders:
+        winner = best = None
+        for controller in self.controllers.values():
+            queue = controller._queue
+            if queue and (best is None or queue[0] < best):
+                best = queue[0]
+                winner = controller
+        if winner is None:
             return
-        __, __, winner = min(contenders)
-        can_id, __, spec, msg = winner._pop_head()
+        __, __, spec, msg = heapq.heappop(winner._queue)
         obs.count("can.arbitrations")
         self._transmit(winner, spec, msg)
 

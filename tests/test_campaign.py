@@ -46,6 +46,62 @@ def test_run_cell_rejects_window_beyond_horizon():
         run_cell(ReferenceWorld, cell, horizon=HORIZON)
 
 
+def test_reference_campaign_digest_is_pinned(report):
+    assert report.digest().startswith("99ce9f4ecf9aadd6")
+
+
+# Per reference cell (onset 50 ms, horizon 300 ms): kernel events run,
+# trace records and the start of the trace digest.  The frame path (CAN
+# arbitration, COM, E2E) may get faster but must not change any of them.
+REFERENCE_CELL_PINS = {
+    CORRUPTION: (274, 287, "2257ea412fa9f450"),
+    OMISSION: (274, 267, "2bccd37d5f618407"),
+    BABBLING: (2271, 1695, "c302f433d5f382ff"),
+    CRASH: (240, 269, "5a15a0db071c7dd3"),
+    TIMING_OVERRUN: (270, 299, "8aa53e728f0a0db6"),
+}
+
+
+def test_reference_cell_simulations_are_pinned(monkeypatch):
+    import itertools
+
+    import repro.osek.task as osek_task
+
+    # Job ids come from a process-global counter and land in trace
+    # records: restart it and run the cells in reference order, as a
+    # fresh process running the reference matrix does.
+    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
+    got = {}
+    for cell in reference_cells():
+        world = ReferenceWorld()
+        world.injector.inject(world.adapter_for(cell), cell.fault())
+        world.sim.run_until(HORIZON)
+        got[cell.kind] = (world.sim.executed, len(world.trace),
+                          world.trace.digest()[:16])
+    assert got == REFERENCE_CELL_PINS
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 16, 1 << 70, "x"],
+                         ids=["negative", "counter_bit", "huge", "str"])
+def test_corruption_value_outside_the_signal_is_rejected(value):
+    # A stuck value must fit the 16-bit speed signal: 1 << 16 would
+    # land in the E2E counter field, the others fail mid-run.
+    world = ReferenceWorld()
+    cell = CampaignCell(CORRUPTION, "speed", onset=ms(50), duration=ms(100),
+                        params={"value": value})
+    with pytest.raises(ConfigurationError, match="signal speed"):
+        world.injector.inject(world.adapter_for(cell), cell.fault())
+    assert world.injector.faults == []
+
+
+@pytest.mark.parametrize("value", [0, 0xFFFF])
+def test_corruption_value_inside_the_signal_is_accepted(value):
+    cell = CampaignCell(CORRUPTION, "speed", onset=ms(50), duration=ms(100),
+                        params={"value": value})
+    result = run_cell(ReferenceWorld, cell, horizon=HORIZON)
+    assert result.detected
+
+
 def test_every_fault_kind_is_detected(report):
     assert report.cells == 5
     assert report.detection_rate == 1.0
@@ -144,6 +200,7 @@ def test_cli_campaign_smoke(capsys):
     out = capsys.readouterr().out
     assert "verdict: PASS" in out
     assert "undetected corrupted deliveries: 0" in out
+    assert "report digest: sha256:749b43a47a6da8c4" in out
 
 
 def test_identical_scenario_yields_byte_identical_report():

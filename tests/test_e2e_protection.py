@@ -1,7 +1,9 @@
 """Tests for end-to-end signal protection (repro.com.e2e)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from e2e_reference import ReferenceE2eReceiver, reference_crc8
 from repro.com import (CanComAdapter, ComStack, E2E_CRC_ERROR, E2E_OK,
                        E2E_REPEATED, E2E_TIMEOUT, E2E_WRONG_SEQUENCE,
                        E2eProfile, E2eReceiver, E2eSender, PERIODIC,
@@ -15,10 +17,18 @@ from repro.units import ms, us
 
 
 def test_crc8_known_properties():
-    assert crc8(b"") == crc8(b"")           # deterministic
+    assert crc8(b"123456789") == 0x4B       # SAE J1850 check value
+    assert crc8(b"") == 0x00                # start 0xFF, final xor 0xFF
     assert crc8(b"\x00") != crc8(b"\x01")   # value-sensitive
     assert crc8(b"\x01\x00") != crc8(b"\x00\x01")  # order-sensitive
     assert 0 <= crc8(b"automotive") <= 0xFF
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64), start=st.integers(0, 0xFF))
+def test_crc8_matches_the_bitwise_reference(data, start):
+    assert crc8(data, start) == reference_crc8(data, start)
+    assert crc8(data) == reference_crc8(data)
 
 
 def test_profile_validation():
@@ -61,9 +71,11 @@ def protected_payload(pdu, sender, value):
 
 def test_sender_receiver_ok_sequence():
     sim, pdu, sender, receiver = checker_pair()
-    for value in (1, 2, 3):
-        assert receiver.check(protected_payload(pdu, sender, value)) \
-            == E2E_OK
+    payloads = [protected_payload(pdu, sender, value) for value in (1, 2, 3)]
+    # v in bits 0-15, counter 0, 1, 2 in bits 16-19, CRC in bits 20-27.
+    assert payloads == [0x1b00001, 0xbc10002, 0x2920003]
+    for payload in payloads:
+        assert receiver.check(payload) == E2E_OK
     assert receiver.counts[E2E_OK] == 3
     assert receiver.error_count == 0
 
@@ -92,6 +104,60 @@ def test_receiver_flags_counter_jump_then_resyncs():
         == E2E_WRONG_SEQUENCE
     # The CRC-valid frame resynchronised the sequence.
     assert receiver.check(protected_payload(pdu, sender, 3)) == E2E_OK
+
+
+@st.composite
+def reception_scripts(draw):
+    """A profile and a sequence of receptions: valid frames whose
+    counter steps by 0-3, single-bit flips of the last valid frame,
+    arbitrary payloads, each after a wait of 0-3 ms."""
+    counter_bits = draw(st.integers(2, 8))
+    profile = E2eProfile(
+        draw(st.integers(0, 0xFFFF)), counter_bits=counter_bits,
+        max_delta_counter=draw(st.integers(1, (1 << counter_bits) - 2)),
+        timeout=draw(st.sampled_from([None, ms(2), ms(5)])))
+    step = st.one_of(
+        st.tuples(st.just("valid"), st.integers(0, 3),
+                  st.integers(0, 0xFFFF)),
+        st.tuples(st.just("flip"), st.integers(0, 63), st.just(0)),
+        st.tuples(st.just("raw"), st.integers(0, (1 << 64) - 1),
+                  st.just(0)))
+    script = draw(st.lists(st.tuples(step, st.integers(0, ms(3))),
+                           max_size=30))
+    return profile, script
+
+
+@settings(max_examples=200, deadline=None)
+@given(reception_scripts())
+def test_receiver_matches_the_decoding_reference(case):
+    profile, script = case
+    pdu = e2e_protected_pdu("P", 8, [SignalSpec("v", 16)], profile)
+    sim = Simulator()
+    sender = E2eSender(pdu, profile)
+    receivers = [E2eReceiver(sim, pdu, profile, node="rx"),
+                 ReferenceE2eReceiver(sim, pdu, profile, node="rx")]
+    verdicts = ([], [])
+    for receiver, seen in zip(receivers, verdicts):
+        receiver.on_verdict(seen.append)
+    last = protected_payload(pdu, sender, 0)
+    for (kind, arg, value), wait in script:
+        sim.run_until(sim.now + wait)
+        if kind == "valid":
+            for _ in range(arg):  # arg - 1 frames lost on the way
+                last = protected_payload(pdu, sender, value)
+            payload = last
+        elif kind == "flip":
+            payload = last ^ (1 << arg)
+        else:
+            payload = arg
+        got, want = (r.check(payload) for r in receivers)
+        assert got == want, (kind, hex(payload))
+    sim.run_until(sim.now + ms(6))
+    assert verdicts[0] == verdicts[1]
+    fast, reference = receivers
+    assert fast.counts == reference.counts
+    assert fast.last_ok_time == reference.last_ok_time
+    assert fast.trace.digest() == reference.trace.digest()
 
 
 def test_data_id_salts_the_crc():

@@ -1,8 +1,9 @@
 """Tests for the CAN bus model: arbitration, timing, errors."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from can_reference import ReferenceCanBus
 from repro.errors import ConfigurationError
 from repro.network import CanBus, CanFrameSpec, frame_bits, frame_time
 from repro.sim import Simulator
@@ -194,3 +195,55 @@ def test_back_to_back_frames_from_competing_nodes_interleave_by_id():
     sim.run()
     order = [r.subject for r in bus.trace.records("can.tx_start")]
     assert order == ["F2", "F1", "F0"]
+
+
+@st.composite
+def can_scripts(draw):
+    """2-4 nodes, frames sent at random instants (ids shared across
+    nodes), transmission attempts the error model destroys, and an
+    optional bus-off window on one node."""
+    nodes = draw(st.integers(2, 4))
+    sends = draw(st.lists(
+        st.tuples(st.integers(0, 3000), st.integers(0, nodes - 1),
+                  st.integers(0, 6), st.integers(0, 8)),
+        min_size=1, max_size=40))
+    destroyed = draw(st.sets(st.integers(0, 60), max_size=10))
+    bus_off = draw(st.none() | st.tuples(
+        st.integers(0, nodes - 1), st.integers(0, 3000),
+        st.integers(1, 2000)))
+    return nodes, sends, destroyed, bus_off
+
+
+def run_can_script(bus_class, script):
+    nodes, sends, destroyed, bus_off = script
+    attempts = []
+
+    def error_model(spec, msg):
+        attempts.append(spec.name)
+        return len(attempts) - 1 in destroyed
+
+    sim = Simulator()
+    bus = bus_class(sim, BITRATE, error_model=error_model)
+    controllers = [bus.attach(f"N{i}") for i in range(nodes)]
+    for index, (at_us, node, can_id, dlc) in enumerate(sends):
+        spec = CanFrameSpec(f"F{index}", can_id, dlc=dlc)
+        sim.schedule_at(us(at_us), lambda c=controllers[node], s=spec:
+                        c.send(s, payload=0))
+    if bus_off is not None:
+        node, start_us, length_us = bus_off
+        controller = controllers[node]
+        sim.schedule_at(us(start_us), lambda: controller.set_bus_off(True))
+        sim.schedule_at(us(start_us + length_us),
+                        lambda: controller.set_bus_off(False))
+    sim.run()
+    return {"digest": bus.trace.digest(), "events": sim.executed,
+            "delivered": bus.frames_delivered, "errors": bus.error_count,
+            "attempts": attempts,
+            "nodes": [(c.tx_count, c.rx_count) for c in controllers]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(can_scripts())
+def test_arbitration_matches_the_reference(script):
+    assert run_can_script(CanBus, script) \
+        == run_can_script(ReferenceCanBus, script)
