@@ -18,12 +18,9 @@ all lower-ID frames that may precede a frame in each cycle.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import AnalysisError
 from repro.network.flexray import (DynamicFrameSpec, FlexRayConfig,
                                    StaticSlotAssignment)
-from repro.units import bit_time
 
 
 def static_latency_bound(config: FlexRayConfig,
@@ -43,12 +40,12 @@ def static_latency_best_case(config: FlexRayConfig,
 
 
 def minislots_needed(frame: DynamicFrameSpec, config: FlexRayConfig) -> int:
-    """Minislots one dynamic frame consumes."""
+    """Minislots one dynamic frame consumes: the simulator's own
+    :meth:`FlexRayConfig.minislots_for`, so bound and simulation count
+    alike."""
     if config.n_minislots <= 0:
         raise AnalysisError("configuration has no dynamic segment")
-    tbit = bit_time(config.bitrate_bps)
-    frame_ns = (frame.size_bytes * 8 + 80) * tbit
-    return max(1, math.ceil(frame_ns / config.minislot_length))
+    return config.minislots_for(frame.size_bytes)
 
 
 def dynamic_latency_bound(frame: DynamicFrameSpec,

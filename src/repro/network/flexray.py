@@ -17,7 +17,7 @@ Static frames support cycle multiplexing via ``base_cycle`` /
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import Callable, Optional
 
 from repro import obs
@@ -42,6 +42,10 @@ class FlexRayConfig:
             raise ConfigurationError("negative dynamic segment parameters")
         if n_minislots > 0 and minislot_length <= 0:
             raise ConfigurationError("minislots need a positive length")
+        if nit_length < 0:
+            raise ConfigurationError("negative NIT length")
+        if bitrate_bps <= 0:
+            raise ConfigurationError("bitrate must be positive")
         self.slot_length = slot_length
         self.n_static_slots = n_static_slots
         self.minislot_length = minislot_length
@@ -64,6 +68,14 @@ class FlexRayConfig:
         """Duration of one full communication cycle."""
         return (self.static_segment_length + self.dynamic_segment_length
                 + self.nit_length)
+
+    def minislots_for(self, size_bytes: int) -> int:
+        """Minislots a dynamic frame of ``size_bytes`` payload bytes
+        consumes: its transmission time (payload plus ~80 bits of frame
+        overhead) rounded up to whole minislots, at least one.  Needs a
+        positive ``minislot_length``."""
+        frame_ns = (size_bytes * 8 + 80) * bit_time(self.bitrate_bps)
+        return max(1, -(-frame_ns // self.minislot_length))
 
     def payload_capacity_bytes(self) -> int:
         """Payload bytes that fit a static slot (frame overhead ~ 80 bits:
@@ -166,7 +178,17 @@ class FlexRayBus:
 
     ``fault_model`` optionally decides per static slot whether the owning
     node's transmission is lost (``(assignment, cycle) -> bool``); used by
-    the fault-injection experiments.
+    the fault-injection experiments.  It is consulted at every active
+    slot, so it may be swapped while the bus runs.
+
+    :meth:`start` turns the slot table into a static schedule: for each
+    cycle of the multiplex pattern (the largest assigned ``repetition``,
+    which divides 64) a tuple of ``(slot offset, callback)`` pairs for
+    the slots active in that cycle, in slot order, where the callback is
+    the assignment's one pre-bound ``_static_slot_end``.  A cycle start
+    pushes exactly those events.  An :meth:`assign_slot` after
+    :meth:`start` rebuilds the schedule, so it takes effect from the
+    next cycle.
     """
 
     def __init__(self, sim: Simulator, config: FlexRayConfig,
@@ -181,6 +203,10 @@ class FlexRayBus:
         self._slot_table: dict[int, StaticSlotAssignment] = {}
         self.cycle = 0
         self._started = False
+        #: per cycle of the multiplex pattern: ((slot offset, slot end), ...)
+        self._schedule: tuple = ()
+        #: payload bytes -> minislots a dynamic frame of that size needs.
+        self._minislot_needs: dict[int, int] = {}
 
     def attach(self, node: str) -> FlexRayController:
         """Attach a node; returns its controller."""
@@ -207,30 +233,45 @@ class FlexRayBus:
                 f"unknown node {assignment.node!r} for slot "
                 f"{assignment.slot}")
         self._slot_table[assignment.slot] = assignment
+        if self._started:
+            self._build_schedule()
 
     def start(self) -> None:
         """Begin cycle 0 at the current simulation time."""
         if self._started:
             raise ConfigurationError(f"{self.name} already started")
         self._started = True
+        config = self.config
+        self._slot_length = config.slot_length
+        self._static_length = config.static_segment_length
+        self._cycle_length = config.cycle_length
+        self._minislot_length = config.minislot_length
+        self._n_minislots = config.n_minislots
+        self._build_schedule()
         self._cycle_start(self.sim.now)
+
+    def _build_schedule(self) -> None:
+        assignments = [self._slot_table[slot]
+                       for slot in sorted(self._slot_table)]
+        entries = [(a.slot * self._slot_length,
+                    functools.partial(self._static_slot_end, a))
+                   for a in assignments]
+        pattern = max((a.repetition for a in assignments), default=1)
+        self._schedule = tuple(
+            tuple(entry for a, entry in zip(assignments, entries)
+                  if a.active_in_cycle(cycle))
+            for cycle in range(pattern))
 
     # ------------------------------------------------------------------
     def _cycle_start(self, t0: int) -> None:
         self.trace.log(t0, "flexray.cycle", self.name, cycle=self.cycle)
-        for slot in range(1, self.config.n_static_slots + 1):
-            slot_end = t0 + slot * self.config.slot_length
-            assignment = self._slot_table.get(slot)
-            if assignment is not None and assignment.active_in_cycle(
-                    self.cycle % CYCLE_COUNT_MAX):
-                self.sim.schedule_at(
-                    slot_end,
-                    lambda a=assignment: self._static_slot_end(a))
-        dyn_start = t0 + self.config.static_segment_length
-        if self.config.n_minislots > 0:
-            self.sim.schedule_at(dyn_start, self._run_dynamic_segment)
-        next_cycle = t0 + self.config.cycle_length
-        self.sim.schedule_at(next_cycle, lambda: self._advance_cycle())
+        schedule_at = self.sim.schedule_at
+        schedule = self._schedule
+        for offset, slot_end in schedule[self.cycle % len(schedule)]:
+            schedule_at(t0 + offset, slot_end)
+        if self._n_minislots > 0:
+            schedule_at(t0 + self._static_length, self._run_dynamic_segment)
+        schedule_at(t0 + self._cycle_length, self._advance_cycle)
 
     def _advance_cycle(self) -> None:
         self.cycle += 1
@@ -250,52 +291,54 @@ class FlexRayBus:
             self.trace.log(now, "flexray.null_frame", assignment.frame_name,
                            node=assignment.node, slot=assignment.slot)
             return
-        msg.tx_start = now - self.config.slot_length
+        msg.tx_start = now - self._slot_length
         msg.rx_time = now
         controller.tx_count += 1
         obs.count("flexray.static_tx")
         self.trace.log(now, "flexray.rx", assignment.frame_name,
                        node=assignment.node, slot=assignment.slot,
-                       latency=msg.latency)
-        for node, peer in self.controllers.items():
-            if peer is not controller:
+                       latency=now - msg.enqueue_time)
+        for peer in self.controllers.values():
+            if peer is not controller and peer._rx_callbacks:
                 peer._deliver(assignment.frame_name, msg, assignment.slot)
 
     def _run_dynamic_segment(self) -> None:
         """Arbitrate the whole dynamic segment at its start.
 
-        Minislot counting is evaluated eagerly: frame IDs are visited in
-        ascending order; each queued frame consumes ``ceil(tx_time /
-        minislot)`` minislots if they fit, otherwise it stays queued for the
-        next cycle (its minislots are *not* consumed — matching the
-        protocol's per-ID slot counting).
+        Minislot counting is evaluated eagerly and strictly in frame-ID
+        order: each queued frame consumes ``ceil(tx_time / minislot)``
+        minislots (:meth:`FlexRayConfig.minislots_for`).  The first
+        frame that does not fit the remaining minislots waits for the
+        next cycle, and so does every higher frame ID behind it, even a
+        smaller one that would fit; ``dynamic_latency_bound`` counts
+        minislots in the same ID order.  A frame larger than the whole
+        segment therefore never transmits, which the analysis declines
+        as a ``None`` bound.
         """
+        queues = [controller._dynamic_queue
+                  for controller in self.controllers.values()
+                  if controller._dynamic_queue]
+        if not queues:
+            return
+        pending = sorted(entry for queue in queues for entry in queue)
         t0 = self.sim.now
-        tbit = bit_time(self.config.bitrate_bps)
-        pending = []
-        for controller in self.controllers.values():
-            pending.extend(controller._dynamic_queue)
-        pending.sort()
+        minislot = self._minislot_length
+        needs = self._minislot_needs
+        schedule_at = self.sim.schedule_at
         used = 0
-        sent = []
-        for frame_id, seq, spec, msg in pending:
-            frame_ns = (spec.size_bytes * 8 + 80) * tbit
-            need = max(1, math.ceil(frame_ns / self.config.minislot_length))
-            if used + need > self.config.n_minislots:
-                # This and (per ID order) later frames wait; continue
-                # scanning — a smaller later frame may still not fit since
-                # minislot counting is strictly ID-ordered.
+        for entry in pending:
+            __, __, spec, msg = entry
+            need = needs.get(spec.size_bytes)
+            if need is None:
+                need = needs[spec.size_bytes] = \
+                    self.config.minislots_for(spec.size_bytes)
+            if used + need > self._n_minislots:
                 break
-            start = t0 + used * self.config.minislot_length
-            end = start + need * self.config.minislot_length
+            start = t0 + used * minislot
             used += need
-            sent.append((spec, msg, start, end))
-        for spec, msg, start, end in sent:
-            controller = self.controllers[msg.sender]
-            controller._dynamic_queue.remove(
-                (spec.frame_id, msg.seq, spec, msg))
-            self.sim.schedule_at(
-                end, lambda s=spec, m=msg, st=start: self._dynamic_rx(s, m, st))
+            self.controllers[msg.sender]._dynamic_queue.remove(entry)
+            schedule_at(start + need * minislot,
+                        functools.partial(self._dynamic_rx, spec, msg, start))
 
     def _dynamic_rx(self, spec: DynamicFrameSpec, msg: Message,
                     start: int) -> None:
@@ -306,9 +349,10 @@ class FlexRayBus:
         controller.tx_count += 1
         obs.count("flexray.dynamic_tx")
         self.trace.log(now, "flexray.rx_dynamic", spec.name, node=msg.sender,
-                       frame_id=spec.frame_id, latency=msg.latency)
-        for node, peer in self.controllers.items():
-            if peer is not controller:
+                       frame_id=spec.frame_id,
+                       latency=now - msg.enqueue_time)
+        for peer in self.controllers.values():
+            if peer is not controller and peer._rx_callbacks:
                 peer._deliver(spec.name, msg, None)
 
     # ------------------------------------------------------------------

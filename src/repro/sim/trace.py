@@ -40,6 +40,11 @@ class Record(NamedTuple):
         return self.data.get(key, default)
 
 
+#: ``Record(...)`` goes through a Python-level ``__new__``; building the
+#: tuple directly makes the same record without that call.
+_new_record = tuple.__new__
+
+
 class Trace:
     """Append-only, unbounded record store with simple query helpers.
 
@@ -60,7 +65,7 @@ class Trace:
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
         """Append one record.  ``time`` must be non-decreasing per caller
         discipline; the trace itself does not enforce global ordering."""
-        record = Record(time, category, subject, data)
+        record = _new_record(Record, (time, category, subject, data))
         self._records.append(record)
         self._by_category[category].append(record)
         self._by_subject[category, subject].append(record)

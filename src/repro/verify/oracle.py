@@ -508,23 +508,26 @@ def build_system(system: GeneratedSystem) -> BuiltSystem:
         flexray_bus.start()
 
         def start_static(writer):
-            controller = controllers[writer.assignment.node]
+            send = controllers[writer.assignment.node].send_static
+            slot = writer.assignment.slot
+            period = writer.period
             payloads = itertools.count(1)
 
             def fire():
-                controller.send_static(writer.assignment.slot,
-                                       next(payloads))
-                sim.schedule(writer.period, fire)
+                send(slot, next(payloads))
+                sim.schedule_at(sim.now + period, fire)
 
             sim.schedule_at(writer.offset, fire)
 
         def start_dynamic(writer):
-            controller = controllers[writer.node]
+            queue = controllers[writer.node].queue_dynamic
+            spec = writer.spec
+            period = writer.period
             payloads = itertools.count(1)
 
             def fire():
-                controller.queue_dynamic(writer.spec, next(payloads))
-                sim.schedule(writer.period, fire)
+                queue(spec, next(payloads))
+                sim.schedule_at(sim.now + period, fire)
 
             sim.schedule_at(writer.offset, fire)
 
