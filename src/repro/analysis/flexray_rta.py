@@ -55,15 +55,25 @@ def dynamic_latency_bound(frame: DynamicFrameSpec,
 
     Per cycle, all lower-ID competitors may transmit first; the frame goes
     out in the first cycle whose remaining minislots fit it.  Raises when
-    even an empty cycle cannot fit the frame.
+    even an empty cycle cannot fit the frame, and when a lower-ID
+    competitor cannot fit one: that competitor never transmits, and the
+    segment is arbitrated in ID order, so nothing behind it does either.
     """
     own = minislots_needed(frame, config)
     if own > config.n_minislots:
         raise AnalysisError(
             f"frame {frame.name} needs {own} minislots; the dynamic "
             f"segment only has {config.n_minislots}")
-    ahead = sum(minislots_needed(f, config) for f in competitors
-                if f.frame_id < frame.frame_id)
+    ahead = 0
+    for other in competitors:
+        if other.frame_id < frame.frame_id:
+            need = minislots_needed(other, config)
+            if need > config.n_minislots:
+                raise AnalysisError(
+                    f"frame {frame.name}: no bound (lower-ID frame "
+                    f"{other.name} needs {need} minislots; the dynamic "
+                    f"segment only has {config.n_minislots})")
+            ahead += need
     # Cycles fully consumed by higher-priority traffic before room appears.
     cycles_waited = 0
     remaining_ahead = ahead

@@ -46,6 +46,9 @@ class FlexRayConfig:
             raise ConfigurationError("negative NIT length")
         if bitrate_bps <= 0:
             raise ConfigurationError("bitrate must be positive")
+        if bit_time(bitrate_bps) == 0:
+            raise ConfigurationError(
+                f"bitrate {bitrate_bps} bit/s has a bit time under 1 ns")
         self.slot_length = slot_length
         self.n_static_slots = n_static_slots
         self.minislot_length = minislot_length

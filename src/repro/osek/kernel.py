@@ -10,10 +10,19 @@ Dispatching is event-driven.  Whenever the ready set or a policy boundary
 changes, :meth:`EcuKernel.request_dispatch` coalesces a re-dispatch at the
 current instant; while a job runs, a timer is armed at the earliest of its
 completion, its budget exhaustion, and the scheduler's segment bound.
+
+Most events of an ECU simulation pass through this kernel, so its
+per-event path is kept lean: each periodic activation and deadline check is a
+``functools.partial`` of a bound method rather than a fresh closure per
+job, and a dispatch on an idle CPU skips the running job's accounting.
+Each ``schedule_at`` keeps the time, priority and call order it always
+had, so event order and trace digests do not depend on these shortcuts
+(``tests/osek_reference.py`` keeps the plain version as the reference).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -29,6 +38,9 @@ from repro.sim.trace import Trace
 #: and wake-ups so one decision sees the complete picture.
 _TIMER_PRIORITY = 90
 _DISPATCH_PRIORITY = 100
+
+#: What ``next(body, _DONE)`` returns once a job's body is exhausted.
+_DONE = object()
 
 
 class EcuKernel:
@@ -50,6 +62,7 @@ class EcuKernel:
         self.trace = trace if trace is not None else Trace()
         self.name = name
         self.budget_enforcement = budget_enforcement
+        self._kill_budgets = budget_enforcement == "kill"
         self.tasks: dict[str, Task] = {}
         self._ready: list[Job] = []
         self._running: Optional[Job] = None
@@ -86,13 +99,15 @@ class EcuKernel:
         if jitter < 0:
             raise SimulationError(
                 f"task {task.name}: negative release jitter {jitter}")
+        self.sim.schedule_at(nominal + jitter,
+                             partial(self._periodic_release, task, nominal,
+                                     release_jitter))
 
-        def fire():
-            self.activate(task)
-            self._schedule_periodic(task, nominal + task.spec.period,
-                                    release_jitter)
-
-        self.sim.schedule_at(nominal + jitter, fire)
+    def _periodic_release(self, task: Task, nominal: int,
+                          release_jitter) -> None:
+        self.activate(task)
+        self._schedule_periodic(task, nominal + task.spec.period,
+                                release_jitter)
 
     def activate(self, task: Task) -> Optional[Job]:
         """Activate one job of ``task`` (OSEK ``ActivateTask``).
@@ -108,15 +123,15 @@ class EcuKernel:
         task.pending_jobs.append(job)
         task.jobs_activated += 1
         self._ready.append(job)
-        self.trace.log(now, "task.activate", task.name, job=job.seq)
-        if job.absolute_deadline is not None:
-            self.sim.schedule_at(job.absolute_deadline,
-                                 lambda: self._deadline_check(job))
+        self.trace.log(now, "task.activate", job.name, job=job.seq)
+        deadline = job.absolute_deadline
+        if deadline is not None:
+            self.sim.schedule_at(deadline, partial(self._deadline_check, job))
         self.request_dispatch()
         return job
 
     def _deadline_check(self, job: Job) -> None:
-        if job.state in (JobState.DONE,) or getattr(job, "_miss_logged", False):
+        if job.state is JobState.DONE or job._miss_logged:
             return
         job._miss_logged = True
         self.trace.log(self.sim.now, "task.deadline_miss", job.name,
@@ -148,43 +163,41 @@ class EcuKernel:
     # ------------------------------------------------------------------
     def request_dispatch(self) -> None:
         """Coalesce a dispatch at the current instant."""
-        if self._request_handle is not None:
-            return
-        self._request_handle = self.sim.schedule(
-            0, self._dispatch, priority=_DISPATCH_PRIORITY)
+        if self._request_handle is None:
+            sim = self.sim
+            self._request_handle = sim.schedule_at(
+                sim.now, self._dispatch, _DISPATCH_PRIORITY)
 
     def _dispatch(self) -> None:
         self._request_handle = None
         now = self.sim.now
-        self._checkpoint(now)
         if self._running is not None:
-            self._progress(self._running, now)
+            self._checkpoint(now)
+            # Drive the running job past finished requirements; it leaves
+            # the CPU when it completes, waits or is killed.
+            if (self._running is not None
+                    and self._advance(self._running, now) != "run"):
+                self._running = None
+        ready = self._ready
+        running = self._running
+        runnable = ready + [running] if running is not None else ready[:]
         while True:
-            runnable = list(self._ready)
-            if self._running is not None:
-                runnable.append(self._running)
-            pick = self.scheduler.select(runnable, self._running, now)
-            if pick is self._running:
+            pick = self.scheduler.select(runnable, running, now)
+            if pick is running:
                 break
-            if self._running is not None:
+            if running is not None:
                 self._preempt(now)
+                running = None
             if pick is None:
                 break
-            self._ready.remove(pick)
-            status = self._advance(pick, now)
-            if status == "run":
+            ready.remove(pick)
+            if self._advance(pick, now) == "run":
                 self._start_segment(pick, now)
                 break
             # "done"/"killed"/"wait" were handled inside _advance; the job
             # never occupied the CPU, so select again.
+            runnable = ready[:]
         self._arm_timer(now)
-
-    def _progress(self, job: Job, now: int) -> None:
-        """Drive the running job past finished requirements; may clear
-        ``self._running`` when the job completes, waits or is killed."""
-        status = self._advance(job, now)
-        if status != "run":
-            self._running = None
 
     def _advance(self, job: Job, now: int) -> str:
         """Advance the job's body to its next pending Execute.
@@ -193,19 +206,18 @@ class EcuKernel:
         ``"wait"``, ``"killed"`` — which this method has already applied
         (state change, logging, queue removal)."""
         while True:
-            if job._current is None:
+            req = job._current
+            if req is None:
                 if self._budget_exhausted(job):
                     self._kill(job, now)
                     return "killed"
-                try:
-                    req = job._body.send(None)
-                except StopIteration:
+                req = next(job._body, _DONE)
+                if req is _DONE:
                     self._complete(job, now)
                     return "done"
                 job._current = req
                 if isinstance(req, Execute):
                     job._remaining = req.ticks
-            req = job._current
             if isinstance(req, Execute):
                 if job._remaining > 0:
                     return "run"
@@ -231,17 +243,16 @@ class EcuKernel:
                     return "wait"
 
     def _budget_exhausted(self, job: Job) -> bool:
-        if self.budget_enforcement != "kill":
+        if not self._kill_budgets:
             return False
         budget = job.task.spec.budget
         return budget is not None and job.consumed >= budget
 
     def _checkpoint(self, now: int) -> None:
         """Account CPU time consumed by the running job since the segment
-        started; enforce the execution budget."""
+        started; enforce the execution budget.  Called only while a job
+        runs."""
         job = self._running
-        if job is None:
-            return
         delta = now - self._seg_start
         self._seg_start = now
         if delta <= 0:
@@ -315,8 +326,7 @@ class EcuKernel:
         self.trace.log(now, "task.complete", job.name, job=job.seq,
                        response=response)
         deadline = job.absolute_deadline
-        if (deadline is not None and now > deadline
-                and not getattr(job, "_miss_logged", False)):
+        if deadline is not None and now > deadline and not job._miss_logged:
             job._miss_logged = True
             self.trace.log(now, "task.deadline_miss", job.name, job=job.seq,
                            lateness=now - deadline)
@@ -335,31 +345,36 @@ class EcuKernel:
                        consumed=job.consumed, budget=task.spec.budget)
 
     def _arm_timer(self, now: int) -> None:
+        # Cancel and re-push even when the target time is unchanged: the
+        # fresh ``seq`` keeps same-instant timers of different kernels in
+        # the order they were armed.
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        candidates = []
+        scheduler = self.scheduler
+        when = None
         job = self._running
         if job is not None:
             segment = job._remaining
-            bound = self.scheduler.max_segment(job, now)
-            if bound is not None:
-                segment = min(segment, bound)
-            if self.budget_enforcement == "kill":
-                budget_left = job.budget_left
-                if budget_left is not None:
-                    segment = min(segment, budget_left)
+            bound = scheduler.max_segment(job, now)
+            if bound is not None and bound < segment:
+                segment = bound
+            if self._kill_budgets:
+                budget = job.task.spec.budget
+                if budget is not None:
+                    segment = min(segment, max(0, budget - job.consumed))
             if segment <= 0:
                 raise SimulationError(
                     f"{self.name}: scheduler selected {job.name} for a "
                     f"zero-length segment at t={now}")
-            candidates.append(now + segment)
-        boundary = self.scheduler.next_dispatch_time(now, bool(self._ready))
-        if boundary is not None and boundary > now:
-            candidates.append(boundary)
-        if candidates:
+            when = now + segment
+        boundary = scheduler.next_dispatch_time(now, bool(self._ready))
+        if boundary is not None and boundary > now and (
+                when is None or boundary < when):
+            when = boundary
+        if when is not None:
             self._timer = self.sim.schedule_at(
-                min(candidates), self._dispatch, priority=_TIMER_PRIORITY)
+                when, self._dispatch, _TIMER_PRIORITY)
 
     # ------------------------------------------------------------------
     # Introspection

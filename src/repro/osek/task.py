@@ -191,43 +191,34 @@ def _default_body(job: "Job") -> Generator:
 
 
 class Job:
-    """One activation of a task."""
+    """One activation of a task.
+
+    ``name`` (the task's name) and ``absolute_deadline`` (activation time
+    plus the relative deadline, None when there is none) are fixed at
+    activation, since the kernel reads them on every event of the job.
+    """
 
     def __init__(self, task: Task, activation_time: int):
+        spec = task.spec
         self.task = task
+        self.name = spec.name
         self.activation_time = activation_time
+        self.absolute_deadline: Optional[int] = (
+            None if spec.deadline is None
+            else activation_time + spec.deadline)
         self.seq = next(_job_seq)
         self.demand = task.sample_execution_time()
         self.state = JobState.READY
         self.consumed = 0
         self.started_at: Optional[int] = None
         self.completed_at: Optional[int] = None
-        self.effective_priority = task.spec.priority
+        self.effective_priority = spec.priority
         self.held_resources: list = []
         self._body = task.make_body(self)
         self._current: Optional[Execute] = None
         self._remaining = 0
+        self._miss_logged = False
         self.preemptions = 0
-
-    @property
-    def name(self) -> str:
-        """The owning task's name."""
-        return self.task.name
-
-    @property
-    def absolute_deadline(self) -> Optional[int]:
-        """Activation time plus the relative deadline (None = none)."""
-        if self.task.spec.deadline is None:
-            return None
-        return self.activation_time + self.task.spec.deadline
-
-    @property
-    def budget_left(self) -> Optional[int]:
-        """Execution budget remaining (None when unenforced)."""
-        budget = self.task.spec.budget
-        if budget is None:
-            return None
-        return max(0, budget - self.consumed)
 
     @property
     def remaining(self) -> int:

@@ -13,12 +13,19 @@ that produced the records.
 All record data access is tolerant of missing optional keys — a
 partially-instrumented subsystem degrades to "not checked", never to a
 crash (see also :meth:`repro.sim.trace.Record.get`).
+
+An invariant sees only the record categories it declares in
+:attr:`Invariant.categories`: :class:`InvariantChecker` routes each
+record, in invariant order, to the invariants that declare its
+category, so the many CAN, FlexRay and activation records no invariant
+reads cost one dictionary lookup each.  An invariant that declares no
+categories (``None``, the default) sees every record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.trace import Record, Trace
 
@@ -55,6 +62,10 @@ class Invariant:
     """
 
     name = "invariant"
+    #: Record categories :meth:`observe` acts on; the checker passes an
+    #: invariant only records of these categories.  ``None`` means every
+    #: record.
+    categories: Optional[frozenset[str]] = None
 
     def __init__(self):
         self.violations: list[Violation] = []
@@ -77,6 +88,7 @@ class NoOverlappingExecution(Invariant):
     """
 
     name = "no-overlap"
+    categories = frozenset(_RUN_BEGIN + _RUN_END)
 
     def __init__(self, task_ecu: dict[str, str]):
         super().__init__()
@@ -109,6 +121,7 @@ class TdmaWindowInvariant(Invariant):
     """
 
     name = "tdma-window"
+    categories = frozenset(_RUN_BEGIN + _RUN_END)
 
     def __init__(self, windows: Iterable[tuple[int, int, str]],
                  major_frame: int, task_partition: dict[str, str]):
@@ -157,6 +170,7 @@ class PriorityCeilingInvariant(Invariant):
     """
 
     name = "priority-ceiling"
+    categories = frozenset(("task.acquire", "task.release") + _RUN_BEGIN)
 
     def __init__(self, priorities: dict[str, int], ceilings: dict[str, int],
                  task_ecu: dict[str, str]):
@@ -203,6 +217,7 @@ class AliveCounterInvariant(Invariant):
     """
 
     name = "alive-counter"
+    categories = frozenset(("e2e.ok",))
 
     def __init__(self, pdu_name: str, modulo: int, max_delta: int = 1):
         super().__init__()
@@ -232,6 +247,7 @@ class E2eContainmentInvariant(Invariant):
     delivery) of the same PDU at the same instant."""
 
     name = "e2e-containment"
+    categories = frozenset(_E2E_BAD + ("com.rx",))
 
     def __init__(self):
         super().__init__()
@@ -258,12 +274,25 @@ class InvariantChecker:
     def __init__(self, invariants: list[Invariant]):
         self.invariants = list(invariants)
 
+    def _observers(self, category: str) -> tuple[Callable, ...]:
+        """``observe`` of each invariant that declares ``category`` (or
+        declares none), in invariant order."""
+        return tuple(invariant.observe for invariant in self.invariants
+                     if invariant.categories is None
+                     or category in invariant.categories)
+
     def run(self, trace: Trace) -> list[Violation]:
-        """Feed every record to every invariant; returns all violations
-        sorted by (time, invariant, subject)."""
+        """Feed each record, in invariant order, to the invariants that
+        declare its category; returns all violations sorted by (time,
+        invariant, subject)."""
+        routes: dict[str, tuple[Callable, ...]] = {}
         for record in trace:
-            for invariant in self.invariants:
-                invariant.observe(record)
+            observers = routes.get(record.category)
+            if observers is None:
+                observers = routes[record.category] = \
+                    self._observers(record.category)
+            for observe in observers:
+                observe(record)
         violations: list[Violation] = []
         for invariant in self.invariants:
             invariant.finish()

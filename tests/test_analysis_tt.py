@@ -115,6 +115,21 @@ def test_dynamic_bound_oversized_frame_rejected():
         dynamic_latency_bound(big, [big], config)
 
 
+def test_dynamic_bound_declined_behind_an_oversized_lower_id_frame():
+    """A lower-ID frame that never fits the segment blocks every frame
+    behind it (the segment is arbitrated in ID order), so the small
+    frame has no bound; a higher-ID oversized frame blocks nothing."""
+    config = FlexRayConfig(slot_length=us(100), n_static_slots=2,
+                           minislot_length=us(10), n_minislots=12)
+    big = DynamicFrameSpec("BIG", 1, 254)        # 22 minislots
+    small = DynamicFrameSpec("SMALL", 2, 4)      # 2 minislots
+    with pytest.raises(AnalysisError, match="lower-ID frame BIG"):
+        dynamic_latency_bound(small, [big, small], config)
+    late_big = DynamicFrameSpec("BIG", 3, 254)
+    assert dynamic_latency_bound(small, [late_big, small], config) \
+        == config.cycle_length + config.static_segment_length + us(20)
+
+
 # ----------------------------------------------------------------------
 # Supply bound functions
 # ----------------------------------------------------------------------

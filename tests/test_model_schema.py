@@ -198,6 +198,10 @@ RULES = [
     ("max-delta-counter-out-of-range", "adas-fusion",
      lambda d: _chain(d).update(max_delta_counter=15),
      "com.chains[0]", "max_delta_counter 15"),
+    ("flexray-bit-time-under-1ns", "flexray-mixed",
+     lambda d: d["network"]["flexray"]["config"].update(
+         bitrate_bps=2_000_000_000),
+     "network.flexray", "bit time under 1 ns"),
     ("flexray-repetition-3", "flexray-mixed",
      lambda d: _static(d)[0].update(repetition=3),
      "network.flexray", "repetition must be a power of two"),

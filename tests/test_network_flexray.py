@@ -215,6 +215,13 @@ def test_config_validation():
                       nit_length=-ms(1))
     with pytest.raises(ConfigurationError):
         FlexRayConfig(slot_length=us(100), n_static_slots=2, bitrate_bps=0)
+    # Above 1 Gbit/s a bit lasts under 1 ns and rounds down to 0 ns.
+    with pytest.raises(ConfigurationError, match="under 1 ns"):
+        FlexRayConfig(slot_length=us(100), n_static_slots=2,
+                      bitrate_bps=2_000_000_000)
+    assert FlexRayConfig(slot_length=us(100), n_static_slots=2,
+                         bitrate_bps=1_000_000_000).payload_capacity_bytes() \
+        == (us(100) - 80) // 8
 
 
 def test_minislots_for_rounds_the_frame_time_up():

@@ -1,7 +1,11 @@
-"""Unit tests for the ECU kernel with fixed-priority scheduling."""
+"""Unit tests for the ECU kernel with fixed-priority scheduling, and
+its parity with the reference kernel (``osek_reference.py``) under
+every scheduler."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from osek_reference import ReferenceEcuKernel
 from repro.errors import SimulationError
 from repro.osek import (Acquire, EcuKernel, Execute, FixedPriorityScheduler,
                         OsekResource, Release, TaskSpec, WaitEvent)
@@ -207,3 +211,224 @@ def test_cpu_utilization_accounting():
     kernel.add_task(TaskSpec("T", wcet=ms(2), period=ms(10)))
     sim.run_until(ms(100))
     assert kernel.utilization() == pytest.approx(0.2)
+
+
+# ----------------------------------------------------------------------
+# Parity with the reference kernel: same events, records and counters
+# ----------------------------------------------------------------------
+#: The parity setups' time grain: coarse, so that releases, completions
+#: and timers of different ECUs often fall on the same instant, where
+#: only the event queue's (priority, seq) tie-break orders them.
+GRAIN = us(10)
+
+
+@st.composite
+def ecu_setups(draw):
+    """One ECU, as plain data so each kernel builds it fresh.
+
+    A preemptive or non-preemptive fixed-priority, TDMA or deferrable
+    server scheduler; 1-4 tasks, each periodic (with optional release
+    jitter, sampled execution times and ``max_activations`` up to 3),
+    alarm-activated or extended (waiting on an event an alarm or
+    another task's body sets); ICPP critical sections on one or two
+    resources; deadlines shorter and longer than the period; budgets
+    at, below and above the WCET under ``"kill"`` or ``"off"``; and
+    completion hooks that activate another task.
+    """
+    def grains(low, high):
+        return st.integers(low, high).map(lambda n: n * GRAIN)
+
+    n = draw(st.integers(1, 4))
+    priorities = draw(st.permutations(range(1, 11)))[:n]
+    tasks = []
+    for i in range(n):
+        wcet = draw(grains(1, 40))
+        period = draw(grains(10, 150))
+        tasks.append({
+            "role": draw(st.sampled_from(
+                ["periodic", "periodic", "periodic", "alarm",
+                 "extended"])),
+            "wcet": wcet,
+            "bcet": draw(st.none() | grains(1, wcet // GRAIN)),
+            "period": period,
+            "offset": draw(grains(0, 30)),
+            # From below the WCET to twice the period: misses at the
+            # deadline instant and at late completions.
+            "deadline": draw(st.none() | grains(2, 2 * period // GRAIN)),
+            "priority": priorities[i],
+            "partition": draw(st.sampled_from(["P0", "P1", None])),
+            "max_activations": draw(st.integers(1, 3)),
+            "budget": draw(st.none() | st.just(wcet)
+                           | grains(max(1, wcet // GRAIN // 2),
+                                    2 * wcet // GRAIN)),
+            "jitter": draw(grains(0, 5)),
+            "sections": draw(st.lists(
+                st.tuples(st.sampled_from(["R0", "R1"]),
+                          st.integers(1, 4)), max_size=2)),
+            "sets_event": draw(st.booleans()),
+            "chains_to": draw(st.none() | st.integers(0, n - 1)),
+        })
+    return {
+        "kind": draw(st.sampled_from(["fp", "fp-np", "tdma", "server"])),
+        "tasks": tasks,
+        "budget_enforcement": draw(st.sampled_from(["kill", "off"])),
+        "windows": [(0, draw(grains(5, 40)), "P0"),
+                    (us(500), draw(grains(5, 40)), "P1")],
+        "servers": [(p, draw(grains(5, 30)), draw(grains(30, 90)), 20 + i)
+                    for i, p in enumerate(("P0", "P1"))],
+        "event_alarm": (draw(grains(5, 30)), draw(grains(20, 90))),
+    }
+
+
+@st.composite
+def osek_setups(draw):
+    """One or two ECUs sharing one simulator and trace."""
+    return {"ecus": draw(st.lists(ecu_setups(), min_size=1, max_size=2)),
+            "seed": draw(st.integers(0, 2**16)),
+            "horizon": ms(draw(st.integers(3, 12)))}
+
+
+def _scheduler(ecu):
+    from repro.osek import (DeferrableServerScheduler, ServerSpec,
+                            TdmaScheduler, Window)
+
+    if ecu["kind"] == "tdma":
+        return TdmaScheduler([Window(*w) for w in ecu["windows"]],
+                             major_frame=ms(1))
+    if ecu["kind"] == "server":
+        return DeferrableServerScheduler(
+            [ServerSpec(*s) for s in ecu["servers"]])
+    return FixedPriorityScheduler(preemptive=ecu["kind"] == "fp")
+
+
+def run_osek_setup(kernel_cls, setup):
+    """Build ``setup`` on fresh ``kernel_cls`` kernels and run it; return
+    the trace digest, event counts, CPU time, per-task counters and the
+    error that ended the run, if any."""
+    import itertools
+
+    import repro.osek.task as osek_task
+
+    saved = osek_task._job_seq
+    # Job sequence numbers come from a process-global counter and land
+    # in trace records; restart it so both runs see id 0 first.
+    osek_task._job_seq = itertools.count()
+    try:
+        return _run_osek_setup(kernel_cls, setup)
+    finally:
+        osek_task._job_seq = saved
+
+
+def _build_ecu(kernel, ecu, rng):
+    from repro.osek import OsekResource, WaitEvent
+
+    resources = {name: OsekResource(f"{kernel.name}.{name}")
+                 for name in ("R0", "R1")}
+    event = kernel.event(f"{kernel.name}.EV")
+
+    def body_of(t):
+        def body(job):
+            if t["role"] == "extended":
+                while True:
+                    yield WaitEvent(event, clear=rng.random() < 0.7)
+                    yield Execute(job.demand // 2 + 1)
+            part = job.demand // (len(t["sections"]) + 1)
+            for name, share in t["sections"]:
+                yield Execute(part)
+                yield Acquire(resources[name])
+                yield Execute(max(1, part * share // 4))
+                yield Release(resources[name])
+            if t["sets_event"]:
+                event.set()
+            yield Execute(job.demand - part * len(t["sections"]))
+        return body
+
+    tasks = []
+    for i, t in enumerate(ecu["tasks"]):
+        spec = TaskSpec(
+            f"{kernel.name}.T{i}", wcet=t["wcet"], bcet=t["bcet"],
+            period=t["period"] if t["role"] == "periodic" else None,
+            offset=t["offset"], deadline=t["deadline"],
+            priority=t["priority"], partition=t["partition"],
+            max_activations=t["max_activations"], budget=t["budget"])
+        for name, _ in t["sections"]:
+            resources[name].register_user(t["priority"])
+        chained = t["chains_to"]
+        tasks.append(kernel.add_task(
+            spec, body=body_of(t),
+            execution_time=(lambda s=spec: GRAIN * rng.randint(
+                s.bcet // GRAIN, s.wcet // GRAIN)),
+            release_jitter=(lambda j=t["jitter"]: rng.randrange(
+                0, j + 1, GRAIN)),
+            on_complete=(None if chained is None else
+                         lambda job, c=chained: kernel.activate(tasks[c]))))
+    for t, task in zip(ecu["tasks"], tasks):
+        if t["role"] == "alarm":
+            kernel.alarm_activate(f"A-{task.name}", task) \
+                .set_rel(t["offset"], t["period"])
+        elif t["role"] == "extended":
+            kernel.activate(task)
+    kernel.alarm_set_event(f"A-{event.name}", event) \
+        .set_abs(*ecu["event_alarm"])
+
+
+def _run_osek_setup(kernel_cls, setup):
+    import random
+
+    from repro.errors import ReproError
+    from repro.sim.trace import Trace
+
+    sim = Simulator()
+    trace = Trace()
+    kernels = []
+    for i, ecu in enumerate(setup["ecus"]):
+        kernel = kernel_cls(sim, _scheduler(ecu), trace, name=f"E{i}",
+                            budget_enforcement=ecu["budget_enforcement"])
+        _build_ecu(kernel, ecu, random.Random(setup["seed"] + i))
+        kernels.append(kernel)
+    try:
+        sim.run_until(setup["horizon"])
+        error = None
+    except ReproError as exc:
+        error = (type(exc).__name__, str(exc))
+    return {"digest": trace.digest(), "executed": sim.executed,
+            "pending": sim.pending, "error": error,
+            "busy_ns": [kernel.busy_ns for kernel in kernels],
+            "tasks": {name: (task.jobs_activated, task.jobs_completed,
+                             task.activations_lost)
+                      for kernel in kernels
+                      for name, task in kernel.tasks.items()}}
+
+
+@settings(max_examples=250, deadline=None)
+@given(osek_setups())
+def test_kernel_matches_the_reference(setup):
+    assert run_osek_setup(EcuKernel, setup) \
+        == run_osek_setup(ReferenceEcuKernel, setup)
+
+
+def run_generated(monkeypatch, kernel_cls, seed, size):
+    import itertools
+
+    import repro.osek.task as osek_task
+    import repro.verify.oracle as oracle
+    from repro.verify.generator import generate
+
+    monkeypatch.setattr(oracle, "EcuKernel", kernel_cls)
+    # Restart the process-global job counter, as above.
+    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
+    system = generate(seed, size)
+    built = oracle.build_system(system)
+    assert all(type(k) is kernel_cls for k in built.kernels.values())
+    built.sim.run_until(built.horizon)
+    verdict = oracle.verify_system(system)
+    return built.trace.digest(), built.sim.executed, verdict.to_dict()
+
+
+@pytest.mark.parametrize("size", ["small", "medium", "large"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_generated_systems_match_the_reference(monkeypatch, seed, size):
+    """Same trace digest, event count and verdict with the oracle's
+    kernels swapped for the reference."""
+    assert run_generated(monkeypatch, EcuKernel, seed, size) \
+        == run_generated(monkeypatch, ReferenceEcuKernel, seed, size)

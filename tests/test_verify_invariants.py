@@ -1,11 +1,16 @@
 """Unit tests for the trace invariants, driven by hand-built traces
 that provably violate (or satisfy) each property."""
 
+import random
+
+from hypothesis import given, settings, strategies as st
+
 from repro.sim import Trace
 from repro.units import ms, us
 from repro.verify import (AliveCounterInvariant, E2eContainmentInvariant,
-                          InvariantChecker, NoOverlappingExecution,
-                          PriorityCeilingInvariant, TdmaWindowInvariant)
+                          Invariant, InvariantChecker,
+                          NoOverlappingExecution, PriorityCeilingInvariant,
+                          TdmaWindowInvariant)
 
 ECUS = {"A": "E0", "B": "E0", "C": "E1"}
 
@@ -217,3 +222,117 @@ def test_checker_merges_and_sorts_violations():
     assert [v.time for v in violations] == [5, 9]
     assert {v.invariant for v in violations} == \
         {"no-overlap", "e2e-containment"}
+
+
+def test_invariant_without_categories_sees_every_record():
+    class Recorder(Invariant):
+        name = "recorder"
+
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def observe(self, record):
+            self.seen.append(record)
+
+    tr = Trace()
+    tr.log(0, "task.start", "A")
+    tr.log(1, "can.rx", "F1")
+    tr.log(2, "flexray.cycle", "FR")
+    tr.log(3, "e2e.ok", "PDU", counter=1)
+    tr.log(4, "custom.kind", "X")
+    recorder = Recorder()
+    assert Recorder.categories is None
+    check(tr, NoOverlappingExecution(ECUS), recorder, alive())
+    assert recorder.seen == list(tr)
+
+
+# ----------------------------------------------------------------------
+# Category routing matches feeding every record to every invariant
+# ----------------------------------------------------------------------
+#: Categories the simulators log, plus the ones the invariants read.
+STREAM_CATEGORIES = (
+    "task.activate", "task.start", "task.resume", "task.preempt",
+    "task.complete", "task.wait", "task.wake", "task.budget_overrun",
+    "task.acquire", "task.release", "task.deadline_miss",
+    "task.activation_lost",
+    "e2e.ok", "e2e.crc_error", "e2e.wrong_sequence", "e2e.repeated",
+    "e2e.timeout", "com.rx",
+    "can.enqueue", "can.tx_start", "can.rx", "can.error",
+    "flexray.cycle", "flexray.rx", "flexray.rx_dynamic",
+    "flexray.null_frame", "flexray.slot_lost")
+ROUTED_ECUS = {"A": "E0", "B": "E0", "C": "E1", "T0": "E1", "T1": "E1"}
+
+
+def routed_invariants():
+    """One of each built-in invariant over the stream vocabulary."""
+    return [NoOverlappingExecution(ROUTED_ECUS), tdma(),
+            PriorityCeilingInvariant({**PRIORITIES, "A": 3, "T0": 4},
+                                     {"R": 5, "Q": 2},
+                                     {**SAME_ECU, "A": "E0", "T0": "E0"}),
+            alive(), E2eContainmentInvariant()]
+
+
+#: Categories each built-in invariant reads, so that a stream can dwell
+#: on one invariant long enough to break it.
+FOCUS = (("task.start", "task.resume", "task.preempt", "task.complete"),
+         ("task.start", "task.complete", "task.wait"),
+         ("task.acquire", "task.release", "task.start", "task.resume"),
+         ("e2e.ok",),
+         ("e2e.crc_error", "e2e.repeated", "com.rx"))
+
+
+def random_stream(rng):
+    """A time-ordered stream of 0-60 records over every category, with
+    subjects the invariants know (and some they do not).  Half the
+    records come from one invariant's categories, the rest from all."""
+    focus = rng.choice(FOCUS)
+    subjects = ["A", "B", "C", "low", "mid", "hi", "T0", "T1", "PDU",
+                "GHOST"]
+    tr = Trace()
+    time = 0
+    for _ in range(rng.randrange(61)):
+        time += rng.choice([0, 0, 1, ms(1), ms(3)])
+        category = rng.choice(focus if rng.random() < 0.5
+                              else STREAM_CATEGORIES)
+        data = {}
+        if category in ("task.acquire", "task.release"):
+            data["resource"] = rng.choice(["R", "Q", "S"])
+        elif category == "e2e.ok" and rng.random() < 0.8:
+            data["counter"] = rng.randrange(16)
+        subject = "PDU" if category.startswith(("e2e.", "com.")) \
+            and rng.random() < 0.8 else rng.choice(subjects)
+        tr.log(time, category, subject, **data)
+    return tr
+
+
+def feed_every_record(invariants, trace):
+    """The reference: every record to every invariant, in order."""
+    for record in trace:
+        for invariant in invariants:
+            invariant.observe(record)
+    violations = []
+    for invariant in invariants:
+        invariant.finish()
+        violations.extend(invariant.violations)
+    return sorted(violations, key=lambda v: (v.time, v.invariant, v.subject))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_routing_matches_feeding_every_record(rng):
+    trace = random_stream(rng)
+    assert InvariantChecker(routed_invariants()).run(trace) \
+        == feed_every_record(routed_invariants(), trace)
+
+
+def test_random_streams_break_each_invariant():
+    """The streams above reach a violation of every invariant, and on
+    each the routed checker reports exactly the reference's violations."""
+    broken = set()
+    for seed in range(300):
+        trace = random_stream(random.Random(seed))
+        expected = feed_every_record(routed_invariants(), trace)
+        assert InvariantChecker(routed_invariants()).run(trace) == expected
+        broken.update(v.invariant for v in expected)
+    assert broken == {inv.name for inv in routed_invariants()}

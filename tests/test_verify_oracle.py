@@ -16,6 +16,35 @@ def test_analyze_bounds_covers_every_layer_without_simulating():
     assert all(":" in entry for entry in declined)
 
 
+def test_dynamic_frame_behind_an_oversized_frame_is_declined():
+    """12 minislots of 10 us; frame ID 1 of 254 bytes needs 22 of them
+    and never transmits, so neither does ID 2 (4 bytes) behind it.  The
+    check of ID 2 is declined, not passed on zero observations."""
+    from repro.network.flexray import DynamicFrameSpec, FlexRayConfig
+    from repro.units import us
+    from repro.verify.generator import (DynamicWriter, FlexRayPlan,
+                                        GeneratedSystem)
+    from repro.verify.oracle import build_system
+
+    config = FlexRayConfig(slot_length=us(100), n_static_slots=2,
+                           minislot_length=us(10), n_minislots=12)
+    cycle = config.cycle_length
+    system = GeneratedSystem("fr-blocked", 0, "small", flexray=FlexRayPlan(
+        config, ("N0", "N1"), (),
+        (DynamicWriter(DynamicFrameSpec("BIG", 1, 254), "N0", cycle, 0),
+         DynamicWriter(DynamicFrameSpec("SMALL", 2, 4), "N1", cycle, 0))))
+    built = build_system(system)
+    built.sim.run_until(built.horizon)
+    assert len(built.trace.records("flexray.cycle")) > 2
+    assert built.trace.records("flexray.rx_dynamic") == []
+    bounds, declined = analyze_bounds(system)
+    assert bounds == []
+    assert declined == ["flexray_dynamic:BIG", "flexray_dynamic:SMALL"]
+    verdict = verify_system(system)
+    assert "flexray_dynamic:SMALL" in verdict.declined
+    assert verdict.checks == []
+
+
 def test_single_system_verdict_is_sound_and_fully_observed():
     verdict = verify_system(generate(7))
     assert verdict.soundness_violations == []
