@@ -1,4 +1,5 @@
-"""E17 — Kernel dispatch: the order contract and events/s per traffic shape.
+"""E17 — Kernel scheduling and dispatch: the order contract, ns per
+``schedule_at`` and events/s per traffic shape.
 
 Claim (correctness, conditional on E12/E15 semantics): the one-heap
 simulation kernel (:class:`repro.sim.kernel.Simulator`) fires every
@@ -16,9 +17,19 @@ with a priority drawn from a fixed seed, and dispatched with one
   (1.2-2.3 events per instant, EXPERIMENTS E22).
 
 On every run, each shape's dispatch order must equal its scheduled
-events sorted by ``(time, priority, seq)``.  Events/s (best of 3) is
-recorded per shape with no floor: it describes the kernel, it does not
-gate it.  ``--quick`` shrinks both shapes.
+events sorted by ``(time, priority, seq)``.  Two costs are recorded per
+shape, each the best of 3, with no floor: they describe the kernel,
+they do not gate it.
+
+* ``schedule_ns`` — ns per ``schedule_at`` call while the shape's
+  events are scheduled into a fresh simulator;
+* ``events_per_s`` — dispatch throughput of one ``run_until`` over
+  them.
+
+``--parent PATH`` also loads the kernel module at ``PATH`` (another
+checkout's ``src/repro/sim/kernel.py``), times it the same way in
+alternation with this tree's kernel, and records its numbers under
+``parent``.  ``--quick`` shrinks both shapes.
 
 A full run persists its machine-readable trajectory to
 ``BENCH_e17_perf.json`` at the repo root; a quick run writes
@@ -27,6 +38,7 @@ alone.
 """
 
 import argparse
+import importlib.util
 import os
 import random
 import time
@@ -84,55 +96,90 @@ def check_order(events: list[tuple[int, int]]) -> int:
     return len(fired)
 
 
-def events_per_s(events: list[tuple[int, int]]) -> float:
-    """Best of 3 dispatch throughput over ``events``."""
-    def once() -> float:
-        def tick():
-            pass
+def timings(events: list[tuple[int, int]], simulator) -> tuple[float, float]:
+    """One scheduling pass and one dispatch of ``events`` on a fresh
+    ``simulator``: (ns per ``schedule_at`` call, dispatched events/s)."""
+    def tick():
+        pass
 
-        sim = _simulator(events, lambda index: tick)
-        horizon = max(at for at, _ in events)
-        start = time.perf_counter()
-        sim.run_until(horizon)
-        elapsed = time.perf_counter() - start
-        assert sim.executed == len(events)
-        return sim.executed / elapsed
+    sim = simulator()
+    schedule_at = sim.schedule_at
+    start = time.perf_counter()
+    for at, priority in events:
+        schedule_at(at, tick, priority)
+    scheduled = time.perf_counter() - start
+    horizon = max(at for at, _ in events)
+    start = time.perf_counter()
+    sim.run_until(horizon)
+    dispatched = time.perf_counter() - start
+    assert sim.executed == len(events)
+    return scheduled * 1e9 / len(events), sim.executed / dispatched
 
-    return max(once() for _ in range(3))
+
+def best_timings(events: list[tuple[int, int]],
+                 kernels: dict) -> dict[str, dict]:
+    """Best of 3 :func:`timings` per kernel, the kernels alternating
+    within each of the 3 rounds."""
+    runs = {name: [] for name in kernels}
+    for _ in range(3):
+        for name, simulator in kernels.items():
+            runs[name].append(timings(events, simulator))
+    return {name: {"schedule_ns": round(min(s for s, _ in samples), 1),
+                   "events_per_s": round(max(e for _, e in samples), 0)}
+            for name, samples in runs.items()}
+
+
+def load_simulator(path: str):
+    """The ``Simulator`` class of the kernel module at ``path``."""
+    spec = importlib.util.spec_from_file_location("e17_parent_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Simulator
 
 
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def run(quick: bool = False) -> list[dict]:
+def run(quick: bool = False, parent: str = None) -> list[dict]:
     slots, burst = (60, 60) if quick else (300, 300)
     shapes = {"burst": burst_shape(slots, burst),
               "distinct": distinct_shape(slots * burst // 2)}
+    kernels = {"kernel": Simulator}
+    if parent is not None:
+        kernels["parent"] = load_simulator(parent)
 
-    kernel = {}
+    sides = {name: {} for name in kernels}
     for name, events in shapes.items():
         fired = check_order(events)
-        kernel[name] = {
+        best = best_timings(events, kernels)
+        sides["kernel"][name] = {
             "events": fired,
             "instants": len({at for at, _ in events}),
-            "events_per_s": round(events_per_s(events), 0),
+            **best["kernel"],
         }
+        if parent is not None:
+            sides["parent"][name] = best["parent"]
 
     path = write_bench({
         "bench": "e17_perf",
         "quick": quick,
         "order": {"ok": True},
-        "kernel": kernel,
+        **sides,
     })
 
     rows = []
-    for name, stats in kernel.items():
+    for name, stats in sides["kernel"].items():
         rows.append({
             "row": f"{name}: dispatch order",
             "value": (f"{stats['events']} events over {stats['instants']} "
                       f"instants in (time, priority, seq) order")})
-        rows.append({"row": f"{name}: kernel",
-                     "value": f"{stats['events_per_s']:.0f} events/s"})
+        for side, by_shape in sides.items():
+            timing = by_shape[name]
+            rows.append({"row": f"{name}: {side}",
+                         "value": (f"{timing['schedule_ns']:.0f} ns per "
+                                   f"schedule_at, "
+                                   f"{timing['events_per_s']:.0f} "
+                                   f"events/s dispatched")})
     rows.append({"row": "trajectory",
                  "value": os.path.relpath(path, REPO_ROOT)})
     return rows
@@ -147,7 +194,8 @@ def check(rows: list[dict]) -> None:
             f"the {name} shape dispatched no events"
 
 
-TITLE = "E17: kernel dispatch order and events/s per traffic shape"
+TITLE = ("E17: kernel dispatch order, ns per schedule_at and events/s "
+         "per traffic shape")
 
 
 def bench_e17_perf(benchmark):
@@ -160,7 +208,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="smaller shapes; written under .bench_build/")
+    parser.add_argument("--parent", metavar="KERNEL_PY",
+                        help="also time the kernel module at this path "
+                             "and record it under 'parent'")
     options = parser.parse_args()
-    table_rows = run(quick=options.quick)
+    table_rows = run(quick=options.quick, parent=options.parent)
     check(table_rows)
     print_table(TITLE, table_rows)

@@ -1,0 +1,175 @@
+"""E26 — Garbage-lean simulation: what the cyclic collector costs each
+pipeline, and that no trace record outlives its item.
+
+Claim: every pipeline worker clears its world's trace once it has read
+it (:meth:`repro.sim.trace.Trace.clear`).  A simulated world is a
+reference cycle, so without that a finished item's records stay alive
+until a full collection traverses and frees them.  After a call of any
+of the five public pipeline entry points no
+:class:`~repro.sim.trace.Record` is left alive.
+
+Setup: one small fixed call per pipeline (``verify_many``, ``fuzz``,
+``run_resilience``, ``run_campaign`` and ``measure_models``), run twice
+in this process, each time after a full collection:
+
+* **counted**, collector off: the live ``Record`` objects after the call
+  minus those before it.  With the collector off this count does not
+  depend on when a collection happens to run, so it repeats exactly.
+  This first call also finishes the pipeline's lazy imports;
+* **timed**, collector on: ``gc.callbacks`` counts the collections of
+  each generation and times them; the share is collector seconds over
+  the call's wall seconds.
+
+Only the live-record count is gated: it must be 0 for every pipeline.
+Collector time and counts describe the run, they do not gate it.
+``--quick`` shrinks every call.
+
+A full run persists its machine-readable trajectory to
+``BENCH_e26_gc.json`` at the repo root; a quick run writes
+``.bench_build/BENCH_e26_gc.json`` instead, leaving the committed file
+alone.
+"""
+
+import argparse
+import gc
+import os
+import time
+
+from _tables import print_table
+from trajectory import REPO_ROOT, write_bench
+
+from repro.faults import ReferenceWorld, reference_cells, run_campaign
+from repro.meas.batch import measure_models
+from repro.sim.trace import Record
+from repro.units import ms
+from repro.verify.fuzz import fuzz
+from repro.verify.generator import generate_many
+from repro.verify.oracle import verify_many
+from repro.verify.resilience import run_resilience
+
+SEED = 7
+
+
+def pipelines(quick: bool) -> dict:
+    """Pipeline name -> a call of its public entry point."""
+    return {
+        "verify": lambda: verify_many(SEED, 3 if quick else 10),
+        "fuzz": lambda: fuzz(SEED, budget=8 if quick else 24),
+        "resilience": lambda: run_resilience(SEED, 1 if quick else 2),
+        "campaign": lambda: run_campaign(ReferenceWorld, reference_cells(),
+                                         horizon=ms(300)),
+        "meas-daq": lambda: measure_models(
+            generate_many(SEED, 2 if quick else 5), period=ms(1),
+            horizon=ms(50)),
+    }
+
+
+class CollectorClock:
+    """A ``gc.callbacks`` entry: collections per generation and the
+    seconds spent in them."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+            self.collections[info["generation"]] += 1
+
+
+def live_records() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is Record)
+
+
+def timed(call) -> dict:
+    """Wall and collector time of ``call()`` with the collector on."""
+    gc.collect()
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
+    try:
+        start = time.perf_counter()
+        call()
+        wall = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(clock)
+    return {"wall_s": round(wall, 4),
+            "gc_s": round(clock.seconds, 4),
+            "gc_share": round(clock.seconds / wall, 4),
+            "collections": {f"gen{generation}": count for generation, count
+                            in enumerate(clock.collections)}}
+
+
+def records_left(call) -> int:
+    """Live ``Record`` objects ``call()`` leaves, collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_records()
+        call()
+        return live_records() - before
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Harness
+# ----------------------------------------------------------------------
+def run(quick: bool = False) -> list[dict]:
+    results = {}
+    for name, call in pipelines(quick).items():
+        left = records_left(call)
+        results[name] = dict(timed(call), live_records=left)
+
+    path = write_bench({
+        "bench": "e26_gc",
+        "quick": quick,
+        "pipelines": results,
+        "gates": {"live_records_max": 0,
+                  "live_records_ok": all(r["live_records"] == 0
+                                         for r in results.values())},
+    })
+
+    rows = []
+    for name, stats in results.items():
+        generations = stats["collections"]
+        rows.append({
+            "pipeline": name,
+            "wall s": f"{stats['wall_s']:.3f}",
+            "collector s": f"{stats['gc_s']:.3f}",
+            "share": f"{stats['gc_share']:.1%}",
+            "collections gen0/1/2": "/".join(
+                str(generations[f"gen{g}"]) for g in range(3)),
+            "live records": stats["live_records"],
+        })
+    print(f"trajectory: {os.path.relpath(path, REPO_ROOT)}")
+    return rows
+
+
+def check(rows: list[dict]) -> None:
+    for row in rows:
+        assert row["live records"] == 0, \
+            (f"{row['pipeline']}: {row['live records']} trace records "
+             f"outlived the call")
+
+
+TITLE = "E26: cyclic collector cost and trace records alive per pipeline"
+
+
+def bench_e26_gc(benchmark):
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    check(rows)
+    print_table(TITLE, rows)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--quick", action="store_true",
+                        help="smaller calls; written under .bench_build/")
+    options = parser.parse_args()
+    table_rows = run(quick=options.quick)
+    print_table(TITLE, table_rows)
+    check(table_rows)

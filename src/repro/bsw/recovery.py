@@ -281,7 +281,7 @@ class RecoveryOrchestrator:
     def _cancel_timer(self, policy: RecoveryPolicy) -> None:
         handle = self._timers.pop(policy.event_name, None)
         if handle is not None:
-            handle.cancel()
+            self.sim.cancel(handle)
 
     # ------------------------------------------------------------------
     # Reactions

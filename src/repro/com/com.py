@@ -439,7 +439,7 @@ class ComStack:
     def _arm_timeout(self, spec: SignalSpec) -> None:
         handle = self._timeout_handles.get(spec.name)
         if handle is not None:
-            handle.cancel()
+            self.sim.cancel(handle)
         self._timeout_handles[spec.name] = self.sim.schedule(
             spec.timeout, lambda: self._timeout_fired(spec))
 

@@ -274,7 +274,7 @@ class E2eReceiver:
     # ------------------------------------------------------------------
     def _arm_timeout(self) -> None:
         if self._timeout_handle is not None:
-            self._timeout_handle.cancel()
+            self.sim.cancel(self._timeout_handle)
         self._timeout_handle = self.sim.schedule(self.profile.timeout,
                                                  self._timeout_fired)
 
@@ -287,7 +287,7 @@ class E2eReceiver:
     def stop(self) -> None:
         """Cancel timeout supervision (end of scenario teardown)."""
         if self._timeout_handle is not None:
-            self._timeout_handle.cancel()
+            self.sim.cancel(self._timeout_handle)
             self._timeout_handle = None
 
     @property

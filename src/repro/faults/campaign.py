@@ -269,43 +269,48 @@ def run_cell(factory: Callable[[], CampaignWorld], cell: CampaignCell,
     service (:func:`repro.meas.service.attach_world`) and samples the
     world cyclically; the rows land in ``result.daq_rows`` without
     touching the cell's trace or digest."""
-    with obs.span("campaign.cell", category="campaign", kind=cell.kind,
-                  target=cell.target, onset=cell.onset):
-        world = factory()
-        if cell.end is not None and cell.end >= horizon:
-            raise ConfigurationError(
-                f"cell {cell.label}: fault window must close before the "
-                f"horizon {horizon} to measure recovery")
-        adapter = world.adapter_for(cell)
-        world.injector.inject(adapter, cell.fault())
-        service = None
-        if daq_period is not None:
-            from repro.meas.service import attach_world, default_daq
+    world = None
+    try:
+        with obs.span("campaign.cell", category="campaign", kind=cell.kind,
+                      target=cell.target, onset=cell.onset):
+            world = factory()
+            if cell.end is not None and cell.end >= horizon:
+                raise ConfigurationError(
+                    f"cell {cell.label}: fault window must close before the "
+                    f"horizon {horizon} to measure recovery")
+            adapter = world.adapter_for(cell)
+            world.injector.inject(adapter, cell.fault())
+            service = None
+            if daq_period is not None:
+                from repro.meas.service import attach_world, default_daq
 
-            service = attach_world(world, node=f"MEAS:{cell.label}")
-            service.connect()
-            service.start_daq(default_daq(service.registry, daq_period))
-        world.sim.run_until(horizon)
-        result = _evaluate(world, cell, horizon)
-        if service is not None:
-            service.detach()
-            result.daq_rows = service.sample_rows()
-    if obs.enabled():
-        obs.count("campaign.cells")
-        obs.count(f"campaign.detected_by.{result.detection_source}"
-                  if result.detected else "campaign.undetected")
-        if result.detection_latency is not None:
-            obs.observe("campaign.detection_latency_ns",
-                        result.detection_latency)
-        if result.recovery_latency is not None:
-            obs.observe("campaign.recovery_latency_ns",
-                        result.recovery_latency)
-        # DEM events were already DLT-logged live by the ErrorManager;
-        # harvest the remaining BSW categories (watchdog, recovery,
-        # mode, E2E, COM) from the cell's trace without double-counting.
-        obs.harvest_trace(
-            (r for r in world.trace if not r.category.startswith("dem.")))
-    return result
+                service = attach_world(world, node=f"MEAS:{cell.label}")
+                service.connect()
+                service.start_daq(default_daq(service.registry, daq_period))
+            world.sim.run_until(horizon)
+            result = _evaluate(world, cell, horizon)
+            if service is not None:
+                service.detach()
+                result.daq_rows = service.sample_rows()
+        if obs.enabled():
+            obs.count("campaign.cells")
+            obs.count(f"campaign.detected_by.{result.detection_source}"
+                      if result.detected else "campaign.undetected")
+            if result.detection_latency is not None:
+                obs.observe("campaign.detection_latency_ns",
+                            result.detection_latency)
+            if result.recovery_latency is not None:
+                obs.observe("campaign.recovery_latency_ns",
+                            result.recovery_latency)
+            # DEM events were already DLT-logged live by the ErrorManager;
+            # harvest the remaining BSW categories (watchdog, recovery,
+            # mode, E2E, COM) from the cell's trace without double-counting.
+            obs.harvest_trace(
+                (r for r in world.trace if not r.category.startswith("dem.")))
+        return result
+    finally:
+        if world is not None:
+            world.trace.clear()
 
 
 def _cell_worker(factory, horizon: int, daq_period: Optional[int],

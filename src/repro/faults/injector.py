@@ -151,7 +151,7 @@ class CanNodeAdapter(FaultAdapter):
             self.controller.set_bus_off(False)
             return
         if self._flood_handle is not None:
-            self._flood_handle.cancel()
+            self.sim.cancel(self._flood_handle)
             self._flood_handle = None
         # Fault end models a controller reset: drop the babble backlog.
         self.controller.flush()
@@ -379,7 +379,7 @@ class GuardedCanNodeAdapter(FaultAdapter):
     def revert(self, fault: Fault) -> None:
         """Stop flooding and flush whatever the guardian let through."""
         if self._flood_handle is not None:
-            self._flood_handle.cancel()
+            self.sim.cancel(self._flood_handle)
             self._flood_handle = None
         self.controller.flush()
 

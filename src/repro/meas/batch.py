@@ -55,13 +55,16 @@ class MeasurementReport:
 def _daq_worker(horizon: Optional[int], period: int, system) -> tuple:
     """Plan worker (module-level, picklable): build, attach, sample."""
     built = build_system(system)
-    service = MeasurementService.attach(built, system)
-    service.connect()
-    service.start_daq(default_daq(service.registry, period))
-    built.sim.run_until(horizon if horizon is not None
-                        else default_horizon(system))
-    service.detach()
-    return system.name, service.sample_rows()
+    try:
+        service = MeasurementService.attach(built, system)
+        service.connect()
+        service.start_daq(default_daq(service.registry, period))
+        built.sim.run_until(horizon if horizon is not None
+                            else default_horizon(system))
+        service.detach()
+        return system.name, service.sample_rows()
+    finally:
+        built.trace.clear()
 
 
 def measure_models(models: Sequence, period: int = DEFAULT_DAQ_PERIOD,

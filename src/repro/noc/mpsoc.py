@@ -82,7 +82,7 @@ class IpCore:
     def stop_babbling(self) -> None:
         """End a babbling episode."""
         if self._babbling_handle is not None:
-            self._babbling_handle.cancel()
+            self.mpsoc.sim.cancel(self._babbling_handle)
             self._babbling_handle = None
 
     def __repr__(self) -> str:

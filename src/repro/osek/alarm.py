@@ -56,7 +56,7 @@ class Alarm:
     def cancel(self) -> None:
         """Disarm the alarm (OSEK ``CancelAlarm``); idempotent."""
         if self._handle is not None:
-            self._handle.cancel()
+            self.kernel.sim.cancel(self._handle)
             self._handle = None
 
     def _expire(self) -> None:

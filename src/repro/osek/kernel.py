@@ -204,13 +204,12 @@ class EcuKernel:
 
         Returns ``"run"`` (has CPU demand), or terminal states ``"done"``,
         ``"wait"``, ``"killed"`` — which this method has already applied
-        (state change, logging, queue removal)."""
+        (state change, logging, queue removal).  A job is killed only
+        when it still needs CPU time with its budget used up, so a job
+        whose last ``Execute`` ends exactly at its budget completes."""
         while True:
             req = job._current
             if req is None:
-                if self._budget_exhausted(job):
-                    self._kill(job, now)
-                    return "killed"
                 req = next(job._body, _DONE)
                 if req is _DONE:
                     self._complete(job, now)
@@ -220,6 +219,9 @@ class EcuKernel:
                     job._remaining = req.ticks
             if isinstance(req, Execute):
                 if job._remaining > 0:
+                    if self._budget_exhausted(job):
+                        self._kill(job, now)
+                        return "killed"
                     return "run"
                 job._current = None
             elif isinstance(req, Acquire):
@@ -349,7 +351,7 @@ class EcuKernel:
         # fresh ``seq`` keeps same-instant timers of different kernels in
         # the order they were armed.
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
         scheduler = self.scheduler
         when = None

@@ -89,7 +89,7 @@ class ScheduleTable:
         cancelled (OSEK ``StopScheduleTable``)."""
         self.state = "stopped"
         for handle in self._pending:
-            handle.cancel()
+            self.kernel.sim.cancel(handle)
         self._pending.clear()
 
     def next_table(self, table: "ScheduleTable") -> None:

@@ -9,11 +9,15 @@ instant fire in ascending priority, then insertion order.  This makes
 simultaneous hardware events (e.g. two CAN controllers requesting the bus on
 the same bit edge) deterministic without hidden dependence on heap internals.
 
-Every event is one ``(time, priority, seq, handle)`` tuple on that heap:
-:meth:`Simulator.schedule_at` pushes it and the dispatch loop pops it
-inline, so an event costs one tuple push and one pop and no queue method
-call.  The tuples compare in C and ``seq`` is unique, so the handle is
-never compared.  There is no per-instant bucket: the pipeline workloads
+Every event is one ``[time, priority, seq, callback]`` list on that
+heap: :meth:`Simulator.schedule_at` pushes it and returns the same list
+as the event's handle, and the dispatch loop pops it inline, so an event
+costs one allocation, one push and one pop and no queue method call.
+The lists compare in C and ``seq`` is unique, so the callback is never
+compared.  :meth:`Simulator.cancel` sets the callback slot to ``None``
+and dispatch skips such an entry when it reaches the top (the heapq
+documentation's "mark removed" recipe), so cancelling is O(1) and never
+re-heapifies.  There is no per-instant bucket: the pipeline workloads
 dispatch 1.2–2.3 events per distinct instant, so most buckets would hold
 one event and cost more than the heap entries they save (EXPERIMENTS
 E17, E22).  ``tests/kernel_reference.py`` holds an independent reference
@@ -37,32 +41,6 @@ from repro import obs
 from repro.errors import SimulationError
 
 
-class EventHandle:
-    """Handle to a scheduled event, usable for cancellation.
-
-    Cancellation is lazy: the heap entry stays in place but is skipped
-    when popped.  This keeps ``cancel`` O(1).
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
-
-    def __init__(self, time: int, priority: int, seq: int,
-                 callback: Callable[[], Any]):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} prio={self.priority} {state}>"
-
-
 class Simulator:
     """Event-driven simulator with integer-nanosecond virtual time.
 
@@ -77,7 +55,7 @@ class Simulator:
         self.now: int = 0
         #: total events executed (introspection / throughput metrics).
         self.executed: int = 0
-        self._heap: list[tuple[int, int, int, EventHandle]] = []
+        self._heap: list[list] = []
         self._seq = itertools.count()
         self._stopped = False
 
@@ -85,7 +63,7 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: int, callback: Callable[[], Any],
-                 priority: int = 0) -> EventHandle:
+                 priority: int = 0) -> list:
         """Schedule ``callback`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(
@@ -93,15 +71,23 @@ class Simulator:
         return self.schedule_at(self.now + delay, callback, priority)
 
     def schedule_at(self, time: int, callback: Callable[[], Any],
-                    priority: int = 0) -> EventHandle:
-        """Schedule ``callback`` to run at absolute time ``time``."""
+                    priority: int = 0) -> list:
+        """Schedule ``callback`` to run at absolute time ``time``.
+
+        Returns the event's heap entry, ``[time, priority, seq,
+        callback]``, as its handle for :meth:`cancel`.
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}")
-        seq = next(self._seq)
-        handle = EventHandle(time, priority, seq, callback)
-        heapq.heappush(self._heap, (time, priority, seq, handle))
-        return handle
+        entry = [time, priority, next(self._seq), callback]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle: list) -> None:
+        """Prevent the event ``handle`` from firing.  Safe to call more
+        than once, and after the event has fired."""
+        handle[3] = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -113,7 +99,8 @@ class Simulator:
 
         Returns (events run, distinct instants among them).  ``now``
         moves only when an event's time differs from the previous one's.
-        Cancelled entries are dropped as they reach the top.
+        Cancelled entries (callback ``None``) are dropped as they reach
+        the top.
         """
         self._stopped = False
         heap = self._heap
@@ -123,15 +110,15 @@ class Simulator:
         while heap and not self._stopped and events != limit:
             if heap[0][0] > horizon:
                 break
-            time, _, _, handle = pop(heap)
-            if handle.cancelled:
+            time, _, _, callback = pop(heap)
+            if callback is None:
                 continue
             if time != previous:
                 previous = self.now = time
                 instants += 1
             events += 1
             self.executed += 1
-            handle.callback()
+            callback()
         return events, instants
 
     def run_until(self, horizon: int) -> None:
@@ -172,7 +159,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return sum(1 for entry in self._heap if entry[3] is not None)
 
     def __repr__(self) -> str:
         return f"<Simulator now={self.now} pending={self.pending}>"

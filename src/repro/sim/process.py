@@ -114,7 +114,7 @@ class Process:
             return
         self.done = True
         if self._pending_handle is not None:
-            self._pending_handle.cancel()
+            self.sim.cancel(self._pending_handle)
         # A process killed by a co-waiter while its signal fires is no
         # longer in the signal's list; it is skipped as done instead.
         if self._waiting_on is not None \

@@ -155,7 +155,16 @@ class Trace:
         return max(intervals) - min(intervals)
 
     def clear(self) -> None:
-        """Discard all records."""
+        """Discard all records.
+
+        A pipeline worker calls this on its world's trace once it has
+        read what it needs.  A simulated world is a reference cycle (the
+        simulator heap holds callbacks bound to components that hold the
+        simulator), so without it a finished world's records would wait
+        for the cyclic garbage collector, which must then traverse them.
+        Cleared, they are freed by reference counting at once
+        (EXPERIMENTS E26).
+        """
         self._records.clear()
         self._by_category.clear()
         self._by_subject.clear()

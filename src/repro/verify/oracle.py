@@ -597,70 +597,75 @@ def verify_system(system: GeneratedSystem,
     trace, so checks, invariants and the verification digest are the
     same with or without it.
     """
-    with obs.span("verify.system", category="verify", system=system.name,
-                  seed=system.seed, size=system.size):
-        bounds, declined = analyze_bounds(system)
-        built = build_system(system)
-        service = None
-        if daq_period is not None:
-            from repro.meas.service import MeasurementService, default_daq
+    built = None
+    try:
+        with obs.span("verify.system", category="verify", system=system.name,
+                      seed=system.seed, size=system.size):
+            bounds, declined = analyze_bounds(system)
+            built = build_system(system)
+            service = None
+            if daq_period is not None:
+                from repro.meas.service import MeasurementService, default_daq
 
-            service = MeasurementService.attach(built, system)
-            service.connect()
-            service.start_daq(default_daq(service.registry, daq_period))
-        built.sim.run_until(horizon if horizon is not None
-                            else built.horizon)
-        checks = []
-        for layer, subject, bound in bounds:
-            values = _observations(built, layer, subject)
-            checks.append(Check(layer, subject, bound,
-                                max(values) if values else None,
-                                len(values)))
-        violations = InvariantChecker(
-            make_invariants(system)).run(built.trace)
-        if system.faults:
-            # Injected-fault scenarios run in *separate* simulations
-            # (the nominal differential run above stays fault-free);
-            # unmet detect/contain/recover obligations surface as
-            # invariant violations so every downstream consumer —
-            # failure keys, shrinking, fuzz feedback — sees them.
-            from repro.verify.resilience import verify_resilience
-            for rv in verify_resilience(system):
-                if not rv.supported:
-                    declined.append(f"resilience:{rv.scenario.label()}")
-                    continue
-                violations.extend(rv.violations())
-        verdict = SystemVerdict(system.name, system.seed, system.size,
-                                checks, declined, violations,
-                                len(built.trace))
-        if service is not None:
-            service.detach()
-            verdict.daq_rows = service.sample_rows()
-    if obs.enabled():
-        obs.count("verify.systems")
-        obs.count("verify.checks", len(verdict.checks))
-        obs.count("verify.declined", len(verdict.declined))
-        obs.count("verify.soundness_violations",
-                  len(verdict.soundness_violations))
-        obs.count("verify.invariant_violations",
-                  len(verdict.invariant_violations))
-        obs.count("verify.trace_records", verdict.records)
-        # Overload symptoms: these make saturation *visible* to the
-        # fuzzer's feedback signature — a mutant that starts shedding
-        # activations or missing deadlines reached new behaviour even
-        # while every bound still holds.
-        lost = len(built.trace.records("task.activation_lost"))
-        if lost:
-            obs.count("verify.activations_lost", lost)
-        missed = len(built.trace.records("task.deadline_miss"))
-        if missed:
-            obs.count("verify.deadline_misses", missed)
-        for check in verdict.checks:
-            if check.tightness is not None:
-                obs.observe("verify.tightness", check.tightness,
-                            buckets=obs.RATIO_BUCKETS)
-        obs.harvest_trace(built.trace, system.name)
-    return verdict
+                service = MeasurementService.attach(built, system)
+                service.connect()
+                service.start_daq(default_daq(service.registry, daq_period))
+            built.sim.run_until(horizon if horizon is not None
+                                else built.horizon)
+            checks = []
+            for layer, subject, bound in bounds:
+                values = _observations(built, layer, subject)
+                checks.append(Check(layer, subject, bound,
+                                    max(values) if values else None,
+                                    len(values)))
+            violations = InvariantChecker(
+                make_invariants(system)).run(built.trace)
+            if system.faults:
+                # Injected-fault scenarios run in *separate* simulations
+                # (the nominal differential run above stays fault-free);
+                # unmet detect/contain/recover obligations surface as
+                # invariant violations so every downstream consumer —
+                # failure keys, shrinking, fuzz feedback — sees them.
+                from repro.verify.resilience import verify_resilience
+                for rv in verify_resilience(system):
+                    if not rv.supported:
+                        declined.append(f"resilience:{rv.scenario.label()}")
+                        continue
+                    violations.extend(rv.violations())
+            verdict = SystemVerdict(system.name, system.seed, system.size,
+                                    checks, declined, violations,
+                                    len(built.trace))
+            if service is not None:
+                service.detach()
+                verdict.daq_rows = service.sample_rows()
+        if obs.enabled():
+            obs.count("verify.systems")
+            obs.count("verify.checks", len(verdict.checks))
+            obs.count("verify.declined", len(verdict.declined))
+            obs.count("verify.soundness_violations",
+                      len(verdict.soundness_violations))
+            obs.count("verify.invariant_violations",
+                      len(verdict.invariant_violations))
+            obs.count("verify.trace_records", verdict.records)
+            # Overload symptoms: these make saturation *visible* to the
+            # fuzzer's feedback signature — a mutant that starts shedding
+            # activations or missing deadlines reached new behaviour even
+            # while every bound still holds.
+            lost = len(built.trace.records("task.activation_lost"))
+            if lost:
+                obs.count("verify.activations_lost", lost)
+            missed = len(built.trace.records("task.deadline_miss"))
+            if missed:
+                obs.count("verify.deadline_misses", missed)
+            for check in verdict.checks:
+                if check.tightness is not None:
+                    obs.observe("verify.tightness", check.tightness,
+                                buckets=obs.RATIO_BUCKETS)
+            obs.harvest_trace(built.trace, system.name)
+        return verdict
+    finally:
+        if built is not None:
+            built.trace.clear()
 
 
 def _system_worker(horizon: Optional[int], daq_period: Optional[int],

@@ -514,49 +514,55 @@ def verify_resilience(system: GeneratedSystem) -> list[ScenarioVerdict]:
     """
     verdicts: list[ScenarioVerdict] = []
     baselines: dict[int, ResilienceWorld] = {}
-    for scenario in system.faults:
-        plan = _plan_scenario(system, scenario)
-        if plan is None:
-            verdicts.append(ScenarioVerdict(scenario, supported=False))
+    try:
+        for scenario in system.faults:
+            plan = _plan_scenario(system, scenario)
+            if plan is None:
+                verdicts.append(ScenarioVerdict(scenario, supported=False))
+                if obs.enabled():
+                    obs.count("resilience.scenarios")
+                    obs.count("resilience.unsupported")
+                continue
+            baseline = baselines.get(plan.horizon)
+            if baseline is None:
+                baseline = baselines[plan.horizon] = ResilienceWorld(system)
+                baseline.sim.run_until(plan.horizon)
+            world = ResilienceWorld(system)
+            try:
+                adapter, fault = plan.wire(world)
+                world.injector.inject(adapter, fault)
+                world.sim.run_until(plan.horizon)
+                verdict = _evaluate(world, baseline, scenario, plan)
+            finally:
+                world.trace.clear()
+            verdicts.append(verdict)
             if obs.enabled():
                 obs.count("resilience.scenarios")
-                obs.count("resilience.unsupported")
-            continue
-        baseline = baselines.get(plan.horizon)
-        if baseline is None:
-            baseline = ResilienceWorld(system)
-            baseline.sim.run_until(plan.horizon)
-            baselines[plan.horizon] = baseline
-        world = ResilienceWorld(system)
-        adapter, fault = plan.wire(world)
-        world.injector.inject(adapter, fault)
-        world.sim.run_until(plan.horizon)
-        verdict = _evaluate(world, baseline, scenario, plan)
-        verdicts.append(verdict)
-        if obs.enabled():
-            obs.count("resilience.scenarios")
-            if verdict.detection_waived:
-                obs.count("resilience.detection_waived")
-            elif verdict.detected:
-                obs.count(f"resilience.detected_by."
-                          f"{verdict.detection_source}")
-                if verdict.detection_latency > verdict.detection_bound:
-                    obs.count("resilience.late_detection")
-                obs.observe("resilience.detection_latency_ns",
-                            verdict.detection_latency)
-            else:
-                obs.count("resilience.undetected")
-            if not verdict.contained:
-                obs.count("resilience.escapes", verdict.escaped)
-            if verdict.recovery_waived:
-                obs.count("resilience.recovery_waived")
-            elif verdict.recovered:
-                obs.count("resilience.recovered")
-                if verdict.recovery_latency is not None:
-                    obs.observe("resilience.recovery_latency_ns",
-                                verdict.recovery_latency)
-            else:
-                obs.count("resilience.unrecovered")
+                if verdict.detection_waived:
+                    obs.count("resilience.detection_waived")
+                elif verdict.detected:
+                    obs.count(f"resilience.detected_by."
+                              f"{verdict.detection_source}")
+                    if verdict.detection_latency > verdict.detection_bound:
+                        obs.count("resilience.late_detection")
+                    obs.observe("resilience.detection_latency_ns",
+                                verdict.detection_latency)
+                else:
+                    obs.count("resilience.undetected")
+                if not verdict.contained:
+                    obs.count("resilience.escapes", verdict.escaped)
+                if verdict.recovery_waived:
+                    obs.count("resilience.recovery_waived")
+                elif verdict.recovered:
+                    obs.count("resilience.recovered")
+                    if verdict.recovery_latency is not None:
+                        obs.observe("resilience.recovery_latency_ns",
+                                    verdict.recovery_latency)
+                else:
+                    obs.count("resilience.unrecovered")
+    finally:
+        for baseline in baselines.values():
+            baseline.trace.clear()
     return verdicts
 
 

@@ -5,15 +5,33 @@ directly as it can be stated: scheduled events sit in a plain list, and
 each dispatch step fires the live event with the smallest
 ``(time, priority, seq)``, found by a linear search.  It shares no
 queue code with :class:`repro.sim.kernel.Simulator`: it overrides the
-three methods that touch the queue (``schedule_at``, ``_dispatch`` and
-``pending``) and inherits only the public surface around them
-(``schedule``, ``run_until``, ``run``, ``stop`` and the telemetry
-counters).  The parity tests and the E17 bench run the same workloads
-through both.
+four members that touch the queue (``schedule_at``, ``cancel``,
+``_dispatch`` and ``pending``) and inherits only the public surface
+around them (``schedule``, ``run_until``, ``run``, ``stop`` and the
+telemetry counters).  Its handles are :class:`EventHandle` objects with
+named fields and a ``cancelled`` flag, where the kernel hands out its
+heap entries.  The parity tests run the same workloads through both.
 """
 
 from repro.errors import SimulationError
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
+
+
+class EventHandle:
+    """One scheduled event of the reference; cancelling sets a flag."""
+
+    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
+
+    def __init__(self, time, priority, seq, callback):
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+
+    def __repr__(self):
+        state = "cancelled" if self.cancelled else "pending"
+        return f"<EventHandle t={self.time} prio={self.priority} {state}>"
 
 
 def _order(handle):
@@ -35,6 +53,9 @@ class ReferenceSimulator(Simulator):
         handle = EventHandle(time, priority, next(self._seq), callback)
         self._events.append(handle)
         return handle
+
+    def cancel(self, handle):
+        handle.cancelled = True
 
     def _dispatch(self, horizon, limit):
         self._stopped = False

@@ -109,9 +109,6 @@ class ReferenceEcuKernel(EcuKernel):
     def _advance(self, job, now):
         while True:
             if job._current is None:
-                if self._budget_exhausted(job):
-                    self._kill(job, now)
-                    return "killed"
                 try:
                     req = job._body.send(None)
                 except StopIteration:
@@ -123,6 +120,9 @@ class ReferenceEcuKernel(EcuKernel):
             req = job._current
             if isinstance(req, Execute):
                 if job._remaining > 0:
+                    if self._budget_exhausted(job):
+                        self._kill(job, now)
+                        return "killed"
                     return "run"
                 job._current = None
             elif isinstance(req, Acquire):
@@ -196,7 +196,7 @@ class ReferenceEcuKernel(EcuKernel):
 
     def _arm_timer(self, now):
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
         candidates = []
         job = self._running

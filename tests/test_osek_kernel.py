@@ -111,6 +111,16 @@ def test_budget_overrun_kills_job():
     assert overruns[0].time == ms(2)
 
 
+def test_job_that_uses_exactly_its_budget_completes():
+    """A job whose last Execute ends exactly at its budget never needs
+    CPU beyond it, so it completes and is not killed."""
+    sim, kernel = make_kernel()
+    kernel.add_task(TaskSpec("T", wcet=1000, period=10000, budget=1000))
+    sim.run_until(5000)
+    assert kernel.trace.times("task.complete", "T") == [1000]
+    assert kernel.trace.records("task.budget_overrun") == []
+
+
 def test_budget_enforcement_off_lets_job_finish():
     sim, kernel = make_kernel(budget_enforcement="off")
     kernel.add_task(TaskSpec("BAD", wcet=ms(4), period=ms(10), priority=1,

@@ -58,6 +58,6 @@ def test_simulator_executed_counter():
     for delay in (1, 2, 3):
         sim.schedule(delay, lambda: None)
     cancelled = sim.schedule(4, lambda: None)
-    cancelled.cancel()
+    sim.cancel(cancelled)
     sim.run_until(10)
     assert sim.executed == 3  # cancelled events do not count

@@ -39,7 +39,7 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     handle = sim.schedule(10, lambda: fired.append("x"))
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert fired == []
     assert sim.pending == 0
@@ -48,8 +48,8 @@ def test_cancelled_event_does_not_fire():
 def test_cancel_is_idempotent():
     sim = Simulator()
     handle = sim.schedule(10, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    sim.cancel(handle)
+    sim.cancel(handle)
     assert sim.run() == 0
 
 
