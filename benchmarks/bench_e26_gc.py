@@ -1,26 +1,27 @@
 """E26 — Garbage-lean simulation: what the cyclic collector costs each
-pipeline, and that no trace record outlives its item.
+pipeline, and that no trace row outlives its item.
 
 Claim: every pipeline worker clears its world's trace once it has read
 it (:meth:`repro.sim.trace.Trace.clear`).  A simulated world is a
-reference cycle, so without that a finished item's records stay alive
-until a full collection traverses and frees them.  After a call of any
-of the five public pipeline entry points no
-:class:`~repro.sim.trace.Record` is left alive.
+reference cycle, so without that a finished item's rows stay alive
+until a full collection frees them.  After a call of any of the five
+public pipeline entry points no live :class:`~repro.sim.trace.Trace`
+holds a row.
 
 Setup: one small fixed call per pipeline (``verify_many``, ``fuzz``,
 ``run_resilience``, ``run_campaign`` and ``measure_models``), run twice
 in this process, each time after a full collection:
 
-* **counted**, collector off: the live ``Record`` objects after the call
-  minus those before it.  With the collector off this count does not
-  depend on when a collection happens to run, so it repeats exactly.
-  This first call also finishes the pipeline's lazy imports;
+* **counted**, collector off: the rows held by live ``Trace`` objects
+  after the call minus those before it.  With the collector off this
+  count does not depend on when a collection happens to run, so it
+  repeats exactly.  This first call also finishes the pipeline's lazy
+  imports;
 * **timed**, collector on: ``gc.callbacks`` counts the collections of
   each generation and times them; the share is collector seconds over
   the call's wall seconds.
 
-Only the live-record count is gated: it must be 0 for every pipeline.
+Only the live-row count is gated: it must be 0 for every pipeline.
 Collector time and counts describe the run, they do not gate it.
 ``--quick`` shrinks every call.
 
@@ -40,7 +41,7 @@ from trajectory import REPO_ROOT, write_bench
 
 from repro.faults import ReferenceWorld, reference_cells, run_campaign
 from repro.meas.batch import measure_models
-from repro.sim.trace import Record
+from repro.sim.trace import Trace
 from repro.units import ms
 from repro.verify.fuzz import fuzz
 from repro.verify.generator import generate_many
@@ -81,8 +82,10 @@ class CollectorClock:
             self.collections[info["generation"]] += 1
 
 
-def live_records() -> int:
-    return sum(1 for obj in gc.get_objects() if type(obj) is Record)
+def live_rows() -> int:
+    """Rows held by every live trace."""
+    return sum(len(obj) for obj in gc.get_objects()
+               if isinstance(obj, Trace))
 
 
 def timed(call) -> dict:
@@ -103,14 +106,14 @@ def timed(call) -> dict:
                             in enumerate(clock.collections)}}
 
 
-def records_left(call) -> int:
-    """Live ``Record`` objects ``call()`` leaves, collector off."""
+def rows_left(call) -> int:
+    """Trace rows ``call()`` leaves alive, collector off."""
     gc.collect()
     gc.disable()
     try:
-        before = live_records()
+        before = live_rows()
         call()
-        return live_records() - before
+        return live_rows() - before
     finally:
         gc.enable()
 
@@ -121,16 +124,16 @@ def records_left(call) -> int:
 def run(quick: bool = False) -> list[dict]:
     results = {}
     for name, call in pipelines(quick).items():
-        left = records_left(call)
-        results[name] = dict(timed(call), live_records=left)
+        left = rows_left(call)
+        results[name] = dict(timed(call), live_rows=left)
 
     path = write_bench({
         "bench": "e26_gc",
         "quick": quick,
         "pipelines": results,
-        "gates": {"live_records_max": 0,
-                  "live_records_ok": all(r["live_records"] == 0
-                                         for r in results.values())},
+        "gates": {"live_rows_max": 0,
+                  "live_rows_ok": all(r["live_rows"] == 0
+                                      for r in results.values())},
     })
 
     rows = []
@@ -143,7 +146,7 @@ def run(quick: bool = False) -> list[dict]:
             "share": f"{stats['gc_share']:.1%}",
             "collections gen0/1/2": "/".join(
                 str(generations[f"gen{g}"]) for g in range(3)),
-            "live records": stats["live_records"],
+            "live rows": stats["live_rows"],
         })
     print(f"trajectory: {os.path.relpath(path, REPO_ROOT)}")
     return rows
@@ -151,12 +154,12 @@ def run(quick: bool = False) -> list[dict]:
 
 def check(rows: list[dict]) -> None:
     for row in rows:
-        assert row["live records"] == 0, \
-            (f"{row['pipeline']}: {row['live records']} trace records "
+        assert row["live rows"] == 0, \
+            (f"{row['pipeline']}: {row['live rows']} trace rows "
              f"outlived the call")
 
 
-TITLE = "E26: cyclic collector cost and trace records alive per pipeline"
+TITLE = "E26: cyclic collector cost and trace rows alive per pipeline"
 
 
 def bench_e26_gc(benchmark):

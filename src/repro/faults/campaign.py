@@ -305,8 +305,7 @@ def run_cell(factory: Callable[[], CampaignWorld], cell: CampaignCell,
             # DEM events were already DLT-logged live by the ErrorManager;
             # harvest the remaining BSW categories (watchdog, recovery,
             # mode, E2E, COM) from the cell's trace without double-counting.
-            obs.harvest_trace(
-                (r for r in world.trace if not r.category.startswith("dem.")))
+            obs.harvest_trace(world.trace, skip=("dem",))
         return result
     finally:
         if world is not None:

@@ -21,6 +21,7 @@ from dataclasses import fields
 from repro.com.ipdu import IPdu, SignalMapping
 from repro.com.packing import PackedFrame
 from repro.com.signal import SignalSpec
+from repro.errors import ConfigurationError
 from repro.network.can import CanFrameSpec
 from repro.network.flexray import (DynamicFrameSpec, FlexRayConfig,
                                    StaticSlotAssignment)
@@ -174,6 +175,14 @@ def flexray_from_dict(data: dict) -> FlexRayPlan:
                                        size_bytes=w["size_bytes"]),
                       w["node"], w["period"], w["offset"])
         for w in data["dynamic_writers"])
+    for writer in dynamic:
+        need = config.minislots_for(writer.spec.size_bytes)
+        if need > config.n_minislots:
+            raise ConfigurationError(
+                f"dynamic frame {writer.spec.name!r} needs {need} "
+                f"minislots but the dynamic segment has "
+                f"{config.n_minislots}: it could never be sent, and "
+                f"would block every higher frame ID")
     return FlexRayPlan(config, tuple(data["nodes"]), static, dynamic)
 
 

@@ -61,8 +61,10 @@ so a hand-edited file fails with something actionable, never a
    the chain's E2E PDU and profile, the TDMA schedule) and reports a
    :class:`~repro.errors.ConfigurationError` as a row.  Ranges such as
    ``0 < bcet <= wcet``, DLC 0..8, the E2E counter width, max delta and
-   data id, the FlexRay repetition and base cycle, or a major frame
-   long enough for its partitions are written once, there.
+   data id, the FlexRay repetition and base cycle, a dynamic frame
+   that fits the dynamic segment
+   (:meth:`~repro.network.flexray.FlexRayConfig.minislots_for`), or a
+   major frame long enough for its partitions are written once, there.
 4. **Fault scenarios** are checked on the built system by
    :func:`repro.verify.resilience.scenario_problems` (kind, target,
    required subsystem, the 1 s cap, the guaranteed-detection floor).

@@ -17,6 +17,7 @@ Static frames support cycle multiplexing via ``base_cycle`` /
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import Callable, Optional
 
@@ -157,11 +158,11 @@ class FlexRayController:
         return msg
 
     def queue_dynamic(self, spec: DynamicFrameSpec, payload=None) -> Message:
-        """Queue a frame for the dynamic segment."""
+        """Queue a frame for the dynamic segment (kept in frame-ID, then
+        enqueue order)."""
         msg = Message(spec.name, self.node, payload, spec.size_bytes,
                       enqueue_time=self.bus.sim.now)
-        self._dynamic_queue.append((spec.frame_id, msg.seq, spec, msg))
-        self._dynamic_queue.sort()
+        bisect.insort(self._dynamic_queue, (spec.frame_id, msg.seq, spec, msg))
         return msg
 
     def on_receive(self, callback: Callable) -> None:

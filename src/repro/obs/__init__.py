@@ -157,15 +157,18 @@ def dlt(timestamp: int, severity: str, ecu: str, app_id: str,
         _state.registry.counter(f"dlt.{severity}").inc()
 
 
-def harvest_trace(trace, node: str = "SYS") -> int:
+def harvest_trace(trace, node: str = "SYS",
+                  skip: tuple[str, ...] = ()) -> int:
     """Post-hoc DLT ingestion of a simulation trace's BSW events (no-op
-    while disabled); returns the number of records added.  The harvested
+    while disabled); returns the number of records added.  Categories
+    under a prefix in ``skip`` are left out
+    (:meth:`~repro.obs.dlt.DltChannel.harvest_trace`).  The harvested
     records bump the ``dlt.<severity>`` counters the same way live
     :func:`dlt` emission does, so both paths feed the digest equally."""
     if not _enabled:
         return 0
     before = len(_state.dlt)
-    added = _state.dlt.harvest_trace(trace, node)
+    added = _state.dlt.harvest_trace(trace, node, skip)
     for record in _state.dlt.records[before:]:
         _state.registry.counter(f"dlt.{record.severity}").inc()
     return added

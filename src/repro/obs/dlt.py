@@ -80,6 +80,27 @@ def severity_for_category(category: str) -> str:
     return WARN
 
 
+class _Harvested:
+    """The trace categories :meth:`DltChannel.harvest_trace` lifts, as
+    the container :meth:`~repro.sim.trace.Trace.select` asks: every
+    DEM, watchdog, recovery, mode and E2E category, plus
+    ``task.budget_overrun`` and ``com.timeout``, except those under a
+    ``skip`` prefix."""
+
+    def __init__(self, skip: tuple[str, ...]):
+        self.skip = skip
+
+    def __contains__(self, category: str) -> bool:
+        prefix = category.split(".", 1)[0]
+        if prefix in self.skip:
+            return False
+        if prefix == "task":
+            return category == "task.budget_overrun"
+        if prefix == "com":
+            return category == "com.timeout"
+        return prefix in ("dem", "wdg", "recovery", "mode", "e2e")
+
+
 class DltChannel:
     """Ordered store of :class:`DltRecord` entries."""
 
@@ -98,27 +119,22 @@ class DltChannel:
         self.records.append(record)
         return record
 
-    def harvest_trace(self, trace, node: str = "SYS") -> int:
+    def harvest_trace(self, trace, node: str = "SYS",
+                      skip: tuple[str, ...] = ()) -> int:
         """Convert the BSW-relevant records of a simulation trace into
         DLT records (post-hoc ingestion); returns the count added.
 
-        ``trace`` is any iterable of :class:`~repro.sim.trace.Record`
-        objects — typically a :class:`~repro.sim.trace.Trace`.
+        ``trace`` is a :class:`~repro.sim.trace.Trace`, and only the
+        categories harvested are read from it.  Categories under a
+        prefix in ``skip`` are left out, for a world that already logged
+        them live.
         """
-        added = 0
-        for rec in trace:
-            prefix = rec.category.split(".", 1)[0]
-            if prefix not in ("dem", "wdg", "recovery", "mode", "e2e",
-                              "com", "task"):
-                continue
-            if prefix == "task" and rec.category != "task.budget_overrun":
-                continue
-            if prefix == "com" and rec.category != "com.timeout":
-                continue
+        records = trace.select(_Harvested(skip))
+        for rec in records:
             self.log(rec.time, severity_for_category(rec.category), node,
-                     prefix.upper(), rec.subject, rec.category, **rec.data)
-            added += 1
-        return added
+                     rec.category.split(".", 1)[0].upper(), rec.subject,
+                     rec.category, **rec.data)
+        return len(records)
 
     # -- queries -------------------------------------------------------
     def by_severity(self, severity: str) -> list[DltRecord]:

@@ -119,7 +119,7 @@ class EcuKernel:
             task.activations_lost += 1
             self.trace.log(now, "task.activation_lost", task.name)
             return None
-        job = Job(task, now)
+        job = Job(task, now, next(self.sim.job_seq))
         task.pending_jobs.append(job)
         task.jobs_activated += 1
         self._ready.append(job)

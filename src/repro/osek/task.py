@@ -18,7 +18,6 @@ execution time — the common case for basic periodic tasks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Generator, Optional
@@ -138,8 +137,6 @@ class JobState(Enum):
     KILLED = "killed"
 
 
-_job_seq = itertools.count()
-
 BodyFactory = Callable[["Job"], Generator]
 
 
@@ -193,12 +190,15 @@ def _default_body(job: "Job") -> Generator:
 class Job:
     """One activation of a task.
 
-    ``name`` (the task's name) and ``absolute_deadline`` (activation time
-    plus the relative deadline, None when there is none) are fixed at
-    activation, since the kernel reads them on every event of the job.
+    ``seq`` numbers the job within its simulated world (the kernel draws
+    it from :attr:`repro.sim.kernel.Simulator.job_seq`); trace records
+    carry it, and schedulers break priority ties by it.  ``name`` (the
+    task's name) and ``absolute_deadline`` (activation time plus the
+    relative deadline, None when there is none) are fixed at activation,
+    since the kernel reads them on every event of the job.
     """
 
-    def __init__(self, task: Task, activation_time: int):
+    def __init__(self, task: Task, activation_time: int, seq: int):
         spec = task.spec
         self.task = task
         self.name = spec.name
@@ -206,7 +206,7 @@ class Job:
         self.absolute_deadline: Optional[int] = (
             None if spec.deadline is None
             else activation_time + spec.deadline)
-        self.seq = next(_job_seq)
+        self.seq = seq
         self.demand = task.sample_execution_time()
         self.state = JobState.READY
         self.consumed = 0

@@ -58,6 +58,10 @@ class Simulator:
         self._heap: list[list] = []
         self._seq = itertools.count()
         self._stopped = False
+        #: Job numbers of this world, shared by every OSEK kernel that
+        #: runs on it (:class:`repro.osek.task.Job`), so a job's number
+        #: does not depend on what ran earlier in the process.
+        self.job_seq = itertools.count()
 
     # ------------------------------------------------------------------
     # Scheduling

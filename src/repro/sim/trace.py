@@ -1,17 +1,40 @@
 """Trace recording and querying.
 
 Every simulated subsystem (OS kernel, buses, NoC, BSW services) reports what
-happened through a :class:`Trace`: a flat, time-ordered list of records.
+happened through a :class:`Trace`: a flat, time-ordered store of records.
 Analyses over traces (response times, jitter, end-to-end latencies) live in
 :mod:`repro.sim.trace` so that simulation results and analytic bounds can be
 compared with the same vocabulary.  A trace keeps every record of its run,
 so a bound check reads all of its observations, never a retained tail.
+
+**Layout.**  A trace is a column store: four parallel lists, ``time``,
+``category``, ``subject`` and ``data``, one row per logged record.
+:meth:`Trace.log` appends to each and does nothing else.  Readers get
+:class:`Record` tuples built from the columns when they ask, and only
+for the rows they ask for.
+
+**Why columns.**  Simulations log about two records for every three
+events, and most records are never read back (a resilience run reads
+about 0.1% of them).  A :class:`Record` is a tuple subclass, which CPython's cyclic
+garbage collector tracks, so a trace of records kept every one of them
+on the collector's lists, to be walked again by each older-generation
+collection.  The columns add no tracked object per row: ints and
+strings are atomic, and the keyword ``data`` dict of ints and strings
+a simulation logs is untracked too (EXPERIMENTS E27).
+
+**Index on read.**  A query first indexes the rows logged since the
+last query, in one pass from a watermark, as ``category -> [row]``.  A
+category's ``subject -> [row]`` index is built on its first subject
+query, and the same pass keeps it current afterwards.  A query in
+mid-run therefore sees every record logged so far, and a run nobody
+queries builds no index.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from bisect import bisect_left
+from itertools import chain, repeat
+from typing import Any, Callable, Container, Iterator, NamedTuple, Optional
 
 from repro.digest import canonical_digest
 
@@ -23,11 +46,10 @@ class Record(NamedTuple):
     ``"bus.tx_done"``; ``subject`` names the entity (task name, frame id);
     ``data`` carries event-specific details.
 
-    A record is an immutable named tuple: assigning a field raises
-    ``AttributeError``, and building one is a single tuple allocation,
-    which matters because simulations log close to one record per
-    event.  Being a tuple, a record also compares equal to the plain
-    tuple ``(time, category, subject, data)``.
+    A record is an immutable named tuple built from the trace's columns
+    when it is read: assigning a field raises ``AttributeError``.  Being
+    a tuple, a record also compares equal to the plain tuple ``(time,
+    category, subject, data)``.
     """
 
     time: int
@@ -46,35 +68,75 @@ _new_record = tuple.__new__
 
 
 class Trace:
-    """Append-only, unbounded record store with simple query helpers.
+    """Append-only, unbounded column store with simple query helpers.
 
-    Beside the record list the trace keeps an index, appended in
-    :meth:`log`: ``category -> [Record]`` and ``(category, subject) ->
-    [Record]``, both in log order and holding references to the same
-    record objects.  :meth:`records` answers every query from that
-    index, so bound checks over a long run never rescan it.
+    :meth:`records` and :meth:`select` answer from the category index
+    (see the module docstring) and build :class:`Record` objects only
+    for the rows they return, in log order, as a fresh list.
     """
 
     def __init__(self):
-        self._records: list[Record] = []
-        self._by_category: defaultdict[str, list[Record]] = \
-            defaultdict(list)
-        self._by_subject: defaultdict[tuple[str, str], list[Record]] = \
-            defaultdict(list)
+        self._time: list[int] = []
+        self._category: list[str] = []
+        self._subject: list[str] = []
+        self._data: list[dict] = []
+        #: Rows below this position are in the index.
+        self._indexed = 0
+        self._by_category: dict[str, list[int]] = {}
+        #: category -> subject -> rows, for categories queried by subject.
+        self._by_subject: dict[str, dict[str, list[int]]] = {}
 
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
         """Append one record.  ``time`` must be non-decreasing per caller
         discipline; the trace itself does not enforce global ordering."""
-        record = _new_record(Record, (time, category, subject, data))
-        self._records.append(record)
-        self._by_category[category].append(record)
-        self._by_subject[category, subject].append(record)
+        self._time.append(time)
+        self._category.append(category)
+        self._subject.append(subject)
+        self._data.append(data)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._time)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
+        return map(_new_record, repeat(Record),
+                   zip(self._time, self._category, self._subject,
+                       self._data))
+
+    def _rows(self, rows) -> list[Record]:
+        """The records at positions ``rows``, in that order."""
+        time, category = self._time, self._category
+        subject, data = self._subject, self._data
+        return [_new_record(Record, (time[i], category[i], subject[i],
+                                     data[i])) for i in rows]
+
+    def _index(self) -> None:
+        """Index the rows logged since the last query."""
+        start = self._indexed
+        end = len(self._category)
+        if start == end:
+            return
+        by_category = self._by_category
+        for row, category in enumerate(self._category[start:end], start):
+            rows = by_category.get(category)
+            if rows is None:
+                by_category[category] = [row]
+            else:
+                rows.append(row)
+        for category, by_subject in self._by_subject.items():
+            rows = by_category.get(category, ())
+            self._index_subjects(by_subject, rows[bisect_left(rows, start):])
+        self._indexed = end
+
+    def _index_subjects(self, by_subject: dict[str, list[int]],
+                        rows) -> None:
+        """Append ``rows`` (of one category) to its subject index."""
+        subjects = self._subject
+        for row in rows:
+            subject_rows = by_subject.get(subjects[row])
+            if subject_rows is None:
+                by_subject[subjects[row]] = [row]
+            else:
+                subject_rows.append(row)
 
     def records(self, category: str,
                 subject: Optional[str] = None,
@@ -84,17 +146,36 @@ class Trace:
         that pass ``predicate``, in log order, as a fresh list.
 
         ``category`` is matched exactly: ``"task"`` does not match
-        ``"task.activate"``.  The answer is that category's index list,
-        or its ``(category, subject)`` list, filtered by ``predicate``;
-        a query never adds a key to the index.
+        ``"task.activate"``.
         """
+        self._index()
         if subject is None:
-            candidates = self._by_category.get(category, ())
+            rows = self._by_category.get(category, ())
         else:
-            candidates = self._by_subject.get((category, subject), ())
+            by_subject = self._by_subject.get(category)
+            if by_subject is None:
+                by_subject = self._by_subject[category] = {}
+                self._index_subjects(by_subject,
+                                     self._by_category.get(category, ()))
+            rows = by_subject.get(subject, ())
         if predicate is None:
-            return list(candidates)
-        return [rec for rec in candidates if predicate(rec)]
+            return self._rows(rows)
+        return [rec for rec in self._rows(rows) if predicate(rec)]
+
+    def select(self, categories: Container[str]) -> list[Record]:
+        """Records whose category is in ``categories``, in log order, as
+        a fresh list.
+
+        ``categories`` is asked ``category in categories`` once per
+        distinct category logged, so it may be a set of names or any
+        object whose ``__contains__`` picks a family of categories.
+        """
+        self._index()
+        picked = [rows for category, rows in self._by_category.items()
+                  if category in categories]
+        if len(picked) == 1:
+            return self._rows(picked[0])
+        return self._rows(sorted(chain.from_iterable(picked)))
 
     def times(self, category: str, subject: Optional[str] = None) -> list[int]:
         """Timestamps of matching records."""
@@ -160,12 +241,14 @@ class Trace:
         A pipeline worker calls this on its world's trace once it has
         read what it needs.  A simulated world is a reference cycle (the
         simulator heap holds callbacks bound to components that hold the
-        simulator), so without it a finished world's records would wait
-        for the cyclic garbage collector, which must then traverse them.
-        Cleared, they are freed by reference counting at once
-        (EXPERIMENTS E26).
+        simulator), so without it a finished world's rows would wait for
+        the cyclic garbage collector.  Cleared, they are freed by
+        reference counting at once (EXPERIMENTS E26).
         """
-        self._records.clear()
+        for column in (self._time, self._category, self._subject,
+                       self._data):
+            column.clear()
+        self._indexed = 0
         self._by_category.clear()
         self._by_subject.clear()
 
@@ -176,10 +259,10 @@ class Trace:
         """Flat dict rows (time/category/subject + data keys), for
         post-processing with external tooling."""
         rows = []
-        for rec in self._records:
-            row = {"time": rec.time, "category": rec.category,
-                   "subject": rec.subject}
-            row.update(rec.data)
+        for time, category, subject, data in zip(
+                self._time, self._category, self._subject, self._data):
+            row = {"time": time, "category": category, "subject": subject}
+            row.update(data)
             rows.append(row)
         return rows
 
@@ -201,14 +284,15 @@ class Trace:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["time", "category", "subject", "data"])
-            for rec in self._records:
-                data = ";".join(f"{k}={v}" for k, v in rec.data.items())
-                writer.writerow([rec.time, rec.category, rec.subject,
-                                 data])
-        return len(self._records)
+            for time, category, subject, data in zip(
+                    self._time, self._category, self._subject, self._data):
+                writer.writerow([time, category, subject,
+                                 ";".join(f"{k}={v}"
+                                          for k, v in data.items())])
+        return len(self)
 
     def __repr__(self) -> str:
-        return f"<Trace {len(self._records)} records>"
+        return f"<Trace {len(self)} records>"
 
 
 def summarize(values: list[int]) -> dict:

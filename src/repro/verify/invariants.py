@@ -17,9 +17,11 @@ crash (see also :meth:`repro.sim.trace.Record.get`).
 An invariant sees only the record categories it declares in
 :attr:`Invariant.categories`: :class:`InvariantChecker` routes each
 record, in invariant order, to the invariants that declare its
-category, so the many CAN, FlexRay and activation records no invariant
-reads cost one dictionary lookup each.  An invariant that declares no
-categories (``None``, the default) sees every record.
+category.  When every invariant declares its categories, the checker
+reads only their union from the trace
+(:meth:`~repro.sim.trace.Trace.select`), so the many CAN, FlexRay and
+activation records no invariant reads are never built.  An invariant
+that declares no categories (``None``, the default) sees every record.
 """
 
 from __future__ import annotations
@@ -285,8 +287,11 @@ class InvariantChecker:
         """Feed each record, in invariant order, to the invariants that
         declare its category; returns all violations sorted by (time,
         invariant, subject)."""
+        declared = [invariant.categories for invariant in self.invariants]
+        records = trace if None in declared \
+            else trace.select(frozenset().union(*declared))
         routes: dict[str, tuple[Callable, ...]] = {}
-        for record in trace:
+        for record in records:
             observers = routes.get(record.category)
             if observers is None:
                 observers = routes[record.category] = \

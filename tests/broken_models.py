@@ -44,12 +44,26 @@ def one_ns_fault_window() -> dict:
     return doc
 
 
+def blocked_dynamic_segment() -> dict:
+    """12 minislots of 10 us; frame ID 1 of 254 bytes needs 22 of them,
+    so it never transmits and neither does ID 2 behind it."""
+    doc = scenario("flexray-mixed")
+    flexray = doc["network"]["flexray"]
+    flexray["config"]["n_minislots"] = 12
+    first, second = flexray["dynamic_writers"][:2]
+    assert (first["frame_id"], second["frame_id"]) == (1, 2)
+    first["size_bytes"] = 254
+    second["size_bytes"] = 4
+    return doc
+
+
 #: File name -> the broken document it holds.
 BROKEN = {
     "dup-slot.json": duplicated_static_slot,
     "no-period.json": static_writer_without_period,
     "chains-5.json": chains_not_a_list,
     "fault-1ns.json": one_ns_fault_window,
+    "blocked-dynamic.json": blocked_dynamic_segment,
 }
 
 

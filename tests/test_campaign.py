@@ -53,24 +53,18 @@ def test_reference_campaign_digest_is_pinned(report):
 # Per reference cell (onset 50 ms, horizon 300 ms): kernel events run,
 # trace records and the start of the trace digest.  The frame path (CAN
 # arbitration, COM, E2E) may get faster but must not change any of them.
+# Each cell's world numbers its jobs from 0, so a cell's pin does not
+# depend on the cells run before it.
 REFERENCE_CELL_PINS = {
     CORRUPTION: (274, 287, "2257ea412fa9f450"),
-    OMISSION: (274, 267, "2bccd37d5f618407"),
-    BABBLING: (2271, 1695, "c302f433d5f382ff"),
-    CRASH: (240, 269, "5a15a0db071c7dd3"),
-    TIMING_OVERRUN: (270, 299, "8aa53e728f0a0db6"),
+    OMISSION: (274, 267, "c3f444ac49c1f5c8"),
+    BABBLING: (2271, 1695, "36002c141d9287eb"),
+    CRASH: (240, 269, "0ca7c02954eaec0a"),
+    TIMING_OVERRUN: (270, 299, "34b578bfaae1c613"),
 }
 
 
-def test_reference_cell_simulations_are_pinned(monkeypatch):
-    import itertools
-
-    import repro.osek.task as osek_task
-
-    # Job ids come from a process-global counter and land in trace
-    # records: restart it and run the cells in reference order, as a
-    # fresh process running the reference matrix does.
-    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
+def test_reference_cell_simulations_are_pinned():
     got = {}
     for cell in reference_cells():
         world = ReferenceWorld()

@@ -290,15 +290,9 @@ def test_stop_inside_a_batch_halts_dispatch(sim_cls):
 # Full-system equivalence: the oracle's simulations are byte-identical
 # ----------------------------------------------------------------------
 def run_system(monkeypatch, sim_cls, seed):
-    import itertools
-
-    import repro.osek.task as osek_task
     import repro.verify.oracle as oracle
 
     monkeypatch.setattr(oracle, "Simulator", sim_cls)
-    # Job sequence numbers come from a process-global counter and land
-    # in trace records; restart it so both runs see id 0 first.
-    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
     system = generate(seed, "small")
     built = build_system(system)
     assert type(built.sim) is sim_cls

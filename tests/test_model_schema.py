@@ -176,6 +176,10 @@ RULES = [
     ("duplicate-dynamic-frame-id", "flexray-mixed",
      lambda d: _dynamic(d)[1].update(frame_id=_dynamic(d)[0]["frame_id"]),
      "network.flexray.dynamic_writers", "duplicate dynamic frame id 1"),
+    ("dynamic-frame-never-fits", "flexray-mixed",
+     lambda d: d["network"]["flexray"]["config"].update(n_minislots=1),
+     "network.flexray", "'DF1' needs 2 minislots but the dynamic segment "
+     "has 1"),
     ("writer-offset-at-period", "flexray-mixed",
      lambda d: _static(d)[0].update(offset=_static(d)[0]["period"]),
      "network.flexray.static_writers[0]", "0 <= offset < period"),
@@ -236,6 +240,17 @@ def test_rule_rejects_one_edit(name, edit, prefix, message):
     problems = validate_document(doc)
     assert any(p.startswith(prefix) and message in p for p in problems), \
         problems
+
+
+def test_dynamic_frame_that_never_fits_is_rejected():
+    # The blocked cluster: frame ID 1 needs 22 of the 12 minislots, so
+    # neither it nor ID 2 behind it would ever be sent.
+    from broken_models import blocked_dynamic_segment
+
+    assert validate_document(blocked_dynamic_segment()) == [
+        "network.flexray: dynamic frame 'DF0' needs 22 minislots but the "
+        "dynamic segment has 12: it could never be sent, and would block "
+        "every higher frame ID"]
 
 
 # ----------------------------------------------------------------------

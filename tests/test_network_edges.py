@@ -150,8 +150,8 @@ def test_resource_double_acquire_and_foreign_release():
     resource = OsekResource("R", ceiling=5)
     task = Task(TaskSpec("T", wcet=ms(1), period=ms(10)))
     other = Task(TaskSpec("U", wcet=ms(1), period=ms(10)))
-    job = Job(task, 0)
-    intruder = Job(other, 0)
+    job = Job(task, 0, 0)
+    intruder = Job(other, 0, 1)
     resource.acquire(job)
     with pytest.raises(SchedulingError):
         resource.acquire(intruder)
@@ -166,7 +166,7 @@ def test_resource_nested_ceilings_restore_correctly():
     low = OsekResource("LOW", ceiling=3)
     high = OsekResource("HIGH", ceiling=9)
     task = Task(TaskSpec("T", wcet=ms(1), period=ms(10), priority=1))
-    job = Job(task, 0)
+    job = Job(task, 0, 0)
     low.acquire(job)
     assert job.effective_priority == 3
     high.acquire(job)

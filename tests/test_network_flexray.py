@@ -157,6 +157,16 @@ def test_dynamic_segment_orders_by_frame_id():
     assert [r.subject for r in rx] == ["EARLY", "LATE"]
 
 
+def test_dynamic_queue_keeps_frame_id_then_enqueue_order():
+    sim, bus = make_bus(minislots=30)
+    a = bus.attach("A")
+    for name, frame_id in (("C", 3), ("A1", 1), ("B", 2), ("A2", 1),
+                           ("D", 4), ("B2", 2)):
+        a.queue_dynamic(DynamicFrameSpec(name, frame_id, size_bytes=2))
+    assert [entry[2].name for entry in a._dynamic_queue] \
+        == ["A1", "A2", "B", "B2", "C", "D"]
+
+
 def test_dynamic_frame_postponed_when_minislots_exhausted():
     sim, bus = make_bus(minislots=12)
     a = bus.attach("A")
@@ -390,16 +400,12 @@ def test_cycle_engine_matches_the_reference(script):
 
 
 def run_generated(monkeypatch, bus_class, seed, size):
-    import repro.osek.task as osek_task
     import repro.verify.oracle as oracle
     from repro.verify.generator import generate
     from repro.verify.resilience import (standard_scenarios,
                                          verify_resilience)
 
     monkeypatch.setattr(oracle, "FlexRayBus", bus_class)
-    # Job sequence numbers come from a process-global counter and land
-    # in trace records; restart it so both runs see id 0 first.
-    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
     system = generate(seed, size)
     built = oracle.build_system(system)
     assert type(built.flexray_bus) is bus_class

@@ -218,6 +218,21 @@ def test_harvest_trace_filters_and_counts():
     counters = obs.registry().snapshot()["counters"]
     assert counters["dlt.error"] == 3
     assert all(r.ecu == "EcuX" for r in obs.dlt_channel().records)
+    assert [r.message for r in obs.dlt_channel().records] == [
+        "dem.confirmed", "task.budget_overrun", "com.timeout"]
+
+
+def test_harvest_trace_skips_prefixes_logged_live():
+    from repro.sim.trace import Trace
+
+    trace = Trace()
+    trace.log(5, "dem.confirmed", "ev", dtc=1)
+    trace.log(6, "wdg.violation", "t")
+    trace.log(7, "mode.switch", "m")
+    obs.enable()
+    assert obs.harvest_trace(trace, skip=("dem",)) == 2
+    assert [r.message for r in obs.dlt_channel().records] == [
+        "wdg.violation", "mode.switch"]
 
 
 # ---------------------------------------------------------------------------

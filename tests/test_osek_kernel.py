@@ -28,6 +28,24 @@ def test_single_periodic_task_runs_every_period():
     assert kernel.response_times("T") == [ms(1)] * 5
 
 
+def test_job_numbers_belong_to_the_world_and_its_kernels():
+    # Two kernels on one simulator share one job numbering, which starts
+    # at 0 in every world, whatever ran earlier in the process.
+    from repro.sim.trace import Trace
+
+    def run():
+        sim, trace = Simulator(), Trace()
+        for ecu, task in (("E1", "A"), ("E2", "B")):
+            kernel = EcuKernel(sim, FixedPriorityScheduler(), trace, ecu)
+            kernel.add_task(TaskSpec(task, wcet=us(100), period=ms(1)))
+        sim.run_until(ms(3))
+        return trace.data_values("task.activate", "job")
+
+    first = run()
+    assert first == list(range(8))
+    assert run() == first
+
+
 def test_offset_delays_first_activation():
     sim, kernel = make_kernel()
     kernel.add_task(TaskSpec("T", wcet=ms(1), period=ms(10), offset=ms(3)))
@@ -311,24 +329,6 @@ def _scheduler(ecu):
     return FixedPriorityScheduler(preemptive=ecu["kind"] == "fp")
 
 
-def run_osek_setup(kernel_cls, setup):
-    """Build ``setup`` on fresh ``kernel_cls`` kernels and run it; return
-    the trace digest, event counts, CPU time, per-task counters and the
-    error that ended the run, if any."""
-    import itertools
-
-    import repro.osek.task as osek_task
-
-    saved = osek_task._job_seq
-    # Job sequence numbers come from a process-global counter and land
-    # in trace records; restart it so both runs see id 0 first.
-    osek_task._job_seq = itertools.count()
-    try:
-        return _run_osek_setup(kernel_cls, setup)
-    finally:
-        osek_task._job_seq = saved
-
-
 def _build_ecu(kernel, ecu, rng):
     from repro.osek import OsekResource, WaitEvent
 
@@ -382,7 +382,10 @@ def _build_ecu(kernel, ecu, rng):
         .set_abs(*ecu["event_alarm"])
 
 
-def _run_osek_setup(kernel_cls, setup):
+def run_osek_setup(kernel_cls, setup):
+    """Build ``setup`` on fresh ``kernel_cls`` kernels and run it; return
+    the trace digest, event counts, CPU time, per-task counters and the
+    error that ended the run, if any."""
     import random
 
     from repro.errors import ReproError
@@ -418,15 +421,10 @@ def test_kernel_matches_the_reference(setup):
 
 
 def run_generated(monkeypatch, kernel_cls, seed, size):
-    import itertools
-
-    import repro.osek.task as osek_task
     import repro.verify.oracle as oracle
     from repro.verify.generator import generate
 
     monkeypatch.setattr(oracle, "EcuKernel", kernel_cls)
-    # Restart the process-global job counter, as above.
-    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
     system = generate(seed, size)
     built = oracle.build_system(system)
     assert all(type(k) is kernel_cls for k in built.kernels.values())

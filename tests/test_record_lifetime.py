@@ -1,9 +1,10 @@
-"""No trace record outlives the pipeline item that logged it.
+"""No trace row outlives the pipeline item that logged it, and a logged
+row adds nothing for the cyclic garbage collector to track.
 
 A simulated world is a reference cycle, so a worker that left its
-trace filled would leave every record alive until the cyclic garbage
-collector ran.  With the collector disabled, the number of live
-:class:`~repro.sim.trace.Record` objects must be the same before and
+trace filled would leave every row alive until the cyclic garbage
+collector ran.  With the collector disabled, the rows held by live
+:class:`~repro.sim.trace.Trace` objects must be the same before and
 after each pipeline worker call.
 """
 
@@ -13,15 +14,17 @@ import pytest
 
 from repro.faults import ReferenceWorld, reference_cells, run_cell
 from repro.meas.batch import _daq_worker
-from repro.sim.trace import Record
+from repro.sim.trace import Trace
 from repro.units import ms
 from repro.verify.generator import generate
 from repro.verify.oracle import verify_system
 from repro.verify.resilience import standard_scenarios, verify_resilience
 
 
-def live_records() -> int:
-    return sum(1 for obj in gc.get_objects() if type(obj) is Record)
+def live_rows() -> int:
+    """Rows held by every live trace."""
+    return sum(len(obj) for obj in gc.get_objects()
+               if isinstance(obj, Trace))
 
 
 def resilience_item():
@@ -46,8 +49,25 @@ def test_no_record_outlives_its_item(name):
     gc.collect()
     gc.disable()
     try:
-        before = live_records()
+        before = live_rows()
         ITEMS[name]()
-        assert live_records() == before
+        assert live_rows() == before
     finally:
         gc.enable()
+
+
+def test_a_logged_record_adds_no_tracked_object():
+    # A record's row is an int, two strings and a keyword dict of ints
+    # and strings: atomic objects and an untracked dict, so logging
+    # leaves the collector nothing new to walk.
+    trace = Trace()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for n in range(10_000):
+            trace.log(n, "task.activate", "T", job=n, ecu="E1")
+        assert len(gc.get_objects()) == before
+    finally:
+        gc.enable()
+    assert len(trace) == 10_000

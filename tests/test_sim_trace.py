@@ -157,7 +157,7 @@ def test_data_values_skips_records_without_the_key():
 
 
 # ----------------------------------------------------------------------
-# Index parity: indexed records() against the reference scan
+# Index parity: every read path against the reference scan
 # ----------------------------------------------------------------------
 #: Categories sharing dotted prefixes, so an exact query sits beside
 #: neighbours a prefix match would wrongly take in.
@@ -170,6 +170,11 @@ QUERIES = [(category, subject, predicate)
            for subject in (None,) + SUBJECTS
            for predicate in (None, lambda r: r.data["n"] % 2 == 0,
                              lambda r: r.time >= 5)]
+#: Category sets for ``select``: empty, one, several, one never logged.
+SELECTIONS = [frozenset(), frozenset({"task"}),
+              frozenset({"task", "taskish"}),
+              frozenset({"task.activate", "task.activate.x", "bus"}),
+              frozenset(CATEGORIES)]
 
 #: A step logs one record, runs every query, or resets the trace.
 _step = st.one_of(
@@ -178,37 +183,46 @@ _step = st.one_of(
     st.sampled_from(("query", "query", "query", "query", "clear")))
 
 
-def assert_index_holds_only_logged(trace):
-    logged = list(trace)
-    by_category = {c: [r for r in logged if r.category == c]
-                   for c in {r.category for r in logged}}
-    by_subject = {(r.category, r.subject): [] for r in logged}
-    for rec in logged:
-        by_subject[rec.category, rec.subject].append(rec)
-    for index, expected in ((trace._by_category, by_category),
-                            (trace._by_subject, by_subject)):
-        assert {key: [id(r) for r in records]
-                for key, records in index.items()} \
-            == {key: [id(r) for r in records]
-                for key, records in expected.items()}
+def assert_fresh(answer, ask):
+    """``answer`` is a list the trace does not keep: emptying it leaves
+    the next ``ask()`` unchanged."""
+    expected = list(answer)
+    answer.append(None)
+    answer.clear()
+    assert ask() == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(steps=st.lists(_step, max_size=60))
 def test_indexed_records_match_the_reference_scan(steps):
     trace = Trace()
+    logged = []
     for seq, step in enumerate(steps):
         if step == "query":
+            assert list(trace) == logged
+            assert len(trace) == len(logged)
             for query in QUERIES:
                 got = trace.records(*query)
-                expected = reference_records(trace, *query)
-                assert [id(r) for r in got] == [id(r) for r in expected]
-                got.append(None)
-                got.clear()
-                assert trace.records(*query) == expected
+                expected = reference_records(logged, *query)
+                assert got == expected
+                assert all(type(r) is Record for r in got)
+                assert_fresh(got, lambda: trace.records(*query))
+                category, subject, predicate = query
+                if predicate is None:
+                    assert trace.times(category, subject) == \
+                        [r.time for r in expected]
+                    assert trace.data_values(category, "n", subject) == \
+                        [r.data["n"] for r in expected]
+                    assert trace.data_values(category, "missing",
+                                             subject) == []
+            for categories in SELECTIONS:
+                got = trace.select(categories)
+                assert got == [r for r in logged if r.category in categories]
+                assert_fresh(got, lambda: trace.select(categories))
         elif step == "clear":
             trace.clear()
+            logged.clear()
         else:
             category, subject, n = step
             trace.log(seq, category, subject, n=n)
-        assert_index_holds_only_logged(trace)
+            logged.append(Record(seq, category, subject, {"n": n}))

@@ -3,14 +3,16 @@
 The plainest answer to ``Trace.records(category, subject, predicate)``:
 one ordered scan over every record, matching the category exactly.  The
 property test in ``test_sim_trace.py`` runs the same queries through it
-and through the trace's index.
+and through the trace's index, and checks ``select``, ``times`` and
+``data_values`` against the same scan.
 """
 
 
-def reference_records(trace, category, subject=None, predicate=None):
-    """Records of ``trace`` matching the query, in log order."""
+def reference_records(records, category, subject=None, predicate=None):
+    """The matching members of ``records`` (any iterable of records, a
+    ``Trace`` included), in order."""
     out = []
-    for rec in trace:
+    for rec in records:
         if rec.category != category:
             continue
         if subject is not None and rec.subject != subject:
