@@ -51,10 +51,6 @@ class RichComponent:
                 f"contract")
         self.contracts[viewpoint] = contract
 
-    def add_vertical(self, assumption: VerticalAssumption) -> None:
-        """Record an externally constructed vertical assumption."""
-        self.vertical.append(assumption)
-
     def claim(self, kind: str, demand: float, confidence: float = 1.0,
               description: str = "") -> VerticalAssumption:
         """Convenience: record a vertical assumption owned by this

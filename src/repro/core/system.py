@@ -78,12 +78,6 @@ class SystemModel:
                 f"{SUPPORTED_BUSES}")
         self.domain_buses[domain] = (kind, params)
 
-    def set_gateway_delay(self, delay: int) -> None:
-        """Processing delay of the auto-generated central gateway."""
-        if delay < 0:
-            raise ConfigurationError("gateway delay must be >= 0")
-        self.gateway_delay = delay
-
     # -- backward-compatible single-bus accessors ----------------------
     @property
     def bus_kind(self) -> Optional[str]:

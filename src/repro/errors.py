@@ -77,9 +77,10 @@ class MeasurementError(ReproError):
 class ExecutionError(ReproError):
     """The parallel execution engine could not complete a work plan.
 
-    Raised when items exhaust their retry budget, when the engine is
-    called with invalid arguments, or — as :class:`JournalError` — when
-    a checkpoint journal cannot be resumed.
+    Raised once every item has run when any item failed (naming each
+    failed item), when the engine is called with invalid arguments, or
+    — as :class:`JournalError` — when a checkpoint journal cannot be
+    resumed.
     """
 
 
@@ -88,12 +89,3 @@ class JournalError(ExecutionError):
     written for a different plan, or is damaged before its trailing
     line.  The CLI reports it as unreadable input (exit 2)."""
 
-
-class ExecutionInterrupted(ReproError):
-    """A run was cut short before every item completed.
-
-    Raised by the ``interrupt_after`` hook of
-    :func:`repro.exec.pool.execute` — the programmatic stand-in for a
-    killed process.  Items journaled before the interruption survive
-    and are skipped by a ``resume`` run.
-    """

@@ -12,8 +12,8 @@ index, never by completion order.
   derivation for the generators that build a sweep's items;
 * :mod:`repro.exec.plan` — the picklable work-plan description and its
   checkpoint fingerprint;
-* :mod:`repro.exec.pool` — in-process or process-pool execution with
-  index-ordered merging, crash isolation and bounded retry;
+* :mod:`repro.exec.pool` — in-process or process-pool execution of
+  each item once, with index-ordered merging and crash isolation;
 * :mod:`repro.exec.checkpoint` — the append-only JSONL journal behind
   ``--resume``;
 * :mod:`repro.exec.progress` — items/sec, ETA and per-worker wall-time
@@ -22,14 +22,14 @@ index, never by completion order.
 
 from repro.exec.checkpoint import Journal, JournalState
 from repro.exec.plan import Plan
-from repro.exec.pool import ExecutionResult, execute
+from repro.exec.pool import execute
 from repro.exec.progress import ProgressMeter
 from repro.exec.shard import derive_seed
 
 __all__ = [
     "derive_seed",
     "Plan",
-    "ExecutionResult", "execute",
+    "execute",
     "Journal", "JournalState",
     "ProgressMeter",
 ]

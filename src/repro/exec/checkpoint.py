@@ -8,12 +8,14 @@ one item, addressed by its index in the plan:
 * ``done``  — an item completed; carries its pickled result (base85-
   encoded so the journal stays line-oriented UTF-8 JSON) plus the
   worker pid and wall time;
-* ``failed`` — an item exhausted its retry budget.
+* ``failed`` — an item's worker raised or died; carries the error.
 
 The layout is the one journals had when several items could share a
 record, so journals written then still resume: records key the item
 index as ``"chunk"``, a ``done`` payload is a one-element result list,
-and the header repeats the item count as ``"chunks"``.
+and the header repeats the item count as ``"chunks"``.  A ``failed``
+record written when items were retried also counts its ``attempts``;
+replay ignores it.
 
 Records are flushed line-by-line, so a killed run loses at most the
 items that were in flight.  On ``resume`` the journal is replayed:
@@ -117,9 +119,8 @@ class Journal:
             record["telemetry"] = telemetry
         self._write(record)
 
-    def record_failed(self, index: int, error: str, attempts: int) -> None:
-        self._write({"type": "failed", "chunk": index,
-                     "error": error, "attempts": attempts})
+    def record_failed(self, index: int, error: str) -> None:
+        self._write({"type": "failed", "chunk": index, "error": error})
 
     def close(self) -> None:
         if self._handle is not None:

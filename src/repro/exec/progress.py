@@ -83,7 +83,7 @@ class ProgressMeter:
         return max(0.0, remaining / rate)
 
     def snapshot(self) -> dict:
-        """All metrics as one plain dict (merged into execution results)."""
+        """All metrics as one plain dict."""
         rate = self.items_per_second
         eta = self.eta_seconds
         return {

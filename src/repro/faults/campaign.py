@@ -323,7 +323,6 @@ def run_campaign(factory: Callable[[], CampaignWorld],
                  horizon: int, jobs: int = 1,
                  checkpoint=None, resume: bool = False,
                  progress=None,
-                 interrupt_after: Optional[int] = None,
                  daq_period: Optional[int] = None) -> CampaignReport:
     """Run every cell through a fresh world.
 
@@ -332,8 +331,7 @@ def run_campaign(factory: Callable[[], CampaignWorld],
     ``jobs=N`` yield reports with the same
     :meth:`CampaignReport.digest`.  ``checkpoint``/``resume``
     journal per-cell results to a JSONL file and skip completed cells
-    on restart; ``interrupt_after`` aborts after that many completions
-    (testing hook for the resume path).
+    on restart.
     """
     from repro.exec import Plan, execute
 
@@ -344,11 +342,9 @@ def run_campaign(factory: Callable[[], CampaignWorld],
     plan = Plan(label, functools.partial(_cell_worker, factory, horizon,
                                          daq_period),
                 tuple(cells))
-    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
-                      resume=resume, progress=progress,
-                      interrupt_after=interrupt_after)
-    outcome.raise_on_failure()
-    return CampaignReport(outcome.results, horizon)
+    results = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress)
+    return CampaignReport(results, horizon)
 
 
 def _evaluate(world: CampaignWorld, cell: CampaignCell,

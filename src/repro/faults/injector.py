@@ -435,9 +435,5 @@ class FaultInjector:
             self.sim.schedule_at(max(self.sim.now, fault.end), deactivate)
         return fault
 
-    def active_faults(self) -> list[Fault]:
-        """Faults currently switched on."""
-        return [fault for fault in self.faults if fault.active]
-
     def __repr__(self) -> str:
         return f"<FaultInjector faults={len(self.faults)}>"

@@ -83,7 +83,6 @@ def measure_models(models: Sequence, period: int = DEFAULT_DAQ_PERIOD,
                 f":horizon={horizon}",
                 functools.partial(_daq_worker, horizon, period),
                 systems)
-    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+    results = execute(plan, jobs=jobs, checkpoint=checkpoint,
                       resume=resume, progress=progress)
-    outcome.raise_on_failure()
-    return MeasurementReport(period, horizon, list(outcome.results))
+    return MeasurementReport(period, horizon, results)

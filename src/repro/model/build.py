@@ -254,11 +254,9 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
     systems = tuple(model.build() for model in models)
     plan = verify_plan("model-verify", f"n={len(systems)}", systems,
                        horizon, daq_period, 0)
-    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+    results = execute(plan, jobs=jobs, checkpoint=checkpoint,
                       resume=resume, progress=progress)
-    outcome.raise_on_failure()
-    return VerificationReport(0, len(systems), MODEL_SIZE,
-                              list(outcome.results))
+    return VerificationReport(0, len(systems), MODEL_SIZE, results)
 
 
 def resilience_models(models: Sequence[Model], jobs: int = 1,
@@ -267,21 +265,11 @@ def resilience_models(models: Sequence[Model], jobs: int = 1,
     """Resilience-verify every model; models that declare their own
     ``resilience.scenarios`` run exactly those, models without get the
     standard fault matrix (mirroring ``run_resilience``)."""
-    from repro.exec import Plan, execute
-    from repro.verify.resilience import (ResilienceReport,
-                                         _resilience_worker,
-                                         standard_scenarios)
+    from repro.exec import execute
+    from repro.verify.resilience import ResilienceReport, resilience_plan
 
-    systems = []
-    for model in models:
-        system = model.build()
-        if not system.faults:
-            system.faults = standard_scenarios(system)
-        systems.append(system)
-    plan = Plan(f"model-resilience:n={len(systems)}",
-                _resilience_worker, tuple(systems))
-    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+    systems = [model.build() for model in models]
+    plan = resilience_plan(f"model-resilience:n={len(systems)}", systems)
+    results = execute(plan, jobs=jobs, checkpoint=checkpoint,
                       resume=resume, progress=progress)
-    outcome.raise_on_failure()
-    return ResilienceReport(0, len(systems), MODEL_SIZE,
-                            list(outcome.results))
+    return ResilienceReport(0, len(systems), MODEL_SIZE, results)

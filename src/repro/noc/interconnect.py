@@ -205,10 +205,6 @@ class TdmaNoc(Interconnect):
         self.trace.log(self.sim.now, "noc.gate", f"core{core}",
                        dropped=dropped)
 
-    def ungate(self, core: int) -> None:
-        """Lift a core's NI gate (after repair)."""
-        self._gated.discard(core)
-
     def _schedule_slot(self, slot: int) -> None:
         self.sim.schedule(self.slot_length, lambda: self._slot_end(slot))
 

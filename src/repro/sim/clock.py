@@ -30,12 +30,6 @@ class DriftingClock:
         skew = round(global_time * self.drift_ppm / PPM)
         return global_time + skew + self.offset_ns
 
-    def global_duration(self, local_duration: int) -> int:
-        """Global time that elapses while the local clock counts
-        ``local_duration`` ns."""
-        rate = 1.0 + self.drift_ppm / PPM
-        return round(local_duration / rate)
-
     def error_at(self, global_time: int) -> int:
         """Absolute deviation from global time at ``global_time``."""
         return abs(self.local_time(global_time) - global_time)

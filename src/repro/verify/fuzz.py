@@ -336,7 +336,6 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
          seed_batch: int = DEFAULT_SEED_BATCH, progress=None,
          max_seconds: Optional[float] = None,
          shrink_probes: int = 2000,
-         interrupt_after: Optional[int] = None,
          until_dry: Optional[int] = None,
          seeds=None) -> FuzzReport:
     """Run one coverage-guided fuzzing campaign of ``budget`` verify
@@ -416,15 +415,13 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
             else f"{checkpoint}.round{round_no:04d}"
         round_resume = (resume and round_checkpoint is not None
                         and os.path.exists(round_checkpoint))
-        outcome = execute(plan, jobs=jobs, checkpoint=round_checkpoint,
-                          resume=round_resume, progress=progress,
-                          interrupt_after=interrupt_after)
-        outcome.raise_on_failure()
+        results = execute(plan, jobs=jobs, checkpoint=round_checkpoint,
+                          resume=round_resume, progress=progress)
 
         # Merge in plan order: corpus admission and finding discovery
         # see results in the same sequence at any job count.
         round_fresh = False
-        for offset, result in enumerate(outcome.results):
+        for offset, result in enumerate(results):
             system, parent_label, mutator = items[offset]
             index = report.executions + offset
             label = (f"seed:{index}" if round_no == 0

@@ -698,7 +698,6 @@ def verify_plan(kind: str, scope: str, systems: tuple,
 def verify_many(seed: int, count: int, size: str = "small",
                 horizon: Optional[int] = None, jobs: int = 1,
                 checkpoint=None, resume: bool = False, progress=None,
-                interrupt_after: Optional[int] = None,
                 daq_period: Optional[int] = None) -> VerificationReport:
     """Generate and differentially verify ``count`` systems.
 
@@ -715,11 +714,9 @@ def verify_many(seed: int, count: int, size: str = "small",
     plan = verify_plan("verify", f"size={size}",
                        tuple(generate_many(seed, count, size)), horizon,
                        daq_period, seed)
-    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
-                      resume=resume, progress=progress,
-                      interrupt_after=interrupt_after)
-    outcome.raise_on_failure()
-    return VerificationReport(seed, count, size, list(outcome.results))
+    results = execute(plan, jobs=jobs, checkpoint=checkpoint,
+                      resume=resume, progress=progress)
+    return VerificationReport(seed, count, size, results)
 
 
 def format_report(report: VerificationReport) -> str:

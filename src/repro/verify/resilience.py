@@ -600,6 +600,21 @@ def _resilience_worker(system: GeneratedSystem) -> dict:
                          for v in verify_resilience(system)]}
 
 
+def resilience_plan(label: str, systems, base_seed: int = 0):
+    """The exec plan resilience-verifying ``systems`` (shared by
+    :func:`run_resilience` and
+    :func:`repro.model.build.resilience_models`).  A system that
+    declares no fault scenarios gets the :func:`standard_scenarios`
+    matrix attached."""
+    from repro.exec import Plan
+
+    systems = tuple(systems)
+    for system in systems:
+        if not system.faults:
+            system.faults = standard_scenarios(system)
+    return Plan(label, _resilience_worker, systems, base_seed=base_seed)
+
+
 @dataclass
 class ResilienceReport:
     """Aggregate over a batch of resilience-verified systems."""
@@ -666,20 +681,15 @@ def run_resilience(seed: int, count: int, size: str = "small",
     """Generate ``count`` systems, attach the standard fault matrix to
     each, and verify resilience — fanned out over :mod:`repro.exec`
     (jobs=1 and jobs=N produce identical digests)."""
-    from repro.exec import Plan, execute
+    from repro.exec import execute
     from repro.verify.generator import generate_many
 
-    systems = []
-    for system in generate_many(seed, count, size):
-        system.faults = standard_scenarios(system)
-        systems.append(system)
     # base_seed keys the fingerprint: existing journals keep resuming.
-    plan = Plan(f"resilience:size={size}", _resilience_worker,
-                tuple(systems), base_seed=seed)
-    outcome = execute(plan, jobs=jobs, checkpoint=checkpoint,
+    plan = resilience_plan(f"resilience:size={size}",
+                           generate_many(seed, count, size), seed)
+    results = execute(plan, jobs=jobs, checkpoint=checkpoint,
                       resume=resume, progress=progress)
-    outcome.raise_on_failure()
-    return ResilienceReport(seed, count, size, list(outcome.results))
+    return ResilienceReport(seed, count, size, results)
 
 
 def _fmt_ms(value) -> str:

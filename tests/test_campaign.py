@@ -237,14 +237,14 @@ def test_campaign_digest_is_order_independent():
 
 
 def test_interrupted_campaign_resumes_to_identical_digest(tmp_path):
-    from repro.errors import ExecutionInterrupted
+    from stopping_meter import StoppingMeter, Stopped
 
     path = tmp_path / "campaign.jsonl"
     cells = reference_cells()[:3]
     uninterrupted = run_campaign(ReferenceWorld, cells, horizon=HORIZON)
-    with pytest.raises(ExecutionInterrupted):
+    with pytest.raises(Stopped):
         run_campaign(ReferenceWorld, cells, horizon=HORIZON,
-                     checkpoint=path, interrupt_after=1)
+                     checkpoint=path, progress=StoppingMeter(1))
     resumed = run_campaign(ReferenceWorld, cells, horizon=HORIZON,
                            checkpoint=path, resume=True)
     assert resumed.digest() == uninterrupted.digest()

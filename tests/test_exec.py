@@ -9,8 +9,9 @@ from functools import partial
 
 import pytest
 
-from repro.errors import ExecutionError, ExecutionInterrupted, JournalError
+from repro.errors import ExecutionError, JournalError
 from repro.exec import Journal, Plan, ProgressMeter, derive_seed, execute
+from stopping_meter import StoppingMeter, Stopped
 
 
 # ---------------------------------------------------------------------------
@@ -20,8 +21,8 @@ def square_worker(item):
     return {"item": item, "square": item * item}
 
 
-def faulty_worker(bad_item, item):
-    if item == bad_item:
+def faulty_worker(bad_items, item):
+    if item in bad_items:
         raise ValueError(f"poisoned item {item}")
     return item + 1
 
@@ -40,25 +41,6 @@ def crash_worker(marker_dir, crash_item, item):
 def always_crash_worker(crash_item, item):
     if item == crash_item:
         os._exit(3)
-    return item * 10
-
-
-def hang_once_worker(marker_dir, hang_item, item):
-    """Hangs (hot sleep, no exception) the first time it sees
-    ``hang_item``; succeeds on any retry thanks to the marker file."""
-    import time as _time
-    if item == hang_item:
-        marker = os.path.join(marker_dir, f"hung-{item}")
-        if not os.path.exists(marker):
-            open(marker, "w").close()
-            _time.sleep(60)
-    return item * 10
-
-
-def always_hang_worker(hang_item, item):
-    import time as _time
-    if item == hang_item:
-        _time.sleep(60)
     return item * 10
 
 
@@ -104,7 +86,7 @@ def test_plan_fingerprint_identifies_the_work():
 
 
 def test_plan_round_trips_through_pickle():
-    plan = Plan("t", partial(faulty_worker, 99), tuple(range(6)))
+    plan = Plan("t", partial(faulty_worker, (99,)), tuple(range(6)))
     clone = pickle.loads(pickle.dumps(plan))
     assert clone.label == plan.label
     assert clone.items == plan.items
@@ -118,14 +100,13 @@ def test_serial_and_parallel_results_are_identical():
     plan = Plan("sq", square_worker, tuple(range(11)), base_seed=3)
     serial = execute(plan, jobs=1)
     parallel = execute(plan, jobs=3)
-    assert serial.ok and parallel.ok
-    assert serial.results == parallel.results
-    assert [r["item"] for r in serial.results] == list(range(11))
+    assert serial == parallel
+    assert [r["item"] for r in serial] == list(range(11))
 
 
 def test_empty_plan_executes_to_empty_results():
-    outcome = execute(Plan("empty", square_worker, ()))
-    assert outcome.ok and outcome.results == []
+    assert execute(Plan("empty", square_worker, ())) == []
+    assert execute(Plan("empty", square_worker, ()), jobs=2) == []
 
 
 def test_execute_rejects_bad_arguments():
@@ -139,26 +120,43 @@ def test_execute_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 # execution: failure handling
 # ---------------------------------------------------------------------------
-def test_raising_worker_is_retried_then_marked_failed():
-    plan = Plan("faulty", partial(faulty_worker, 4), tuple(range(6)))
-    outcome = execute(plan, jobs=1, retries=2)
-    assert not outcome.ok
-    assert list(outcome.failures) == [4]
-    assert "poisoned item 4" in outcome.failures[4]
-    # Every healthy item still completed, in plan order.
-    assert outcome.results == [1, 2, 3, 4, 6]
-    with pytest.raises(ExecutionError, match="item 4"):
-        outcome.raise_on_failure()
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_worker_runs_once_and_fails_its_item(tmp_path, jobs):
+    # A pure worker that raises would raise again: each poisoned item
+    # runs once, every other item still runs and is journaled, and one
+    # error names every failed item.
+    path = tmp_path / "journal.jsonl"
+    plan = Plan("faulty", partial(faulty_worker, (1, 4)), tuple(range(6)))
+    with pytest.raises(ExecutionError, match=(
+            r"2 item\(s\) failed — item 1: ValueError: poisoned item 1; "
+            r"item 4: ValueError: poisoned item 4$")):
+        execute(plan, jobs=jobs, checkpoint=path)
+    records = [json.loads(line) for line in open(path)][1:]
+    for index in (1, 4):
+        assert [r["type"] for r in records if r["chunk"] == index] \
+            == ["start", "failed"]
+    state = Journal(path).load(plan)
+    assert state.completed == {0: 1, 2: 3, 3: 4, 5: 6}
+    assert state.pending == {1, 4}
 
 
 def test_failed_attempts_are_journaled(tmp_path):
     path = tmp_path / "journal.jsonl"
-    plan = Plan("faulty", partial(faulty_worker, 1), (0, 1, 2))
-    execute(plan, retries=1, checkpoint=path)
+    plan = Plan("faulty", partial(faulty_worker, (1,)), (0, 1, 2))
+    with pytest.raises(ExecutionError, match="item 1"):
+        execute(plan, checkpoint=path)
     records = [json.loads(line) for line in open(path)]
     failed = [r for r in records if r["type"] == "failed"]
-    assert len(failed) == 1 and failed[0]["chunk"] == 1
-    assert failed[0]["attempts"] == 2  # retries=1 -> two attempts
+    assert failed == [{"type": "failed", "chunk": 1,
+                       "error": "ValueError: poisoned item 1"}]
+    # Failed records of journals written when items were retried also
+    # count their attempts; they still load, and the item re-runs.
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"type": "failed", "chunk": 1,
+                                 "error": "boom", "attempts": 2}) + "\n")
+    state = Journal(path).load(plan)
+    assert state.completed == {0: 1, 2: 3}
+    assert state.pending == {1}
 
 
 def test_crashed_worker_is_isolated_and_retried(tmp_path):
@@ -167,74 +165,19 @@ def test_crashed_worker_is_isolated_and_retried(tmp_path):
     plan = Plan("crashy",
                 partial(crash_worker, str(tmp_path), 5),
                 tuple(range(8)))
-    outcome = execute(plan, jobs=2, retries=1)
-    assert outcome.ok
-    assert outcome.results == [i * 10 for i in range(8)]
+    assert execute(plan, jobs=2) == [i * 10 for i in range(8)]
 
 
-def test_permanently_crashing_chunk_is_marked_failed():
+def test_permanently_crashing_chunk_is_marked_failed(tmp_path):
+    # Isolation pins the death on item 2; the innocent items complete.
+    path = tmp_path / "journal.jsonl"
     plan = Plan("crashy", partial(always_crash_worker, 2),
                 tuple(range(4)))
-    outcome = execute(plan, jobs=2, retries=1)
-    assert not outcome.ok
-    assert list(outcome.failures) == [2]
-    assert outcome.results == [0, 10, 30]
-
-
-# ---------------------------------------------------------------------------
-# execution: watchdog timeout + fixed backoff
-# ---------------------------------------------------------------------------
-def test_hung_worker_is_killed_and_rerun_deterministically(tmp_path):
-    # Item 2's worker hangs on its first attempt; the watchdog kills
-    # the pool, isolation re-runs every unresolved item, and the
-    # merged results match an untroubled run exactly.
-    plan = Plan("hangy", partial(hang_once_worker, str(tmp_path), 2),
-                tuple(range(6)))
-    outcome = execute(plan, jobs=2, retries=1, timeout=1.0)
-    assert outcome.ok
-    assert outcome.results == [i * 10 for i in range(6)]
-    assert outcome.results == execute(plan, jobs=1).results
-
-
-def test_permanently_hung_chunk_exhausts_retries_and_fails():
-    plan = Plan("hangy", partial(always_hang_worker, 1),
-                tuple(range(3)))
-    outcome = execute(plan, jobs=2, retries=0, timeout=0.5)
-    assert not outcome.ok
-    assert list(outcome.failures) == [1]
-    assert "watchdog" in outcome.failures[1]
-    # innocent items still completed in isolation
-    assert outcome.results == [0, 20]
-
-
-def test_watchdog_does_not_fire_on_healthy_parallel_runs():
-    plan = Plan("sq", square_worker, tuple(range(8)))
-    timed = execute(plan, jobs=2, timeout=30.0)
-    assert timed.ok
-    assert timed.results == execute(plan, jobs=1).results
-
-
-def test_invalid_timeout_is_rejected():
-    plan = Plan("sq", square_worker, (1,))
-    with pytest.raises(ExecutionError, match="timeout"):
-        execute(plan, jobs=2, timeout=0)
-
-
-def test_retries_wait_out_the_fixed_backoff_schedule(monkeypatch):
-    from repro.exec import pool
-
-    slept = []
-    monkeypatch.setattr(pool, "_sleep", slept.append)
-    plan = Plan("faulty", partial(faulty_worker, 0), (0,))
-    outcome = execute(plan, jobs=1, retries=3)
-    assert not outcome.ok
-    # attempt 1 -> 0.0 (skipped), attempts 2..3 -> schedule tail
-    assert slept == [0.05, 0.2]
-    # the schedule is fixed, never randomised: a second identical run
-    # waits out the identical delays
-    slept.clear()
-    execute(plan, jobs=1, retries=3)
-    assert slept == [0.05, 0.2]
+    with pytest.raises(ExecutionError,
+                       match=r"1 item\(s\) failed — item 2: "
+                             r"BrokenProcessPool"):
+        execute(plan, jobs=2, checkpoint=path)
+    assert Journal(path).load(plan).completed == {0: 0, 1: 10, 3: 30}
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +187,14 @@ def test_interrupt_then_resume_matches_uninterrupted_run(tmp_path):
     path = tmp_path / "journal.jsonl"
     plan = Plan("sq", square_worker, tuple(range(9)))
     uninterrupted = execute(plan, jobs=1)
-    with pytest.raises(ExecutionInterrupted):
-        execute(plan, jobs=1, checkpoint=path, interrupt_after=2)
-    resumed = execute(plan, jobs=1, checkpoint=path, resume=True)
-    assert resumed.ok
-    assert resumed.results == uninterrupted.results
-    assert resumed.items_resumed == 2
-    assert resumed.items_executed == 7
+    with pytest.raises(Stopped):
+        execute(plan, jobs=1, checkpoint=path, progress=StoppingMeter(2))
+    meter = ProgressMeter(plan.n_items)
+    resumed = execute(plan, jobs=1, checkpoint=path, resume=True,
+                      progress=meter)
+    assert resumed == uninterrupted
+    assert meter.items_resumed == 2
+    assert meter.items_done == 7
 
 
 def test_parallel_resume_of_serial_journal(tmp_path):
@@ -258,10 +202,25 @@ def test_parallel_resume_of_serial_journal(tmp_path):
     # written by one executor is resumable by any other.
     path = tmp_path / "journal.jsonl"
     plan = Plan("sq", square_worker, tuple(range(9)))
-    with pytest.raises(ExecutionInterrupted):
-        execute(plan, jobs=1, checkpoint=path, interrupt_after=3)
+    with pytest.raises(Stopped):
+        execute(plan, jobs=1, checkpoint=path, progress=StoppingMeter(3))
     resumed = execute(plan, jobs=2, checkpoint=path, resume=True)
-    assert resumed.results == execute(plan, jobs=1).results
+    assert resumed == execute(plan, jobs=1)
+
+
+def test_stopped_parallel_run_resumes_serially(tmp_path):
+    # A pool stopped mid-run journals exactly the items it finished;
+    # the ones in flight re-run on resume.
+    path = tmp_path / "journal.jsonl"
+    plan = Plan("sq", square_worker, tuple(range(9)))
+    with pytest.raises(Stopped):
+        execute(plan, jobs=2, checkpoint=path, progress=StoppingMeter(3))
+    meter = ProgressMeter(plan.n_items)
+    resumed = execute(plan, jobs=1, checkpoint=path, resume=True,
+                      progress=meter)
+    assert resumed == execute(plan, jobs=1)
+    assert meter.items_resumed == 3
+    assert meter.items_done == 6
 
 
 def test_resume_refuses_a_mismatched_journal(tmp_path):
@@ -287,7 +246,7 @@ def test_journal_replay_classifies_chunk_states(tmp_path):
     journal.record_done(0, 41, 0.1, worker=1234)
     journal.record_start(1)  # in flight when the run died
     journal.record_start(2)
-    journal.record_failed(2, "boom", attempts=2)
+    journal.record_failed(2, "boom")
     journal.close()
     state = Journal(path).load(plan)
     assert state.completed == {0: 41}
@@ -298,10 +257,11 @@ def test_fully_journaled_run_resumes_without_executing(tmp_path):
     path = tmp_path / "journal.jsonl"
     plan = Plan("sq", square_worker, tuple(range(4)))
     first = execute(plan, checkpoint=path)
-    resumed = execute(plan, checkpoint=path, resume=True)
-    assert resumed.results == first.results
-    assert resumed.items_executed == 0
-    assert resumed.items_resumed == 4
+    meter = ProgressMeter(plan.n_items)
+    resumed = execute(plan, checkpoint=path, resume=True, progress=meter)
+    assert resumed == first
+    assert meter.items_done == 0
+    assert meter.items_resumed == 4
 
 
 def test_journal_in_the_chunked_layout_resumes(tmp_path):
@@ -327,9 +287,10 @@ def test_journal_in_the_chunked_layout_resumes(tmp_path):
                {"type": "start", "chunk": 2}, done(2, 5)]
     path.write_text("".join(json.dumps(record, sort_keys=True) + "\n"
                             for record in records))
-    resumed = execute(plan, checkpoint=path, resume=True)
-    assert resumed.results == execute(plan).results
-    assert resumed.items_resumed == 2 and resumed.items_executed == 1
+    meter = ProgressMeter(plan.n_items)
+    resumed = execute(plan, checkpoint=path, resume=True, progress=meter)
+    assert resumed == execute(plan)
+    assert meter.items_resumed == 2 and meter.items_done == 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +314,13 @@ def test_truncated_trailing_line_is_skipped_with_warning(tmp_path):
         state = Journal(path).load(plan)
     # the damaged item dropped out of `completed`, so it re-runs
     assert len(state.completed) == 3
+    meter = ProgressMeter(plan.n_items)
     with pytest.warns(JournalCorruptionWarning):
-        resumed = execute(plan, checkpoint=path, resume=True)
-    assert resumed.ok
-    assert resumed.results == full.results
-    assert resumed.items_resumed == 3
-    assert resumed.items_executed == 1
+        resumed = execute(plan, checkpoint=path, resume=True,
+                          progress=meter)
+    assert resumed == full
+    assert meter.items_resumed == 3
+    assert meter.items_done == 1
 
 
 def test_garbled_trailing_payload_is_skipped_with_warning(tmp_path):
@@ -407,7 +369,7 @@ def test_record_naming_no_plan_item_is_corrupt(tmp_path, index):
     damage(len(lines) - 1)  # the last done record, as the trailing line
     with pytest.warns(JournalCorruptionWarning, match="trailing line"):
         resumed = execute(plan, checkpoint=path, resume=True)
-    assert resumed.results == full.results
+    assert resumed == full
 
 
 def test_done_payload_must_hold_one_result(tmp_path):
@@ -481,11 +443,13 @@ def test_progress_meter_emits_lines():
     assert lines[-1].startswith("[2/2 items]")
 
 
-def test_execution_metrics_flow_through(tmp_path):
+def test_execution_metrics_flow_through():
     plan = Plan("sq", square_worker, tuple(range(6)))
-    outcome = execute(plan, jobs=2)
-    assert outcome.metrics["items_done"] == 6
-    assert outcome.metrics["workers"]  # at least one worker accounted
+    meter = ProgressMeter(plan.n_items)
+    execute(plan, jobs=2, progress=meter)
+    snap = meter.snapshot()
+    assert snap["items_done"] == 6
+    assert snap["workers"]  # at least one worker accounted
 
 
 # ---------------------------------------------------------------------------

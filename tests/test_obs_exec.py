@@ -7,8 +7,8 @@ gives for results, extended to the observability layer."""
 import pytest
 
 from repro import obs
-from repro.exec import Plan, execute
-from repro.errors import ExecutionInterrupted
+from repro.exec import Plan, ProgressMeter, execute
+from stopping_meter import StoppingMeter, Stopped
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +54,7 @@ def test_jobs_parity_digest_and_snapshot():
     view2 = obs.registry().deterministic_view()
     dlt2 = [(r.timestamp, r.context_id) for r in obs.dlt_channel().records]
 
-    assert outcome1.results == outcome2.results
+    assert outcome1 == outcome2
     assert digest1 == digest2
     assert view1 == view2
     assert dlt1 == dlt2  # DLT merges in plan order too
@@ -72,8 +72,7 @@ def test_span_records_merge_in_plan_order():
 
 
 def test_disabled_run_collects_nothing():
-    outcome = run_plan(2)
-    assert outcome.ok
+    run_plan(2)
     assert len(obs.registry()) == 0
     assert len(obs.spans()) == 0
 
@@ -106,12 +105,13 @@ def test_resume_telemetry_parity(tmp_path):
     baseline = obs.digest()
 
     obs.reset()
-    with pytest.raises(ExecutionInterrupted):
-        run_plan(1, checkpoint=path, interrupt_after=2)
+    with pytest.raises(Stopped):
+        run_plan(1, checkpoint=path, progress=StoppingMeter(2))
     obs.reset()  # the interrupted run's partial telemetry is discarded
-    resumed = run_plan(1, checkpoint=path, resume=True)
-    assert resumed.items_resumed == 2
-    assert resumed.items_executed == 8
+    meter = ProgressMeter(len(PLAN_ITEMS))
+    run_plan(1, checkpoint=path, resume=True, progress=meter)
+    assert meter.items_resumed == 2
+    assert meter.items_done == 8
     assert obs.digest() == baseline
 
 
@@ -121,23 +121,25 @@ def test_resumed_journal_without_telemetry_still_resumes(tmp_path):
     # simply contribute no telemetry).
     path = tmp_path / "journal.jsonl"
     plan = Plan("plain", plain_worker, PLAN_ITEMS)
-    with pytest.raises(ExecutionInterrupted):
-        execute(plan, checkpoint=path, interrupt_after=2)
+    with pytest.raises(Stopped):
+        execute(plan, checkpoint=path, progress=StoppingMeter(2))
     obs.enable()
-    outcome = execute(plan, checkpoint=path, resume=True)
-    assert outcome.ok and outcome.items_resumed == 2
+    meter = ProgressMeter(plan.n_items)
+    execute(plan, checkpoint=path, resume=True, progress=meter)
+    assert meter.items_resumed == 2
 
 
-def test_execution_result_reports_resumed_vs_executed_items(tmp_path):
+def test_meter_reports_resumed_vs_executed_items(tmp_path):
     path = tmp_path / "journal.jsonl"
     plan = Plan("plain", plain_worker, PLAN_ITEMS)
-    with pytest.raises(ExecutionInterrupted):
-        execute(plan, checkpoint=path, interrupt_after=3)
-    outcome = execute(plan, checkpoint=path, resume=True)
-    assert outcome.items_resumed == 3
-    assert outcome.items_executed == 7
-    assert outcome.metrics["items_resumed"] == 3
-    assert outcome.metrics["items_done"] == 7
+    with pytest.raises(Stopped):
+        execute(plan, checkpoint=path, progress=StoppingMeter(3))
+    meter = ProgressMeter(plan.n_items)
+    execute(plan, checkpoint=path, resume=True, progress=meter)
+    assert meter.items_resumed == 3
+    assert meter.items_done == 7
+    assert meter.snapshot()["items_resumed"] == 3
+    assert meter.snapshot()["items_done"] == 7
 
 
 def test_progress_rate_excludes_resumed_items():

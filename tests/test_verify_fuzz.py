@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro import obs
-from repro.errors import ExecutionInterrupted
 from repro.model import Model
 from repro.verify.fuzz import (CorpusEntry, Finding, FuzzReport,
                                format_fuzz_report, fuzz, signature_tokens,
@@ -23,6 +22,7 @@ from repro.verify.fuzz import (CorpusEntry, Finding, FuzzReport,
 from repro.verify.generator import generate
 from repro.verify.oracle import verify_system
 from repro.verify.shrink import ShrinkResult, failure_keys, shrink
+from stopping_meter import StoppingMeter, Stopped
 
 BUDGET = 24  # 16 seed systems + one mutation round
 
@@ -76,9 +76,9 @@ def test_campaign_makes_progress(baseline):
 # ----------------------------------------------------------------------
 def test_interrupt_and_resume_matches_uninterrupted(baseline, tmp_path):
     checkpoint = str(tmp_path / "fuzz.journal")
-    with pytest.raises(ExecutionInterrupted):
+    with pytest.raises(Stopped):
         fuzz(seed=7, budget=BUDGET, jobs=1, checkpoint=checkpoint,
-             interrupt_after=4)
+             progress=StoppingMeter(4))
     # the first round's journal exists and holds the partial progress
     assert os.path.exists(checkpoint + ".round0000")
     resumed = fuzz(seed=7, budget=BUDGET, jobs=1, checkpoint=checkpoint,

@@ -126,12 +126,12 @@ def test_report_digest_ignores_verdict_emission_order():
 
 
 def test_interrupted_verification_resumes_to_identical_digest(tmp_path):
-    from repro.errors import ExecutionInterrupted
+    from stopping_meter import StoppingMeter, Stopped
 
     path = tmp_path / "verify.jsonl"
     uninterrupted = verify_many(7, 4)
-    with pytest.raises(ExecutionInterrupted):
-        verify_many(7, 4, checkpoint=path, interrupt_after=2)
+    with pytest.raises(Stopped):
+        verify_many(7, 4, checkpoint=path, progress=StoppingMeter(2))
     resumed = verify_many(7, 4, checkpoint=path, resume=True)
     assert resumed.digest() == uninterrupted.digest()
     assert resumed.passed
