@@ -334,6 +334,7 @@ def stats(args: list[str]) -> int:
     JSON, JSONL event log) is autodetected per file."""
     import argparse
 
+    from repro.errors import ConfigurationError
     from repro.obs.stats import summarize_paths
 
     parser = argparse.ArgumentParser(
@@ -345,7 +346,11 @@ def stats(args: list[str]) -> int:
     parser.add_argument("--top", type=int, default=10,
                         help="span table rows (default 10)")
     options = parser.parse_args(args)
-    print(summarize_paths(options.paths, options.top))
+    try:
+        summary = summarize_paths(options.paths, options.top)
+    except ConfigurationError as exc:
+        parser.exit(cli.load_failure(parser.prog, exc))
+    print(summary)
     return 0
 
 

@@ -124,16 +124,16 @@ class HolisticModel:
                 f"chain head {element!r} needs a period")
         return period
 
-    def solve(self, max_iterations: int = MAX_ITERATIONS
-              ) -> HolisticResult:
-        """Iterate per-resource analyses to the jitter fixpoint."""
+    def solve(self) -> HolisticResult:
+        """Iterate per-resource analyses to the jitter fixpoint, for at
+        most :data:`MAX_ITERATIONS` rounds."""
         with obs.span("holistic.solve", category="analysis"):
-            result = self._solve(max_iterations)
+            result = self._solve()
         obs.count("holistic.rounds", result.iterations)
         obs.count("holistic.solves")
         return result
 
-    def _solve(self, max_iterations: int) -> HolisticResult:
+    def _solve(self) -> HolisticResult:
         jitter: dict[str, int] = {
             name: (self._tasks[name][1].jitter if name in self._tasks
                    else self._frames[name].jitter)
@@ -142,7 +142,7 @@ class HolisticModel:
                    for name in jitter}
         result = HolisticResult(converged=False, iterations=0,
                                 schedulable=True)
-        for iteration in range(1, max_iterations + 1):
+        for iteration in range(1, MAX_ITERATIONS + 1):
             result.iterations = iteration
             result.failures = []
             task_wcrt, frame_wcrt = self._analyse_once(jitter, periods,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.com.ipdu import IPdu, SignalMapping
+from repro.com.ipdu import IPdu, SignalMapping, pack_sequentially
 from repro.com.signal import SignalSpec
 from repro.sim.trace import Trace
 
@@ -114,20 +114,16 @@ class E2eProfile:
 
 
 def e2e_protected_pdu(name: str, size_bytes: int, specs: list[SignalSpec],
-                      profile: E2eProfile,
-                      with_update_bits: bool = False) -> IPdu:
-    """Lay out ``specs`` back-to-back and append the protection fields.
+                      profile: E2eProfile) -> IPdu:
+    """Lay out ``specs`` with :func:`~repro.com.ipdu.pack_sequentially`
+    and append the protection fields.
 
     The counter and CRC ride at the tail of the payload as two ordinary
     signals named ``<name>.e2e_cnt`` / ``<name>.e2e_crc``; both sides of
     a link must build the PDU with the same call.
     """
-    pdu = IPdu(name, size_bytes)
-    bit = 0
-    for spec in specs:
-        update_bit = spec.width_bits + bit if with_update_bits else None
-        pdu.add(SignalMapping(spec, bit, update_bit))
-        bit += spec.width_bits + (1 if with_update_bits else 0)
+    pdu = pack_sequentially(name, size_bytes, specs)
+    bit = max((mapping.end_bit for mapping in pdu.mappings), default=0)
     counter = SignalSpec(name + COUNTER_SUFFIX, profile.counter_bits)
     crc = SignalSpec(name + CRC_SUFFIX, 8)
     pdu.add(SignalMapping(counter, bit))

@@ -39,8 +39,8 @@ class PackedFrame:
     sender: str
 
 
-def pack_signals(signals: list[PackableSignal], frame_bytes: int = 8,
-                 name_prefix: str = "PDU") -> list[PackedFrame]:
+def pack_signals(signals: list[PackableSignal],
+                 frame_bytes: int = 8) -> list[PackedFrame]:
     """First-fit-decreasing packing, grouped by (sender, period).
 
     Signals from different nodes never share a frame (one sender per
@@ -76,8 +76,7 @@ def pack_signals(signals: list[PackableSignal], frame_bytes: int = 8,
                 bins.append([signal])
                 fill.append(signal.spec.width_bits)
         for index, bin_signals in enumerate(bins):
-            pdu = IPdu(f"{name_prefix}_{sender}_{period}_{index}",
-                       frame_bytes)
+            pdu = IPdu(f"PDU_{sender}_{period}_{index}", frame_bytes)
             bit = 0
             for signal in bin_signals:
                 pdu.add(SignalMapping(signal.spec, bit))

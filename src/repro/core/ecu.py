@@ -24,14 +24,12 @@ class EcuSpec:
 
     def __init__(self, name: str,
                  scheduler_factory: Optional[Callable[[], Scheduler]] = None,
-                 budget_enforcement: str = "kill",
                  domain: str = "default"):
         if not name:
             raise ConfigurationError("ECU needs a non-empty name")
         self.name = name
         self.scheduler_factory = (scheduler_factory if scheduler_factory
                                   is not None else FixedPriorityScheduler)
-        self.budget_enforcement = budget_enforcement
         #: bus domain this ECU hangs on; cross-domain traffic is routed
         #: through an auto-generated central gateway.
         self.domain = domain

@@ -337,8 +337,7 @@ class RteBuilder:
 
         for name, spec in self.system.ecus.items():
             kernel = EcuKernel(sim, spec.scheduler_factory(), trace=trace,
-                               name=name,
-                               budget_enforcement=spec.budget_enforcement)
+                               name=name)
             runtime.ecus[name] = _EcuRuntime(spec, kernel)
         for instance in instances:
             ecu = runtime.ecus[self.system.mapping[instance.name]]

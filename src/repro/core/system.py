@@ -38,12 +38,11 @@ class SystemModel:
     # Construction
     # ------------------------------------------------------------------
     def add_ecu(self, name: str, scheduler_factory=None,
-                budget_enforcement: str = "kill",
                 domain: str = "default") -> EcuSpec:
-        """Declare an ECU (optionally with scheduler, protection, domain)."""
+        """Declare an ECU (optionally with scheduler and domain)."""
         if name in self.ecus:
             raise ConfigurationError(f"duplicate ECU {name!r}")
-        ecu = EcuSpec(name, scheduler_factory, budget_enforcement, domain)
+        ecu = EcuSpec(name, scheduler_factory, domain)
         self.ecus[name] = ecu
         return ecu
 

@@ -12,9 +12,11 @@ Failure handling:
 * a worker that *raises* fails its item at once — the item being a pure
   function of itself, a second attempt would raise again;
 * a worker that *dies* (segfault, ``os._exit``, OOM-kill) breaks the
-  shared pool; every item the broken pool left unresolved then re-runs
-  once in its own single-worker pool, which pins the crash on the
-  guilty item (an innocent item simply completes in isolation).
+  shared pool.  At most ``jobs + 1`` items are in flight at a time, and
+  each in-flight item the broken pool left unresolved re-runs once in
+  its own single-worker pool, which pins the crash on the guilty item
+  (an innocent item simply completes in isolation).  The items not yet
+  submitted go on in a fresh shared pool.
 
 A failed item does not stop the run: once every item has run and been
 journaled, :func:`execute` raises one
@@ -29,8 +31,9 @@ in-flight or failed ones.
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, \
-    as_completed
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                ProcessPoolExecutor, wait)
 from typing import Optional
 
 from repro import obs
@@ -190,34 +193,58 @@ def _serial(plan: Plan, pending: list, collect: bool, journal, note_done,
 
 def _parallel(plan: Plan, pending: list, jobs: int, collect: bool,
               journal, note_done, note_failure) -> None:
-    """Pool execution; the leftovers of a broken pool re-run in
-    isolation."""
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-    futures = {}
-    broken = []
+    """Pool execution; after a worker death the items that were in
+    flight re-run in isolation and the rest go on in a fresh pool."""
+    queue = deque(pending)
+    while queue:
+        for index in _shared_pool(plan, queue, jobs, collect, journal,
+                                  note_done, note_failure):
+            _run_isolated(plan, index, collect, journal, note_done,
+                          note_failure)
+
+
+def _shared_pool(plan: Plan, queue: deque, jobs: int, collect: bool,
+                 journal, note_done, note_failure) -> list:
+    """Run items off ``queue`` in one shared pool, at most ``jobs + 1``
+    in flight, each journaled as started when it is submitted.  Stops
+    submitting once the pool is broken, whether ``submit`` or a result
+    says so, and returns the items the break left unresolved."""
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(queue)))
+    in_flight = {}
+    unresolved = []
+    broken = False
     try:
-        for index in pending:
-            journal.record_start(index)
-            futures[pool.submit(_run_item, plan.worker, index,
-                                plan.items[index], collect)] = index
-        for future in as_completed(futures):
-            index = futures[future]
-            try:
-                result, telemetry, worker, elapsed = future.result()
-            except BrokenExecutor:
-                # A worker died; attribution is impossible from the
-                # shared pool — resolve the leftovers in isolation.
-                broken.append(index)
-                continue
-            except Exception as error:
-                note_failure(index, error)
-                continue
-            note_done(index, result, telemetry, worker, elapsed)
+        while True:
+            while queue and not broken and len(in_flight) <= jobs:
+                index = queue[0]
+                try:
+                    future = pool.submit(_run_item, plan.worker, index,
+                                         plan.items[index], collect)
+                except BrokenExecutor:
+                    broken = True
+                    break
+                queue.popleft()
+                journal.record_start(index)
+                in_flight[future] = index
+            if not in_flight:
+                return sorted(unresolved)
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = in_flight.pop(future)
+                try:
+                    result, telemetry, worker, elapsed = future.result()
+                except BrokenExecutor:
+                    # A worker died; the shared pool cannot tell whose
+                    # item killed it.
+                    broken = True
+                    unresolved.append(index)
+                    continue
+                except Exception as error:
+                    note_failure(index, error)
+                    continue
+                note_done(index, result, telemetry, worker, elapsed)
     finally:
         pool.shutdown(cancel_futures=True)
-    for index in sorted(broken):
-        _run_isolated(plan, index, collect, journal, note_done,
-                      note_failure)
 
 
 def _run_isolated(plan: Plan, index: int, collect: bool, journal,

@@ -555,11 +555,12 @@ class ReferenceWorld(CampaignWorld):
         }
 
 
-def reference_cells(onset: int = 50_000_000,
-                    duration: int = 100_000_000) -> list[CampaignCell]:
-    """The reference matrix: all five fault kinds, one target each."""
+def reference_cells(onset: int = 50_000_000) -> list[CampaignCell]:
+    """The reference matrix: all five fault kinds, one target each, each
+    active for 100 ms from ``onset``."""
     from repro.faults.model import (BABBLING, CORRUPTION, CRASH, OMISSION,
                                     TIMING_OVERRUN)
+    duration = 100_000_000
     return [
         CampaignCell(CORRUPTION, "speed", onset, duration,
                      {"value": CORRUPT_VALUE}),

@@ -34,10 +34,9 @@ RECOVERY_CATEGORIES = ("dem.healed", "recovery.deescalate")
 
 
 def containment_violations(trace: Trace, region: Iterable[str],
-                           since: int = 0,
-                           categories: Iterable[str] = DAMAGE_CATEGORIES
-                           ) -> list:
-    """Damage records outside the fault containment region.
+                           since: int = 0) -> list:
+    """Damage records (:data:`DAMAGE_CATEGORIES`) outside the fault
+    containment region.
 
     ``region`` subjects are matched exactly or as dotted prefixes, so a
     region of ``{"N2"}`` also owns ``"N2.state"``.
@@ -49,7 +48,7 @@ def containment_violations(trace: Trace, region: Iterable[str],
                    for r in region)
 
     violations = []
-    for category in categories:
+    for category in DAMAGE_CATEGORIES:
         for record in trace.records(category):
             if record.time < since:
                 continue

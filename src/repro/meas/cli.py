@@ -56,9 +56,10 @@ def _daq(command, options, models) -> int:
     return EXIT_OK
 
 
-def _mtf(options) -> int:
+def _mtf(prog: str, options) -> int:
     if not is_mtf_file(options.path):
-        print(f"{options.path}: not an MTF file", file=sys.stderr)
+        print(f"{prog}: error: {options.path}: not an MTF file",
+              file=sys.stderr)
         return EXIT_UNREADABLE
     try:
         if options.signal is None:
@@ -75,8 +76,7 @@ def _mtf(options) -> int:
     except ConfigurationError as exc:
         # A damaged store (truncated, corrupt directory or block) is
         # an unreadable input, reported — not a traceback.
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNREADABLE
+        return cli.load_failure(prog, exc)
     return EXIT_OK
 
 
@@ -115,9 +115,9 @@ def meas_command(args: list[str]) -> int:
     sub.add_argument("--end", type=int, default=None, metavar="NS")
 
     options = parser.parse_args(args)
-    if options.command == "mtf":
-        return _mtf(options)
     command = commands.choices[options.command]
+    if options.command == "mtf":
+        return _mtf(command.prog, options)
     cli.check(command, options)
     try:
         models = cli.load_models(options.refs)

@@ -72,10 +72,9 @@ class DaqList:
                 f"daq list {self.name}: no entries")
 
 
-def default_daq(registry: MeasurementRegistry, period: int,
-                name: str = "daq0") -> DaqList:
-    """A DAQ list over every measurement of ``registry``."""
-    return DaqList(name, tuple(registry.names(MEASUREMENT)), period)
+def default_daq(registry: MeasurementRegistry, period: int) -> DaqList:
+    """The DAQ list ``daq0`` over every measurement of ``registry``."""
+    return DaqList("daq0", tuple(registry.names(MEASUREMENT)), period)
 
 
 class MeasurementService:
@@ -108,22 +107,16 @@ class MeasurementService:
 
     # -- attachment ----------------------------------------------------
     @classmethod
-    def attach(cls, built, system,
-               config: Optional[ConfigurationSet] = None,
-               registry: Optional[MeasurementRegistry] = None
-               ) -> "MeasurementService":
+    def attach(cls, built, system) -> "MeasurementService":
         """Attach to a live :class:`~repro.verify.oracle.BuiltSystem`.
 
-        Builds the calibration set and the registry when not supplied,
-        binds every measurement to its live accessor, and wires the
-        post-build appliers that poke the running object graph."""
-        if config is None:
-            config = calibration_set(system)
-        if registry is None:
-            registry = build_registry(system, config)
-        accessors = bind_accessors(built, system)
-        appliers = bind_appliers(built, system)
-        return cls(built.sim, registry, accessors, config, appliers,
+        Builds the system's calibration set and registry, binds every
+        measurement to its live accessor, and wires the post-build
+        appliers that poke the running object graph."""
+        config = calibration_set(system)
+        return cls(built.sim, build_registry(system, config),
+                   bind_accessors(built, system), config,
+                   bind_appliers(built, system),
                    node=f"MEAS:{system.name}")
 
     # -- connection gate -----------------------------------------------

@@ -221,8 +221,8 @@ class Model:
         """The document's deterministic SHA-256 (traceability anchor)."""
         return schema.model_digest(self.document)
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.document, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.document, indent=2, sort_keys=True)
 
     def build(self) -> GeneratedSystem:
         """The live system this model describes."""
@@ -240,8 +240,7 @@ class Model:
 # `repro model scenarios run`)
 # ----------------------------------------------------------------------
 def verify_models(models: Sequence[Model], jobs: int = 1,
-                  horizon: Optional[int] = None, checkpoint=None,
-                  resume: bool = False, progress=None,
+                  checkpoint=None, resume: bool = False, progress=None,
                   daq_period: Optional[int] = None):
     """Differentially verify every model; returns the same
     :class:`~repro.verify.oracle.VerificationReport` as
@@ -253,7 +252,7 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
 
     systems = tuple(model.build() for model in models)
     plan = verify_plan("model-verify", f"n={len(systems)}", systems,
-                       horizon, daq_period, 0)
+                       daq_period, 0)
     results = execute(plan, jobs=jobs, checkpoint=checkpoint,
                       resume=resume, progress=progress)
     return VerificationReport(0, len(systems), MODEL_SIZE, results)

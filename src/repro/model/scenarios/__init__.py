@@ -73,10 +73,9 @@ def load_ref(ref: str) -> dict:
                          else ref)
 
 
-def load_scenario(name: str, validate: bool = True) -> Model:
-    """Load one bundled scenario by name (validated by default)."""
-    return Model.from_document(load_document(scenario_path(name)),
-                               validate=validate)
+def load_scenario(name: str) -> Model:
+    """Load and validate one bundled scenario by name."""
+    return Model.from_document(load_document(scenario_path(name)))
 
 
 def scenario_description(name: str) -> str:

@@ -41,29 +41,19 @@ _TRAILER_BITS = 13
 ERROR_FRAME_BITS = 31
 
 
-def frame_bits(dlc: int, extended: bool = False,
-               worst_case_stuffing: bool = True) -> int:
-    """Number of bit times a frame with ``dlc`` payload bytes occupies.
-
-    ``worst_case_stuffing`` adds the maximal stuff-bit count (one per four
-    bits of the stuffable region); otherwise no stuffing is assumed, giving
-    the best-case length.
-    """
+def frame_bits(dlc: int, extended: bool = False) -> int:
+    """Number of bit times a frame with ``dlc`` payload bytes occupies,
+    with the maximal stuff-bit count (one per four bits of the stuffable
+    region) that the response-time analysis assumes."""
     if not 0 <= dlc <= 8:
         raise ConfigurationError(f"CAN dlc must be 0..8, got {dlc}")
-    g = _OVERHEAD_BITS[extended]
-    stuffable = g + 8 * dlc
-    bits = stuffable + _TRAILER_BITS
-    if worst_case_stuffing:
-        bits += (stuffable - 1) // 4
-    return bits
+    stuffable = _OVERHEAD_BITS[extended] + 8 * dlc
+    return stuffable + _TRAILER_BITS + (stuffable - 1) // 4
 
 
-def frame_time(dlc: int, bitrate_bps: int, extended: bool = False,
-               worst_case_stuffing: bool = True) -> int:
-    """Wire time (ns) of one frame."""
-    return frame_bits(dlc, extended, worst_case_stuffing) * bit_time(
-        bitrate_bps)
+def frame_time(dlc: int, bitrate_bps: int) -> int:
+    """Wire time (ns) of one standard-format frame."""
+    return frame_bits(dlc) * bit_time(bitrate_bps)
 
 
 class CanFrameSpec:
@@ -88,9 +78,9 @@ class CanFrameSpec:
         self.extended = extended
         self.jitter = jitter
 
-    def bits(self, worst_case_stuffing: bool = True) -> int:
+    def bits(self) -> int:
         """Wire length of the frame in bit times."""
-        return frame_bits(self.dlc, self.extended, worst_case_stuffing)
+        return frame_bits(self.dlc, self.extended)
 
     def __repr__(self) -> str:
         return f"<CanFrameSpec {self.name} id={self.can_id:#x} dlc={self.dlc}>"
@@ -166,15 +156,13 @@ class CanBus:
 
     def __init__(self, sim: Simulator, bitrate_bps: int = 500_000,
                  trace: Optional[Trace] = None, name: str = "CAN",
-                 error_model: Optional[Callable] = None,
-                 worst_case_stuffing: bool = True):
+                 error_model: Optional[Callable] = None):
         self.sim = sim
         self.bitrate_bps = bitrate_bps
         self.bit_time = bit_time(bitrate_bps)
         self.trace = trace if trace is not None else Trace()
         self.name = name
         self.error_model = error_model
-        self.worst_case_stuffing = worst_case_stuffing
         self.controllers: dict[str, CanController] = {}
         self.busy_until = 0
         self._current: Optional[tuple] = None
@@ -235,7 +223,7 @@ class CanBus:
                   msg: Message) -> None:
         now = self.sim.now
         msg.tx_start = now
-        duration = spec.bits(self.worst_case_stuffing) * self.bit_time
+        duration = spec.bits() * self.bit_time
         corrupted = (self.error_model is not None
                      and self.error_model(spec, msg))
         if corrupted:

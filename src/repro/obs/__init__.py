@@ -106,19 +106,18 @@ def count(name: str, n: int = 1) -> None:
         _state.registry.counter(name).inc(n)
 
 
-def gauge_set(name: str, value, deterministic: bool = True) -> None:
-    """Set gauge ``name`` (no-op while disabled)."""
+def gauge_set(name: str, value) -> None:
+    """Set deterministic gauge ``name`` (no-op while disabled)."""
     if _enabled:
-        _state.registry.gauge(name, deterministic).set(value)
+        _state.registry.gauge(name).set(value)
 
 
 def observe(name: str, value,
-            buckets: Sequence = DEFAULT_NS_BUCKETS,
-            deterministic: bool = True) -> None:
-    """Record ``value`` into histogram ``name`` (no-op while disabled)."""
+            buckets: Sequence = DEFAULT_NS_BUCKETS) -> None:
+    """Record ``value`` into deterministic histogram ``name`` (no-op
+    while disabled)."""
     if _enabled:
-        _state.registry.histogram(name, buckets,
-                                  deterministic).observe(value)
+        _state.registry.histogram(name, buckets).observe(value)
 
 
 def span(name: str, category: str = "span", **args):

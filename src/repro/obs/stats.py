@@ -214,16 +214,26 @@ def summarize_paths(paths: list[str], top: int = 10) -> str:
 
     Binary MTF mass-trace stores (:mod:`repro.meas.mtf`) are detected
     by magic and summarized from their chunk directory — no data block
-    is read; the text formats are sniffed by content as before."""
+    is read; the text formats are sniffed by content as before.  A file
+    that cannot be read or parsed raises
+    :class:`~repro.errors.ConfigurationError` naming it."""
     from repro.meas.mtf import is_mtf_file, summarize_mtf
 
     sections = []
     for path in paths:
         sections.append(f"== {path} ==")
         if is_mtf_file(path):
+            # A damaged store's error already names the path.
             sections.append(summarize_mtf(path))
             continue
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        sections.append(summarize_file(text, top))
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            sections.append(summarize_file(text, top))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            # ValueError: undecodable bytes, malformed JSON, bad numbers.
+            raise ConfigurationError(f"cannot read {path}: {exc}") \
+                from exc
     return "\n".join(sections)

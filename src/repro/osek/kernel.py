@@ -46,23 +46,17 @@ _DONE = object()
 class EcuKernel:
     """One ECU's operating system instance.
 
-    ``budget_enforcement`` controls timing protection: ``"kill"``
-    terminates a job the moment it exhausts its execution budget (and logs
-    ``task.budget_overrun``); ``"off"`` ignores budgets.
+    Timing protection is always on: a job is terminated the moment it
+    exhausts its task's execution budget (and ``task.budget_overrun`` is
+    logged).  A task declared with ``budget=None`` runs unprotected.
     """
 
     def __init__(self, sim: Simulator, scheduler: Scheduler,
-                 trace: Optional[Trace] = None, name: str = "ECU",
-                 budget_enforcement: str = "kill"):
-        if budget_enforcement not in ("kill", "off"):
-            raise SimulationError(
-                f"unknown budget_enforcement {budget_enforcement!r}")
+                 trace: Optional[Trace] = None, name: str = "ECU"):
         self.sim = sim
         self.scheduler = scheduler
         self.trace = trace if trace is not None else Trace()
         self.name = name
-        self.budget_enforcement = budget_enforcement
-        self._kill_budgets = budget_enforcement == "kill"
         self.tasks: dict[str, Task] = {}
         self._ready: list[Job] = []
         self._running: Optional[Job] = None
@@ -245,8 +239,6 @@ class EcuKernel:
                     return "wait"
 
     def _budget_exhausted(self, job: Job) -> bool:
-        if not self._kill_budgets:
-            return False
         budget = job.task.spec.budget
         return budget is not None and job.consumed >= budget
 
@@ -361,10 +353,9 @@ class EcuKernel:
             bound = scheduler.max_segment(job, now)
             if bound is not None and bound < segment:
                 segment = bound
-            if self._kill_budgets:
-                budget = job.task.spec.budget
-                if budget is not None:
-                    segment = min(segment, max(0, budget - job.consumed))
+            budget = job.task.spec.budget
+            if budget is not None:
+                segment = min(segment, max(0, budget - job.consumed))
             if segment <= 0:
                 raise SimulationError(
                     f"{self.name}: scheduler selected {job.name} for a "

@@ -34,7 +34,6 @@ prefix of a ``--budget 400`` run.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import random
@@ -97,7 +96,7 @@ def signature_tokens(verdict: SystemVerdict, counters: dict) -> list[str]:
     return sorted(tokens)
 
 
-def _fuzz_worker(horizon: Optional[int], item: tuple) -> dict:
+def _fuzz_worker(item: tuple) -> dict:
     """Plan worker: verify one (system, lineage) item, signature it.
 
     Verification runs inside a private :func:`repro.obs.capture` scope
@@ -108,7 +107,7 @@ def _fuzz_worker(horizon: Optional[int], item: tuple) -> dict:
     """
     system, _parent, _mutator = item
     with obs.capture() as telemetry:
-        verdict = verify_system(system, horizon)
+        verdict = verify_system(system)
         snapshot = telemetry.snapshot()
     counters = snapshot["metrics"]["counters"]
     obs.count("fuzz.execs")
@@ -331,11 +330,9 @@ def _pick_parent(rng: random.Random, corpus_size: int) -> int:
     return rng.randrange(corpus_size)
 
 def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
-         horizon: Optional[int] = None, checkpoint=None,
-         resume: bool = False,
+         checkpoint=None, resume: bool = False,
          seed_batch: int = DEFAULT_SEED_BATCH, progress=None,
          max_seconds: Optional[float] = None,
-         shrink_probes: int = 2000,
          until_dry: Optional[int] = None,
          seeds=None) -> FuzzReport:
     """Run one coverage-guided fuzzing campaign of ``budget`` verify
@@ -409,8 +406,7 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
 
         # base_seed keys the fingerprint: round journals keep resuming.
         plan = Plan(f"fuzz:seed={seed}:size={size}:round={round_no}",
-                    functools.partial(_fuzz_worker, horizon),
-                    items, base_seed=seed)
+                    _fuzz_worker, items, base_seed=seed)
         round_checkpoint = None if checkpoint is None \
             else f"{checkpoint}.round{round_no:04d}"
         round_resume = (resume and round_checkpoint is not None
@@ -440,8 +436,7 @@ def fuzz(seed: int, budget: int, size: str = "small", jobs: int = 1,
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                outcome_shrink = shrink(system, key, horizon=horizon,
-                                        max_probes=shrink_probes)
+                outcome_shrink = shrink(system, key)
                 report.findings.append(Finding(
                     key, index, lineage, system_size(system),
                     outcome_shrink))

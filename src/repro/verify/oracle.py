@@ -668,36 +668,35 @@ def verify_system(system: GeneratedSystem,
             built.trace.clear()
 
 
-def _system_worker(horizon: Optional[int], daq_period: Optional[int],
+def _system_worker(daq_period: Optional[int],
                    system: GeneratedSystem) -> SystemVerdict:
-    """Plan worker (module-level, hence picklable): one system per call.
-    Verification draws no randomness, so the verdict is a pure function
-    of the system spec."""
-    return verify_system(system, horizon, daq_period)
+    """Plan worker (module-level, hence picklable): one system per call,
+    run to its own horizon.  Verification draws no randomness, so the
+    verdict is a pure function of the system spec."""
+    return verify_system(system, daq_period=daq_period)
 
 
 def verify_plan(kind: str, scope: str, systems: tuple,
-                horizon: Optional[int], daq_period: Optional[int],
-                base_seed: int):
+                daq_period: Optional[int], base_seed: int):
     """The exec plan verifying ``systems`` (shared by
     :func:`verify_many` and :func:`repro.model.build.verify_models`).
 
     DAQ runs get their own ``<kind>-daq`` label: the checkpoint
     fingerprint covers the label, so journals of plain and sampling
-    runs never mix result shapes."""
+    runs never mix result shapes.  Every label keeps the literal
+    ``horizon=None`` that journals written so far hashed."""
     from repro.exec import Plan
 
-    label = f"{kind}:{scope}:horizon={horizon}"
+    label = f"{kind}:{scope}:horizon=None"
     if daq_period is not None:
-        label = f"{kind}-daq:{scope}:horizon={horizon}:period={daq_period}"
-    return Plan(label, functools.partial(_system_worker, horizon,
-                                         daq_period),
+        label = f"{kind}-daq:{scope}:horizon=None:period={daq_period}"
+    return Plan(label, functools.partial(_system_worker, daq_period),
                 systems, base_seed=base_seed)
 
 
 def verify_many(seed: int, count: int, size: str = "small",
-                horizon: Optional[int] = None, jobs: int = 1,
-                checkpoint=None, resume: bool = False, progress=None,
+                jobs: int = 1, checkpoint=None, resume: bool = False,
+                progress=None,
                 daq_period: Optional[int] = None) -> VerificationReport:
     """Generate and differentially verify ``count`` systems.
 
@@ -712,8 +711,8 @@ def verify_many(seed: int, count: int, size: str = "small",
 
     # base_seed keys the fingerprint: existing journals keep resuming.
     plan = verify_plan("verify", f"size={size}",
-                       tuple(generate_many(seed, count, size)), horizon,
-                       daq_period, seed)
+                       tuple(generate_many(seed, count, size)), daq_period,
+                       seed)
     results = execute(plan, jobs=jobs, checkpoint=checkpoint,
                       resume=resume, progress=progress)
     return VerificationReport(seed, count, size, results)

@@ -2,14 +2,13 @@
 
 :class:`ReferenceEcuKernel` runs the kernel's per-event steps the
 plainest way: a fresh closure per periodic release and per deadline
-check, a dispatch request through ``sim.schedule(0, ...)``, the budget
-mode compared as a string, the body driven by ``send(None)`` and
-``StopIteration``, the running job's accounting attempted on every
-dispatch, and the runnable list copied and extended on every
-selection.  It derives each job's name and absolute deadline from its
-task and keeps its own set of jobs whose deadline miss it logged,
-rather than reading the values :class:`~repro.osek.task.Job` fixes at
-activation.  It overrides only
+check, a dispatch request through ``sim.schedule(0, ...)``, the body
+driven by ``send(None)`` and ``StopIteration``, the running job's
+accounting attempted on every dispatch, and the runnable list copied
+and extended on every selection.  It derives each job's name and
+absolute deadline from its task and keeps its own set of jobs whose
+deadline miss it logged, rather than reading the values
+:class:`~repro.osek.task.Job` fixes at activation.  It overrides only
 those steps, so task registration, OSEK objects, preemption, suspension,
 completion and killing are the kernel's own.  ``test_osek_kernel.py``
 drives the same setups through both and compares traces, event counts
@@ -146,8 +145,6 @@ class ReferenceEcuKernel(EcuKernel):
                     return "wait"
 
     def _budget_exhausted(self, job):
-        if self.budget_enforcement != "kill":
-            return False
         budget = job.task.spec.budget
         return budget is not None and job.consumed >= budget
 
@@ -205,10 +202,9 @@ class ReferenceEcuKernel(EcuKernel):
             bound = self.scheduler.max_segment(job, now)
             if bound is not None:
                 segment = min(segment, bound)
-            if self.budget_enforcement == "kill":
-                budget = job.task.spec.budget
-                if budget is not None:
-                    segment = min(segment, max(0, budget - job.consumed))
+            budget = job.task.spec.budget
+            if budget is not None:
+                segment = min(segment, max(0, budget - job.consumed))
             if segment <= 0:
                 raise SimulationError(
                     f"{self.name}: scheduler selected {job.name} for a "

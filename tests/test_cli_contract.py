@@ -1,4 +1,5 @@
-"""The exit contract of every subcommand that takes the shared flags.
+"""The exit contract of every subcommand that takes the shared flags,
+and of ``stats`` over telemetry files it cannot read.
 
 Each row is one bad input to one subcommand: the command must stop
 before any plan runs, exit with the contract's code (1 a readable
@@ -14,6 +15,7 @@ import pytest
 from broken_models import BROKEN, write_broken
 from repro import cli
 from repro.__main__ import main
+from repro.meas.mtf import MtfWriter
 from repro.meas.service import DEFAULT_DAQ_PERIOD
 from repro.units import us
 from repro.verify.fuzz import _system_view
@@ -32,6 +34,11 @@ EMPTY_JOURNAL, BINARY_JOURNAL = "empty.jsonl", "binary.jsonl"
 DIRECTORY_JOURNAL, NO_JOURNAL = "journal-dir", "missing.jsonl"
 #: The subcommands that take ``--checkpoint``/``--resume``.
 RESUMABLE = ("campaign", "verify", "fuzz", "resilience", "meas-daq")
+#: Telemetry files ``stats`` cannot summarize: no known format, an MTF
+#: store cut in half, a Chrome trace whose events are no list, and a
+#: JSONL log with a broken line.
+UNRECOGNIZED, CHOPPED_MTF = "notes.txt", "chopped.mtf"
+BAD_CHROME, BROKEN_JSONL = "trace.json", "events.jsonl"
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -42,11 +49,13 @@ COMMANDS = {
     "scenarios-run": (["model", "scenarios", "run", "tdma-overload"],
                       "repro model scenarios run"),
     "meas-daq": (["meas", "daq", "adas-fusion"], "repro meas daq"),
+    "stats": (["stats"], "repro stats"),
 }
 
 ROWS = (
     [(command, ["--jobs", jobs], 2, "--jobs must be >= 1")
-     for command in COMMANDS for jobs in ("0", "-2")]
+     for command in COMMANDS if command != "stats"
+     for jobs in ("0", "-2")]
     + [(command, ["--resume"], 2, "--resume requires --checkpoint")
        for command in RESUMABLE]
     + [(command, ["--model", INVALID], 1, "invalid model document")
@@ -77,6 +86,13 @@ ROWS = (
     + [(command, ["--checkpoint", NO_JOURNAL, "--resume"], 2,
         "no checkpoint journal")
        for command in RESUMABLE if command != "fuzz"]
+    + [("stats", [path], 2, message)
+       for path, message in (
+           (MISSING, "cannot read missing.json"),
+           (UNRECOGNIZED, "unrecognized telemetry file format"),
+           (CHOPPED_MTF, "truncated MTF file"),
+           (BAD_CHROME, "'traceEvents' must be a list"),
+           (BROKEN_JSONL, "cannot read events.jsonl"))]
 )
 
 
@@ -108,6 +124,14 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
         (tmp_path / (BINARY_JOURNAL + round_suffix)).write_bytes(
             b"\xff\xfe\x00journal\n")
         (tmp_path / (DIRECTORY_JOURNAL + round_suffix)).mkdir()
+    (tmp_path / UNRECOGNIZED).write_text("not telemetry\n")
+    with MtfWriter(str(tmp_path / "whole.mtf")) as writer:
+        writer.write_batch([(t, "cat", "s", {"v": t}) for t in range(50)])
+    whole = (tmp_path / "whole.mtf").read_bytes()
+    (tmp_path / CHOPPED_MTF).write_bytes(whole[:len(whole) // 2])
+    (tmp_path / BAD_CHROME).write_text(json.dumps({"traceEvents": 5}))
+    (tmp_path / BROKEN_JSONL).write_text(
+        '{"type": "span", "name": "a", "duration_ns": 5}\n{"type": "sp\n')
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

@@ -54,6 +54,27 @@ def test_protected_pdu_carries_protection_fields():
         E2eSender(pack_sequentially("Q", 8, [SignalSpec("x", 8)]), profile)
 
 
+@pytest.mark.parametrize("widths", [(), (16,), (8, 4), (1, 7, 12, 3),
+                                    (32, 16)])
+def test_protected_pdu_is_the_sequential_layout_plus_tail_fields(widths):
+    """The protected PDU's mappings are ``pack_sequentially``'s, then the
+    counter and the CRC right behind the last signal."""
+    from repro.com import pack_sequentially
+
+    profile = E2eProfile(0x77)
+    specs = [SignalSpec(f"s{i}", width) for i, width in enumerate(widths)]
+
+    def layout(pdu):
+        return [(m.spec.name, m.spec.width_bits, m.start_bit, m.update_bit)
+                for m in pdu.mappings]
+
+    tail = sum(widths)
+    assert layout(e2e_protected_pdu("P", 8, specs, profile)) == \
+        layout(pack_sequentially("P", 8, specs)) + [
+            ("P.e2e_cnt", profile.counter_bits, tail, None),
+            ("P.e2e_crc", 8, tail + profile.counter_bits, None)]
+
+
 def checker_pair(profile=None):
     profile = profile or E2eProfile(0x1234)
     pdu = e2e_protected_pdu("P", 8, [SignalSpec("v", 16)], profile)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pickle
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -166,6 +167,47 @@ def test_crashed_worker_is_isolated_and_retried(tmp_path):
                 partial(crash_worker, str(tmp_path), 5),
                 tuple(range(8)))
     assert execute(plan, jobs=2) == [i * 10 for i in range(8)]
+
+
+def test_worker_death_reruns_only_the_items_in_flight(tmp_path):
+    # At most jobs + 1 items are in flight when item 0's worker dies:
+    # only those re-run alone (a second start record each); the rest
+    # go on in a fresh shared pool and start once.
+    path = tmp_path / "journal.jsonl"
+    plan = Plan("crashy", partial(crash_worker, str(tmp_path), 0),
+                tuple(range(40)))
+    assert execute(plan, jobs=2, checkpoint=path) \
+        == [i * 10 for i in range(40)]
+    records = [json.loads(line) for line in path.read_text().splitlines()][1:]
+    starts = Counter(r["chunk"] for r in records if r["type"] == "start")
+    assert sorted(starts) == list(range(40))
+    rerun = [index for index, count in starts.items() if count > 1]
+    assert 0 in rerun and len(rerun) <= 3
+    assert max(starts.values()) == 2
+
+
+def test_pool_broken_at_submit_still_returns_every_result(monkeypatch):
+    # A worker dies while items remain to submit, so the next submit
+    # itself finds the pool broken; the run still completes.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.exec import pool as pool_module
+
+    submits = []
+
+    class BreaksBeforeFifthSubmit(ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submits.append(fn)
+            if len(submits) == 5:
+                # Kill a worker and wait until the pool knows.
+                super().submit(os._exit, 3).exception(timeout=60)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                        BreaksBeforeFifthSubmit)
+    plan = Plan("sq", square_worker, tuple(range(200)))
+    assert execute(plan, jobs=2) == [square_worker(i) for i in range(200)]
+    assert len(submits) > 200
 
 
 def test_permanently_crashing_chunk_is_marked_failed(tmp_path):

@@ -133,7 +133,7 @@ def test_verify_plan_labels_keep_journals_resumable():
     for journals written by earlier versions to resume."""
     from repro.verify.oracle import verify_plan
 
-    labels = [verify_plan(kind, scope, (), None, period, 0).label
+    labels = [verify_plan(kind, scope, (), period, 0).label
               for kind, scope in (("verify", "size=small"),
                                   ("model-verify", "n=1"))
               for period in (None, ms(1))]

@@ -29,10 +29,6 @@ def test_frame_bits_extended():
     assert frame_bits(8, extended=True) == 160
 
 
-def test_frame_bits_no_stuffing():
-    assert frame_bits(8, worst_case_stuffing=False) == 111
-
-
 @given(st.integers(min_value=0, max_value=8))
 def test_frame_bits_monotone_in_dlc(dlc):
     if dlc > 0:

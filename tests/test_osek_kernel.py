@@ -13,10 +13,9 @@ from repro.sim import Simulator
 from repro.units import ms, us
 
 
-def make_kernel(preemptive=True, **kw):
+def make_kernel(preemptive=True):
     sim = Simulator()
-    kernel = EcuKernel(sim, FixedPriorityScheduler(preemptive=preemptive),
-                       **kw)
+    kernel = EcuKernel(sim, FixedPriorityScheduler(preemptive=preemptive))
     return sim, kernel
 
 
@@ -139,14 +138,6 @@ def test_job_that_uses_exactly_its_budget_completes():
     assert kernel.trace.records("task.budget_overrun") == []
 
 
-def test_budget_enforcement_off_lets_job_finish():
-    sim, kernel = make_kernel(budget_enforcement="off")
-    kernel.add_task(TaskSpec("BAD", wcet=ms(4), period=ms(10), priority=1,
-                             budget=ms(2)))
-    sim.run_until(ms(10))
-    assert kernel.tasks["BAD"].jobs_completed == 1
-
-
 def test_budget_protects_lower_priority_task():
     """Timing protection bounds a runaway high-priority task's interference."""
     sim, kernel = make_kernel()
@@ -259,9 +250,9 @@ def ecu_setups(draw):
     jitter, sampled execution times and ``max_activations`` up to 3),
     alarm-activated or extended (waiting on an event an alarm or
     another task's body sets); ICPP critical sections on one or two
-    resources; deadlines shorter and longer than the period; budgets
-    at, below and above the WCET under ``"kill"`` or ``"off"``; and
-    completion hooks that activate another task.
+    resources; deadlines shorter and longer than the period; no budget
+    or one at, below or above the WCET; and completion hooks that
+    activate another task.
     """
     def grains(low, high):
         return st.integers(low, high).map(lambda n: n * GRAIN)
@@ -299,7 +290,6 @@ def ecu_setups(draw):
     return {
         "kind": draw(st.sampled_from(["fp", "fp-np", "tdma", "server"])),
         "tasks": tasks,
-        "budget_enforcement": draw(st.sampled_from(["kill", "off"])),
         "windows": [(0, draw(grains(5, 40)), "P0"),
                     (us(500), draw(grains(5, 40)), "P1")],
         "servers": [(p, draw(grains(5, 30)), draw(grains(30, 90)), 20 + i)
@@ -395,8 +385,7 @@ def run_osek_setup(kernel_cls, setup):
     trace = Trace()
     kernels = []
     for i, ecu in enumerate(setup["ecus"]):
-        kernel = kernel_cls(sim, _scheduler(ecu), trace, name=f"E{i}",
-                            budget_enforcement=ecu["budget_enforcement"])
+        kernel = kernel_cls(sim, _scheduler(ecu), trace, name=f"E{i}")
         _build_ecu(kernel, ecu, random.Random(setup["seed"] + i))
         kernels.append(kernel)
     try:
