@@ -13,16 +13,19 @@ Setup: one small fixed call per pipeline (``verify_many``, ``fuzz``,
 in this process, each time after a full collection:
 
 * **counted**, collector off: the rows held by live ``Trace`` objects
-  after the call minus those before it.  With the collector off this
-  count does not depend on when a collection happens to run, so it
-  repeats exactly.  This first call also finishes the pipeline's lazy
-  imports;
+  after the call minus those before it, and, sampled at every return
+  of ``Simulator.run_until``, the largest number of rows live traces
+  hold and of traces holding any (how many simulated worlds an item
+  keeps alive at once).  With the collector off these counts do not
+  depend on when a collection happens to run, so they repeat exactly.
+  This first call also finishes the pipeline's lazy imports;
 * **timed**, collector on: ``gc.callbacks`` counts the collections of
   each generation and times them; the share is collector seconds over
   the call's wall seconds.
 
 Only the live-row count is gated: it must be 0 for every pipeline.
-Collector time and counts describe the run, they do not gate it.
+The peaks, collector time and counts describe the run, they do not
+gate it.
 ``--quick`` shrinks every call.
 
 A full run persists its machine-readable trajectory to
@@ -41,6 +44,7 @@ from trajectory import REPO_ROOT, write_bench
 
 from repro.faults import ReferenceWorld, reference_cells, run_campaign
 from repro.meas.batch import measure_models
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 from repro.units import ms
 from repro.verify.fuzz import fuzz
@@ -82,10 +86,10 @@ class CollectorClock:
             self.collections[info["generation"]] += 1
 
 
-def live_rows() -> int:
-    """Rows held by every live trace."""
-    return sum(len(obj) for obj in gc.get_objects()
-               if isinstance(obj, Trace))
+def live_traces() -> list[int]:
+    """Rows of each live trace that holds any."""
+    return [len(obj) for obj in gc.get_objects()
+            if isinstance(obj, Trace) and len(obj)]
 
 
 def timed(call) -> dict:
@@ -106,15 +110,28 @@ def timed(call) -> dict:
                             in enumerate(clock.collections)}}
 
 
-def rows_left(call) -> int:
-    """Trace rows ``call()`` leaves alive, collector off."""
+def counted(call) -> dict:
+    """Trace rows ``call()`` leaves alive, and the peak rows and traces
+    alive at any return of ``Simulator.run_until``, collector off."""
+    run_until = Simulator.run_until
+    peak = {"peak_live_rows": 0, "peak_live_traces": 0}
+
+    def sampled(sim, horizon):
+        run_until(sim, horizon)
+        traces = live_traces()
+        peak["peak_live_rows"] = max(peak["peak_live_rows"], sum(traces))
+        peak["peak_live_traces"] = max(peak["peak_live_traces"],
+                                       len(traces))
+
     gc.collect()
     gc.disable()
+    Simulator.run_until = sampled
     try:
-        before = live_rows()
+        before = sum(live_traces())
         call()
-        return live_rows() - before
+        return dict(peak, live_rows=sum(live_traces()) - before)
     finally:
+        Simulator.run_until = run_until
         gc.enable()
 
 
@@ -124,8 +141,8 @@ def rows_left(call) -> int:
 def run(quick: bool = False) -> list[dict]:
     results = {}
     for name, call in pipelines(quick).items():
-        left = rows_left(call)
-        results[name] = dict(timed(call), live_rows=left)
+        counts = counted(call)
+        results[name] = dict(timed(call), **counts)
 
     path = write_bench({
         "bench": "e26_gc",
@@ -147,6 +164,8 @@ def run(quick: bool = False) -> list[dict]:
             "collections gen0/1/2": "/".join(
                 str(generations[f"gen{g}"]) for g in range(3)),
             "live rows": stats["live_rows"],
+            "peak rows": stats["peak_live_rows"],
+            "peak traces": stats["peak_live_traces"],
         })
     print(f"trajectory: {os.path.relpath(path, REPO_ROOT)}")
     return rows

@@ -23,7 +23,10 @@ that nominally misses deadlines or times out (overload, not fault
 effects) must not be blamed on the injected fault, so baseline damage
 subjects are subtracted from containment, and detection/recovery
 obligations are waived when the baseline already shows the same
-evidence or ends unhealthy on its own.
+evidence or ends unhealthy on its own.  One baseline serves every
+scenario of its horizon, but only through those facts: it is reduced
+to them as soon as it has run and its trace is freed before any
+scenario world is built, so one simulated world holds rows at a time.
 
 Unmet obligations surface as :class:`~repro.verify.invariants.Violation`
 rows (``resilience:detect`` / ``resilience:contain`` /
@@ -449,7 +452,48 @@ class ScenarioVerdict:
         }
 
 
-def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
+@dataclass(frozen=True)
+class _BaselineFacts:
+    """What one scenario's verdict reads of its fault-free baseline."""
+
+    #: The baseline shows the scenario's detection evidence at or after
+    #: its onset: the system is overloaded on its own, so detection
+    #: can't be attributed to the fault.
+    evidence: bool
+    #: Subjects the baseline damages outside the region since the onset.
+    damaged: frozenset
+    #: The baseline ends with a confirmed DEM event or a degraded mode
+    #: (never, without a recovery stack).
+    unhealthy: bool
+
+
+def _baseline_facts(system: GeneratedSystem, horizon: int,
+                    cases) -> dict[int, _BaselineFacts]:
+    """Run one fault-free baseline world to ``horizon`` and reduce it to
+    the facts of each ``(index, scenario, plan)`` case; the world's
+    trace is cleared before this returns."""
+    baseline = ResilienceWorld(system)
+    trace = baseline.trace
+    try:
+        baseline.sim.run_until(horizon)
+        unhealthy = baseline.errors is not None and (
+            bool(list(baseline.errors.confirmed_events()))
+            or baseline.modes.current != "nominal")
+        facts = {}
+        for index, scenario, plan in cases:
+            evidence = any(record.time >= scenario.start
+                           for category in plan.categories
+                           for record in trace.records(category))
+            damaged = frozenset(
+                r.subject for r in containment_violations(
+                    trace, plan.region, since=scenario.start))
+            facts[index] = _BaselineFacts(evidence, damaged, unhealthy)
+        return facts
+    finally:
+        trace.clear()
+
+
+def _evaluate(world: ResilienceWorld, baseline: _BaselineFacts,
               scenario: FaultScenario,
               plan: _ScenarioPlan) -> ScenarioVerdict:
     verdict = ScenarioVerdict(scenario, horizon=plan.horizon,
@@ -464,29 +508,18 @@ def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
         verdict.detection_time = detection.time
         verdict.detection_source = detection.category
         verdict.detection_latency = detection.time - onset
-    # If the fault-free baseline already shows the same evidence the
-    # system is overloaded on its own; detection can't be attributed.
-    verdict.detection_waived = any(
-        record.time >= onset
-        for category in plan.categories
-        for record in baseline.trace.records(category))
+    verdict.detection_waived = baseline.evidence
 
     # --- contained ----------------------------------------------------
-    baseline_subjects = {
-        r.subject for r in containment_violations(baseline.trace,
-                                                  plan.region,
-                                                  since=onset)}
     escapes = [r for r in containment_violations(world.trace, plan.region,
                                                  since=onset)
-               if r.subject not in baseline_subjects]
+               if r.subject not in baseline.damaged]
     verdict.contained = not escapes
     verdict.escaped = len(escapes)
     verdict.escape_subjects = [r.subject for r in escapes]
 
     # --- recovered per the hysteresis policy --------------------------
-    if baseline.errors is not None and (
-            list(baseline.errors.confirmed_events())
-            or baseline.modes.current != "nominal"):
+    if baseline.unhealthy:
         verdict.recovery_waived = True
     elif world.errors is not None:
         healed = not list(world.errors.confirmed_events())
@@ -508,61 +541,62 @@ def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
 def verify_resilience(system: GeneratedSystem) -> list[ScenarioVerdict]:
     """Run every attached fault scenario in its own simulation.
 
-    One fault-free baseline world is run (and cached) per distinct
-    scenario horizon for the differential waivers; the nominal
-    differential-oracle simulation is never touched.
+    Each distinct scenario horizon gets one fault-free baseline world
+    for the differential waivers, run when the first scenario of that
+    horizon comes up.  It is reduced at once to the facts the verdicts
+    of all its scenarios read (:class:`_BaselineFacts`) and its trace
+    is cleared before any scenario world is built, so one simulated
+    world holds rows at a time.  The nominal differential-oracle
+    simulation is never touched.
     """
+    plans = [_plan_scenario(system, scenario) for scenario in system.faults]
+    facts: dict[int, _BaselineFacts] = {}
     verdicts: list[ScenarioVerdict] = []
-    baselines: dict[int, ResilienceWorld] = {}
-    try:
-        for scenario in system.faults:
-            plan = _plan_scenario(system, scenario)
-            if plan is None:
-                verdicts.append(ScenarioVerdict(scenario, supported=False))
-                if obs.enabled():
-                    obs.count("resilience.scenarios")
-                    obs.count("resilience.unsupported")
-                continue
-            baseline = baselines.get(plan.horizon)
-            if baseline is None:
-                baseline = baselines[plan.horizon] = ResilienceWorld(system)
-                baseline.sim.run_until(plan.horizon)
-            world = ResilienceWorld(system)
-            try:
-                adapter, fault = plan.wire(world)
-                world.injector.inject(adapter, fault)
-                world.sim.run_until(plan.horizon)
-                verdict = _evaluate(world, baseline, scenario, plan)
-            finally:
-                world.trace.clear()
-            verdicts.append(verdict)
+    for index, (scenario, plan) in enumerate(zip(system.faults, plans)):
+        if plan is None:
+            verdicts.append(ScenarioVerdict(scenario, supported=False))
             if obs.enabled():
                 obs.count("resilience.scenarios")
-                if verdict.detection_waived:
-                    obs.count("resilience.detection_waived")
-                elif verdict.detected:
-                    obs.count(f"resilience.detected_by."
-                              f"{verdict.detection_source}")
-                    if verdict.detection_latency > verdict.detection_bound:
-                        obs.count("resilience.late_detection")
-                    obs.observe("resilience.detection_latency_ns",
-                                verdict.detection_latency)
-                else:
-                    obs.count("resilience.undetected")
-                if not verdict.contained:
-                    obs.count("resilience.escapes", verdict.escaped)
-                if verdict.recovery_waived:
-                    obs.count("resilience.recovery_waived")
-                elif verdict.recovered:
-                    obs.count("resilience.recovered")
-                    if verdict.recovery_latency is not None:
-                        obs.observe("resilience.recovery_latency_ns",
-                                    verdict.recovery_latency)
-                else:
-                    obs.count("resilience.unrecovered")
-    finally:
-        for baseline in baselines.values():
-            baseline.trace.clear()
+                obs.count("resilience.unsupported")
+            continue
+        if index not in facts:
+            facts.update(_baseline_facts(system, plan.horizon, [
+                (other, system.faults[other], same)
+                for other, same in enumerate(plans)
+                if same is not None and same.horizon == plan.horizon]))
+        world = ResilienceWorld(system)
+        try:
+            adapter, fault = plan.wire(world)
+            world.injector.inject(adapter, fault)
+            world.sim.run_until(plan.horizon)
+            verdict = _evaluate(world, facts.pop(index), scenario, plan)
+        finally:
+            world.trace.clear()
+        verdicts.append(verdict)
+        if obs.enabled():
+            obs.count("resilience.scenarios")
+            if verdict.detection_waived:
+                obs.count("resilience.detection_waived")
+            elif verdict.detected:
+                obs.count(f"resilience.detected_by."
+                          f"{verdict.detection_source}")
+                if verdict.detection_latency > verdict.detection_bound:
+                    obs.count("resilience.late_detection")
+                obs.observe("resilience.detection_latency_ns",
+                            verdict.detection_latency)
+            else:
+                obs.count("resilience.undetected")
+            if not verdict.contained:
+                obs.count("resilience.escapes", verdict.escaped)
+            if verdict.recovery_waived:
+                obs.count("resilience.recovery_waived")
+            elif verdict.recovered:
+                obs.count("resilience.recovered")
+                if verdict.recovery_latency is not None:
+                    obs.observe("resilience.recovery_latency_ns",
+                                verdict.recovery_latency)
+            else:
+                obs.count("resilience.unrecovered")
     return verdicts
 
 

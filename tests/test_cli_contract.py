@@ -35,10 +35,12 @@ DIRECTORY_JOURNAL, NO_JOURNAL = "journal-dir", "missing.jsonl"
 #: The subcommands that take ``--checkpoint``/``--resume``.
 RESUMABLE = ("campaign", "verify", "fuzz", "resilience", "meas-daq")
 #: Telemetry files ``stats`` cannot summarize: no known format, an MTF
-#: store cut in half, a Chrome trace whose events are no list, and a
-#: JSONL log with a broken line.
+#: store cut in half, a Chrome trace whose events are no list, a JSONL
+#: log with a broken line, one whose lines are JSON arrays, not event
+#: objects, and one with a histogram event that lacks its counts.
 UNRECOGNIZED, CHOPPED_MTF = "notes.txt", "chopped.mtf"
 BAD_CHROME, BROKEN_JSONL = "trace.json", "events.jsonl"
+ARRAY_JSONL, BARE_HISTOGRAM = "arrays.jsonl", "histogram.jsonl"
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -92,7 +94,10 @@ ROWS = (
            (UNRECOGNIZED, "unrecognized telemetry file format"),
            (CHOPPED_MTF, "truncated MTF file"),
            (BAD_CHROME, "'traceEvents' must be a list"),
-           (BROKEN_JSONL, "cannot read events.jsonl"))]
+           (BROKEN_JSONL, "cannot read events.jsonl"),
+           (ARRAY_JSONL, "arrays.jsonl: line 1: not an event object"),
+           (BARE_HISTOGRAM,
+            "histogram.jsonl: line 1: histogram event lacks 'count'"))]
 )
 
 
@@ -132,6 +137,10 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
     (tmp_path / BAD_CHROME).write_text(json.dumps({"traceEvents": 5}))
     (tmp_path / BROKEN_JSONL).write_text(
         '{"type": "span", "name": "a", "duration_ns": 5}\n{"type": "sp\n')
+    (tmp_path / ARRAY_JSONL).write_text("[1, 2]\n[1, 2]\n")
+    (tmp_path / BARE_HISTOGRAM).write_text(
+        '{"type": "histogram", "name": "x"}\n'
+        '{"type": "counter", "name": "n", "value": 1}\n')
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

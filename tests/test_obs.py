@@ -355,3 +355,30 @@ def test_stats_summarize_all_formats(tmp_path):
     assert "repro_n" in text
     assert "phase" in text
     assert "DEM" in text
+
+
+HISTOGRAM = {"type": "histogram", "name": "h", "count": 1, "sum": 5,
+             "buckets": [10], "counts": [1, 0]}
+
+
+@pytest.mark.parametrize("event, problem", [
+    ("x", "not an event object"),
+    ({"name": "n"}, "event has no string 'type'"),
+    ({"type": "span", "name": "s", "duration_ns": "5"},
+     "span event's 'duration_ns' must be a JSON number"),
+    (dict(HISTOGRAM, counts=[1]),
+     "histogram event's 'counts' do not fit its 'buckets'"),
+    (dict(HISTOGRAM, buckets=["10"]),
+     "histogram event's 'counts' do not fit its 'buckets'"),
+    ({"type": "dlt", "severity": "error", "seq": "1"},
+     "dlt event's 'seq' must be a JSON integer"),
+])
+def test_stats_names_the_line_of_an_unreadable_event(tmp_path, event,
+                                                      problem):
+    from repro.obs.stats import summarize_paths
+
+    path = tmp_path / "e.jsonl"
+    path.write_text(f"{json.dumps(HISTOGRAM)}\n\n{json.dumps(HISTOGRAM)}\n"
+                    f"{json.dumps(event)}\n")
+    with pytest.raises(ConfigurationError, match=f"line 4: {problem}"):
+        summarize_paths([str(path)])

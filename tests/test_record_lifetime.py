@@ -1,5 +1,6 @@
-"""No trace row outlives the pipeline item that logged it, and a logged
-row adds nothing for the cyclic garbage collector to track.
+"""No trace row outlives the pipeline item that logged it, a logged
+row adds nothing for the cyclic garbage collector to track, and
+resilience verification holds one world's rows at a time.
 
 A simulated world is a reference cycle, so a worker that left its
 trace filled would leave every row alive until the cyclic garbage
@@ -14,6 +15,7 @@ import pytest
 
 from repro.faults import ReferenceWorld, reference_cells, run_cell
 from repro.meas.batch import _daq_worker
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 from repro.units import ms
 from repro.verify.generator import generate
@@ -21,10 +23,10 @@ from repro.verify.oracle import verify_system
 from repro.verify.resilience import standard_scenarios, verify_resilience
 
 
-def live_rows() -> int:
-    """Rows held by every live trace."""
-    return sum(len(obj) for obj in gc.get_objects()
-               if isinstance(obj, Trace))
+def live_traces() -> list[int]:
+    """Rows of each live trace that holds any."""
+    return [len(obj) for obj in gc.get_objects()
+            if isinstance(obj, Trace) and len(obj)]
 
 
 def resilience_item():
@@ -49,9 +51,9 @@ def test_no_record_outlives_its_item(name):
     gc.collect()
     gc.disable()
     try:
-        before = live_rows()
+        before = sum(live_traces())
         ITEMS[name]()
-        assert live_rows() == before
+        assert sum(live_traces()) == before
     finally:
         gc.enable()
 
@@ -71,3 +73,26 @@ def test_a_logged_record_adds_no_tracked_object():
     finally:
         gc.enable()
     assert len(trace) == 10_000
+
+
+def test_resilience_holds_one_world_at_a_time():
+    # Each fault-free baseline is reduced to the facts its verdicts read
+    # and its trace cleared before a scenario world is built, so at
+    # every end of a simulated run one trace at most holds rows.
+    run_until = Simulator.run_until
+    peaks = []
+
+    def sampled(sim, horizon):
+        run_until(sim, horizon)
+        peaks.append(live_traces())
+
+    gc.collect()
+    gc.disable()
+    Simulator.run_until = sampled
+    try:
+        resilience_item()
+    finally:
+        Simulator.run_until = run_until
+        gc.enable()
+    assert peaks
+    assert max(len(traces) for traces in peaks) <= 1

@@ -17,7 +17,7 @@ from repro.units import ms, us
 from repro.verify.generator import FaultScenario, generate
 from repro.verify.mutate import (mutate_fault_babble, mutate_fault_chain,
                                  mutate_fault_drop, mutate_fault_flexray,
-                                 MUTATORS, validate_system)
+                                 MUTATORS, _retask, validate_system)
 from repro.verify.oracle import verify_system
 from repro.verify.resilience import (CHAIN_KINDS, ScenarioVerdict,
                                      format_resilience_report,
@@ -182,6 +182,26 @@ def test_standard_matrix_meets_every_obligation():
         assert verdict.contained
         if not verdict.recovery_waived:
             assert verdict.recovered
+
+
+def test_a_baseline_unhealthy_on_its_own_waives_the_obligations():
+    """A producer whose every job runs three periods starves its chain
+    in the fault-free baseline too: the baseline's E2E evidence waives
+    detection of every chain fault, and its confirmed DEM event waives
+    recovery of every scenario, so no verdict blames the fault."""
+    system = generate(3, "small")
+    chain = system.chain
+    system.tasksets[chain.producer_ecu] = [
+        _retask(task, wcet=3 * task.period) if task.name == chain.producer
+        else task for task in system.tasksets[chain.producer_ecu]]
+    system.faults = standard_scenarios(system)
+    verdicts = verify_resilience(system)
+    assert len(verdicts) == len(system.faults)
+    for verdict in verdicts:
+        assert verdict.ok, verdict.to_dict()
+        assert verdict.recovery_waived
+        assert verdict.detection_waived == (
+            verdict.scenario.kind in CHAIN_KINDS)
 
 
 def test_unsupported_scenario_is_declined_not_failed():
