@@ -10,12 +10,13 @@ checks."
 validated :class:`~repro.core.system.SystemModel` — *before anything is
 built or simulated* — it derives exactly the artefacts the RTE generator
 would produce (tasks with RM priorities, one I-PDU per cross-ECU source
-port with deterministic CAN ids), assembles the holistic model with the
-cause-effect links implied by the connectors and the runnables' declared
-write accesses, and solves it.  The result reports per-task and per-frame
-WCRTs, end-to-end latencies for every cross-ECU data path, and the
-issues that block analysis (missing periods, undeclared writers — the
-very template data the paper says is missing from AUTOSAR).
+port with the CAN id :func:`~repro.core.rte.pdu_can_ids` gives it),
+assembles the holistic model with the cause-effect links implied by the
+connectors and the runnables' declared write accesses, and solves it.
+The result reports per-task and per-frame WCRTs, end-to-end latencies
+for every cross-ECU data path, and the issues that block analysis
+(missing periods, undeclared writers — the very template data the paper
+says is missing from AUTOSAR).
 
 Scope: single-domain CAN deployments (the analysis target of Section 3's
 CAN branch); other configurations are reported as not analysable.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.analysis.holistic import HolisticModel, HolisticResult
 from repro.core.interface import SenderReceiverInterface
 from repro.core.runnable import DataReceivedEvent, TimingEvent
-from repro.core.rte import FIRST_CAN_ID, assign_rm_priorities
+from repro.core.rte import assign_rm_priorities, pdu_can_ids
 from repro.errors import AnalysisError
 from repro.network.can import CanFrameSpec
 from repro.osek.task import TaskSpec
@@ -91,8 +92,7 @@ def timing_report(system) -> TimingReport:
         report.issues.append("no cross-ECU sender-receiver traffic; "
                              "per-ECU task analysis only")
 
-    next_id = FIRST_CAN_ID
-    used = set(system.can_ids.values())
+    can_ids = pdu_can_ids(system)
     frames: dict[str, CanFrameSpec] = {}
     writer_of_pdu: dict[str, str] = {}
     consumers_of_pdu: dict[str, list[str]] = {}
@@ -102,12 +102,6 @@ def timing_report(system) -> TimingReport:
         port = instance.port(port_name)
         bits = sum(t.width_bits + 1
                    for t in port.interface.elements.values())
-        can_id = system.can_ids.get(pdu_name)
-        if can_id is None:
-            while next_id in used:
-                next_id += 1
-            can_id = next_id
-            used.add(can_id)
         elements = sorted(port.interface.elements)
         writer = instance.component.writer_of(port_name, elements[0])
         if writer is None:
@@ -116,7 +110,7 @@ def timing_report(system) -> TimingReport:
                 f"{port_name}.{elements[0]} — add `writes=` template "
                 f"data to analyse this chain (frame excluded)")
             continue
-        frames[pdu_name] = CanFrameSpec(pdu_name, can_id,
+        frames[pdu_name] = CanFrameSpec(pdu_name, can_ids[pdu_name],
                                         dlc=min(8, (bits + 7) // 8))
         writer_of_pdu[pdu_name] = f"{instance_name}.{writer.name}"
         for target in targets:

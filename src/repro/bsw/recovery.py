@@ -19,13 +19,19 @@ ModeMachine` — but nothing closing the loop.  This module is that loop:
 * healing walks the chain back **in reverse order**, one level per
   ``heal_hold`` period, so a flapping fault cannot oscillate the
   vehicle between modes (hysteresis).
+
+:func:`recovery_stack` wires the one stack both fault pipelines run on
+an E2E-protected link (the campaign's reference world and every
+resilience world): two DEM events, the nominal/limp/safe mode machine
+and the orchestrator with its two escalation chains.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.bsw.errors import ErrorManager, FAILED, PASSED
+from repro.bsw.errors import ErrorEvent, ErrorManager, FAILED, PASSED
+from repro.bsw.modes import ModeMachine
 from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
 
@@ -324,3 +330,39 @@ class RecoveryOrchestrator:
         active = sum(1 for p in self._policies.values() if p.level > 0)
         return (f"<RecoveryOrchestrator policies={len(self._policies)} "
                 f"active={active}>")
+
+
+def recovery_stack(sim, trace: Trace, watchdog, com, receiver, signal: str,
+                   producer: str, e2e_event: str, dtcs: tuple[int, int],
+                   poll: int, hold: int):
+    """Wire the protection/recovery stack of one E2E-protected link.
+
+    DEM events ``e2e_event`` (threshold 2) and ``producer_alive``
+    (threshold 2, fail step 2) store ``dtcs`` and escalate one level
+    per ``hold`` into the nominal/limp/safe ``vehicle`` mode machine:
+    the E2E event substitutes ``signal`` on ``com`` then degrades, the
+    alive event degrades then restarts ``producer`` through
+    ``watchdog``.  ``receiver``'s verdicts and the watchdog, sampled
+    every ``poll``, feed them.  Returns ``(errors, modes, recovery)``.
+    """
+    e2e_dtc, alive_dtc = dtcs
+    errors = ErrorManager("SYS", trace=trace, now=lambda: sim.now)
+    errors.register(ErrorEvent(e2e_event, e2e_dtc, threshold=2))
+    errors.register(ErrorEvent("producer_alive", alive_dtc, threshold=2,
+                               fail_step=2))
+    modes = ModeMachine("vehicle", ["nominal", "limp", "safe"], "nominal",
+                        trace=trace)
+    modes.bind_clock(lambda: sim.now)
+    modes.allow_chain("nominal", "limp", "safe")
+    modes.allow_chain("safe", "limp", "nominal")
+    recovery = RecoveryOrchestrator(sim, errors, modes=modes,
+                                    watchdog=watchdog, com=com, trace=trace)
+    recovery.add_policy(RecoveryPolicy(
+        e2e_event, signal=signal, degraded_mode="limp",
+        escalate_hold=hold, heal_hold=hold))
+    recovery.add_policy(RecoveryPolicy(
+        "producer_alive", degraded_mode="limp", restart_entity=producer,
+        escalate_hold=hold, heal_hold=hold))
+    recovery.bind_e2e(receiver, e2e_event, signal=signal)
+    recovery.bind_watchdog({producer: "producer_alive"}, poll=poll)
+    return errors, modes, recovery

@@ -21,6 +21,7 @@ points timing analysis assumes.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Optional
 
@@ -77,6 +78,35 @@ def assign_rm_priorities(explicit: dict[str, int],
         priorities[name] = level
         level -= 1
     return priorities
+
+
+def pdu_can_ids(system) -> dict[str, int]:
+    """The CAN id of every PDU the RTE generates for ``system``: one per
+    cross-ECU sender-receiver source port (``instance.port``) and one
+    request PDU per operation of a cross-ECU client-server connector
+    (``cs.client.port.operation``).  Ids pinned by ``set_can_id`` are
+    kept; the others are numbered from :data:`FIRST_CAN_ID` in PDU-name
+    order, skipping pinned ids.  The RTE builder and the timing report
+    both take their frame ids from here."""
+    instances, connectors = system.root.flatten()
+    by_name = {i.name: i for i in instances}
+    names = set()
+    for connector in connectors:
+        source, target = connector.source, connector.target
+        if system.mapping[source.instance] == system.mapping[target.instance]:
+            continue
+        interface = by_name[source.instance].port(source.port).interface
+        if isinstance(interface, SenderReceiverInterface):
+            names.add(f"{source.instance}.{source.port}")
+        else:
+            names.update(f"cs.{target.instance}.{target.port}.{op_name}"
+                          for op_name in interface.operations)
+    pinned = system.can_ids
+    used = set(pinned.values())
+    free = (can_id for can_id in itertools.count(FIRST_CAN_ID)
+            if can_id not in used)
+    return {name: pinned[name] if name in pinned else next(free)
+            for name in sorted(names)}
 
 
 class RteContext:
@@ -511,19 +541,12 @@ class RteBuilder:
         domain_of = {name: spec.domain
                      for name, spec in self.system.ecus.items()}
         domains = sorted({domain_of[name] for name in runtime.ecus})
-        # --- allocate CAN ids globally (stable across domains) ----------
-        frame_spec_of: dict[str, CanFrameSpec] = {}
-        next_id = FIRST_CAN_ID
-        used = set(self.system.can_ids.values())
-        for pdu_name, (ipdu, src_ecu) in sorted(pdus.items()):
-            can_id = self.system.can_ids.get(pdu_name)
-            if can_id is None:
-                while next_id in used:
-                    next_id += 1
-                can_id = next_id
-                used.add(can_id)
-            frame_spec_of[pdu_name] = CanFrameSpec(
-                pdu_name, can_id, dlc=min(8, ipdu.size_bytes))
+        # --- CAN ids are allocated globally (stable across domains) -----
+        can_ids = pdu_can_ids(self.system)
+        frame_spec_of = {
+            pdu_name: CanFrameSpec(pdu_name, can_ids[pdu_name],
+                                   dlc=min(8, ipdu.size_bytes))
+            for pdu_name, (ipdu, __) in sorted(pdus.items())}
 
         adapters: dict[str, object] = {}
         can_buses: dict[str, CanBus] = {}

@@ -1,28 +1,27 @@
 """Fault injection and containment monitoring (paper Section 4)."""
 
 from repro.faults.campaign import (CampaignCell, CampaignReport,
-                                   CampaignWorld, CellResult,
-                                   DETECTION_CATEGORIES, ReferenceWorld,
-                                   grid, reference_cells, run_campaign,
-                                   run_cell)
+                                   CellResult, ReferenceWorld, grid,
+                                   reference_cells, run_campaign, run_cell)
 from repro.faults.injector import (CanNodeAdapter, ComSignalAdapter,
                                    FaultAdapter, FaultInjector,
                                    IpCoreAdapter, TaskAdapter,
                                    TtpNodeAdapter)
 from repro.faults.model import (BABBLING, CORRUPTION, CRASH, FAULT_KINDS,
                                 Fault, OMISSION, TIMING_OVERRUN)
-from repro.faults.monitor import (DAMAGE_CATEGORIES, assert_contained,
-                                  compare_runs, containment_violations,
-                                  degradation, is_isolated)
+from repro.faults.monitor import (DAMAGE_CATEGORIES, DETECTION_CATEGORIES,
+                                  assert_contained, compare_runs,
+                                  containment_violations, degradation,
+                                  is_isolated, judge)
 
 __all__ = [
-    "CampaignCell", "CampaignReport", "CampaignWorld", "CellResult",
-    "DETECTION_CATEGORIES", "ReferenceWorld", "grid", "reference_cells",
-    "run_campaign", "run_cell",
+    "CampaignCell", "CampaignReport", "CellResult", "ReferenceWorld",
+    "grid", "reference_cells", "run_campaign", "run_cell",
     "CanNodeAdapter", "ComSignalAdapter", "FaultAdapter", "FaultInjector",
     "IpCoreAdapter", "TaskAdapter", "TtpNodeAdapter",
     "BABBLING", "CORRUPTION", "CRASH", "FAULT_KINDS", "Fault", "OMISSION",
     "TIMING_OVERRUN",
-    "DAMAGE_CATEGORIES", "assert_contained", "compare_runs",
-    "containment_violations", "degradation", "is_isolated",
+    "DAMAGE_CATEGORIES", "DETECTION_CATEGORIES", "assert_contained",
+    "compare_runs", "containment_violations", "degradation", "is_isolated",
+    "judge",
 ]

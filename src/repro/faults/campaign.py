@@ -7,10 +7,14 @@ integrated architecture: was the fault **detected** (and how fast), was
 the damage **contained** to the faulty element's region, and did the
 system **recover** after the fault window closed?
 
-The runner owns none of the scenario: a user-supplied factory builds a
-fresh world per cell (fresh simulator, stacks, error manager …), so
-cells are independent and bit-for-bit reproducible.  The report is a
-plain data structure consumable by :mod:`repro.analysis.system_report`.
+The runner owns none of the scenario: a factory builds a fresh world
+per cell (fresh simulator, stacks, error manager …), so cells are
+independent and bit-for-bit reproducible.  :class:`ReferenceWorld` is
+that world: a protected CAN speed link carrying the
+:func:`~repro.bsw.recovery.recovery_stack` every resilience world also
+carries.  Each cell is judged by :func:`repro.faults.monitor.judge`, the
+rule resilience scenarios are judged by.  The report is a plain data
+structure consumable by :mod:`repro.analysis.system_report`.
 """
 
 from __future__ import annotations
@@ -24,22 +28,8 @@ from repro import obs
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 from repro.faults.model import Fault
-from repro.faults.monitor import (containment_violations,
-                                  first_detection, last_recovery)
+from repro.faults.monitor import DETECTION_CATEGORIES, judge
 from repro.sim.trace import summarize
-
-#: Trace categories counted as *detection* of an injected fault.  E2E
-#: receiver error verdicts, watchdog expiry, OS budget enforcement and
-#: COM deadline monitoring are the paper's detector inventory.
-DETECTION_CATEGORIES = (
-    "e2e.crc_error",
-    "e2e.wrong_sequence",
-    "e2e.repeated",
-    "e2e.timeout",
-    "wdg.violation",
-    "task.budget_overrun",
-    "com.timeout",
-)
 
 
 @dataclass(frozen=True)
@@ -220,48 +210,7 @@ class CampaignReport:
         }
 
 
-class CampaignWorld:
-    """Base class for campaign scenarios (duck typing suffices).
-
-    A factory passed to :func:`run_campaign` must return an object per
-    cell exposing:
-
-    * ``sim`` — a fresh :class:`~repro.sim.kernel.Simulator`;
-    * ``trace`` — the shared :class:`~repro.sim.trace.Trace` all
-      subsystems of the scenario log into;
-    * ``injector`` — a :class:`~repro.faults.injector.FaultInjector`;
-    * ``adapter_for(cell)`` — the fault adapter to inject through;
-    * optionally ``errors`` (ErrorManager), ``modes`` (ModeMachine),
-      ``allowed_region(cell)`` (containment region, default
-      ``{cell.target}``) and ``metrics()`` (extra per-cell readings
-      merged into the result row).
-    """
-
-    errors = None
-    modes = None
-
-    def adapter_for(self, cell: CampaignCell):
-        raise NotImplementedError
-
-    def allowed_region(self, cell: CampaignCell) -> set[str]:
-        """Trace subjects allowed to show damage for this cell."""
-        return {cell.target}
-
-    def detection_categories(self, cell: CampaignCell) -> tuple:
-        """Trace categories that count as *detecting* this cell's fault.
-
-        The default is the full :data:`DETECTION_CATEGORIES` tuple;
-        worlds whose faults are detected by mechanism-specific evidence
-        (a guardian block, a slot-loss record) narrow it per cell.
-        """
-        return DETECTION_CATEGORIES
-
-    def metrics(self) -> dict:
-        """Scenario-specific readings appended to the cell's row."""
-        return {}
-
-
-def run_cell(factory: Callable[[], CampaignWorld], cell: CampaignCell,
+def run_cell(factory: Callable[[], ReferenceWorld], cell: CampaignCell,
              horizon: int, daq_period: Optional[int] = None) -> CellResult:
     """Run one cell: fresh world, one fault, measure, tear down.
 
@@ -288,7 +237,7 @@ def run_cell(factory: Callable[[], CampaignWorld], cell: CampaignCell,
                 service.connect()
                 service.start_daq(default_daq(service.registry, daq_period))
             world.sim.run_until(horizon)
-            result = _evaluate(world, cell, horizon)
+            result = _evaluate(world, cell)
             if service is not None:
                 service.detach()
                 result.daq_rows = service.sample_rows()
@@ -318,7 +267,7 @@ def _cell_worker(factory, horizon: int, daq_period: Optional[int],
     return run_cell(factory, cell, horizon, daq_period)
 
 
-def run_campaign(factory: Callable[[], CampaignWorld],
+def run_campaign(factory: Callable[[], ReferenceWorld],
                  cells: Iterable[CampaignCell],
                  horizon: int, jobs: int = 1,
                  checkpoint=None, resume: bool = False,
@@ -326,6 +275,10 @@ def run_campaign(factory: Callable[[], CampaignWorld],
                  daq_period: Optional[int] = None) -> CampaignReport:
     """Run every cell through a fresh world.
 
+    ``factory()`` must return a world shaped like
+    :class:`ReferenceWorld`: ``sim``, ``trace``, ``injector``, the
+    recovery stack's ``errors`` and ``modes``, and the methods
+    ``adapter_for(cell)``, ``allowed_region(cell)`` and ``metrics()``.
     Cells are executed through :mod:`repro.exec`: one ``factory()``
     world per cell, merged back in cell order — so ``jobs=1`` and
     ``jobs=N`` yield reports with the same
@@ -347,44 +300,13 @@ def run_campaign(factory: Callable[[], CampaignWorld],
     return CampaignReport(results, horizon)
 
 
-def _evaluate(world: CampaignWorld, cell: CampaignCell,
-              horizon: int) -> CellResult:
-    trace = world.trace
-    detection = first_detection(trace, world.detection_categories(cell),
-                                cell.onset)
+def _evaluate(world: ReferenceWorld, cell: CampaignCell) -> CellResult:
+    nominal = world.modes.history[0][1]
+    detection, escaped, recovered, recovery_time = judge(
+        world, DETECTION_CATEGORIES, world.allowed_region(cell),
+        cell.onset, cell.end, nominal)
     detected = detection is not None
     detection_time = detection.time if detected else None
-
-    errors_snapshot = {}
-    confirmed_dtcs: list[int] = []
-    if world.errors is not None:
-        errors_snapshot = world.errors.snapshot()
-        confirmed_dtcs = world.errors.stored_dtcs()
-
-    nominal = None
-    degraded = False
-    if world.modes is not None:
-        nominal = world.modes.history[0][1]
-        degraded = any(mode != nominal
-                       for _, mode in world.modes.history[1:])
-
-    region = world.allowed_region(cell)
-    escaped = containment_violations(trace, region, since=cell.onset)
-
-    # Recovery: after the fault window closes, every confirmed error
-    # must heal and the mode machine must return to nominal.
-    recovery_time = None
-    recovered = False
-    if cell.end is not None:
-        healed_clean = world.errors is None or not [
-            e for e in world.errors.confirmed_events()]
-        mode_nominal = world.modes is None \
-            or world.modes.current == nominal
-        recovered = healed_clean and mode_nominal
-        if recovered:
-            recovery_time = last_recovery(trace, cell.end, world.modes,
-                                          nominal)
-
     return CellResult(
         cell=cell,
         detected=detected,
@@ -392,15 +314,16 @@ def _evaluate(world: CampaignWorld, cell: CampaignCell,
         detection_latency=(detection_time - cell.onset
                            if detected else None),
         detection_source=detection.category if detected else None,
-        confirmed_dtcs=confirmed_dtcs,
-        degraded=degraded,
+        confirmed_dtcs=world.errors.stored_dtcs(),
+        degraded=any(mode != nominal
+                     for _, mode in world.modes.history[1:]),
         contained=not escaped,
         escaped_damage=len(escaped),
         recovered=recovered,
         recovery_time=recovery_time,
         recovery_latency=(recovery_time - cell.end
                           if recovery_time is not None else None),
-        errors=errors_snapshot,
+        errors=world.errors.snapshot(),
         extra=world.metrics(),
     )
 
@@ -417,7 +340,7 @@ DTC_PRODUCER_ALIVE = 0x4A02
 CORRUPT_VALUE = 0xFFFF
 
 
-class ReferenceWorld(CampaignWorld):
+class ReferenceWorld:
     """Two-ECU CAN scenario wiring the whole protection/recovery stack.
 
     ECU A runs a periodic ``producer`` task (10 ms) writing a 16-bit
@@ -425,8 +348,9 @@ class ReferenceWorld(CampaignWorld):
     watchdog supervises the producer, an E2E receiver checks the link,
     both feed a debouncing error manager, and a recovery orchestrator
     escalates confirmed errors through substitution → limp mode →
-    partition restart, healing back after the fault clears.  One world
-    instance is one cell's universe.
+    partition restart, healing back after the fault clears
+    (:func:`~repro.bsw.recovery.recovery_stack`).  One world instance
+    is one cell's universe.
     """
 
     PERIOD = 10_000_000          # 10 ms producer/pdu period
@@ -435,9 +359,8 @@ class ReferenceWorld(CampaignWorld):
     HOLD = 20_000_000            # escalation / heal hysteresis hold
 
     def __init__(self):
-        from repro.bsw import (ErrorEvent, ErrorManager, ModeMachine,
-                               RecoveryOrchestrator, RecoveryPolicy,
-                               WatchdogManager)
+        from repro.bsw import WatchdogManager
+        from repro.bsw.recovery import recovery_stack
         from repro.com import (CanComAdapter, ComStack, E2eProfile,
                                PERIODIC, SignalSpec, e2e_protected_pdu,
                                protect_link)
@@ -493,32 +416,11 @@ class ReferenceWorld(CampaignWorld):
             lambda value: self.deliveries.append((self.sim.now, value)))
 
         # --- Error handling, modes, recovery --------------------------
-        self.errors = ErrorManager("SYS", trace=self.trace,
-                                   now=lambda: self.sim.now)
-        self.errors.register(ErrorEvent("speed_e2e", DTC_SPEED_E2E,
-                                        threshold=2))
-        self.errors.register(ErrorEvent("producer_alive",
-                                        DTC_PRODUCER_ALIVE,
-                                        threshold=2, fail_step=2))
-        self.modes = ModeMachine("vehicle", ["nominal", "limp", "safe"],
-                                 "nominal", trace=self.trace)
-        self.modes.bind_clock(lambda: self.sim.now)
-        self.modes.allow_chain("nominal", "limp", "safe")
-        self.modes.allow_chain("safe", "limp", "nominal")
-        self.recovery = RecoveryOrchestrator(
-            self.sim, self.errors, modes=self.modes,
-            watchdog=self.watchdog, com=self.rx, trace=self.trace)
-        self.recovery.add_policy(RecoveryPolicy(
-            "speed_e2e", signal="speed", degraded_mode="limp",
-            escalate_hold=self.HOLD, heal_hold=self.HOLD))
-        self.recovery.add_policy(RecoveryPolicy(
-            "producer_alive", degraded_mode="limp",
-            restart_entity="producer",
-            escalate_hold=self.HOLD, heal_hold=self.HOLD))
-        self.recovery.bind_e2e(self.receiver, "speed_e2e",
-                               signal="speed")
-        self.recovery.bind_watchdog({"producer": "producer_alive"},
-                                    poll=self.WDG_WINDOW)
+        self.errors, self.modes, self.recovery = recovery_stack(
+            self.sim, self.trace, self.watchdog, self.rx, self.receiver,
+            "speed", "producer", "speed_e2e",
+            (DTC_SPEED_E2E, DTC_PRODUCER_ALIVE), poll=self.WDG_WINDOW,
+            hold=self.HOLD)
 
     # ------------------------------------------------------------------
     def adapter_for(self, cell: CampaignCell):

@@ -1,4 +1,4 @@
-"""Containment monitors: did a fault stay inside its region?
+"""Fault monitors: was a fault detected, contained and recovered from?
 
 A *fault containment region* (FCR) is a set of trace subjects belonging
 to the faulty element.  :func:`containment_violations` scans a trace for
@@ -7,9 +7,10 @@ damage (deadline misses, COM timeouts, collisions) attributed to subjects
 :func:`compare_runs` supports the stronger differential form: a victim's
 observable timing must be identical with and without the fault.
 
-:func:`first_detection` and :func:`last_recovery` are the detect and
-recover evidence both fault evaluators (campaign cells and resilience
-scenarios) read from a trace.
+:func:`judge` is the one detect/contain/recover rule both fault
+pipelines apply to a world that has run: campaign cells
+(:mod:`repro.faults.campaign`) and resilience scenarios and their
+baselines (:mod:`repro.verify.resilience`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,19 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import FaultContainmentViolation
 from repro.sim.trace import Record, Trace
+
+#: Trace categories counted as *detection* of an injected fault.  E2E
+#: receiver error verdicts, watchdog expiry, OS budget enforcement and
+#: COM deadline monitoring are the paper's detector inventory.
+DETECTION_CATEGORIES = (
+    "e2e.crc_error",
+    "e2e.wrong_sequence",
+    "e2e.repeated",
+    "e2e.timeout",
+    "wdg.violation",
+    "task.budget_overrun",
+    "com.timeout",
+)
 
 #: Trace categories that indicate damage to the subject.
 DAMAGE_CATEGORIES = (
@@ -57,32 +71,42 @@ def containment_violations(trace: Trace, region: Iterable[str],
     return violations
 
 
-def first_detection(trace: Trace, categories: Iterable[str],
-                    since: int) -> Optional[Record]:
-    """The earliest record of ``categories`` at or after ``since``; on
-    a tie the category listed first wins.  None when nothing fired."""
-    first = None
+def judge(world, categories: Iterable[str], region: Iterable[str],
+          onset: int, end: Optional[int], nominal: str
+          ) -> tuple[Optional[Record], list, bool, Optional[int]]:
+    """Judge one fault in a world that has run; returns ``(detection,
+    escaped, recovered, recovery_time)``.
+
+    ``detection`` is the earliest record of ``categories`` at or after
+    ``onset`` (on a tie the category listed first wins), ``escaped``
+    the damage records outside ``region`` since ``onset``.  The world
+    recovered when the window closed (``end`` is not None), no DEM
+    event is confirmed and the mode is back at ``nominal``; a world
+    whose ``errors`` and ``modes`` are None counts as healthy.  The
+    recovery time is then the latest healed DEM event, recovery
+    de-escalation or return to ``nominal`` at or after ``end`` (None
+    without a recovery stack).
+    """
+    trace = world.trace
+    detection = None
     for category in categories:
         for record in trace.records(category):
-            if record.time >= since:
-                if first is None or record.time < first.time:
-                    first = record
+            if record.time >= onset:
+                if detection is None or record.time < detection.time:
+                    detection = record
                 break  # records are time-ordered per category
-    return first
-
-
-def last_recovery(trace: Trace, since: int, modes,
-                  nominal: Optional[str]) -> Optional[int]:
-    """Time of the latest recovery evidence at or after ``since``: a
-    healed DEM event, a recovery de-escalation or, unless ``modes`` is
-    None, the mode machine's return to ``nominal``.  None when there
-    is none."""
+    escaped = containment_violations(trace, region, since=onset)
+    if end is None:
+        return detection, escaped, False, None
+    if world.errors is None:
+        return detection, escaped, True, None
+    if world.errors.confirmed_events() or world.modes.current != nominal:
+        return detection, escaped, False, None
     times = [record.time for category in RECOVERY_CATEGORIES
-             for record in trace.records(category) if record.time >= since]
-    if modes is not None:
-        times += [time for time, mode in modes.history
-                  if time >= since and mode == nominal]
-    return max(times, default=None)
+             for record in trace.records(category) if record.time >= end]
+    times += [time for time, mode in world.modes.history
+              if time >= end and mode == nominal]
+    return detection, escaped, True, max(times, default=None)
 
 
 def assert_contained(trace: Trace, region: Iterable[str],

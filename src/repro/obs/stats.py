@@ -20,21 +20,6 @@ CHROME = "chrome-trace"
 JSONL = "events-jsonl"
 
 
-def sniff(text: str) -> str:
-    """Classify an exported file by content, not by extension."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return CHROME
-    first = stripped.splitlines()[0] if stripped else ""
-    if first.startswith("# TYPE") or first.startswith("repro_"):
-        return PROM
-    if first.startswith("{") or (first and first[0] in "[{"):
-        return JSONL
-    if '"type"' in first:
-        return JSONL
-    raise ConfigurationError("unrecognized telemetry file format")
-
-
 #: JSON type name -> the Python types ``json.loads`` gives it.
 _JSON_TYPES = {"string": str, "integer": int, "number": (int, float),
                "array": list}
@@ -91,20 +76,26 @@ def _jsonl_events(text: str) -> list[dict]:
 
 
 def load(text: str) -> tuple[str, object]:
-    """Parse an exported file; returns ``(kind, parsed)``."""
+    """Parse an exported file, classified by content, not by extension;
+    returns ``(kind, parsed)``.
+
+    Prometheus text is recognised by its first line, a JSON object
+    carrying ``traceEvents`` is a Chrome trace, and any other text
+    starting with ``{`` or ``[`` is a JSONL event log, read line by
+    line."""
     stripped = text.lstrip()
-    if stripped.startswith("{") and "\n{" in stripped.strip():
-        return JSONL, _jsonl_events(text)
+    if stripped.startswith(("# TYPE", "repro_")):
+        return PROM, parse_prometheus_text(text)
     if stripped.startswith("{"):
-        parsed = json.loads(text)
+        try:
+            parsed = json.loads(text)
+        except ValueError:  # not one JSON document: a JSONL log
+            parsed = {}
         if "traceEvents" in parsed:
             return CHROME, parsed
-        raise ConfigurationError(
-            "JSON telemetry file lacks 'traceEvents'")
-    kind = sniff(text)
-    if kind == PROM:
-        return PROM, parse_prometheus_text(text)
-    return JSONL, _jsonl_events(text)
+    if stripped.startswith(("{", "[")):
+        return JSONL, _jsonl_events(text)
+    raise ConfigurationError("unrecognized telemetry file format")
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +259,8 @@ def summarize_paths(paths: list[str], top: int = 10) -> str:
 
     Binary MTF mass-trace stores (:mod:`repro.meas.mtf`) are detected
     by magic and summarized from their chunk directory — no data block
-    is read; the text formats are sniffed by content as before.  A file
-    that cannot be read or parsed raises
+    is read; the text formats are classified by content (:func:`load`).
+    A file that cannot be read or parsed raises
     :class:`~repro.errors.ConfigurationError` naming it."""
     from repro.meas.mtf import is_mtf_file, summarize_mtf
 

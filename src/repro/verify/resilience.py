@@ -44,15 +44,13 @@ from typing import Callable, Optional
 from repro import obs
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
-from repro.faults.campaign import DETECTION_CATEGORIES
 from repro.faults.injector import (CanBusErrorAdapter, CanNodeAdapter,
                                    ComDelayAdapter, ComSignalAdapter,
                                    FaultInjector, FlexRaySlotAdapter,
                                    GuardedCanNodeAdapter, TaskAdapter)
 from repro.faults.model import (BABBLING, CORRUPTION, CRASH, DELAY, Fault,
                                 OMISSION)
-from repro.faults.monitor import (containment_violations,
-                                  first_detection, last_recovery)
+from repro.faults.monitor import DETECTION_CATEGORIES, judge
 from repro.network.guardian import SlotGuardian
 from repro.units import ms
 from repro.verify.generator import FaultScenario, GeneratedSystem
@@ -147,26 +145,10 @@ def scenario_problems(system: GeneratedSystem,
         problems.append(f"fault {label}: window ends after "
                         f"{MAX_SCENARIO_END} ns")
         return problems
-    if scenario.kind in CHAIN_KINDS:
-        if system.chain is None or system.can is None:
-            problems.append(
-                f"fault {label}: requires an E2E chain over CAN")
-            return problems
-    elif scenario.kind == "tdma-babble":
-        if system.can is None:
-            problems.append(f"fault {label}: requires a CAN bus")
-            return problems
-    elif scenario.kind == "flexray-slot-loss":
-        if system.flexray is None:
-            problems.append(f"fault {label}: requires a FlexRay cluster")
-            return problems
-        frames = {w.assignment.frame_name
-                  for w in system.flexray.static_writers}
-        if scenario.target not in frames:
-            problems.append(
-                f"fault {label}: target {scenario.target!r} is not a "
-                f"static writer frame")
-            return problems
+    lacks = _lacks(system, scenario)
+    if lacks is not None:
+        problems.append(f"fault {label}: {lacks}")
+        return problems
     floor = min_duration(system, scenario.kind, scenario.target)
     if scenario.duration < floor:
         problems.append(
@@ -178,19 +160,44 @@ def scenario_problems(system: GeneratedSystem,
 _ALL_KINDS = CHAIN_KINDS + ("flexray-slot-loss", "tdma-babble")
 
 
+def _lacks(system: GeneratedSystem, scenario: FaultScenario
+           ) -> Optional[str]:
+    """What ``system`` lacks to carry ``scenario``, or None: the one
+    support rule :func:`scenario_problems` reports and
+    :func:`_plan_scenario` declines by."""
+    kind = scenario.kind
+    if kind in CHAIN_KINDS:
+        if system.chain is None or system.can is None:
+            return "requires an E2E chain over CAN"
+    elif kind == "tdma-babble":
+        if system.can is None:
+            return "requires a CAN bus"
+    elif kind == "flexray-slot-loss":
+        if system.flexray is None:
+            return "requires a FlexRay cluster"
+        if scenario.target not in {w.assignment.frame_name
+                                   for w in system.flexray.static_writers}:
+            return (f"target {scenario.target!r} is not a static writer "
+                    f"frame")
+    else:
+        return "unknown kind"
+    return None
+
+
 # ----------------------------------------------------------------------
 # The world: built system + recovery stack
 # ----------------------------------------------------------------------
 class ResilienceWorld:
     """One scenario's universe: the generated system on the simulation
-    stack plus the full protection/recovery wiring on its E2E chain
-    (mirroring :class:`repro.faults.campaign.ReferenceWorld`, scaled to
-    the chain's period)."""
+    stack plus, on its E2E chain over CAN, a watchdog on the chain's
+    producer and the :func:`~repro.bsw.recovery.recovery_stack`, with
+    supervision window and hysteresis hold scaled to the chain's
+    period.  A system without such a chain gets no recovery stack
+    (``errors`` and ``modes`` are None)."""
 
     def __init__(self, system: GeneratedSystem):
-        from repro.bsw import (ErrorEvent, ErrorManager, ModeMachine,
-                               RecoveryOrchestrator, RecoveryPolicy,
-                               WatchdogManager)
+        from repro.bsw import WatchdogManager
+        from repro.bsw.recovery import recovery_stack
         from repro.verify.oracle import build_system
 
         self.system = system
@@ -207,41 +214,17 @@ class ResilienceWorld:
                 or self.built.receiver is None:
             return
 
-        period = chain.period
-        self.wdg_window = _wdg_window(period)
-        self.hold = _hold(period)
+        wdg_window = _wdg_window(chain.period)
         kernel = self.built.kernels[chain.producer_ecu]
         self.watchdog = WatchdogManager(self.sim, trace=self.trace,
                                         name="WDG")
         self.watchdog.supervise_task(kernel, chain.producer,
-                                     window=self.wdg_window)
-        self.errors = ErrorManager("SYS", trace=self.trace,
-                                   now=lambda: self.sim.now)
-        self.errors.register(ErrorEvent("chain_e2e", DTC_CHAIN_E2E,
-                                        threshold=2))
-        self.errors.register(ErrorEvent("producer_alive",
-                                        DTC_PRODUCER_ALIVE,
-                                        threshold=2, fail_step=2))
-        self.modes = ModeMachine("vehicle", ["nominal", "limp", "safe"],
-                                 "nominal", trace=self.trace)
-        self.modes.bind_clock(lambda: self.sim.now)
-        self.modes.allow_chain("nominal", "limp", "safe")
-        self.modes.allow_chain("safe", "limp", "nominal")
-        self.recovery = RecoveryOrchestrator(
-            self.sim, self.errors, modes=self.modes,
-            watchdog=self.watchdog, com=self.built.rx_stack,
-            trace=self.trace)
-        self.recovery.add_policy(RecoveryPolicy(
-            "chain_e2e", signal=chain.signal_name, degraded_mode="limp",
-            escalate_hold=self.hold, heal_hold=self.hold))
-        self.recovery.add_policy(RecoveryPolicy(
-            "producer_alive", degraded_mode="limp",
-            restart_entity=chain.producer,
-            escalate_hold=self.hold, heal_hold=self.hold))
-        self.recovery.bind_e2e(self.built.receiver, "chain_e2e",
-                               signal=chain.signal_name)
-        self.recovery.bind_watchdog({chain.producer: "producer_alive"},
-                                    poll=self.wdg_window)
+                                     window=wdg_window)
+        self.errors, self.modes, self.recovery = recovery_stack(
+            self.sim, self.trace, self.watchdog, self.built.rx_stack,
+            self.built.receiver, chain.signal_name, chain.producer,
+            "chain_e2e", (DTC_CHAIN_E2E, DTC_PRODUCER_ALIVE),
+            poll=wdg_window, hold=_hold(chain.period))
 
 
 # ----------------------------------------------------------------------
@@ -262,74 +245,14 @@ class _ScenarioPlan:
 
 def _plan_scenario(system: GeneratedSystem, scenario: FaultScenario
                    ) -> Optional[_ScenarioPlan]:
-    """Build the plan, or None when the system lacks the subsystems the
-    scenario needs (a shrunk counterexample) — the scenario is then
-    *declined*, never a failure."""
+    """Build the plan, or None when the system lacks what the scenario
+    needs (:func:`_lacks`; a shrunk counterexample) — the scenario is
+    then *declined*, never a failure."""
+    if _lacks(system, scenario) is not None:
+        return None
     kind = scenario.kind
-    chain = system.chain
-    if kind in CHAIN_KINDS:
-        if chain is None or system.can is None:
-            return None
-        period = chain.period
-        wdg = _wdg_window(period)
-        hold = _hold(period)
-        region = {chain.producer, chain.consumer, chain.pdu_name,
-                  chain.signal_name, chain.producer_ecu, "RX"}
-        tail = 2 * chain.timeout + 12 * period + 4 * hold
-        categories = DETECTION_CATEGORIES
-        bound = chain.timeout + period
-        if kind == "ecu-reset":
-            # The COM stack keeps transmitting freshly-stamped (stale)
-            # values after the producer dies, so E2E never notices —
-            # only the alive supervision does.
-            categories = ("wdg.violation",)
-            bound = 3 * wdg + period
-            tail = chain.timeout + 16 * period + 6 * hold + 3 * wdg
-
-        def wire(world, kind=kind, scenario=scenario):
-            c = world.system.chain
-            if kind in ("e2e-corruption", "e2e-loss"):
-                adapter = ComSignalAdapter(world.built.rx_stack,
-                                           c.signal_name)
-                fault_kind = (CORRUPTION if kind == "e2e-corruption"
-                              else OMISSION)
-                fault = Fault(fault_kind, adapter.target_name,
-                              scenario.start, scenario.duration)
-            elif kind == "e2e-delay":
-                adapter = ComDelayAdapter(world.sim, world.built.rx_stack,
-                                          c.signal_name)
-                fault = Fault(DELAY, adapter.target_name, scenario.start,
-                              scenario.duration,
-                              params={"delay": c.timeout + c.period})
-            elif kind == "can-error-burst":
-                adapter = CanBusErrorAdapter(world.built.can_bus,
-                                             c.pdu_name)
-                fault = Fault(CORRUPTION, adapter.target_name,
-                              scenario.start, scenario.duration)
-            elif kind == "can-bus-off":
-                controller = world.built.can_bus.controllers[
-                    c.producer_ecu]
-                adapter = CanNodeAdapter(world.sim, controller,
-                                         flood_period=ms(1))
-                fault = Fault(CRASH, adapter.target_name, scenario.start,
-                              scenario.duration)
-            else:  # ecu-reset
-                kernel = world.built.kernels[c.producer_ecu]
-                adapter = TaskAdapter(kernel, kernel.tasks[c.producer])
-                fault = Fault(CRASH, adapter.target_name, scenario.start,
-                              scenario.duration)
-            return adapter, fault
-
-        return _ScenarioPlan(categories, bound, region,
-                             scenario.end + tail, wire)
-
     if kind == "flexray-slot-loss":
-        if system.flexray is None:
-            return None
-        try:
-            writer = _static_writer(system, scenario.target)
-        except ConfigurationError:
-            return None
+        writer = _static_writer(system, scenario.target)
         cycle = system.flexray.config.cycle_length
         region = {scenario.target, writer.assignment.node}
         bound = writer.period + 2 * cycle
@@ -345,8 +268,6 @@ def _plan_scenario(system: GeneratedSystem, scenario: FaultScenario
                              scenario.end + tail, wire)
 
     if kind == "tdma-babble":
-        if system.can is None:
-            return None
         flood = _flood_period(system)
 
         def wire(world, flood=flood, scenario=scenario):
@@ -363,7 +284,57 @@ def _plan_scenario(system: GeneratedSystem, scenario: FaultScenario
                              {"BABBLER"}, scenario.end + 8 * flood + ms(1),
                              wire)
 
-    return None
+    # The chain kinds: the injection point is the E2E-protected chain.
+    chain = system.chain
+    period = chain.period
+    wdg = _wdg_window(period)
+    hold = _hold(period)
+    region = {chain.producer, chain.consumer, chain.pdu_name,
+              chain.signal_name, chain.producer_ecu, "RX"}
+    tail = 2 * chain.timeout + 12 * period + 4 * hold
+    categories = DETECTION_CATEGORIES
+    bound = chain.timeout + period
+    if kind == "ecu-reset":
+        # The COM stack keeps transmitting freshly-stamped (stale)
+        # values after the producer dies, so E2E never notices —
+        # only the alive supervision does.
+        categories = ("wdg.violation",)
+        bound = 3 * wdg + period
+        tail = chain.timeout + 16 * period + 6 * hold + 3 * wdg
+
+    def wire(world, kind=kind, scenario=scenario):
+        c = world.system.chain
+        if kind in ("e2e-corruption", "e2e-loss"):
+            adapter = ComSignalAdapter(world.built.rx_stack, c.signal_name)
+            fault_kind = (CORRUPTION if kind == "e2e-corruption"
+                          else OMISSION)
+            fault = Fault(fault_kind, adapter.target_name, scenario.start,
+                          scenario.duration)
+        elif kind == "e2e-delay":
+            adapter = ComDelayAdapter(world.sim, world.built.rx_stack,
+                                      c.signal_name)
+            fault = Fault(DELAY, adapter.target_name, scenario.start,
+                          scenario.duration,
+                          params={"delay": c.timeout + c.period})
+        elif kind == "can-error-burst":
+            adapter = CanBusErrorAdapter(world.built.can_bus, c.pdu_name)
+            fault = Fault(CORRUPTION, adapter.target_name, scenario.start,
+                          scenario.duration)
+        elif kind == "can-bus-off":
+            controller = world.built.can_bus.controllers[c.producer_ecu]
+            adapter = CanNodeAdapter(world.sim, controller,
+                                     flood_period=ms(1))
+            fault = Fault(CRASH, adapter.target_name, scenario.start,
+                          scenario.duration)
+        else:  # ecu-reset
+            kernel = world.built.kernels[c.producer_ecu]
+            adapter = TaskAdapter(kernel, kernel.tasks[c.producer])
+            fault = Fault(CRASH, adapter.target_name, scenario.start,
+                          scenario.duration)
+        return adapter, fault
+
+    return _ScenarioPlan(categories, bound, region, scenario.end + tail,
+                         wire)
 
 
 # ----------------------------------------------------------------------
@@ -469,28 +440,25 @@ class _BaselineFacts:
 
 def _baseline_facts(system: GeneratedSystem, horizon: int,
                     cases) -> dict[int, _BaselineFacts]:
-    """Run one fault-free baseline world to ``horizon`` and reduce it to
-    the facts of each ``(index, scenario, plan)`` case; the world's
-    trace is cleared before this returns."""
+    """Run one fault-free baseline world to ``horizon`` and judge it as
+    each ``(index, scenario, plan)`` case would be judged, reduced to
+    the case's facts; the world's trace is cleared before this
+    returns."""
     baseline = ResilienceWorld(system)
-    trace = baseline.trace
     try:
         baseline.sim.run_until(horizon)
-        unhealthy = baseline.errors is not None and (
-            bool(list(baseline.errors.confirmed_events()))
-            or baseline.modes.current != "nominal")
         facts = {}
         for index, scenario, plan in cases:
-            evidence = any(record.time >= scenario.start
-                           for category in plan.categories
-                           for record in trace.records(category))
-            damaged = frozenset(
-                r.subject for r in containment_violations(
-                    trace, plan.region, since=scenario.start))
-            facts[index] = _BaselineFacts(evidence, damaged, unhealthy)
+            detection, escaped, recovered, __ = judge(
+                baseline, plan.categories, plan.region, scenario.start,
+                scenario.end, "nominal")
+            facts[index] = _BaselineFacts(
+                detection is not None,
+                frozenset(record.subject for record in escaped),
+                not recovered)
         return facts
     finally:
-        trace.clear()
+        baseline.trace.clear()
 
 
 def _evaluate(world: ResilienceWorld, baseline: _BaselineFacts,
@@ -499,21 +467,20 @@ def _evaluate(world: ResilienceWorld, baseline: _BaselineFacts,
     verdict = ScenarioVerdict(scenario, horizon=plan.horizon,
                               detection_bound=plan.bound)
     verdict.scenario_categories = plan.categories
-    onset = scenario.start
+    detection, escaped, recovered, recovery_time = judge(
+        world, plan.categories, plan.region, scenario.start, scenario.end,
+        "nominal")
 
     # --- detected within bound ---------------------------------------
-    detection = first_detection(world.trace, plan.categories, onset)
-    verdict.detected = detection is not None
-    if verdict.detected:
+    if detection is not None:
+        verdict.detected = True
         verdict.detection_time = detection.time
         verdict.detection_source = detection.category
-        verdict.detection_latency = detection.time - onset
+        verdict.detection_latency = detection.time - scenario.start
     verdict.detection_waived = baseline.evidence
 
     # --- contained ----------------------------------------------------
-    escapes = [r for r in containment_violations(world.trace, plan.region,
-                                                 since=onset)
-               if r.subject not in baseline.damaged]
+    escapes = [r for r in escaped if r.subject not in baseline.damaged]
     verdict.contained = not escapes
     verdict.escaped = len(escapes)
     verdict.escape_subjects = [r.subject for r in escapes]
@@ -521,17 +488,11 @@ def _evaluate(world: ResilienceWorld, baseline: _BaselineFacts,
     # --- recovered per the hysteresis policy --------------------------
     if baseline.unhealthy:
         verdict.recovery_waived = True
-    elif world.errors is not None:
-        healed = not list(world.errors.confirmed_events())
-        nominal = world.modes.current == "nominal"
-        verdict.recovered = healed and nominal
-        if verdict.recovered:
-            verdict.recovery_time = last_recovery(
-                world.trace, scenario.end, world.modes, "nominal")
-            if verdict.recovery_time is not None:
-                verdict.recovery_latency = (verdict.recovery_time
-                                            - scenario.end)
-    # No recovery stack (no chain): nothing can confirm, vacuously ok.
+    else:
+        verdict.recovered = recovered
+        verdict.recovery_time = recovery_time
+        if recovery_time is not None:
+            verdict.recovery_latency = recovery_time - scenario.end
     return verdict
 
 

@@ -37,10 +37,12 @@ RESUMABLE = ("campaign", "verify", "fuzz", "resilience", "meas-daq")
 #: Telemetry files ``stats`` cannot summarize: no known format, an MTF
 #: store cut in half, a Chrome trace whose events are no list, a JSONL
 #: log with a broken line, one whose lines are JSON arrays, not event
-#: objects, and one with a histogram event that lacks its counts.
+#: objects, one with a histogram event that lacks its counts, and a
+#: one-line log whose object is no event.
 UNRECOGNIZED, CHOPPED_MTF = "notes.txt", "chopped.mtf"
 BAD_CHROME, BROKEN_JSONL = "trace.json", "events.jsonl"
 ARRAY_JSONL, BARE_HISTOGRAM = "arrays.jsonl", "histogram.jsonl"
+UNTYPED_LINE = "untyped.jsonl"
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -97,7 +99,9 @@ ROWS = (
            (BROKEN_JSONL, "cannot read events.jsonl"),
            (ARRAY_JSONL, "arrays.jsonl: line 1: not an event object"),
            (BARE_HISTOGRAM,
-            "histogram.jsonl: line 1: histogram event lacks 'count'"))]
+            "histogram.jsonl: line 1: histogram event lacks 'count'"),
+           (UNTYPED_LINE,
+            "untyped.jsonl: line 1: event has no string 'type'"))]
 )
 
 
@@ -141,6 +145,7 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
     (tmp_path / BARE_HISTOGRAM).write_text(
         '{"type": "histogram", "name": "x"}\n'
         '{"type": "counter", "name": "n", "value": 1}\n')
+    (tmp_path / UNTYPED_LINE).write_text('{"a": 1}\n')
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

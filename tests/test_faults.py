@@ -1,5 +1,7 @@
 """Tests for fault injection adapters and containment monitors."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigurationError, FaultContainmentViolation
@@ -7,7 +9,8 @@ from repro.faults import (BABBLING, CRASH, CanNodeAdapter, ComSignalAdapter,
                           CORRUPTION, Fault, FaultInjector, IpCoreAdapter,
                           OMISSION, TaskAdapter, TIMING_OVERRUN,
                           TtpNodeAdapter, assert_contained,
-                          containment_violations, degradation, is_isolated)
+                          containment_violations, degradation, is_isolated,
+                          judge)
 from repro.com import (CanComAdapter, ComStack, PERIODIC, SignalSpec,
                        pack_sequentially)
 from repro.network import CanBus, CanFrameSpec, TtpCluster
@@ -185,6 +188,87 @@ def test_assert_contained_raises_with_detail():
     assert "victim" in str(err.value)
     # Damage inside the region is fine.
     assert_contained(trace, {"victim"})
+
+
+def judged_world(trace, confirmed=(), history=((0, "nominal"),)):
+    """A hand-built world that has run: its trace and a recovery stack
+    reduced to what the judge reads."""
+    errors = SimpleNamespace(confirmed_events=lambda: list(confirmed))
+    modes = SimpleNamespace(current=history[-1][1], history=list(history))
+    return SimpleNamespace(trace=trace, errors=errors, modes=modes)
+
+
+def test_judge_detection_tie_goes_to_the_first_listed_category():
+    trace = Trace()
+    trace.log(50, "wdg.violation", "producer")
+    trace.log(50, "e2e.timeout", "speed")
+    world = judged_world(trace)
+    for categories in (("e2e.timeout", "wdg.violation"),
+                       ("wdg.violation", "e2e.timeout")):
+        detection, __, __, __ = judge(world, categories, {"speed"}, 10,
+                                      100, "nominal")
+        assert detection.category == categories[0]
+
+
+def test_judge_ignores_records_before_the_onset():
+    trace = Trace()
+    trace.log(5, "e2e.crc_error", "speed")
+    trace.log(5, "com.timeout", "victim")
+    trace.log(30, "e2e.crc_error", "speed")
+    trace.log(40, "com.timeout", "victim")
+    trace.log(45, "com.timeout", "speed")  # inside the region
+    world = judged_world(trace)
+    detection, escaped, __, __ = judge(world, ("e2e.crc_error",),
+                                       {"speed"}, 10, 100, "nominal")
+    assert detection.time == 30
+    assert [(r.time, r.subject) for r in escaped] == [(40, "victim")]
+    detection, escaped, __, __ = judge(world, ("e2e.crc_error",),
+                                       {"speed"}, 50, 100, "nominal")
+    assert detection is None and escaped == []
+
+
+def test_judge_permanent_fault_never_recovers():
+    trace = Trace()
+    trace.log(200, "dem.healed", "speed_e2e")
+    assert judge(judged_world(trace), (), set(), 10, None,
+                 "nominal")[2:] == (False, None)
+
+
+def test_judge_confirmed_event_or_degraded_mode_is_not_recovered():
+    trace = Trace()
+    trace.log(200, "dem.healed", "speed_e2e")
+    confirmed = judged_world(trace, confirmed=["producer_alive"])
+    degraded = judged_world(trace, history=((0, "nominal"), (50, "limp")))
+    for world in (confirmed, degraded):
+        assert judge(world, (), set(), 10, 100,
+                     "nominal")[2:] == (False, None)
+
+
+def test_judge_recovery_time_is_the_latest_evidence_after_the_end():
+    trace = Trace()
+    trace.log(90, "dem.healed", "speed_e2e")  # before the window closed
+    trace.log(120, "dem.healed", "speed_e2e")
+    trace.log(150, "recovery.deescalate", "speed_e2e")
+    limp = ((0, "nominal"), (40, "limp"))
+    for back, latest in ((140, 150), (170, 170)):
+        world = judged_world(trace, history=limp + ((back, "nominal"),))
+        assert judge(world, (), set(), 10, 100,
+                     "nominal")[2:] == (True, latest)
+    # Evidence before the end does not count.
+    early = Trace()
+    early.log(90, "dem.healed", "speed_e2e")
+    world = judged_world(early, history=limp + ((95, "nominal"),))
+    assert judge(world, (), set(), 10, 100, "nominal")[2:] == (True, None)
+
+
+def test_judge_world_without_recovery_stack_recovers_untimed():
+    trace = Trace()
+    trace.log(40, "com.timeout", "victim")
+    world = SimpleNamespace(trace=trace, errors=None, modes=None)
+    detection, escaped, recovered, recovery_time = judge(
+        world, ("com.timeout",), {"victim"}, 10, 100, "nominal")
+    assert detection.time == 40 and escaped == []
+    assert recovered and recovery_time is None
 
 
 def test_isolation_and_degradation_helpers():

@@ -357,6 +357,21 @@ def test_stats_summarize_all_formats(tmp_path):
     assert "DEM" in text
 
 
+def test_stats_summarizes_a_one_line_event_log(tmp_path):
+    from repro.obs.stats import summarize_paths
+
+    obs.enable()
+    obs.count("n")
+    path = tmp_path / "one.jsonl"
+    path.write_text(events_to_jsonl(obs.registry().snapshot(),
+                                    obs.spans().snapshot(),
+                                    obs.dlt_channel().snapshot()))
+    assert len(path.read_text().splitlines()) == 1
+    text = summarize_paths([str(path)])
+    assert "top 10 spans by cumulative time:" in text
+    assert "DLT events:" in text
+
+
 HISTOGRAM = {"type": "histogram", "name": "h", "count": 1, "sum": 5,
              "buckets": [10], "counts": [1, 0]}
 

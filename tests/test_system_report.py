@@ -4,9 +4,11 @@ against the deployed system it predicts."""
 import pytest
 
 from repro.analysis import ChainProbe, timing_report
-from repro.core import (Composition, DataReceivedEvent,
-                        SenderReceiverInterface, SwComponent, SystemModel,
-                        TimingEvent, UINT16)
+from repro.analysis.holistic import HolisticModel
+from repro.core import (ClientServerInterface, Composition,
+                        DataReceivedEvent, Operation,
+                        OperationInvokedEvent, SenderReceiverInterface,
+                        SwComponent, SystemModel, TimingEvent, UINT8, UINT16)
 from repro.sim import Simulator
 from repro.units import ms, us
 
@@ -191,3 +193,84 @@ def test_report_frame_ids_match_deployed_bus():
     sim.run_until(ms(30))
     starts = runtime.trace.records("can.tx_start", "sensor.out")
     assert starts and starts[0].data["can_id"] == 0x100  # FIRST_CAN_ID
+
+
+def senders_system(senders, client_server=False):
+    """Each of ``senders`` (on E1) sends one frame to its own sink on
+    E2; with ``client_server``, client ``c`` on E1 also calls server
+    ``srv`` on E2 over one client-server request PDU."""
+    sender = SwComponent("Tx")
+    sender.provide("x", DATA_IF)
+    sender.runnable("tick", TimingEvent(ms(10)), lambda ctx: None,
+                    wcet=us(100), writes=[("x", "v")])
+    sink = SwComponent("Rx")
+    sink.require("in", DATA_IF)
+    sink.runnable("sink", DataReceivedEvent("in", "v"), lambda ctx: None,
+                  wcet=us(100))
+    app = Composition("App")
+    system = SystemModel("ids")
+    system.add_ecu("E1")
+    system.add_ecu("E2")
+    for name in senders:
+        app.add(sender.instantiate(name))
+        app.add(sink.instantiate(f"{name}-sink"))
+        app.connect(name, "x", f"{name}-sink", "in")
+        system.map(name, "E1")
+        system.map(f"{name}-sink", "E2")
+    if client_server:
+        act_if = ClientServerInterface(
+            "act", {"set": Operation("set", {"level": UINT8})})
+        server = SwComponent("Server")
+        server.provide("srv", act_if)
+        server.runnable("apply", OperationInvokedEvent("srv", "set"),
+                        lambda ctx, level: None, wcet=us(50))
+        client = SwComponent("Client")
+        client.require("act", act_if)
+        client.runnable("tick", TimingEvent(ms(20)),
+                        lambda ctx: ctx.call("act", "set", level=1),
+                        wcet=us(100))
+        app.add(server.instantiate("srv"))
+        app.add(client.instantiate("c"))
+        app.connect("srv", "srv", "c", "act")
+        system.map("srv", "E2")
+        system.map("c", "E1")
+    system.set_root(app)
+    system.configure_bus("can")
+    return system
+
+
+def report_and_bus_ids(system, monkeypatch):
+    """(CAN id of each frame the report hands its holistic model, CAN
+    id of each frame the built runtime sends)."""
+    analysed = {}
+    add_frame = HolisticModel.add_frame
+
+    def capture(model, spec):
+        analysed[spec.name] = spec.can_id
+        add_frame(model, spec)
+
+    monkeypatch.setattr(HolisticModel, "add_frame", capture)
+    report = timing_report(system)
+    assert report.analysable
+    runtime = system.build(Simulator())
+    sent = {name: spec.can_id for ecu in runtime.ecus.values()
+            for name, spec in ecu.com.adapter.frame_specs.items()}
+    return analysed, sent
+
+
+def test_report_frame_ids_follow_pdu_name_order(monkeypatch):
+    # Tuple order puts ("a", "x") first; PDU-name order puts "a-b.x".
+    analysed, sent = report_and_bus_ids(senders_system(["a", "a-b"]),
+                                        monkeypatch)
+    assert set(analysed) == {"a.x", "a-b.x"}
+    assert analysed == {name: sent[name] for name in analysed}
+
+
+def test_report_frame_ids_count_client_server_pdus(monkeypatch):
+    # The request PDU "cs.c.act.set" takes an id before "d.x", which
+    # then skips the pinned 0x102: the runtime ranks "d.x" below "q.x".
+    system = senders_system(["a", "d", "q"], client_server=True)
+    system.set_can_id("q.x", 0x102)
+    analysed, sent = report_and_bus_ids(system, monkeypatch)
+    assert set(analysed) == {"a.x", "d.x", "q.x"}
+    assert analysed == {name: sent[name] for name in analysed}
