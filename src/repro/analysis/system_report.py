@@ -8,15 +8,16 @@ checks."
 
 :func:`timing_report` is that system generator's analysis half: from a
 validated :class:`~repro.core.system.SystemModel` — *before anything is
-built or simulated* — it derives exactly the artefacts the RTE generator
-would produce (tasks with RM priorities, one I-PDU per cross-ECU source
-port with the CAN id :func:`~repro.core.rte.pdu_can_ids` gives it),
+built or simulated* — it takes the tasks and frames the RTE generator
+would deploy (:func:`~repro.core.rte.rte_plan`: tasks with their RM
+priorities, one I-PDU per cross-ECU source port with its CAN id),
 assembles the holistic model with the cause-effect links implied by the
 connectors and the runnables' declared write accesses, and solves it.
 The result reports per-task and per-frame WCRTs, end-to-end latencies
 for every cross-ECU data path, and the issues that block analysis
 (missing periods, undeclared writers — the very template data the paper
-says is missing from AUTOSAR).
+says is missing from AUTOSAR — and client-server request frames, which
+no chain releases).
 
 Scope: single-domain CAN deployments (the analysis target of Section 3's
 CAN branch); other configurations are reported as not analysable.
@@ -27,12 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.holistic import HolisticModel, HolisticResult
-from repro.core.interface import SenderReceiverInterface
-from repro.core.runnable import DataReceivedEvent, TimingEvent
-from repro.core.rte import assign_rm_priorities, pdu_can_ids
+from repro.core.runnable import DataReceivedEvent
+from repro.core.rte import rte_plan
 from repro.errors import AnalysisError
 from repro.network.can import CanFrameSpec
-from repro.osek.task import TaskSpec
 
 
 @dataclass
@@ -68,116 +67,74 @@ def timing_report(system) -> TimingReport:
                     "deployments only"])
     bitrate = system.bus_params.get("bitrate_bps", 500_000) \
         if system.bus_kind == "can" else 500_000
-
-    instances, connectors = system.root.flatten()
-    by_name = {i.name: i for i in instances}
+    plan = rte_plan(system)
     model = HolisticModel(bitrate)
 
-    # --- plan the cross-ECU PDUs, writers and consumers ------------------
-    cross_ports: dict[tuple, list] = {}
-    local_connectors: list = []
-    for connector in connectors:
-        src = by_name[connector.source.instance]
-        port = src.port(connector.source.port)
-        if not isinstance(port.interface, SenderReceiverInterface):
-            continue  # remote C/S request frames are not chain-analysed
-        src_ecu = system.mapping[connector.source.instance]
-        dst_ecu = system.mapping[connector.target.instance]
-        if src_ecu == dst_ecu:
-            local_connectors.append(connector)
-            continue
-        key = (connector.source.instance, connector.source.port)
-        cross_ports.setdefault(key, []).append(connector.target)
-    if not cross_ports:
+    def writer(source):
+        """(writer task of ``source``'s first element or None, element)."""
+        instance = plan.instances[source.instance]
+        element = min(instance.port(source.port).interface.elements)
+        runnable = instance.component.writer_of(source.port, element)
+        task = None if runnable is None else \
+            f"{source.instance}.{runnable.name}"
+        return task, element
+
+    def consumers(target):
+        """The data-triggered tasks a delivery to ``target`` releases."""
+        return [f"{target.instance}.{runnable.name}"
+                for runnable in plan.instances[target.instance]
+                .component.runnables
+                if isinstance(runnable.trigger, DataReceivedEvent)
+                and runnable.trigger.port == target.port]
+
+    # --- frames with their writers and consumers ---------------------------
+    if all(pdu.operation is not None for pdu in plan.pdus.values()):
         report.issues.append("no cross-ECU sender-receiver traffic; "
                              "per-ECU task analysis only")
-
-    can_ids = pdu_can_ids(system)
-    frames: dict[str, CanFrameSpec] = {}
-    writer_of_pdu: dict[str, str] = {}
-    consumers_of_pdu: dict[str, list[str]] = {}
-    for (instance_name, port_name), targets in sorted(cross_ports.items()):
-        pdu_name = f"{instance_name}.{port_name}"
-        instance = by_name[instance_name]
-        port = instance.port(port_name)
-        bits = sum(t.width_bits + 1
-                   for t in port.interface.elements.values())
-        elements = sorted(port.interface.elements)
-        writer = instance.component.writer_of(port_name, elements[0])
-        if writer is None:
+    frames: dict[str, tuple] = {}
+    for pdu in plan.pdus.values():
+        if pdu.operation is not None:
             report.issues.append(
-                f"{pdu_name}: no runnable declares writing "
-                f"{port_name}.{elements[0]} — add `writes=` template "
+                f"{pdu.name}: client-server request frame; excluded — "
+                f"remaining WCRTs do not account for its interference")
+            continue
+        writer_task, element = writer(pdu.source)
+        if writer_task is None:
+            report.issues.append(
+                f"{pdu.name}: no runnable declares writing "
+                f"{pdu.source.port}.{element} — add `writes=` template "
                 f"data to analyse this chain (frame excluded)")
             continue
-        frames[pdu_name] = CanFrameSpec(pdu_name, can_ids[pdu_name],
-                                        dlc=min(8, (bits + 7) // 8))
-        writer_of_pdu[pdu_name] = f"{instance_name}.{writer.name}"
-        for target in targets:
-            target_instance = by_name[target.instance]
-            for runnable in target_instance.component.runnables:
-                trigger = runnable.trigger
-                if (isinstance(trigger, DataReceivedEvent)
-                        and trigger.port == target.port):
-                    consumers_of_pdu.setdefault(pdu_name, []).append(
-                        f"{target.instance}.{runnable.name}")
+        frames[pdu.name] = (
+            CanFrameSpec(pdu.name, pdu.can_id,
+                         dlc=min(8, pdu.ipdu.size_bytes)),
+            writer_task,
+            [task for __, target in pdu.targets
+             for task in consumers(target)])
     # Same-ECU data-triggered consumers are anchored by a direct
     # task -> task link (no bus hop).
     local_links: list[tuple[str, str]] = []
-    for connector in local_connectors:
-        instance = by_name[connector.source.instance]
-        port = instance.port(connector.source.port)
-        elements = sorted(port.interface.elements)
-        writer = instance.component.writer_of(connector.source.port,
-                                              elements[0])
-        if writer is None:
+    for source, target in plan.local_routes:
+        writer_task, __ = writer(source)
+        if writer_task is None:
             report.issues.append(
-                f"{connector.source}: no declared writer — local chain "
-                f"through it not analysed")
+                f"{source}: no declared writer — local chain through it "
+                f"not analysed")
             continue
-        writer_task = f"{connector.source.instance}.{writer.name}"
-        target_instance = by_name[connector.target.instance]
-        for runnable in target_instance.component.runnables:
-            trigger = runnable.trigger
-            if (isinstance(trigger, DataReceivedEvent)
-                    and trigger.port == connector.target.port):
-                local_links.append(
-                    (writer_task,
-                     f"{connector.target.instance}.{runnable.name}"))
+        local_links.extend((writer_task, task) for task in consumers(target))
 
-    anchored_consumers = {consumer
-                          for consumers in consumers_of_pdu.values()
-                          for consumer in consumers}
-    anchored_consumers |= {consumer for __, consumer in local_links}
+    anchored = {task for __, __, tasks in frames.values() for task in tasks}
+    anchored |= {consumer for __, consumer in local_links}
 
-    # --- tasks, with the RTE's priority assignment -----------------------
-    plans: dict[str, list] = {}
-    for instance in instances:
-        ecu = system.mapping[instance.name]
-        for runnable in instance.component.runnables:
-            plans.setdefault(ecu, []).append((instance.name, runnable))
-    for ecu, plan in plans.items():
-        priorities = assign_rm_priorities(system.ecus[ecu].priorities,
-                                          plan)
-        for instance_name, runnable in plan:
-            task_name = f"{instance_name}.{runnable.name}"
-            trigger = runnable.trigger
-            if isinstance(trigger, TimingEvent):
-                spec = TaskSpec(task_name, wcet=runnable.wcet,
-                                period=trigger.period,
-                                offset=trigger.offset,
-                                priority=priorities[task_name])
-            elif task_name in anchored_consumers:
-                spec = TaskSpec(task_name, wcet=runnable.wcet,
-                                priority=priorities[task_name],
-                                deadline=None)
-            else:
-                report.issues.append(
-                    f"{task_name}: event-activated with no analysable "
-                    f"activation source; excluded — remaining WCRTs do "
-                    f"not account for its interference")
-                continue
-            model.add_task(ecu, spec)
+    # --- the deployed tasks -------------------------------------------------
+    for task in plan.tasks:
+        if task.spec.period is None and task.spec.name not in anchored:
+            report.issues.append(
+                f"{task.spec.name}: event-activated with no analysable "
+                f"activation source; excluded — remaining WCRTs do not "
+                f"account for its interference")
+            continue
+        model.add_task(task.ecu, task.spec)
 
     # --- local task -> task links -----------------------------------------
     for writer_task, consumer_task in sorted(set(local_links)):
@@ -192,11 +149,10 @@ def timing_report(system) -> TimingReport:
                           [writer_task, consumer_task])
 
     # --- frames, links and transactions ----------------------------------
-    for pdu_name, frame in sorted(frames.items()):
+    for pdu_name, (frame, writer_task, consumer_tasks) in frames.items():
         model.add_frame(frame)
-        writer_task = writer_of_pdu[pdu_name]
         model.link(writer_task, pdu_name)
-        for consumer_task in consumers_of_pdu.get(pdu_name, []):
+        for consumer_task in consumer_tasks:
             try:
                 model.link(pdu_name, consumer_task)
             except AnalysisError:

@@ -5,8 +5,7 @@ from repro.bsw.diag import (CLEAR_DTC, DiagnosticServer, NEGATIVE_RESPONSE,
                             READ_DATA, READ_DTC)
 from repro.bsw.errors import (ErrorEvent, ErrorManager, FAILED, PASSED,
                               SEVERITY_HIGH, SEVERITY_LOW, SEVERITY_MEDIUM)
-from repro.bsw.gateway import (CanGateway, FlexRayCanGateway,
-                               MultiCanGateway)
+from repro.bsw.gateway import CanGateway, FlexRayCanGateway
 from repro.bsw.modes import ModeMachine
 from repro.bsw.recovery import (LEVEL_DEGRADE, LEVEL_NONE, LEVEL_RESTART,
                                 LEVEL_SUBSTITUTE, RecoveryOrchestrator,
@@ -21,7 +20,7 @@ __all__ = [
     "READ_DTC",
     "ErrorEvent", "ErrorManager", "FAILED", "PASSED", "SEVERITY_HIGH",
     "SEVERITY_LOW", "SEVERITY_MEDIUM",
-    "CanGateway", "FlexRayCanGateway", "ModeMachine", "MultiCanGateway",
+    "CanGateway", "FlexRayCanGateway", "ModeMachine",
     "LEVEL_DEGRADE", "LEVEL_NONE", "LEVEL_RESTART", "LEVEL_SUBSTITUTE",
     "RecoveryOrchestrator", "RecoveryPolicy",
     "AWAKE", "BUS_SLEEP", "NmCluster", "NmNode", "READY_TO_SLEEP",

@@ -5,10 +5,12 @@ frames through a gateway ECU.  The gateway subscribes to frames on one
 bus and re-emits them on another after a processing delay — the hop the
 integrated architecture removes (experiment E5 counts these).
 
-Two gateways are provided: :class:`CanGateway` (CAN <-> CAN, the classic
-central gateway) and :class:`FlexRayCanGateway` (CAN <-> FlexRay static
-segment — the migration path of Section 4, where legacy CAN domains hang
-off a time-triggered backbone).
+Two gateways are provided: :class:`CanGateway` (a central gateway with
+one controller on each of two or more CAN buses; the RTE generator
+instantiates it for multi-domain deployments) and
+:class:`FlexRayCanGateway` (CAN <-> FlexRay static segment — the
+migration path of Section 4, where legacy CAN domains hang off a
+time-triggered backbone).
 """
 
 from __future__ import annotations
@@ -23,83 +25,13 @@ from repro.sim.trace import Trace
 
 
 class CanGateway:
-    """Routes selected CAN frames between two CAN buses."""
-
-    def __init__(self, sim: Simulator, name: str, bus_a: CanBus,
-                 bus_b: CanBus, processing_delay: int = 100_000,
-                 trace: Optional[Trace] = None):
-        if bus_a is bus_b:
-            raise ConfigurationError(
-                f"gateway {name}: both ports on the same bus")
-        if processing_delay < 0:
-            raise ConfigurationError(
-                f"gateway {name}: negative processing delay")
-        self.sim = sim
-        self.name = name
-        self.processing_delay = processing_delay
-        self.trace = trace if trace is not None else Trace()
-        self._ports = {
-            "a": bus_a.attach(f"{name}.a"),
-            "b": bus_b.attach(f"{name}.b"),
-        }
-        #: frame name -> (destination port, outgoing spec)
-        self._routes: dict[str, tuple[str, CanFrameSpec]] = {}
-        self.forwarded = 0
-        self._ports["a"].on_receive(
-            lambda spec, msg: self._forward("a", spec, msg))
-        self._ports["b"].on_receive(
-            lambda spec, msg: self._forward("b", spec, msg))
-
-    def route(self, frame_name: str, from_port: str,
-              out_spec: Optional[CanFrameSpec] = None,
-              in_spec: Optional[CanFrameSpec] = None) -> None:
-        """Forward ``frame_name`` arriving on ``from_port`` to the other
-        port, optionally re-mapping to a different outgoing frame spec
-        (id translation)."""
-        if from_port not in ("a", "b"):
-            raise ConfigurationError(
-                f"gateway {self.name}: port must be 'a' or 'b'")
-        if frame_name in self._routes:
-            raise ConfigurationError(
-                f"gateway {self.name}: duplicate route for "
-                f"{frame_name!r}")
-        if out_spec is None:
-            if in_spec is None:
-                raise ConfigurationError(
-                    f"gateway {self.name}: need out_spec or in_spec for "
-                    f"{frame_name!r}")
-            out_spec = in_spec
-        destination = "b" if from_port == "a" else "a"
-        self._routes[frame_name] = (destination, out_spec)
-
-    def _forward(self, arrived_on: str, spec, msg) -> None:
-        route = self._routes.get(spec.name)
-        if route is None:
-            return
-        destination, out_spec = route
-        if destination == arrived_on:
-            return  # route is for traffic from the other port
-
-        def emit():
-            self.forwarded += 1
-            self.trace.log(self.sim.now, "gateway.forward", spec.name,
-                           gateway=self.name, to=destination)
-            self._ports[destination].send(out_spec, msg.payload)
-
-        self.sim.schedule(self.processing_delay, emit)
-
-    def __repr__(self) -> str:
-        return f"<CanGateway {self.name} routes={len(self._routes)}>"
-
-
-class MultiCanGateway:
     """A central gateway spanning several CAN domains.
 
-    One controller per domain bus; a route forwards a frame arriving in
-    its source domain to any set of destination domains after the
-    processing delay.  This is the gateway the RTE auto-instantiates for
-    multi-domain deployments (the federated architecture's backbone hop
-    that E5 counts).
+    ``buses`` maps each domain name to its bus; the gateway attaches one
+    controller, named ``<name>.<domain>``, per domain.  A route forwards
+    a frame arriving in its source domain to any set of destination
+    domains after the processing delay, optionally under another frame
+    spec there (id translation).
     """
 
     def __init__(self, sim: Simulator, name: str,
@@ -108,6 +40,9 @@ class MultiCanGateway:
         if len(buses) < 2:
             raise ConfigurationError(
                 f"gateway {name}: needs at least two domains")
+        if len({id(bus) for bus in buses.values()}) < len(buses):
+            raise ConfigurationError(
+                f"gateway {name}: two domains on the same bus")
         if processing_delay < 0:
             raise ConfigurationError(
                 f"gateway {name}: negative processing delay")
@@ -159,7 +94,7 @@ class MultiCanGateway:
         self.sim.schedule(self.processing_delay, emit)
 
     def __repr__(self) -> str:
-        return (f"<MultiCanGateway {self.name} domains="
+        return (f"<CanGateway {self.name} domains="
                 f"{sorted(self._ports)} routes={len(self._routes)}>")
 
 

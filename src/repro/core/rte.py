@@ -1,17 +1,26 @@
 """RTE generation: deploying a component network onto ECUs and a bus.
 
-The builder turns a validated :class:`~repro.core.system.SystemModel` into
-a running platform:
+:func:`rte_plan` derives, without building anything, what the generator
+deploys for a :class:`~repro.core.system.SystemModel`:
 
 * every runnable becomes an OS task on its instance's ECU (TimingEvent →
   periodic task, DataReceivedEvent / OperationInvokedEvent / InitEvent →
-  sporadic task), with rate-monotonic default priorities;
+  sporadic task), with rate-monotonic default priorities and the ECU's
+  partitions and budgets;
 * sender-receiver connectors become direct buffer writes when both ends
-  share an ECU, and COM signals packed into I-PDUs (with update bits, sent
-  in direct mode) when they cross ECUs;
+  share an ECU, and COM signals packed into one I-PDU per source port
+  (with update bits, sent in direct mode) when they cross ECUs;
 * client-server connectors are synchronous inline calls within an ECU and
-  argument-carrying request frames across ECUs (void operations only —
-  checked by ``SystemModel.validate``).
+  argument-carrying request PDUs across ECUs (void operations only —
+  checked by ``SystemModel.validate``);
+* every PDU gets a CAN id: ids pinned by ``set_can_id`` are kept, the
+  others are numbered from :data:`FIRST_CAN_ID` in PDU-name order.
+
+The plan has three readers: :class:`RteBuilder` instantiates it on a
+simulator, ``SystemModel.validate`` runs its frame-size and identifier
+rules on it, and :func:`~repro.analysis.system_report.timing_report`
+analyses its tasks and frames — so the configuration check and the
+timing report see exactly what the runtime deploys.
 
 Execution follows implicit (buffered) communication semantics: a task
 snapshots its instance's inputs when it *starts* and commits its outputs
@@ -23,18 +32,21 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CompositionError, ConfigurationError
 from repro.com import (CanComAdapter, ComStack, DIRECT, FlexRayComAdapter,
                        SignalSpec, TRIGGERED, TteComAdapter,
                        pack_sequentially)
+from repro.com.ipdu import IPdu
 from repro.core.component import ComponentInstance
 from repro.core.composition import Endpoint
 from repro.core.interface import (ClientServerInterface,
                                   SenderReceiverInterface)
 from repro.core.runnable import (DataReceivedEvent, InitEvent,
-                                 OperationInvokedEvent, TimingEvent)
+                                 OperationInvokedEvent, Runnable,
+                                 TimingEvent)
 from repro.network import (CanBus, CanFrameSpec, FlexRayBus, FlexRayConfig,
                            StaticSlotAssignment, TtEthernetSwitch,
                            TtFrameSpec, ethernet_frame_time)
@@ -55,8 +67,7 @@ FIRST_CAN_ID = 0x100
 
 def assign_rm_priorities(explicit: dict[str, int],
                          plan: list) -> dict[str, int]:
-    """Priority assignment shared by the RTE builder and the
-    prior-to-implementation timing report: explicit overrides win,
+    """Priority assignment of one ECU's tasks: explicit overrides win,
     periodic runnables get rate-monotonic levels, event-activated
     runnables run at :data:`SPORADIC_PRIORITY`.
 
@@ -80,33 +91,150 @@ def assign_rm_priorities(explicit: dict[str, int],
     return priorities
 
 
-def pdu_can_ids(system) -> dict[str, int]:
-    """The CAN id of every PDU the RTE generates for ``system``: one per
-    cross-ECU sender-receiver source port (``instance.port``) and one
-    request PDU per operation of a cross-ECU client-server connector
-    (``cs.client.port.operation``).  Ids pinned by ``set_can_id`` are
-    kept; the others are numbered from :data:`FIRST_CAN_ID` in PDU-name
-    order, skipping pinned ids.  The RTE builder and the timing report
-    both take their frame ids from here."""
+@dataclass
+class PlannedTask:
+    """One deployed OS task: the runnable of ``instance`` it runs on
+    ``ecu`` and the spec its kernel gets."""
+
+    ecu: str
+    instance: ComponentInstance
+    runnable: Runnable
+    spec: TaskSpec
+
+
+@dataclass
+class PlannedPdu:
+    """One generated I-PDU, sent by ``ecu``.
+
+    ``source`` is the sender-receiver port the PDU carries or, for a
+    client-server request PDU, the client port calling ``operation``.
+    ``targets`` holds each receiving ``(ecu, endpoint)`` in connector
+    order: the required ports of a data PDU, the server port of a
+    request PDU.  ``bits`` counts the layout's payload bits, update and
+    fire bits included."""
+
+    name: str
+    ecu: str
+    source: Endpoint
+    ipdu: IPdu
+    bits: int
+    targets: list[tuple[str, Endpoint]]
+    operation: Optional[str] = None
+    #: set by :func:`rte_plan` once every PDU of the system is known.
+    can_id: int = 0
+
+
+@dataclass
+class RtePlan:
+    """What :class:`RteBuilder` deploys for one system."""
+
+    #: flattened instances by name, in composition order.
+    instances: dict[str, ComponentInstance]
+    #: tasks in ECU declaration order, then instance and runnable order.
+    tasks: list[PlannedTask]
+    #: PDUs by name, in name order.
+    pdus: dict[str, PlannedPdu]
+    #: same-ECU sender-receiver connectors, in connector order.
+    local_routes: list[tuple[Endpoint, Endpoint]]
+    #: client endpoint -> server endpoint, for every client-server
+    #: connector.
+    servers: dict[Endpoint, Endpoint]
+
+
+def rte_plan(system) -> RtePlan:
+    """Derive the tasks, PDUs and routes the RTE deploys for ``system``.
+
+    Pure: nothing is built or simulated.  Instances not mapped onto a
+    declared ECU, and connectors touching them, are left out (that is a
+    configuration issue ``SystemModel.validate`` reports)."""
     instances, connectors = system.root.flatten()
-    by_name = {i.name: i for i in instances}
-    names = set()
+    by_name = {instance.name: instance for instance in instances}
+    ecu_of = {name: system.mapping[name] for name in by_name
+              if system.mapping.get(name) in system.ecus}
+    local_routes, servers = [], {}
+    sr_targets: dict[Endpoint, list] = {}
+    requests = []
     for connector in connectors:
         source, target = connector.source, connector.target
-        if system.mapping[source.instance] == system.mapping[target.instance]:
+        if source.instance not in ecu_of or target.instance not in ecu_of:
             continue
+        remote = ecu_of[source.instance] != ecu_of[target.instance]
         interface = by_name[source.instance].port(source.port).interface
         if isinstance(interface, SenderReceiverInterface):
-            names.add(f"{source.instance}.{source.port}")
+            if remote:
+                sr_targets.setdefault(source, []).append(
+                    (ecu_of[target.instance], target))
+            else:
+                local_routes.append((source, target))
         else:
-            names.update(f"cs.{target.instance}.{target.port}.{op_name}"
-                          for op_name in interface.operations)
+            # Connector direction is provided -> required, so for
+            # client-server the source is the server, the target the
+            # client.
+            servers[target] = source
+            if remote:
+                requests.append((target, source, interface))
+
+    def pdu(name, source, specs, update_bits, targets, operation=None):
+        bits = sum(spec.width_bits for spec in specs)
+        bits += len(specs) if update_bits else 0
+        return PlannedPdu(name, ecu_of[source.instance], source,
+                          pack_sequentially(name, (bits + 7) // 8, specs,
+                                            with_update_bits=update_bits),
+                          bits, targets, operation)
+
+    pdus = []
+    for source, targets in sr_targets.items():
+        elements = by_name[source.instance].port(source.port) \
+            .interface.elements
+        pdus.append(pdu(str(source), source, [
+            SignalSpec(f"{source}.{element}", dtype.width_bits,
+                       initial=dtype.initial, transfer=TRIGGERED)
+            for element, dtype in sorted(elements.items())], True,
+            targets))
+    for client, server, interface in requests:
+        for op_name, op in sorted(interface.operations.items()):
+            name = f"cs.{client}.{op_name}"
+            specs = [SignalSpec(f"{name}.{arg}", dtype.width_bits)
+                     for arg, dtype in sorted(op.args.items())]
+            specs.append(SignalSpec(f"{name}.fire", 1))
+            pdus.append(pdu(name, client, specs, False,
+                            [(ecu_of[server.instance], server)], op_name))
+    pdus.sort(key=lambda planned: planned.name)
     pinned = system.can_ids
     used = set(pinned.values())
     free = (can_id for can_id in itertools.count(FIRST_CAN_ID)
             if can_id not in used)
-    return {name: pinned[name] if name in pinned else next(free)
-            for name in sorted(names)}
+    for planned in pdus:
+        planned.can_id = pinned[planned.name] if planned.name in pinned \
+            else next(free)
+
+    on_ecu: dict[str, list] = {}
+    for instance in instances:
+        if instance.name in ecu_of:
+            on_ecu.setdefault(ecu_of[instance.name], []).extend(
+                (instance, runnable)
+                for runnable in instance.component.runnables)
+    tasks = []
+    for ecu_name, ecu in system.ecus.items():
+        runnables = on_ecu.get(ecu_name, [])
+        priorities = assign_rm_priorities(
+            ecu.priorities,
+            [(instance.name, runnable) for instance, runnable in runnables])
+        for instance, runnable in runnables:
+            name = f"{instance.name}.{runnable.name}"
+            fields = dict(wcet=runnable.wcet, priority=priorities[name],
+                          partition=ecu.partitions.get(name),
+                          budget=ecu.budgets.get(name))
+            trigger = runnable.trigger
+            if isinstance(trigger, TimingEvent):
+                spec = TaskSpec(name, period=trigger.period,
+                                offset=trigger.offset, **fields)
+            else:
+                spec = TaskSpec(name, max_activations=SPORADIC_QUEUE,
+                                **fields)
+            tasks.append(PlannedTask(ecu_name, instance, runnable, spec))
+    return RtePlan(by_name, tasks, {planned.name: planned for planned in pdus},
+                   local_routes, servers)
 
 
 class RteContext:
@@ -196,14 +324,12 @@ class SystemRuntime:
         self.buses: dict[str, object] = {}
         #: auto-generated central gateway, if cross-domain routes exist.
         self.gateway = None
-        #: (src_instance, port, element) -> same-ECU delivery targets.
-        self._local_routes: dict[tuple, list[tuple]] = {}
-        #: (src_instance, port, element) -> COM signal name (if remote).
-        self._com_tx: dict[tuple, str] = {}
+        #: (src_instance, port) -> same-ECU delivery targets.
+        self._local_routes: dict[tuple[str, str], list[Endpoint]] = {}
+        #: (src_instance, port) pairs whose writes go out over COM.
+        self._com_tx: set[tuple[str, str]] = set()
         #: client endpoint -> server endpoint for client-server connectors.
         self._cs_routes: dict[Endpoint, Endpoint] = {}
-        #: client endpoint -> remote-call pdu name.
-        self._cs_pdus: dict[tuple, str] = {}
         self._instance_ecu: dict[str, str] = {}
         self.queue_overflows = 0
 
@@ -259,13 +385,13 @@ class SystemRuntime:
             source_ecu.buffers[key] = value
         self.trace.log(self.sim.now, "rte.write",
                        f"{instance.name}.{port_name}.{element}", value=value)
-        for ecu_name, target_instance, target_port in \
-                self._local_routes.get(key, []):
-            self._deliver(self.ecus[ecu_name], target_instance, target_port,
-                          element, value)
-        signal_name = self._com_tx.get(key)
-        if signal_name is not None:
-            source_ecu.com.write_signal(signal_name, value)
+        source = key[:2]
+        for target in self._local_routes.get(source, ()):
+            self._deliver(source_ecu, target.instance, target.port, element,
+                          value)
+        if source in self._com_tx:
+            source_ecu.com.write_signal(
+                f"{instance.name}.{port_name}.{element}", value)
 
     def _deliver(self, ecu: _EcuRuntime, instance: str, port: str,
                  element: str, value: int) -> None:
@@ -283,10 +409,10 @@ class SystemRuntime:
         for task in ecu.data_tasks.get(key, []):
             ecu.kernel.activate(task)
 
-    def _on_com_signal(self, ecu: _EcuRuntime, targets: list[tuple],
+    def _on_com_signal(self, ecu: _EcuRuntime, targets: list[Endpoint],
                        element: str, value: int) -> None:
-        for instance, port in targets:
-            self._deliver(ecu, instance, port, element, value)
+        for target in targets:
+            self._deliver(ecu, target.instance, target.port, element, value)
 
     # ------------------------------------------------------------------
     # Client-server
@@ -337,7 +463,7 @@ class SystemRuntime:
 
     def _call_remote(self, client: Endpoint, operation: str,
                      args: dict) -> None:
-        pdu_name = self._cs_pdus[(client.instance, client.port, operation)]
+        pdu_name = f"cs.{client}.{operation}"
         ecu = self.ecus[self._instance_ecu[client.instance]]
         for arg_name, value in args.items():
             ecu.com.write_signal(f"{pdu_name}.{arg_name}", value)
@@ -351,7 +477,7 @@ class SystemRuntime:
 
 
 class RteBuilder:
-    """Generates the platform for one system model."""
+    """Instantiates the :func:`rte_plan` of one system model."""
 
     def __init__(self, system):
         self.system = system
@@ -360,25 +486,28 @@ class RteBuilder:
     def build(self, sim, trace: Optional[Trace] = None) -> SystemRuntime:
         """Generate kernels, COM, buses and tasks; returns the runtime."""
         trace = trace if trace is not None else Trace()
+        plan = rte_plan(self.system)
         runtime = SystemRuntime(self.system, sim, trace)
-        instances, connectors = self.system.root.flatten()
-        by_name = {i.name: i for i in instances}
         runtime._instance_ecu = dict(self.system.mapping)
 
         for name, spec in self.system.ecus.items():
             kernel = EcuKernel(sim, spec.scheduler_factory(), trace=trace,
                                name=name)
             runtime.ecus[name] = _EcuRuntime(spec, kernel)
-        for instance in instances:
+        for instance in plan.instances.values():
             ecu = runtime.ecus[self.system.mapping[instance.name]]
             ecu.instances[instance.name] = instance
             ecu.contexts[instance.name] = RteContext(runtime, ecu, instance)
             self._init_buffers(ecu, instance)
 
-        sr_cross, cs_cross = self._route_connectors(runtime, by_name,
-                                                    connectors)
-        self._build_bus(sim, runtime, trace, by_name, sr_cross, cs_cross)
-        self._build_tasks(runtime, instances)
+        for source, target in plan.local_routes:
+            runtime._local_routes.setdefault(
+                (source.instance, source.port), []).append(target)
+        runtime._cs_routes = plan.servers
+        if plan.pdus:
+            self._build_bus(sim, runtime, trace, plan)
+        for task in plan.tasks:
+            self._add_task(runtime, runtime.ecus[task.ecu], task)
         return runtime
 
     def _init_buffers(self, ecu: _EcuRuntime,
@@ -394,159 +523,66 @@ class RteBuilder:
                         ecu.buffers[key] = dtype.initial
 
     # ------------------------------------------------------------------
-    def _route_connectors(self, runtime, by_name, connectors):
-        """Fill routing tables; return the cross-ECU S/R and C/S work."""
-        sr_cross: dict[tuple, list] = {}
-        cs_cross: list = []
-        mapping = self.system.mapping
-        for connector in connectors:
-            src = by_name[connector.source.instance]
-            port = src.port(connector.source.port)
-            src_ecu = mapping[connector.source.instance]
-            dst_ecu = mapping[connector.target.instance]
-            if isinstance(port.interface, SenderReceiverInterface):
-                for element in port.interface.elements:
-                    key = (connector.source.instance, connector.source.port,
-                           element)
-                    if dst_ecu == src_ecu:
-                        runtime._local_routes.setdefault(key, []).append(
-                            (dst_ecu, connector.target.instance,
-                             connector.target.port))
-                    else:
-                        sr_cross.setdefault(key, []).append(
-                            (dst_ecu, connector.target.instance,
-                             connector.target.port))
-            else:
-                runtime._cs_routes[connector.target] = connector.source
-                if dst_ecu != src_ecu:
-                    cs_cross.append((connector, port.interface))
-        return sr_cross, cs_cross
-
-    # ------------------------------------------------------------------
-    def _build_bus(self, sim, runtime, trace, by_name, sr_cross, cs_cross):
-        if not sr_cross and not cs_cross:
-            return
-        # --- group S/R elements into one PDU per source port ------------
-        pdu_signals: dict[tuple, list[SignalSpec]] = {}
-        signal_targets: dict[str, list] = {}
-        for (instance, port, element), targets in sorted(sr_cross.items()):
-            signal_name = f"{instance}.{port}.{element}"
-            dtype = by_name[instance].port(port).interface.elements[element]
-            spec = SignalSpec(signal_name, dtype.width_bits,
-                              initial=dtype.initial, transfer=TRIGGERED)
-            pdu_signals.setdefault((instance, port), []).append(spec)
-            signal_targets[signal_name] = targets
-            runtime._com_tx[(instance, port, element)] = signal_name
-        # --- client-server request PDUs ---------------------------------
-        cs_plan = []
-        for connector, interface in cs_cross:
-            # Connector direction is provided -> required, so for
-            # client-server the source is the server, the target the client.
-            server_end, client_end = connector.source, connector.target
-            for op_name, op in sorted(interface.operations.items()):
-                pdu_name = (f"cs.{client_end.instance}.{client_end.port}"
-                            f".{op_name}")
-                specs = [SignalSpec(f"{pdu_name}.{arg}", t.width_bits)
-                         for arg, t in sorted(op.args.items())]
-                specs.append(SignalSpec(f"{pdu_name}.fire", 1))
-                cs_plan.append((pdu_name, specs, client_end, server_end,
-                                op_name, op))
-                runtime._cs_pdus[(client_end.instance, client_end.port,
-                                  op_name)] = pdu_name
-
-        pdus = {}
-        for (instance, port), specs in sorted(pdu_signals.items()):
-            name = f"{instance}.{port}"
-            size = (sum(s.width_bits + 1 for s in specs) + 7) // 8
-            pdus[name] = (pack_sequentially(name, size, specs,
-                                            with_update_bits=True),
-                          self.system.mapping[instance])
-        for pdu_name, specs, client_end, __, __, __ in cs_plan:
-            size = (sum(s.width_bits for s in specs) + 7) // 8
-            pdus[pdu_name] = (pack_sequentially(pdu_name, size, specs),
-                              self.system.mapping[client_end.instance])
-
-        # rx registration plan: S/R targets + C/S servers (needed before
-        # bus construction so cross-domain gateway routes can be derived).
-        rx_needed: dict[str, set[str]] = {}
-        for signal_name, targets in signal_targets.items():
-            instance, port, element = signal_name.rsplit(".", 2)
-            pdu_name = f"{instance}.{port}"
-            for ecu_name, __, __ in targets:
-                rx_needed.setdefault(ecu_name, set()).add(pdu_name)
-        for pdu_name, specs, client_end, server_end, op_name, op in cs_plan:
-            server_ecu = self.system.mapping[server_end.instance]
-            rx_needed.setdefault(server_ecu, set()).add(pdu_name)
-
-        adapters = self._make_bus_and_adapters(sim, runtime, trace, pdus,
-                                               rx_needed)
-
-        # --- wire COM stacks --------------------------------------------
+    def _build_bus(self, sim, runtime, trace, plan: RtePlan) -> None:
+        adapters = self._make_bus_and_adapters(sim, runtime, trace,
+                                               plan.pdus)
         for ecu_name, ecu in runtime.ecus.items():
             if ecu_name in adapters:
                 ecu.com = ComStack(sim, adapters[ecu_name], ecu_name,
                                    trace)
-        for pdu_name, (ipdu, src_ecu) in sorted(pdus.items()):
-            runtime.ecus[src_ecu].com.add_tx_pdu(ipdu, mode=DIRECT)
-        for ecu_name, pdu_names in sorted(rx_needed.items()):
-            for pdu_name in sorted(pdu_names):
-                runtime.ecus[ecu_name].com.add_rx_pdu(pdus[pdu_name][0])
-        # per-signal rx callbacks
-        for signal_name, targets in sorted(signal_targets.items()):
-            element = signal_name.rsplit(".", 1)[1]
-            per_ecu: dict[str, list] = {}
-            for ecu_name, t_instance, t_port in targets:
-                per_ecu.setdefault(ecu_name, []).append((t_instance, t_port))
-            for ecu_name, local_targets in per_ecu.items():
-                ecu = runtime.ecus[ecu_name]
-                ecu.com.on_signal(
-                    signal_name,
-                    lambda value, e=ecu, ts=local_targets, el=element:
-                    runtime._on_com_signal(e, ts, el, value))
-        # remote call dispatch
-        for pdu_name, specs, client_end, server_end, op_name, op in cs_plan:
-            server_ecu = runtime.ecus[self.system.mapping[
-                server_end.instance]]
-            task_name = self._server_task_name(runtime, server_end, op_name)
-            arg_names = sorted(op.args)
-            server_ecu.com.on_signal(
-                f"{pdu_name}.fire",
-                lambda value, e=server_ecu, tn=task_name, pn=pdu_name,
-                an=arg_names:
-                self._enqueue_remote_call(e, tn, pn, an))
+        for pdu in plan.pdus.values():
+            runtime.ecus[pdu.ecu].com.add_tx_pdu(pdu.ipdu, mode=DIRECT)
+            per_ecu: dict[str, list[Endpoint]] = {}
+            for ecu_name, target in pdu.targets:
+                per_ecu.setdefault(ecu_name, []).append(target)
+            for ecu_name in sorted(per_ecu):
+                runtime.ecus[ecu_name].com.add_rx_pdu(pdu.ipdu)
+            if pdu.operation is not None:
+                self._dispatch_remote_calls(runtime, plan, pdu)
+                continue
+            runtime._com_tx.add((pdu.source.instance, pdu.source.port))
+            for mapping in pdu.ipdu.mappings:
+                element = mapping.spec.name.rsplit(".", 1)[1]
+                for ecu_name, targets in per_ecu.items():
+                    ecu = runtime.ecus[ecu_name]
+                    ecu.com.on_signal(
+                        mapping.spec.name,
+                        lambda value, e=ecu, ts=targets, el=element:
+                        runtime._on_com_signal(e, ts, el, value))
 
-    def _server_task_name(self, runtime, server_end, op_name) -> str:
-        ecu = runtime.ecus[self.system.mapping[server_end.instance]]
-        instance = ecu.instances[server_end.instance]
-        runnable = instance.component.server_runnable(server_end.port,
-                                                      op_name)
+    def _dispatch_remote_calls(self, runtime, plan: RtePlan,
+                               pdu: PlannedPdu) -> None:
+        """Queue each request ``pdu`` brings for its server's task."""
+        (ecu_name, server), = pdu.targets
+        ecu = runtime.ecus[ecu_name]
+        runnable = plan.instances[server.instance].component \
+            .server_runnable(server.port, pdu.operation)
         if runnable is None:
             raise ConfigurationError(
-                f"server {server_end.instance} declares no runnable for "
-                f"{server_end.port}.{op_name}")
-        return f"{server_end.instance}.{runnable.name}"
+                f"server {server.instance} declares no runnable for "
+                f"{server.port}.{pdu.operation}")
+        task_name = f"{server.instance}.{runnable.name}"
+        arg_names = [mapping.spec.name for mapping in pdu.ipdu.mappings[:-1]]
 
-    def _enqueue_remote_call(self, ecu: _EcuRuntime, task_name: str,
-                             pdu_name: str, arg_names: list[str]) -> None:
-        kwargs = {arg: ecu.com.read_signal(f"{pdu_name}.{arg}")
-                  for arg in arg_names}
-        ecu.call_queues.setdefault(task_name, deque()).append(kwargs)
-        ecu.kernel.activate(ecu.kernel.tasks[task_name])
+        def enqueue(value):
+            kwargs = {name.rsplit(".", 1)[1]: ecu.com.read_signal(name)
+                      for name in arg_names}
+            ecu.call_queues.setdefault(task_name, deque()).append(kwargs)
+            ecu.kernel.activate(ecu.kernel.tasks[task_name])
 
-    def _make_bus_and_adapters(self, sim, runtime, trace, pdus,
-                               rx_needed):
+        ecu.com.on_signal(f"{pdu.name}.fire", enqueue)
+
+    def _make_bus_and_adapters(self, sim, runtime, trace, pdus):
         """Build one bus per configured domain, adapters per ECU, and —
         for PDUs whose receivers live in other (CAN) domains — a central
         gateway with the required routes."""
         domain_of = {name: spec.domain
                      for name, spec in self.system.ecus.items()}
         domains = sorted({domain_of[name] for name in runtime.ecus})
-        # --- CAN ids are allocated globally (stable across domains) -----
-        can_ids = pdu_can_ids(self.system)
         frame_spec_of = {
-            pdu_name: CanFrameSpec(pdu_name, can_ids[pdu_name],
-                                   dlc=min(8, ipdu.size_bytes))
-            for pdu_name, (ipdu, __) in sorted(pdus.items())}
+            pdu.name: CanFrameSpec(pdu.name, pdu.can_id,
+                                   dlc=min(8, pdu.ipdu.size_bytes))
+            for pdu in pdus.values()}
 
         adapters: dict[str, object] = {}
         can_buses: dict[str, CanBus] = {}
@@ -555,8 +591,8 @@ class RteBuilder:
                                                         (None, {}))
             members = [name for name in sorted(runtime.ecus)
                        if domain_of[name] == domain]
-            domain_pdus = {name: value for name, value in pdus.items()
-                           if domain_of[value[1]] == domain}
+            domain_pdus = [pdu for pdu in pdus.values()
+                           if domain_of[pdu.ecu] == domain]
             if kind is None:
                 if domain_pdus:
                     raise ConfigurationError(
@@ -568,9 +604,8 @@ class RteBuilder:
                 can_buses[domain] = bus
                 runtime.buses[domain] = bus
                 for ecu_name in members:
-                    specs = {pdu_name: frame_spec_of[pdu_name]
-                             for pdu_name, (__, src_ecu)
-                             in domain_pdus.items() if src_ecu == ecu_name}
+                    specs = {pdu.name: frame_spec_of[pdu.name]
+                             for pdu in domain_pdus if pdu.ecu == ecu_name}
                     adapters[ecu_name] = CanComAdapter(
                         bus.attach(ecu_name), specs)
             elif kind == "tte":
@@ -592,20 +627,15 @@ class RteBuilder:
                         f"streams do not fit a {tt_period} ns period")
                 tx_of: dict[str, set] = {name: set() for name in members}
                 rx_of: dict[str, set] = {name: set() for name in members}
-                for index, (pdu_name, (ipdu, src_ecu)) in enumerate(
-                        sorted(domain_pdus.items())):
-                    receivers = sorted(
-                        ecu for ecu, pdu_names in rx_needed.items()
-                        if pdu_name in pdu_names and ecu != src_ecu)
-                    if not receivers:
-                        continue
+                for index, pdu in enumerate(domain_pdus):
+                    receivers = sorted({ecu for ecu, __ in pdu.targets})
                     switch.schedule_tt(TtFrameSpec(
-                        pdu_name, src_ecu, receivers,
+                        pdu.name, pdu.ecu, receivers,
                         offset=index * slot, period=tt_period,
-                        size_bytes=max(46, ipdu.size_bytes)))
-                    tx_of[src_ecu].add(pdu_name)
+                        size_bytes=max(46, pdu.ipdu.size_bytes)))
+                    tx_of[pdu.ecu].add(pdu.name)
                     for receiver in receivers:
-                        rx_of[receiver].add(pdu_name)
+                        rx_of[receiver].add(pdu.name)
                 for ecu_name in members:
                     adapters[ecu_name] = TteComAdapter(
                         switch, ecu_name, tx_of[ecu_name],
@@ -629,39 +659,36 @@ class RteBuilder:
                 runtime.buses[domain] = bus
                 controllers = {name: bus.attach(name) for name in members}
                 slot_maps: dict[str, dict] = {name: {} for name in members}
-                for slot, (pdu_name, (__, src_ecu)) in enumerate(
-                        sorted(domain_pdus.items()), start=1):
-                    bus.assign_slot(StaticSlotAssignment(slot, src_ecu,
-                                                         pdu_name))
-                    slot_maps[src_ecu][pdu_name] = slot
+                for slot, pdu in enumerate(domain_pdus, start=1):
+                    bus.assign_slot(StaticSlotAssignment(slot, pdu.ecu,
+                                                         pdu.name))
+                    slot_maps[pdu.ecu][pdu.name] = slot
                 for ecu_name in members:
                     adapters[ecu_name] = FlexRayComAdapter(
                         controllers[ecu_name], slot_maps[ecu_name])
                 bus.start()
 
-        self._build_gateway(sim, runtime, trace, pdus, rx_needed,
-                            domain_of, can_buses, frame_spec_of)
+        self._build_gateway(sim, runtime, trace, pdus, domain_of,
+                            can_buses, frame_spec_of)
         if len(runtime.buses) == 1:
             runtime.bus = next(iter(runtime.buses.values()))
         return adapters
 
-    def _build_gateway(self, sim, runtime, trace, pdus, rx_needed,
-                       domain_of, can_buses, frame_spec_of):
+    def _build_gateway(self, sim, runtime, trace, pdus, domain_of,
+                       can_buses, frame_spec_of):
         """Route cross-domain PDUs through one central gateway."""
         routes: dict[str, tuple[str, set]] = {}
-        for ecu_name, pdu_names in rx_needed.items():
-            for pdu_name in pdu_names:
-                src_domain = domain_of[pdus[pdu_name][1]]
-                dst_domain = domain_of[ecu_name]
-                if dst_domain == src_domain:
-                    continue
-                route = routes.setdefault(pdu_name, (src_domain, set()))
-                route[1].add(dst_domain)
+        for pdu in pdus.values():
+            src_domain = domain_of[pdu.ecu]
+            destinations = {domain_of[ecu]
+                            for ecu, __ in pdu.targets} - {src_domain}
+            if destinations:
+                routes[pdu.name] = (src_domain, destinations)
         if not routes:
             return
-        from repro.bsw.gateway import MultiCanGateway
+        from repro.bsw.gateway import CanGateway
         needed_domains = set()
-        for pdu_name, (src_domain, destinations) in routes.items():
+        for src_domain, destinations in routes.values():
             needed_domains.add(src_domain)
             needed_domains |= destinations
         missing = needed_domains - set(can_buses)
@@ -669,35 +696,20 @@ class RteBuilder:
             raise ConfigurationError(
                 f"cross-domain routing needs CAN buses in domains "
                 f"{sorted(missing)}")
-        gateway = MultiCanGateway(
+        gateway = CanGateway(
             sim, "CGW", {d: can_buses[d] for d in sorted(needed_domains)},
             processing_delay=self.system.gateway_delay, trace=trace)
         runtime.gateway = gateway
-        for pdu_name, (src_domain, destinations) in sorted(routes.items()):
+        for pdu_name, (src_domain, destinations) in routes.items():
             gateway.route(pdu_name, src_domain,
                           {d: frame_spec_of[pdu_name]
                            for d in sorted(destinations)})
 
     # ------------------------------------------------------------------
-    def _build_tasks(self, runtime: SystemRuntime, instances) -> None:
-        for ecu_name, ecu in runtime.ecus.items():
-            plan = []
-            for instance in ecu.instances.values():
-                for runnable in instance.component.runnables:
-                    plan.append((instance, runnable))
-            priorities = self._assign_priorities(ecu, plan)
-            for instance, runnable in plan:
-                self._add_task(runtime, ecu, instance, runnable,
-                               priorities[f"{instance.name}.{runnable.name}"])
-
-    def _assign_priorities(self, ecu: _EcuRuntime, plan) -> dict[str, int]:
-        return assign_rm_priorities(
-            ecu.spec.priorities,
-            [(instance.name, runnable) for instance, runnable in plan])
-
-    def _add_task(self, runtime, ecu: _EcuRuntime, instance, runnable,
-                  priority: int) -> None:
-        task_name = f"{instance.name}.{runnable.name}"
+    def _add_task(self, runtime, ecu: _EcuRuntime,
+                  task: PlannedTask) -> None:
+        instance, runnable = task.instance, task.runnable
+        task_name = task.spec.name
         trigger = runnable.trigger
         context = ecu.contexts[instance.name]
         is_server = isinstance(trigger, OperationInvokedEvent)
@@ -718,24 +730,10 @@ class RteBuilder:
             finally:
                 context._snapshot = None
 
-        spec_kwargs = dict(
-            wcet=runnable.wcet,
-            priority=priority,
-            partition=ecu.spec.partitions.get(task_name),
-            budget=ecu.spec.budgets.get(task_name),
-        )
-        if isinstance(trigger, TimingEvent):
-            spec = TaskSpec(task_name, period=trigger.period,
-                            offset=trigger.offset, **spec_kwargs)
-            ecu.kernel.add_task(spec, on_start=on_start,
-                                on_complete=on_complete)
-            return
-        spec = TaskSpec(task_name, max_activations=SPORADIC_QUEUE,
-                        **spec_kwargs)
-        task = ecu.kernel.add_task(spec, on_start=on_start,
-                                   on_complete=on_complete)
+        kernel_task = ecu.kernel.add_task(task.spec, on_start=on_start,
+                                          on_complete=on_complete)
         if isinstance(trigger, DataReceivedEvent):
             key = (instance.name, trigger.port, trigger.element)
-            ecu.data_tasks.setdefault(key, []).append(task)
+            ecu.data_tasks.setdefault(key, []).append(kernel_task)
         elif isinstance(trigger, InitEvent):
-            runtime.sim.schedule(0, lambda: ecu.kernel.activate(task))
+            runtime.sim.schedule(0, lambda: ecu.kernel.activate(kernel_task))

@@ -4,8 +4,10 @@ A :class:`SystemModel` is the integrator's view: the flattened component
 network, the ECU inventory, the instance-to-ECU mapping and the bus
 configuration.  :meth:`SystemModel.validate` performs the "prior to
 implementation system configuration checks" the paper calls for (Section
-2, limitation 2); :meth:`SystemModel.build` generates the RTE and returns
-a runnable :class:`~repro.core.rte.SystemRuntime`.
+2, limitation 2): mapping and bus checks on the model, and frame rules on
+the PDUs :func:`~repro.core.rte.rte_plan` says the RTE will generate.
+:meth:`SystemModel.build` generates the RTE from that same plan and
+returns a runnable :class:`~repro.core.rte.SystemRuntime`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.core.composition import Composition
 from repro.core.ecu import EcuSpec
-from repro.core.interface import (ClientServerInterface,
-                                  SenderReceiverInterface)
+from repro.core.interface import ClientServerInterface
+from repro.core.rte import RteBuilder, rte_plan
 
 SUPPORTED_BUSES = ("can", "flexray", "tte", None)
 
@@ -137,7 +139,7 @@ class SystemModel:
                             f"{op.returns.name}")
             issues.extend(self._check_domains(connector, src_ecu,
                                               dst_ecu))
-        issues.extend(self._check_pdu_sizes(instances, connectors))
+        issues.extend(self._check_pdus())
         return issues
 
     def _domain_kind(self, domain: str) -> Optional[str]:
@@ -166,40 +168,35 @@ class SystemModel:
                     f"(got {sorted(k for k in kinds if k)})")
         return issues
 
-    def _check_pdu_sizes(self, instances, connectors) -> list[str]:
+    def _check_pdus(self) -> list[str]:
+        """Frame rules on the PDUs the RTE generates: each CAN-carried
+        PDU fits one 8-byte frame and has a CAN id of its own."""
         issues = []
-        by_name = {i.name: i for i in instances}
-        seen_ports = set()
-        for connector in connectors:
-            src_ecu = self.mapping.get(connector.source.instance)
-            dst_ecu = self.mapping.get(connector.target.instance)
-            if src_ecu is None or dst_ecu is None or src_ecu == dst_ecu:
+        by_id: dict[int, list[str]] = {}
+        for pdu in rte_plan(self).pdus.values():
+            if self._domain_kind(self.ecus[pdu.ecu].domain) != "can":
                 continue
-            if src_ecu not in self.ecus:
+            by_id.setdefault(pdu.can_id, []).append(pdu.name)
+            if pdu.bits <= 64:
                 continue
-            domain = self.ecus[src_ecu].domain
-            if self._domain_kind(domain) != "can":
-                continue
-            key = (connector.source.instance, connector.source.port)
-            if key in seen_ports:
-                continue
-            seen_ports.add(key)
-            src = by_name[connector.source.instance]
-            port = src.port(connector.source.port)
-            if not isinstance(port.interface, SenderReceiverInterface):
-                continue
-            bits = sum(t.width_bits + 1  # +1 update bit per element
-                       for t in port.interface.elements.values())
-            if bits > 64:
+            if pdu.operation is None:
                 issues.append(
-                    f"port {connector.source} needs {bits} bits with "
+                    f"port {pdu.source} needs {pdu.bits} bits with "
                     f"update bits; exceeds one 8-byte CAN frame — split "
                     f"the interface")
+            else:
+                issues.append(
+                    f"client-server request {pdu.name} needs {pdu.bits} "
+                    f"bits with its fire bit; exceeds one 8-byte CAN "
+                    f"frame — split the operation")
+        for can_id, names in sorted(by_id.items()):
+            if len(names) > 1:
+                issues.append(f"PDUs {', '.join(names)} share CAN id "
+                              f"0x{can_id:03X}")
         return issues
 
     def build(self, sim, trace=None):
         """Generate the RTE and instantiate the platform on ``sim``."""
-        from repro.core.rte import RteBuilder
         issues = self.validate()
         if issues:
             raise ConfigurationError(

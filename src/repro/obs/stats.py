@@ -2,8 +2,8 @@
 
 Takes the files the exporters produce (Prometheus text, Chrome
 trace-event JSON, JSONL event log), autodetects which is which, and
-renders the operational one-look tables: top spans by cumulative time,
-histogram percentiles, and the DLT error-event table.
+renders the operational one-look tables: counters, top spans by
+cumulative time, histogram percentiles, and the DLT error-event table.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ _JSON_TYPES = {"string": str, "integer": int, "number": (int, float),
 #: The fields each table reads, by JSONL event type: ``(field, JSON
 #: type, required)``.  Other event types need only their ``type``.
 _EVENT_FIELDS = {
+    "counter": (("name", "string", True), ("value", "number", True)),
     "span": (("name", "string", True), ("duration_ns", "number", True)),
     "histogram": (("name", "string", True), ("count", "integer", True),
                   ("sum", "number", True), ("buckets", "array", True),
@@ -212,15 +213,19 @@ def _render_table(title: str, rows: list[dict],
     return lines
 
 
+def _counters_table(counters: dict) -> list[str]:
+    return _render_table("counters:",
+                         [{"name": name, "value": value}
+                          for name, value in sorted(counters.items())],
+                         ["name", "value"]) + [""]
+
+
 def summarize_file(text: str, top: int = 10) -> str:
     """Render the summary for one exported telemetry file."""
     kind, parsed = load(text)
     lines: list[str] = []
     if kind == PROM:
-        counters = [{"name": name, "value": value}
-                    for name, value in sorted(parsed["counters"].items())]
-        lines += _render_table("counters:", counters, ["name", "value"])
-        lines.append("")
+        lines += _counters_table(parsed["counters"])
         lines += _render_table(
             "histogram percentiles:", histogram_rows(parsed["histograms"]),
             ["name", "count", "p50", "p90", "p99", "max"])
@@ -239,6 +244,9 @@ def summarize_file(text: str, top: int = 10) -> str:
         dlt_rows = [row for row in events if row.get("type") == "dlt"]
         histograms = {row["name"]: row for row in events
                       if row.get("type") == "histogram"}
+        lines += _counters_table({row["name"]: row["value"]
+                                  for row in events
+                                  if row.get("type") == "counter"})
         lines += _render_table(
             f"top {top} spans by cumulative time:", top_spans(spans, top),
             ["name", "count", "total_ms", "mean_us", "max_us"])

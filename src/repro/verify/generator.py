@@ -187,22 +187,16 @@ class TdmaPlan:
         return max(members, key=lambda t: t.priority)
 
 
-#: Fault-scenario kinds the resilience layer can inject
-#: (see :mod:`repro.verify.resilience`).
-SCENARIO_KINDS = ("can-error-burst", "can-bus-off", "flexray-slot-loss",
-                  "tdma-babble", "ecu-reset", "e2e-corruption", "e2e-loss",
-                  "e2e-delay")
-
-
 @dataclass(frozen=True)
 class FaultScenario:
     """One injected fault hypothesis riding along with a system.
 
-    ``kind`` is one of :data:`SCENARIO_KINDS`; ``target`` names the
-    affected element where the kind needs one (the static-slot frame
-    for ``flexray-slot-loss``), and is ``""`` for kinds whose target is
-    implied (the E2E chain, its producer ECU, or the CAN bus).  The
-    fault is active over ``[start, start + duration)`` simulation ns.
+    ``kind`` is a kind :mod:`repro.verify.resilience` can inject;
+    ``target`` names the affected element where the kind needs one (the
+    static-slot frame for ``flexray-slot-loss``), and is ``""`` for
+    kinds whose target is implied (the E2E chain, its producer ECU, or
+    the CAN bus).  The fault is active over ``[start, start + duration)``
+    simulation ns.
     """
 
     kind: str

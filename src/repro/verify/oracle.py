@@ -602,6 +602,21 @@ def verify_system(system: GeneratedSystem,
         with obs.span("verify.system", category="verify", system=system.name,
                       seed=system.seed, size=system.size):
             bounds, declined = analyze_bounds(system)
+            # Injected-fault scenarios run in *separate* simulations,
+            # before the nominal (fault-free) world is built, so one
+            # world is alive at a time.  Unmet detect/contain/recover
+            # obligations surface as invariant violations after the
+            # nominal ones, so every downstream consumer — failure keys,
+            # shrinking, fuzz feedback — sees them.
+            fault_violations = []
+            if system.faults:
+                from repro.verify.resilience import verify_resilience
+                for rv in verify_resilience(system):
+                    if not rv.supported:
+                        declined.append(
+                            f"resilience:{rv.scenario.label()}")
+                        continue
+                    fault_violations.extend(rv.violations())
             built = build_system(system)
             service = None
             if daq_period is not None:
@@ -620,18 +635,7 @@ def verify_system(system: GeneratedSystem,
                                     len(values)))
             violations = InvariantChecker(
                 make_invariants(system)).run(built.trace)
-            if system.faults:
-                # Injected-fault scenarios run in *separate* simulations
-                # (the nominal differential run above stays fault-free);
-                # unmet detect/contain/recover obligations surface as
-                # invariant violations so every downstream consumer —
-                # failure keys, shrinking, fuzz feedback — sees them.
-                from repro.verify.resilience import verify_resilience
-                for rv in verify_resilience(system):
-                    if not rv.supported:
-                        declined.append(f"resilience:{rv.scenario.label()}")
-                        continue
-                    violations.extend(rv.violations())
+            violations.extend(fault_violations)
             verdict = SystemVerdict(system.name, system.seed, system.size,
                                     checks, declined, violations,
                                     len(built.trace))

@@ -394,9 +394,10 @@ def test_gateway_forwards_between_buses():
     bus_b = CanBus(sim, 500_000, name="CAN-B")
     sender = bus_a.attach("sender")
     receiver = bus_b.attach("receiver")
-    gw = CanGateway(sim, "GW", bus_a, bus_b, processing_delay=us(100))
+    gw = CanGateway(sim, "GW", {"a": bus_a, "b": bus_b},
+                    processing_delay=us(100))
     spec = CanFrameSpec("wheel_speed", 0x120, dlc=8)
-    gw.route("wheel_speed", from_port="a", in_spec=spec)
+    gw.route("wheel_speed", "a", {"b": spec})
     got = []
     receiver.on_receive(lambda s, m: got.append((sim.now, m.payload)))
     sender.send(spec, payload=55)
@@ -414,10 +415,10 @@ def test_gateway_id_translation():
     bus_b = CanBus(sim, 500_000, name="B")
     sender = bus_a.attach("s")
     bus_b.attach("r")
-    gw = CanGateway(sim, "GW", bus_a, bus_b)
+    gw = CanGateway(sim, "GW", {"a": bus_a, "b": bus_b})
     in_spec = CanFrameSpec("sig", 0x100, dlc=8)
     out_spec = CanFrameSpec("sig", 0x300, dlc=8)
-    gw.route("sig", from_port="a", out_spec=out_spec)
+    gw.route("sig", "a", {"b": out_spec})
     sender.send(in_spec, payload=1)
     sim.run()
     tx_b = bus_b.trace.records("can.tx_start", "sig")
@@ -430,7 +431,7 @@ def test_gateway_ignores_unrouted_frames():
     bus_b = CanBus(sim, 500_000, name="B")
     sender = bus_a.attach("s")
     bus_b.attach("r")
-    gw = CanGateway(sim, "GW", bus_a, bus_b)
+    gw = CanGateway(sim, "GW", {"a": bus_a, "b": bus_b})
     sender.send(CanFrameSpec("noise", 0x100, dlc=8))
     sim.run()
     assert gw.forwarded == 0
@@ -442,10 +443,7 @@ def test_gateway_validation():
     bus_a = CanBus(sim, 500_000, name="A")
     bus_b = CanBus(sim, 500_000, name="B")
     with pytest.raises(ConfigurationError):
-        CanGateway(sim, "GW", bus_a, bus_a)
-    gw = CanGateway(sim, "GW", bus_a, bus_b)
+        CanGateway(sim, "GW", {"a": bus_a, "b": bus_a})
+    gw = CanGateway(sim, "GW", {"a": bus_a, "b": bus_b})
     with pytest.raises(ConfigurationError):
-        gw.route("f", from_port="c",
-                 in_spec=CanFrameSpec("f", 1))
-    with pytest.raises(ConfigurationError):
-        gw.route("f", from_port="a")  # neither spec given
+        gw.route("f", "c", {"b": CanFrameSpec("f", 1)})

@@ -37,12 +37,13 @@ RESUMABLE = ("campaign", "verify", "fuzz", "resilience", "meas-daq")
 #: Telemetry files ``stats`` cannot summarize: no known format, an MTF
 #: store cut in half, a Chrome trace whose events are no list, a JSONL
 #: log with a broken line, one whose lines are JSON arrays, not event
-#: objects, one with a histogram event that lacks its counts, and a
-#: one-line log whose object is no event.
+#: objects, one with a histogram event that lacks its counts, a
+#: one-line log whose object is no event, and one whose counter value
+#: is a string.
 UNRECOGNIZED, CHOPPED_MTF = "notes.txt", "chopped.mtf"
 BAD_CHROME, BROKEN_JSONL = "trace.json", "events.jsonl"
 ARRAY_JSONL, BARE_HISTOGRAM = "arrays.jsonl", "histogram.jsonl"
-UNTYPED_LINE = "untyped.jsonl"
+UNTYPED_LINE, TEXT_COUNTER = "untyped.jsonl", "counter.jsonl"
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -101,7 +102,9 @@ ROWS = (
            (BARE_HISTOGRAM,
             "histogram.jsonl: line 1: histogram event lacks 'count'"),
            (UNTYPED_LINE,
-            "untyped.jsonl: line 1: event has no string 'type'"))]
+            "untyped.jsonl: line 1: event has no string 'type'"),
+           (TEXT_COUNTER, "counter.jsonl: line 2: counter event's "
+                          "'value' must be a JSON number"))]
 )
 
 
@@ -146,6 +149,9 @@ def test_bad_input_exits_by_contract(row, tmp_path, monkeypatch, capsys):
         '{"type": "histogram", "name": "x"}\n'
         '{"type": "counter", "name": "n", "value": 1}\n')
     (tmp_path / UNTYPED_LINE).write_text('{"a": 1}\n')
+    (tmp_path / TEXT_COUNTER).write_text(
+        '{"type": "counter", "name": "n", "value": 1}\n'
+        '{"type": "counter", "name": "m", "value": "1"}\n')
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", *argv, *extra])
     assert excinfo.value.code == code

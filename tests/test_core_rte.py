@@ -326,3 +326,96 @@ def test_can_id_override_is_used():
     sim.run_until(ms(5))
     starts = runtime.trace.records("can.tx_start", "s.out")
     assert starts and starts[0].data["can_id"] == 0x42
+
+
+def wide_system(elements=None, args=None):
+    """``s`` on ECU1 sends sender-receiver ``elements`` (name -> type)
+    and calls a void operation with ``args`` on ``srv`` (ECU2)."""
+    comp = Composition("Sys")
+    system = SystemModel("wide")
+    system.add_ecu("ECU1")
+    system.add_ecu("ECU2")
+    sender = SwComponent("Sender")
+    sender.runnable("tick", TimingEvent(ms(10)), lambda ctx: None,
+                    wcet=us(100))
+    comp.add(sender.instantiate("s"))
+    system.map("s", "ECU1")
+    if elements is not None:
+        data_if = SenderReceiverInterface("wide_if", elements)
+        sender.provide("out", data_if)
+        sink = SwComponent("Sink")
+        sink.require("in", data_if)
+        comp.add(sink.instantiate("c"))
+        comp.connect("s", "out", "c", "in")
+        system.map("c", "ECU2")
+    if args is not None:
+        op_if = ClientServerInterface("op_if",
+                                      {"set": Operation("set", args)})
+        sender.require("act", op_if)
+        server = SwComponent("Server")
+        server.provide("srv", op_if)
+        server.runnable("apply", OperationInvokedEvent("srv", "set"),
+                        lambda ctx, **kwargs: None, wcet=us(50))
+        comp.add(server.instantiate("srv"))
+        comp.connect("srv", "srv", "s", "act")
+        system.map("srv", "ECU2")
+    system.set_root(comp)
+    system.configure_bus("can")
+    return system
+
+
+def test_validate_rejects_a_port_wider_than_one_can_frame():
+    # Four UINT16 elements take 4 x (16 + 1) = 68 bits with update bits.
+    system = wide_system(elements={f"e{i}": UINT16 for i in range(4)})
+    assert system.validate() == [
+        "port s.out needs 68 bits with update bits; exceeds one 8-byte "
+        "CAN frame — split the interface"]
+    fits = wide_system(elements={f"e{i}": UINT16 for i in range(3)})
+    assert fits.validate() == []
+
+
+def test_validate_rejects_a_request_wider_than_one_can_frame():
+    # Six UINT16 args and the fire bit need 97 bits: a 13-byte I-PDU.
+    system = wide_system(args={f"a{i}": UINT16 for i in range(6)})
+    assert system.validate() == [
+        "client-server request cs.s.act.set needs 97 bits with its fire "
+        "bit; exceeds one 8-byte CAN frame — split the operation"]
+    with pytest.raises(ConfigurationError):
+        system.build(Simulator())
+    # On FlexRay the request is one static-slot payload: no 8-byte rule.
+    system.configure_bus("flexray")
+    assert system.validate() == []
+
+
+def test_validate_rejects_two_pdus_sharing_a_can_id():
+    system = wide_system(elements={"v": UINT16},
+                         args={"level": UINT8})
+    system.set_can_id("s.out", 0x200)
+    system.set_can_id("cs.s.act.set", 0x200)
+    assert system.validate() == [
+        "PDUs cs.s.act.set, s.out share CAN id 0x200"]
+    system.set_can_id("cs.s.act.set", 0x201)
+    assert system.validate() == []
+
+
+def test_plan_tasks_are_the_deployed_tasks():
+    """The plan's TaskSpecs are what the kernels get: priorities,
+    partitions, budgets and the sporadic activation queue."""
+    from repro.core.rte import SPORADIC_QUEUE, rte_plan
+
+    system = two_node_system("can")
+    system.ecus["ECU1"].set_partition("s.sample", "P1")
+    system.ecus["ECU2"].set_budget("c.on_speed", us(400))
+    plan = rte_plan(system)
+    runtime = system.build(Simulator())
+    assert [(task.ecu, task.spec.name) for task in plan.tasks] == [
+        ("ECU1", "s.sample"), ("ECU2", "c.on_speed")]
+    for task in plan.tasks:
+        deployed = runtime.kernels[task.ecu].tasks[task.spec.name].spec
+        assert deployed == task.spec
+    sample, on_speed = (task.spec for task in plan.tasks)
+    assert sample.partition == "P1" and sample.period == ms(10)
+    assert on_speed.budget == us(400)
+    assert on_speed.max_activations == SPORADIC_QUEUE
+    assert list(plan.pdus) == ["s.out"]
+    assert plan.pdus["s.out"].targets[0][0] == "ECU2"

@@ -101,9 +101,9 @@ def test_com_signal_crosses_gateway_between_domains():
     tx = ComStack(sim, CanComAdapter(
         powertrain.attach("ENGINE"), {"P": spec}), "ENGINE")
     rx = ComStack(sim, CanComAdapter(body.attach("DASH"), {}), "DASH")
-    gateway = CanGateway(sim, "CGW", powertrain, body,
+    gateway = CanGateway(sim, "CGW", {"a": powertrain, "b": body},
                          processing_delay=us(150))
-    gateway.route("P", from_port="a", in_spec=spec)
+    gateway.route("P", "a", {"b": spec})
     tx.add_tx_pdu(pack_sequentially("P", 8, [SignalSpec("rpm", 16)]),
                   mode=PERIODIC, period=ms(10))
     rx.add_rx_pdu(pack_sequentially("P", 8, [SignalSpec("rpm", 16)]))

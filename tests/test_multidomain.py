@@ -4,7 +4,7 @@ gateway routing (the simulated federated architecture of E5)."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.bsw import MultiCanGateway
+from repro.bsw import CanGateway
 from repro.core import (Composition, DataReceivedEvent,
                         SenderReceiverInterface, SwComponent, SystemModel,
                         TimingEvent, UINT16)
@@ -203,8 +203,8 @@ def test_multicangateway_validation():
     bus_a = CanBus(sim, 500_000, name="A")
     bus_b = CanBus(sim, 500_000, name="B")
     with pytest.raises(ConfigurationError):
-        MultiCanGateway(sim, "GW", {"a": bus_a})
-    gw = MultiCanGateway(sim, "GW", {"a": bus_a, "b": bus_b})
+        CanGateway(sim, "GW", {"a": bus_a})
+    gw = CanGateway(sim, "GW", {"a": bus_a, "b": bus_b})
     spec = CanFrameSpec("f", 0x100)
     gw.route("f", "a", {"b": spec})
     with pytest.raises(ConfigurationError):

@@ -372,6 +372,25 @@ def test_stats_summarizes_a_one_line_event_log(tmp_path):
     assert "DLT events:" in text
 
 
+def test_stats_lists_the_counters_of_an_event_log(tmp_path):
+    from repro.obs.stats import summarize_paths
+
+    def counter_rows(path):
+        lines = [line.rstrip()
+                 for line in summarize_paths([path]).splitlines()]
+        start = lines.index("counters:") + 2  # past the column header
+        return lines[start:lines.index("", start)]
+
+    obs.enable()
+    obs.count("verify.systems", 3)
+    obs.count("n")
+    events = obs.write_events_jsonl(tmp_path / "e.jsonl")
+    prom = obs.write_prometheus(tmp_path / "m.prom")
+    assert counter_rows(events) == ["  n               1",
+                                    "  verify.systems  3"]
+    assert len(counter_rows(prom)) == 2
+
+
 HISTOGRAM = {"type": "histogram", "name": "h", "count": 1, "sum": 5,
              "buckets": [10], "counts": [1, 0]}
 
@@ -387,6 +406,9 @@ HISTOGRAM = {"type": "histogram", "name": "h", "count": 1, "sum": 5,
      "histogram event's 'counts' do not fit its 'buckets'"),
     ({"type": "dlt", "severity": "error", "seq": "1"},
      "dlt event's 'seq' must be a JSON integer"),
+    ({"type": "counter", "name": "n"}, "counter event lacks 'value'"),
+    ({"type": "counter", "name": 5, "value": 1},
+     "counter event's 'name' must be a JSON string"),
 ])
 def test_stats_names_the_line_of_an_unreadable_event(tmp_path, event,
                                                       problem):

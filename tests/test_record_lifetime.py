@@ -75,24 +75,38 @@ def test_a_logged_record_adds_no_tracked_object():
     assert len(trace) == 10_000
 
 
-def test_resilience_holds_one_world_at_a_time():
-    # Each fault-free baseline is reduced to the facts its verdicts read
-    # and its trace cleared before a scenario world is built, so at
-    # every end of a simulated run one trace at most holds rows.
+def peak_live_traces(item) -> int:
+    """Most traces holding rows at any return of ``Simulator.run_until``
+    while ``item`` runs (collector off)."""
     run_until = Simulator.run_until
     peaks = []
 
     def sampled(sim, horizon):
         run_until(sim, horizon)
-        peaks.append(live_traces())
+        peaks.append(len(live_traces()))
 
     gc.collect()
     gc.disable()
     Simulator.run_until = sampled
     try:
-        resilience_item()
+        item()
     finally:
         Simulator.run_until = run_until
         gc.enable()
     assert peaks
-    assert max(len(traces) for traces in peaks) <= 1
+    return max(peaks)
+
+
+def test_resilience_holds_one_world_at_a_time():
+    # Each fault-free baseline is reduced to the facts its verdicts read
+    # and its trace cleared before a scenario world is built, so at
+    # every end of a simulated run one trace at most holds rows.
+    assert peak_live_traces(resilience_item) <= 1
+
+
+def test_verify_system_holds_one_world_at_a_time():
+    # A fault-carrying system's scenarios run before its nominal world
+    # is built, so the nominal trace is not alive while they run.
+    system = generate(7, "small")
+    system.faults = standard_scenarios(system)
+    assert peak_live_traces(lambda: verify_system(system)) <= 1

@@ -274,3 +274,46 @@ def test_report_frame_ids_count_client_server_pdus(monkeypatch):
     analysed, sent = report_and_bus_ids(system, monkeypatch)
     assert set(analysed) == {"a.x", "d.x", "q.x"}
     assert analysed == {name: sent[name] for name in analysed}
+
+
+def test_report_rejects_two_frames_sharing_a_can_id():
+    system = senders_system(["a", "d"])
+    system.set_can_id("a.x", 0x200)
+    system.set_can_id("d.x", 0x200)
+    assert system.validate() == ["PDUs a.x, d.x share CAN id 0x200"]
+    report = timing_report(system)
+    assert not report.analysable and not report.schedulable
+    assert report.issues == [
+        "configuration: PDUs a.x, d.x share CAN id 0x200"]
+
+
+def test_report_names_each_unanalysed_request_frame():
+    report = timing_report(senders_system(["a"], client_server=True))
+    assert report.analysable and report.schedulable
+    assert set(report.frame_wcrt) == {"a.x"}
+    assert "cs.c.act.set: client-server request frame; excluded — " \
+           "remaining WCRTs do not account for its interference" \
+        in report.issues
+
+
+def test_report_analyses_the_deployed_task_specs(monkeypatch):
+    """Partitions and budgets the RTE deploys reach the analysis."""
+    analysed = {}
+    add_task = HolisticModel.add_task
+
+    def capture(model, ecu, spec):
+        analysed[spec.name] = spec
+        add_task(model, ecu, spec)
+
+    monkeypatch.setattr(HolisticModel, "add_task", capture)
+    system = build_system()
+    system.ecus["E1"].set_budget("sensor.sample", us(600))
+    system.ecus["E2"].set_partition("consumer.consume", "P")
+    report = timing_report(system)
+    assert report.analysable and report.schedulable
+    runtime = system.build(Simulator())
+    for name, spec in analysed.items():
+        assert spec == runtime.ecu_of(name.split(".")[0]).kernel \
+            .tasks[name].spec
+    assert analysed["sensor.sample"].budget == us(600)
+    assert analysed["consumer.consume"].partition == "P"
