@@ -1,38 +1,30 @@
 """Timing analysis: task/message schedulability, isolation bounds,
-end-to-end latency, sensitivity, and TT schedule synthesis."""
+end-to-end latency, sensitivity, and TT schedule synthesis.
 
-from repro.analysis import can_rta, flexray_rta, rta
-from repro.analysis.e2e import Chain, EVENT, SAMPLED, Stage
-from repro.analysis.holistic import HolisticModel, HolisticResult
-from repro.analysis.probes import ChainProbe
-from repro.analysis.system_report import (TimingReport, format_robustness,
-                                          robustness_report, timing_report)
-from repro.analysis.rta import (RtaResult, analyze, blocking_time,
-                                liu_layland_bound, response_time,
-                                utilization)
-from repro.analysis.sensitivity import (admissible_new_frame,
-                                        admissible_new_task,
-                                        critical_bitrate,
-                                        critical_scaling_factor,
-                                        replace_spec, task_slack)
-from repro.analysis.tdma_bound import (periodic_server_supply,
-                                       response_bound,
-                                       server_response_bound, tdma_supply,
-                                       tdma_response_bound)
-from repro.analysis.ttschedule import (TtEntry, TtPlacement, TtSchedule,
-                                       build_schedule, conflict_free)
+The package-level names resolve on first access (:mod:`repro._lazy`):
+``import repro.analysis`` loads no submodule, and naming
+:func:`timing_report` is what imports :mod:`.system_report` and, with
+it, the RTE plan of :mod:`repro.core`.  A verification run that only
+solves RTA, bus and chain bounds never loads the report stack.
+"""
 
-__all__ = [
-    "can_rta", "flexray_rta", "rta",
-    "Chain", "ChainProbe", "EVENT", "SAMPLED", "Stage",
-    "HolisticModel", "HolisticResult", "TimingReport", "timing_report",
-    "format_robustness", "robustness_report",
-    "RtaResult", "analyze", "blocking_time", "liu_layland_bound",
-    "response_time", "utilization",
-    "admissible_new_frame", "admissible_new_task", "critical_bitrate",
-    "critical_scaling_factor", "replace_spec", "task_slack",
-    "periodic_server_supply", "response_bound", "server_response_bound",
-    "tdma_supply", "tdma_response_bound",
-    "TtEntry", "TtPlacement", "TtSchedule", "build_schedule",
-    "conflict_free",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "can_rta": (), "flexray_rta": (),
+    "rta": ("rta", "RtaResult", "analyze", "blocking_time",
+            "liu_layland_bound", "response_time", "utilization"),
+    "e2e": ("Chain", "EVENT", "SAMPLED", "Stage"),
+    "probes": ("ChainProbe",),
+    "holistic": ("HolisticModel", "HolisticResult"),
+    "system_report": ("TimingReport", "timing_report",
+                      "format_robustness", "robustness_report"),
+    "sensitivity": ("admissible_new_frame", "admissible_new_task",
+                    "critical_bitrate", "critical_scaling_factor",
+                    "replace_spec", "task_slack"),
+    "tdma_bound": ("periodic_server_supply", "response_bound",
+                   "server_response_bound", "tdma_supply",
+                   "tdma_response_bound"),
+    "ttschedule": ("TtEntry", "TtPlacement", "TtSchedule",
+                   "build_schedule", "conflict_free"),
+})

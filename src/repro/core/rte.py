@@ -20,7 +20,9 @@ The plan has three readers: :class:`RteBuilder` instantiates it on a
 simulator, ``SystemModel.validate`` runs its frame-size and identifier
 rules on it, and :func:`~repro.analysis.system_report.timing_report`
 analyses its tasks and frames — so the configuration check and the
-timing report see exactly what the runtime deploys.
+timing report see exactly what the runtime deploys.  The rules the
+builder itself enforces, :func:`server_runnable_issues` and
+:func:`bus_capacity_issue`, are the ones ``validate`` reports.
 
 Execution follows implicit (buffered) communication semantics: a task
 snapshots its instance's inputs when it *starts* and commits its outputs
@@ -63,6 +65,9 @@ SPORADIC_QUEUE = 16
 QUEUE_LENGTH = 16
 
 FIRST_CAN_ID = 0x100
+#: TTEthernet defaults of a domain that does not configure them.
+TT_PERIOD = us(5_000)
+TTE_BITRATE_BPS = 100_000_000
 
 
 def assign_rm_priorities(explicit: dict[str, int],
@@ -235,6 +240,53 @@ def rte_plan(system) -> RtePlan:
             tasks.append(PlannedTask(ecu_name, instance, runnable, spec))
     return RtePlan(by_name, tasks, {planned.name: planned for planned in pdus},
                    local_routes, servers)
+
+
+def flexray_static_slots(params: dict, n_pdus: int) -> int:
+    """Static slots of a FlexRay domain sending ``n_pdus`` PDUs: as
+    configured, else one per PDU (at least two)."""
+    return params.get("n_static_slots", max(2, n_pdus))
+
+
+def tt_stream_slot(params: dict) -> int:
+    """Window each TT stream of a TTEthernet domain gets (ns): twice a
+    minimum frame's transmission time."""
+    return ethernet_frame_time(
+        64, params.get("bitrate_bps", TTE_BITRATE_BPS)) * 2
+
+
+def bus_capacity_issue(domain: str, kind: Optional[str], params: dict,
+                       n_pdus: int) -> Optional[str]:
+    """The issue when a domain's bus cannot carry the ``n_pdus`` PDUs
+    its ECUs send, else None: FlexRay gives each PDU a static slot,
+    TTEthernet a stream window inside the TT period."""
+    if kind == "flexray":
+        slots = flexray_static_slots(params, n_pdus)
+        if slots < n_pdus:
+            return (f"domain {domain!r}: FlexRay needs >= {n_pdus} "
+                    f"static slots, configured {slots}")
+    elif kind == "tte":
+        period = params.get("tt_period", TT_PERIOD)
+        if n_pdus * tt_stream_slot(params) > period:
+            return (f"domain {domain!r}: {n_pdus} TT streams do not fit "
+                    f"a {period} ns period")
+    return None
+
+
+def server_runnable_issues(plan: RtePlan) -> list[str]:
+    """One issue per operation of a connected server port that no
+    runnable of the server handles, whether its clients share its ECU
+    (a synchronous call) or not (a request PDU)."""
+    issues = []
+    for server in dict.fromkeys(plan.servers.values()):
+        instance = plan.instances[server.instance]
+        for operation in sorted(instance.port(server.port)
+                                .interface.operations):
+            if instance.component.server_runnable(server.port,
+                                                  operation) is None:
+                issues.append(f"server {server.instance} declares no "
+                              f"runnable for {server.port}.{operation}")
+    return issues
 
 
 class RteContext:
@@ -450,10 +502,6 @@ class SystemRuntime:
         server_instance = ecu.instances[server.instance]
         runnable = server_instance.component.server_runnable(server.port,
                                                              operation)
-        if runnable is None:
-            raise CompositionError(
-                f"server {server.instance} declares no runnable for "
-                f"{server.port}.{operation}")
         self.trace.log(self.sim.now, "rte.call_local",
                        f"{server.instance}.{server.port}.{operation}")
         result = runnable.function(ecu.contexts[server.instance], **args)
@@ -487,6 +535,9 @@ class RteBuilder:
         """Generate kernels, COM, buses and tasks; returns the runtime."""
         trace = trace if trace is not None else Trace()
         plan = rte_plan(self.system)
+        issues = server_runnable_issues(plan)
+        if issues:
+            raise ConfigurationError(issues[0])
         runtime = SystemRuntime(self.system, sim, trace)
         runtime._instance_ecu = dict(self.system.mapping)
 
@@ -557,10 +608,6 @@ class RteBuilder:
         ecu = runtime.ecus[ecu_name]
         runnable = plan.instances[server.instance].component \
             .server_runnable(server.port, pdu.operation)
-        if runnable is None:
-            raise ConfigurationError(
-                f"server {server.instance} declares no runnable for "
-                f"{server.port}.{pdu.operation}")
         task_name = f"{server.instance}.{runnable.name}"
         arg_names = [mapping.spec.name for mapping in pdu.ipdu.mappings[:-1]]
 
@@ -598,6 +645,10 @@ class RteBuilder:
                     raise ConfigurationError(
                         f"domain {domain!r} has bus traffic but no bus")
                 continue
+            issue = bus_capacity_issue(domain, kind, params,
+                                       len(domain_pdus))
+            if issue is not None:
+                raise ConfigurationError(issue)
             if kind == "can":
                 bus = CanBus(sim, params.get("bitrate_bps", 500_000),
                              trace=trace, name=f"CAN:{domain}")
@@ -609,22 +660,16 @@ class RteBuilder:
                     adapters[ecu_name] = CanComAdapter(
                         bus.attach(ecu_name), specs)
             elif kind == "tte":
-                tte_params = dict(params)
-                tt_period = tte_params.pop("tt_period", us(5_000))
+                tt_period = params.get("tt_period", TT_PERIOD)
                 switch = TtEthernetSwitch(
                     sim,
-                    bitrate_bps=tte_params.pop("bitrate_bps",
-                                               100_000_000),
-                    switch_delay=tte_params.pop("switch_delay", us(2)),
+                    bitrate_bps=params.get("bitrate_bps", TTE_BITRATE_BPS),
+                    switch_delay=params.get("switch_delay", us(2)),
                     trace=trace, name=f"TTE:{domain}")
                 runtime.buses[domain] = switch
                 for ecu_name in members:
                     switch.attach(ecu_name)
-                slot = ethernet_frame_time(64, switch.bitrate_bps) * 2
-                if len(domain_pdus) * slot > tt_period:
-                    raise ConfigurationError(
-                        f"domain {domain!r}: {len(domain_pdus)} TT "
-                        f"streams do not fit a {tt_period} ns period")
+                slot = tt_stream_slot(params)
                 tx_of: dict[str, set] = {name: set() for name in members}
                 rx_of: dict[str, set] = {name: set() for name in members}
                 for index, pdu in enumerate(domain_pdus):
@@ -642,18 +687,10 @@ class RteBuilder:
                         rx_of[ecu_name])
                 switch.start()
             else:  # flexray
-                fr_params = dict(params)
-                slot_length = fr_params.pop("slot_length", us(100))
-                n_slots = fr_params.pop("n_static_slots",
-                                        max(2, len(domain_pdus)))
-                if n_slots < len(domain_pdus):
-                    raise ConfigurationError(
-                        f"domain {domain!r}: FlexRay needs >= "
-                        f"{len(domain_pdus)} static slots, configured "
-                        f"{n_slots}")
-                config = FlexRayConfig(slot_length=slot_length,
-                                       n_static_slots=n_slots,
-                                       **fr_params)
+                config = FlexRayConfig(**{
+                    "slot_length": us(100), **params,
+                    "n_static_slots": flexray_static_slots(
+                        params, len(domain_pdus))})
                 bus = FlexRayBus(sim, config, trace=trace,
                                  name=f"FR:{domain}")
                 runtime.buses[domain] = bus

@@ -4,21 +4,25 @@ A :class:`SystemModel` is the integrator's view: the flattened component
 network, the ECU inventory, the instance-to-ECU mapping and the bus
 configuration.  :meth:`SystemModel.validate` performs the "prior to
 implementation system configuration checks" the paper calls for (Section
-2, limitation 2): mapping and bus checks on the model, and frame rules on
-the PDUs :func:`~repro.core.rte.rte_plan` says the RTE will generate.
+2, limitation 2): mapping and bus checks on the model, and server and
+frame rules on the tasks and PDUs :func:`~repro.core.rte.rte_plan` says
+the RTE will generate — the rules the generator itself enforces, so a
+configuration that validates also builds.
 :meth:`SystemModel.build` generates the RTE from that same plan and
 returns a runnable :class:`~repro.core.rte.SystemRuntime`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.core.composition import Composition
 from repro.core.ecu import EcuSpec
 from repro.core.interface import ClientServerInterface
-from repro.core.rte import RteBuilder, rte_plan
+from repro.core.rte import (RteBuilder, bus_capacity_issue, rte_plan,
+                            server_runnable_issues)
 
 SUPPORTED_BUSES = ("can", "flexray", "tte", None)
 
@@ -139,7 +143,9 @@ class SystemModel:
                             f"{op.returns.name}")
             issues.extend(self._check_domains(connector, src_ecu,
                                               dst_ecu))
-        issues.extend(self._check_pdus())
+        plan = rte_plan(self)
+        issues.extend(server_runnable_issues(plan))
+        issues.extend(self._check_pdus(plan))
         return issues
 
     def _domain_kind(self, domain: str) -> Optional[str]:
@@ -168,12 +174,20 @@ class SystemModel:
                     f"(got {sorted(k for k in kinds if k)})")
         return issues
 
-    def _check_pdus(self) -> list[str]:
-        """Frame rules on the PDUs the RTE generates: each CAN-carried
-        PDU fits one 8-byte frame and has a CAN id of its own."""
+    def _check_pdus(self, plan) -> list[str]:
+        """Frame rules on the PDUs the RTE generates: each domain's bus
+        has room for the PDUs its ECUs send, and each CAN-carried PDU
+        fits one 8-byte frame and has a CAN id of its own."""
         issues = []
+        sent = Counter(self.ecus[pdu.ecu].domain
+                       for pdu in plan.pdus.values())
+        for domain, n_pdus in sorted(sent.items()):
+            kind, params = self.domain_buses.get(domain, (None, {}))
+            issue = bus_capacity_issue(domain, kind, params, n_pdus)
+            if issue is not None:
+                issues.append(issue)
         by_id: dict[int, list[str]] = {}
-        for pdu in rte_plan(self).pdus.values():
+        for pdu in plan.pdus.values():
             if self._domain_kind(self.ecus[pdu.ecu].domain) != "can":
                 continue
             by_id.setdefault(pdu.can_id, []).append(pdu.name)

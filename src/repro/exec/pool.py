@@ -26,14 +26,16 @@ Every item transition is journaled through
 :mod:`repro.exec.checkpoint` when a checkpoint path is given, and
 ``resume=True`` replays the journal to skip completed items and re-run
 in-flight or failed ones.
+
+``concurrent.futures`` is imported inside the ``jobs > 1`` path only:
+a serial run never loads ``multiprocessing``, ``pickle``,
+``subprocess`` and the rest of the process-pool stack.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor, wait)
 from typing import Optional
 
 from repro import obs
@@ -209,6 +211,9 @@ def _shared_pool(plan: Plan, queue: deque, jobs: int, collect: bool,
     in flight, each journaled as started when it is submitted.  Stops
     submitting once the pool is broken, whether ``submit`` or a result
     says so, and returns the items the break left unresolved."""
+    from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                    ProcessPoolExecutor, wait)
+
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(queue)))
     in_flight = {}
     unresolved = []
@@ -251,6 +256,8 @@ def _run_isolated(plan: Plan, index: int, collect: bool, journal,
                   note_done, note_failure) -> None:
     """Run one item once, alone in a single-worker pool: a worker death
     here is the item's own."""
+    from concurrent.futures import ProcessPoolExecutor
+
     journal.record_start(index)
     pool = ProcessPoolExecutor(max_workers=1)
     try:

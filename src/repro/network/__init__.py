@@ -3,24 +3,23 @@
 Event-triggered: :mod:`repro.network.can`.
 Time-triggered: :mod:`repro.network.flexray`, :mod:`repro.network.ttp`,
 :mod:`repro.network.tte`; guardians in :mod:`repro.network.guardian`.
+
+The package-level names resolve on first access (:mod:`repro._lazy`),
+so a deployment loads only the buses it names: a CAN-only system never
+imports the TTP, TTEthernet or guardian modules.
 """
 
-from repro.network.can import (CanBus, CanController, CanFrameSpec,
-                               ERROR_FRAME_BITS, frame_bits, frame_time)
-from repro.network.flexray import (CYCLE_COUNT_MAX, DynamicFrameSpec,
-                                   FlexRayBus, FlexRayConfig,
-                                   FlexRayController, StaticSlotAssignment)
-from repro.network.guardian import SlotGuardian
-from repro.network.message import Message
-from repro.network.ttp import TtpCluster, TtpNode
-from repro.network.tte import (TtEthernetSwitch, TtFrameSpec, TtWindow,
-                               ethernet_frame_time)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CanBus", "CanController", "CanFrameSpec", "ERROR_FRAME_BITS",
-    "frame_bits", "frame_time",
-    "CYCLE_COUNT_MAX", "DynamicFrameSpec", "FlexRayBus", "FlexRayConfig",
-    "FlexRayController", "StaticSlotAssignment",
-    "SlotGuardian", "Message", "TtpCluster", "TtpNode",
-    "TtEthernetSwitch", "TtFrameSpec", "TtWindow", "ethernet_frame_time",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "can": ("CanBus", "CanController", "CanFrameSpec", "ERROR_FRAME_BITS",
+            "frame_bits", "frame_time"),
+    "flexray": ("CYCLE_COUNT_MAX", "DynamicFrameSpec", "FlexRayBus",
+                "FlexRayConfig", "FlexRayController",
+                "StaticSlotAssignment"),
+    "guardian": ("SlotGuardian",),
+    "message": ("Message",),
+    "ttp": ("TtpCluster", "TtpNode"),
+    "tte": ("TtEthernetSwitch", "TtFrameSpec", "TtWindow",
+            "ethernet_frame_time"),
+})

@@ -3,25 +3,24 @@
 Provides the task model, three scheduling policies (fixed priority, strict
 TDMA partitions, deferrable reservation servers), OSEK alarms, events,
 ICPP resources, and a simulated ECU kernel with timing protection.
+
+The package-level names resolve on first access (:mod:`repro._lazy`),
+so a kernel loads only the policies and services it names: a
+fixed-priority or TDMA ECU never imports the reservation-server or
+schedule-table modules.
 """
 
-from repro.osek.alarm import Alarm
-from repro.osek.events import OsekEvent
-from repro.osek.kernel import EcuKernel
-from repro.osek.resource import OsekResource
-from repro.osek.schedule_table import ExpiryPoint, ScheduleTable
-from repro.osek.scheduler import FixedPriorityScheduler, Scheduler
-from repro.osek.server import DeferrableServerScheduler, ServerSpec
-from repro.osek.task import (CRITICALITY_LEVELS, Acquire, Execute, Job,
-                             JobState, Release, Task, TaskSpec, WaitEvent)
-from repro.osek.tdma import TdmaScheduler, Window, build_even_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Alarm", "OsekEvent", "EcuKernel", "ExpiryPoint", "OsekResource",
-    "ScheduleTable",
-    "FixedPriorityScheduler", "Scheduler",
-    "DeferrableServerScheduler", "ServerSpec",
-    "CRITICALITY_LEVELS", "Acquire", "Execute", "Job", "JobState",
-    "Release", "Task", "TaskSpec", "WaitEvent",
-    "TdmaScheduler", "Window", "build_even_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "alarm": ("Alarm",),
+    "events": ("OsekEvent",),
+    "kernel": ("EcuKernel",),
+    "resource": ("OsekResource",),
+    "schedule_table": ("ExpiryPoint", "ScheduleTable"),
+    "scheduler": ("FixedPriorityScheduler", "Scheduler"),
+    "server": ("DeferrableServerScheduler", "ServerSpec"),
+    "task": ("CRITICALITY_LEVELS", "Acquire", "Execute", "Job", "JobState",
+             "Release", "Task", "TaskSpec", "WaitEvent"),
+    "tdma": ("TdmaScheduler", "Window", "build_even_schedule"),
+})

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -192,6 +191,8 @@ class VerificationReport:
         zero-observation layer renders as ``None`` tightness rather
         than being dropped or dividing by zero.
         """
+        import statistics
+
         summary = {}
         declined = [d.split(":", 1)[0] for v in self.verdicts
                     for d in v.declined]

@@ -37,7 +37,6 @@ fuzzer's failure keys and the shrinker.
 from __future__ import annotations
 
 import functools
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -644,6 +643,8 @@ class ResilienceReport:
     def kind_summary(self) -> dict[str, dict]:
         """Per-kind aggregate: counts and latency spread (the E16
         fault-detection/recovery latency table)."""
+        import statistics
+
         summary: dict[str, dict] = {}
         for kind in _ALL_KINDS:
             verdicts = [v for v in self._verdicts()

@@ -398,6 +398,62 @@ def test_validate_rejects_two_pdus_sharing_a_can_id():
     assert system.validate() == []
 
 
+@pytest.mark.parametrize("kind, params, issue", [
+    ("flexray", {"n_static_slots": 1},
+     "domain 'default': FlexRay needs >= 2 static slots, configured 1"),
+    ("tte", {"tt_period": us(5)},
+     "domain 'default': 2 TT streams do not fit a 5000 ns period"),
+], ids=["flexray", "tte"])
+def test_validate_reports_a_bus_without_room_for_its_pdus(kind, params,
+                                                          issue):
+    # Two PDUs from ECU1: the data port and the request of `set`.
+    from repro.core.rte import RteBuilder
+
+    system = wide_system(elements={"v": UINT16}, args={"level": UINT8})
+    system.configure_bus(kind, **params)
+    assert system.validate() == [issue]
+    # The generator enforces the same rule with the same words.
+    with pytest.raises(ConfigurationError) as err:
+        RteBuilder(system).build(Simulator())
+    assert str(err.value) == issue
+    system.configure_bus(kind)
+    assert system.validate() == []
+
+
+@pytest.mark.parametrize("server_ecu", ["E1", "E2"],
+                         ids=["same-ecu", "cross-ecu"])
+def test_validate_reports_a_server_operation_without_runnable(server_ecu):
+    """A connected operation needs a server runnable in either
+    placement: a synchronous call would fail mid-simulation, a request
+    PDU would have no task to activate."""
+    actuate_if = ClientServerInterface(
+        "act", {"set": Operation("set", {"level": UINT8})})
+    server = SwComponent("Actuator")
+    server.provide("srv", actuate_if)
+    server.runnable("poll", TimingEvent(ms(10)), lambda ctx: None,
+                    wcet=us(50))
+    client = SwComponent("Commander")
+    client.require("act", actuate_if)
+    client.runnable("tick", TimingEvent(ms(10)),
+                    lambda ctx: ctx.call("act", "set", level=1),
+                    wcet=us(100))
+    comp = Composition("Sys")
+    comp.add(server.instantiate("srv"))
+    comp.add(client.instantiate("cmd"))
+    comp.connect("srv", "srv", "cmd", "act")
+    system = SystemModel("unhandled")
+    system.add_ecu("E1")
+    system.add_ecu("E2")
+    system.set_root(comp)
+    system.map("cmd", "E1")
+    system.map("srv", server_ecu)
+    system.configure_bus("can")
+    assert system.validate() == [
+        "server srv declares no runnable for srv.set"]
+    with pytest.raises(ConfigurationError, match="declares no runnable"):
+        system.build(Simulator())
+
+
 def test_plan_tasks_are_the_deployed_tasks():
     """The plan's TaskSpecs are what the kernels get: priorities,
     partitions, budgets and the sporadic activation queue."""

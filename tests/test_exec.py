@@ -188,10 +188,11 @@ def test_worker_death_reruns_only_the_items_in_flight(tmp_path):
 
 def test_pool_broken_at_submit_still_returns_every_result(monkeypatch):
     # A worker dies while items remain to submit, so the next submit
-    # itself finds the pool broken; the run still completes.
+    # itself finds the pool broken; the run still completes.  The pool
+    # module imports its executor when a parallel run starts, so the
+    # patch goes where that import reads it.
+    import concurrent.futures
     from concurrent.futures import ProcessPoolExecutor
-
-    from repro.exec import pool as pool_module
 
     submits = []
 
@@ -203,7 +204,7 @@ def test_pool_broken_at_submit_still_returns_every_result(monkeypatch):
                 super().submit(os._exit, 3).exception(timeout=60)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         BreaksBeforeFifthSubmit)
     plan = Plan("sq", square_worker, tuple(range(200)))
     assert execute(plan, jobs=2) == [square_worker(i) for i in range(200)]
