@@ -23,14 +23,13 @@ The library provides, at simulation fidelity:
 
 from repro import units
 from repro.errors import (AnalysisError, CompositionError, ConfigurationError,
-                          ContractError, FaultContainmentViolation,
-                          ProtocolError, ReproError, SchedulingError,
-                          SimulationError)
+                          ContractError, ProtocolError, ReproError,
+                          SchedulingError, SimulationError)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "units", "ReproError", "ConfigurationError", "SimulationError",
     "SchedulingError", "AnalysisError", "ContractError", "CompositionError",
-    "FaultContainmentViolation", "ProtocolError",
+    "ProtocolError",
 ]

@@ -87,13 +87,17 @@ class Composition:
                 f"composition {self.name}: incompatible interfaces on "
                 f"{source} ({sport.interface.name}) -> {target} "
                 f"({tport.interface.name})")
-        if isinstance(tport.interface, SenderReceiverInterface):
-            for existing in self.connectors:
-                if existing.target == target:
+        for existing in self.connectors:
+            if existing.target == target:
+                if isinstance(tport.interface, SenderReceiverInterface):
                     raise CompositionError(
                         f"composition {self.name}: {target} already has a "
                         f"writer ({existing.source}); sender-receiver "
                         f"targets accept a single source")
+                raise CompositionError(
+                    f"composition {self.name}: {target} already has a "
+                    f"server ({existing.source}); a client port calls a "
+                    f"single server")
         connector = Connector(source, target)
         self.connectors.append(connector)
         return connector

@@ -48,15 +48,6 @@ class CompositionError(ReproError):
     connector, or duplicate port names."""
 
 
-class FaultContainmentViolation(ReproError):
-    """A fault escaped its containment region.
-
-    Raised by containment monitors when a fault injected into one
-    fault-containment unit observably perturbs another (paper Section 4,
-    requirement 4: "error containment").
-    """
-
-
 class ProtocolError(ReproError):
     """A communication controller violated its protocol rules
     (e.g. transmission outside the node's TDMA slot without a fault model)."""

@@ -18,18 +18,19 @@ index, never by completion order.
   ``--resume``;
 * :mod:`repro.exec.progress` — items/sec, ETA and per-worker wall-time
   metrics, observational only.
+
+The package-level names resolve on first access (:mod:`repro._lazy`):
+a run loads the pool, plan and progress modules when it first executes,
+and the journal (with ``pickle`` and ``base64``) only when it is given
+a checkpoint path.
 """
 
-from repro.exec.checkpoint import Journal, JournalState
-from repro.exec.plan import Plan
-from repro.exec.pool import execute
-from repro.exec.progress import ProgressMeter
-from repro.exec.shard import derive_seed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "derive_seed",
-    "Plan",
-    "execute",
-    "Journal", "JournalState",
-    "ProgressMeter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "shard": ("derive_seed",),
+    "plan": ("Plan",),
+    "pool": ("execute",),
+    "checkpoint": ("Journal", "JournalState"),
+    "progress": ("ProgressMeter",),
+})

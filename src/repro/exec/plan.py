@@ -16,7 +16,6 @@ checkpoint journal.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +52,8 @@ class Plan:
         live objects whose pickled form may differ between the
         interrupted and the resuming process even when the work is the
         same."""
+        import pickle
+
         # The 1 is the chunk size every earlier journal hashed; keeping
         # it keeps those journals resumable.
         payload = pickle.dumps(

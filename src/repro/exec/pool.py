@@ -27,8 +27,9 @@ Every item transition is journaled through
 ``resume=True`` replays the journal to skip completed items and re-run
 in-flight or failed ones.
 
-``concurrent.futures`` is imported inside the ``jobs > 1`` path only:
-a serial run never loads ``multiprocessing``, ``pickle``,
+``concurrent.futures`` is imported inside the ``jobs > 1`` path only,
+and the journal only when a checkpoint path is given: a serial run
+without one never loads ``multiprocessing``, ``pickle``,
 ``subprocess`` and the rest of the process-pool stack.
 """
 
@@ -40,7 +41,6 @@ from typing import Optional
 
 from repro import obs
 from repro.errors import ExecutionError
-from repro.exec.checkpoint import Journal
 from repro.exec.plan import Plan
 from repro.exec.progress import ProgressMeter
 
@@ -116,8 +116,11 @@ def execute(plan: Plan, jobs: int = 1, checkpoint=None,
     if resume and checkpoint is None:
         raise ExecutionError("resume=True requires a checkpoint path")
 
-    journal = Journal(checkpoint) if checkpoint is not None \
-        else _NullJournal()
+    if checkpoint is not None:
+        from repro.exec.checkpoint import Journal
+        journal = Journal(checkpoint)
+    else:
+        journal = _NullJournal()
     #: collect telemetry per item when the caller has obs enabled —
     #: decided here once so workers behave identically under any pool
     #: start method (the flag travels with the submit call).

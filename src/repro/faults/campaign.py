@@ -1,7 +1,8 @@
 """Fault campaigns: deterministic sweeps over fault matrices.
 
-A *campaign* runs the same scenario once per cell of a
-(kind × target × onset × duration) matrix, injecting exactly one fault
+A *campaign* runs the same scenario once per cell of a fault matrix —
+a list of :class:`CampaignCell` (kind, target, onset, duration);
+:func:`reference_cells` is the bundled one — injecting exactly one fault
 per run, and measures what Section 4 of the paper demands from an
 integrated architecture: was the fault **detected** (and how fast), was
 the damage **contained** to the faulty element's region, and did the
@@ -20,7 +21,6 @@ structure consumable by :mod:`repro.analysis.system_report`.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -56,23 +56,6 @@ class CampaignCell:
         if self.duration is None:
             return None
         return self.onset + self.duration
-
-
-def grid(kinds: Iterable[str], targets: Iterable[str],
-         onsets: Iterable[int], durations: Iterable[Optional[int]],
-         params: Optional[dict] = None,
-         supported: Optional[Callable[[str, str], bool]] = None
-         ) -> list[CampaignCell]:
-    """Cartesian fault matrix; ``supported(kind, target)`` prunes cells
-    the scenario cannot inject (e.g. CRASH on a COM signal)."""
-    cells = []
-    for kind, target, onset, duration in itertools.product(
-            kinds, targets, onsets, durations):
-        if supported is not None and not supported(kind, target):
-            continue
-        cells.append(CampaignCell(kind, target, onset, duration,
-                                  dict(params or {})))
-    return cells
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Fault injection: adapters apply fault kinds to concrete subsystems.
 
-An adapter knows how to switch one fault kind on and off for one target
-(a TTP node, an OS task, a CAN controller, an IP core).  The
-:class:`FaultInjector` schedules activation/deactivation on the simulator
-and keeps the fault log the containment monitors read.
+An adapter knows how to switch its fault kinds on and off for one
+target, and there is one adapter per injection point: a TTP node, an
+OS task, a CAN controller (babbling, behind an optional bus guardian,
+or bus-off), an IP core, a COM signal's rx path (omission, corruption
+or delay), and the CAN and FlexRay media.  The :class:`FaultInjector`
+schedules activation/deactivation on the simulator and keeps the fault
+log the containment monitors read.
 """
 
 from __future__ import annotations
@@ -117,17 +120,25 @@ class TaskAdapter(FaultAdapter):
 
 class CanNodeAdapter(FaultAdapter):
     """Faults on a CAN controller: babbling idiot (floods the bus with a
-    top-priority frame) and crash (bus-off)."""
+    top-priority frame, id 0) and crash (bus-off).
+
+    With a ``guardian`` (a :class:`~repro.network.guardian.SlotGuardian`
+    holding an independent copy of the node's schedule) the flood asks
+    it before every send, so an untimely attempt is *blocked at the
+    physical layer* instead of reaching the bus.  Each blocked attempt
+    is logged as a ``guardian.blocked`` record on the bus trace (the
+    containment evidence the resilience oracle checks for).
+    """
 
     supports = (BABBLING, CRASH)
 
     def __init__(self, sim: Simulator, controller, flood_period: int,
-                 flood_id: int = 0):
+                 guardian=None):
         super().__init__(controller.node)
         self.sim = sim
         self.controller = controller
         self.flood_period = flood_period
-        self.flood_id = flood_id
+        self.guardian = guardian
         self._flood_handle = None
 
     def apply(self, fault: Fault) -> None:
@@ -136,11 +147,16 @@ class CanNodeAdapter(FaultAdapter):
             self.controller.set_bus_off(True)
             return
         from repro.network.can import CanFrameSpec
-        spec = CanFrameSpec(f"babble.{self.target_name}", self.flood_id,
-                            dlc=8)
+        spec = CanFrameSpec(f"babble.{self.target_name}", 0, dlc=8)
+        guardian = self.guardian
 
         def flood():
-            self.controller.send(spec, payload=0)
+            if guardian is None or guardian.permit(self.sim.now):
+                self.controller.send(spec, payload=0)
+            else:
+                self.controller.bus.trace.log(
+                    self.sim.now, "guardian.blocked", self.target_name,
+                    frame=spec.name)
             self._flood_handle = self.sim.schedule(self.flood_period, flood)
 
         self._flood_handle = self.sim.schedule(0, flood)
@@ -178,16 +194,20 @@ class IpCoreAdapter(FaultAdapter):
 
 
 class ComSignalAdapter(FaultAdapter):
-    """Faults on a COM signal path: omission (drop every reception) and
-    corruption (overwrite received values).
+    """Faults on a COM signal path: omission (drop every reception),
+    corruption (overwrite received values) and delay (withhold every
+    reception and redeliver it ``params["delay"]`` later).
 
     The adapter registers a *filter* in the ComStack's rx-filter
     registry rather than capturing ``_on_pdu`` itself: several adapters
     on the same stack stack cleanly, installs are idempotent, and
     reverting one adapter never leaves another holding a stale chain.
+    A delayed PDU is redelivered through ``_on_pdu``, the post-filter
+    entry point, so no filter captures it again (which would delay it
+    forever).
     """
 
-    supports = (OMISSION, CORRUPTION)
+    supports = (OMISSION, CORRUPTION, DELAY)
 
     def __init__(self, com_stack, signal_name: str):
         super().__init__(f"{com_stack.node}:{signal_name}")
@@ -196,12 +216,13 @@ class ComSignalAdapter(FaultAdapter):
         self._active_fault = None
 
     def apply(self, fault: Fault) -> None:
-        """Interpose on the COM rx path (omission/corruption)."""
+        """Interpose on the COM rx path."""
         self._active_fault = fault
         self.com.add_rx_filter(self._filter)
 
     def revert(self, fault: Fault) -> None:
-        """Stop filtering; the interposer stays installed but passive."""
+        """Stop filtering; the interposer stays installed but passive
+        (delayed PDUs already withheld still arrive)."""
         self._active_fault = None
 
     def check(self, fault: Fault) -> None:
@@ -227,52 +248,14 @@ class ComSignalAdapter(FaultAdapter):
             return payload
         if fault.kind == OMISSION:
             return None  # drop the whole PDU carrying the signal
+        if fault.kind == DELAY:
+            self.com.sim.schedule(fault.params.get("delay", 0),
+                                  lambda: self.com._on_pdu(pdu_name, payload))
+            return None
         mapping = ipdu.mapping_of(self.signal_name)
         stuck = fault.params.get("value", mapping.spec.max_value)
         mask = ((1 << mapping.spec.width_bits) - 1) << mapping.start_bit
         return (payload & ~mask) | (stuck << mapping.start_bit)
-
-
-class ComDelayAdapter(FaultAdapter):
-    """Delay faults on a COM rx path: every PDU carrying the signal is
-    withheld and redelivered ``params["delay"]`` later.
-
-    Redelivery calls ``_on_pdu`` directly — the post-filter entry point —
-    so the delayed copy is not run through the rx-filter registry again
-    (which would re-capture it and delay forever).
-    """
-
-    supports = (DELAY,)
-
-    def __init__(self, sim: Simulator, com_stack, signal_name: str):
-        super().__init__(f"{com_stack.node}:{signal_name}")
-        self.sim = sim
-        self.com = com_stack
-        self.signal_name = signal_name
-        self._active_fault = None
-        self._installed = False
-
-    def apply(self, fault: Fault) -> None:
-        """Start withholding receptions of the signal's PDU."""
-        self._active_fault = fault
-        if not self._installed:
-            self.com.add_rx_filter(self._filter)
-            self._installed = True
-
-    def revert(self, fault: Fault) -> None:
-        """Stop delaying new receptions (in-flight ones still arrive)."""
-        self._active_fault = None
-
-    def _filter(self, pdu_name: str, payload: int) -> Optional[int]:
-        fault = self._active_fault
-        if fault is None:
-            return payload
-        ipdu = self.com._rx_pdus.get(pdu_name)
-        if ipdu is None or self.signal_name not in ipdu.signal_names():
-            return payload
-        delay = fault.params.get("delay", 0)
-        self.sim.schedule(delay, lambda: self.com._on_pdu(pdu_name, payload))
-        return None
 
 
 class CanBusErrorAdapter(FaultAdapter):
@@ -337,51 +320,6 @@ class FlexRaySlotAdapter(FaultAdapter):
         """Restore the bus's previous slot-fault model."""
         self.bus.fault_model = self._saved_model
         self._saved_model = None
-
-
-class GuardedCanNodeAdapter(FaultAdapter):
-    """Babbling idiot behind a bus guardian: the flood loop asks the
-    guardian for permission before every send, so an untimely
-    transmission attempt is *blocked at the physical layer* instead of
-    reaching the bus.  Each blocked attempt is logged as a
-    ``guardian.blocked`` trace record (the containment evidence the
-    resilience oracle checks for)."""
-
-    supports = (BABBLING,)
-
-    def __init__(self, sim: Simulator, controller, guardian,
-                 flood_period: int, trace: Trace, flood_id: int = 0):
-        super().__init__(controller.node)
-        self.sim = sim
-        self.controller = controller
-        self.guardian = guardian
-        self.flood_period = flood_period
-        self.trace = trace
-        self.flood_id = flood_id
-        self._flood_handle = None
-
-    def apply(self, fault: Fault) -> None:
-        """Start the guarded flood loop."""
-        from repro.network.can import CanFrameSpec
-        spec = CanFrameSpec(f"babble.{self.target_name}", self.flood_id,
-                            dlc=8)
-
-        def flood():
-            if self.guardian.permit(self.sim.now):
-                self.controller.send(spec, payload=0)
-            else:
-                self.trace.log(self.sim.now, "guardian.blocked",
-                               self.target_name, frame=spec.name)
-            self._flood_handle = self.sim.schedule(self.flood_period, flood)
-
-        self._flood_handle = self.sim.schedule(0, flood)
-
-    def revert(self, fault: Fault) -> None:
-        """Stop flooding and flush whatever the guardian let through."""
-        if self._flood_handle is not None:
-            self.sim.cancel(self._flood_handle)
-            self._flood_handle = None
-        self.controller.flush()
 
 
 class FaultInjector:

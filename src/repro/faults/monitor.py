@@ -4,8 +4,6 @@ A *fault containment region* (FCR) is a set of trace subjects belonging
 to the faulty element.  :func:`containment_violations` scans a trace for
 damage (deadline misses, COM timeouts, collisions) attributed to subjects
 *outside* the region — exactly the paper's error-containment criterion.
-:func:`compare_runs` supports the stronger differential form: a victim's
-observable timing must be identical with and without the fault.
 
 :func:`judge` is the one detect/contain/recover rule both fault
 pipelines apply to a world that has run: campaign cells
@@ -15,9 +13,8 @@ baselines (:mod:`repro.verify.resilience`).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.errors import FaultContainmentViolation
 from repro.sim.trace import Record, Trace
 
 #: Trace categories counted as *detection* of an injected fault.  E2E
@@ -107,39 +104,3 @@ def judge(world, categories: Iterable[str], region: Iterable[str],
     times += [time for time, mode in world.modes.history
               if time >= end and mode == nominal]
     return detection, escaped, True, max(times, default=None)
-
-
-def assert_contained(trace: Trace, region: Iterable[str],
-                     since: int = 0) -> None:
-    """Raise :class:`FaultContainmentViolation` when damage escaped."""
-    violations = containment_violations(trace, region, since)
-    if violations:
-        first = violations[0]
-        raise FaultContainmentViolation(
-            f"{len(violations)} damage record(s) outside region "
-            f"{sorted(region)}; first: {first.category} on "
-            f"{first.subject} at t={first.time}")
-
-
-def compare_runs(build_and_run: Callable[[bool], list],
-                 ) -> tuple[list, list]:
-    """Run a scenario twice — baseline and faulted.
-
-    ``build_and_run(faulted)`` must construct a *fresh* simulation,
-    run it, and return the victim's observable metric series (e.g.
-    reception times or response times).  Returns (baseline, faulted).
-    """
-    return build_and_run(False), build_and_run(True)
-
-
-def is_isolated(baseline: list, faulted: list) -> bool:
-    """Strong isolation: the victim's series is bit-for-bit identical."""
-    return baseline == faulted
-
-
-def degradation(baseline: list, faulted: list) -> Optional[float]:
-    """Relative worst-case degradation of a latency series
-    (``max_f / max_b - 1``); None when either series is empty."""
-    if not baseline or not faulted:
-        return None
-    return max(faulted) / max(baseline) - 1.0

@@ -12,7 +12,8 @@ Three formats, three audiences:
   ``chrome://tracing`` or Perfetto;
 * :func:`events_to_jsonl` — the flat machine-readable event log
   (``--events``): one JSON object per line covering every instrument,
-  span and DLT record.
+  span and DLT record, read back (and checked line by line) by
+  :func:`events_from_jsonl`.
 
 All exporters emit sorted, canonically-separated output, so identical
 telemetry produces identical bytes.
@@ -262,6 +263,59 @@ def events_to_jsonl(snapshot: dict, spans: list[dict],
     return "\n".join(lines) + "\n"
 
 
+#: JSON type name -> the Python types ``json.loads`` gives it.
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float),
+               "array": list}
+#: The fields each ``repro stats`` table reads, by JSONL event type:
+#: ``(field, JSON type, required)``.  Other event types need only their
+#: ``type``.
+_EVENT_FIELDS = {
+    "counter": (("name", "string", True), ("value", "number", True)),
+    "span": (("name", "string", True), ("duration_ns", "number", True)),
+    "histogram": (("name", "string", True), ("count", "integer", True),
+                  ("sum", "number", True), ("buckets", "array", True),
+                  ("counts", "array", True), ("min", "number", False),
+                  ("max", "number", False)),
+    "dlt": (("severity", "string", True), ("app_id", "string", False),
+            ("context_id", "string", False), ("seq", "integer", False)),
+}
+
+
+def _event_problem(event) -> Optional[str]:
+    """Why a parsed JSONL line is no event the tables can read, or
+    None when it is one."""
+    if not isinstance(event, dict):
+        return "not an event object"
+    kind = event.get("type")
+    if not isinstance(kind, str):
+        return "event has no string 'type'"
+    for name, json_type, required in _EVENT_FIELDS.get(kind, ()):
+        value = event.get(name)
+        if value is None:
+            if required:
+                return f"{kind} event lacks {name!r}"
+        elif not isinstance(value, _JSON_TYPES[json_type]):
+            return f"{kind} event's {name!r} must be a JSON {json_type}"
+    if kind == "histogram" and not (
+            all(isinstance(bound, (int, float))
+                for bound in event["buckets"])
+            and len(event["counts"]) == len(event["buckets"]) + 1
+            and all(isinstance(count, int) for count in event["counts"])):
+        return "histogram event's 'counts' do not fit its 'buckets'"
+    return None
+
+
 def events_from_jsonl(text: str) -> list[dict]:
-    """Parse a JSONL event log back into its event dicts."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """Parse a JSONL event log back into its event dicts; a line that
+    is no event ``repro stats`` can read raises
+    :class:`~repro.errors.ConfigurationError` naming it."""
+    parsed = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        event = json.loads(line)
+        problem = _event_problem(event)
+        if problem is not None:
+            raise ConfigurationError(f"line {number}: {problem}")
+        parsed.append(event)
+    return parsed

@@ -9,71 +9,15 @@ cumulative time, histogram percentiles, and the DLT error-event table.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.exporters import parse_prometheus_text, validate_chrome_trace
+from repro.obs.exporters import (events_from_jsonl, parse_prometheus_text,
+                                 validate_chrome_trace)
 from repro.obs.registry import Histogram, MetricsRegistry
 
 PROM = "prometheus"
 CHROME = "chrome-trace"
 JSONL = "events-jsonl"
-
-
-#: JSON type name -> the Python types ``json.loads`` gives it.
-_JSON_TYPES = {"string": str, "integer": int, "number": (int, float),
-               "array": list}
-#: The fields each table reads, by JSONL event type: ``(field, JSON
-#: type, required)``.  Other event types need only their ``type``.
-_EVENT_FIELDS = {
-    "counter": (("name", "string", True), ("value", "number", True)),
-    "span": (("name", "string", True), ("duration_ns", "number", True)),
-    "histogram": (("name", "string", True), ("count", "integer", True),
-                  ("sum", "number", True), ("buckets", "array", True),
-                  ("counts", "array", True), ("min", "number", False),
-                  ("max", "number", False)),
-    "dlt": (("severity", "string", True), ("app_id", "string", False),
-            ("context_id", "string", False), ("seq", "integer", False)),
-}
-
-
-def _event_problem(event) -> Optional[str]:
-    """Why a parsed JSONL line is no event the tables can read, or
-    None when it is one."""
-    if not isinstance(event, dict):
-        return "not an event object"
-    kind = event.get("type")
-    if not isinstance(kind, str):
-        return "event has no string 'type'"
-    for name, json_type, required in _EVENT_FIELDS.get(kind, ()):
-        value = event.get(name)
-        if value is None:
-            if required:
-                return f"{kind} event lacks {name!r}"
-        elif not isinstance(value, _JSON_TYPES[json_type]):
-            return f"{kind} event's {name!r} must be a JSON {json_type}"
-    if kind == "histogram" and not (
-            all(isinstance(bound, (int, float))
-                for bound in event["buckets"])
-            and len(event["counts"]) == len(event["buckets"]) + 1
-            and all(isinstance(count, int) for count in event["counts"])):
-        return "histogram event's 'counts' do not fit its 'buckets'"
-    return None
-
-
-def _jsonl_events(text: str) -> list[dict]:
-    """The events of a JSONL log; a line that is no readable event
-    raises :class:`~repro.errors.ConfigurationError` naming it."""
-    parsed = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        event = json.loads(line)
-        problem = _event_problem(event)
-        if problem is not None:
-            raise ConfigurationError(f"line {number}: {problem}")
-        parsed.append(event)
-    return parsed
 
 
 def load(text: str) -> tuple[str, object]:
@@ -95,7 +39,7 @@ def load(text: str) -> tuple[str, object]:
         if "traceEvents" in parsed:
             return CHROME, parsed
     if stripped.startswith(("{", "[")):
-        return JSONL, _jsonl_events(text)
+        return JSONL, events_from_jsonl(text)
     raise ConfigurationError("unrecognized telemetry file format")
 
 

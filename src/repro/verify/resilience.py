@@ -44,9 +44,8 @@ from repro import obs
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
 from repro.faults.injector import (CanBusErrorAdapter, CanNodeAdapter,
-                                   ComDelayAdapter, ComSignalAdapter,
-                                   FaultInjector, FlexRaySlotAdapter,
-                                   GuardedCanNodeAdapter, TaskAdapter)
+                                   ComSignalAdapter, FaultInjector,
+                                   FlexRaySlotAdapter, TaskAdapter)
 from repro.faults.model import (BABBLING, CORRUPTION, CRASH, DELAY, Fault,
                                 OMISSION)
 from repro.faults.monitor import DETECTION_CATEGORIES, judge
@@ -157,6 +156,11 @@ def scenario_problems(system: GeneratedSystem,
 
 
 _ALL_KINDS = CHAIN_KINDS + ("flexray-slot-loss", "tdma-babble")
+
+#: Fault kind each COM rx-path scenario injects through the chain's
+#: :class:`ComSignalAdapter`.
+_COM_FAULT_KINDS = {"e2e-corruption": CORRUPTION, "e2e-loss": OMISSION,
+                    "e2e-delay": DELAY}
 
 
 def _lacks(system: GeneratedSystem, scenario: FaultScenario
@@ -274,8 +278,8 @@ def _plan_scenario(system: GeneratedSystem, scenario: FaultScenario
             # Independent schedule copy with *no* window for the
             # babbler: the guardian physically gates every attempt.
             guardian = SlotGuardian("BABBLER", [], period=ms(10))
-            adapter = GuardedCanNodeAdapter(world.sim, controller,
-                                            guardian, flood, world.trace)
+            adapter = CanNodeAdapter(world.sim, controller, flood,
+                                     guardian=guardian)
             return adapter, Fault(BABBLING, adapter.target_name,
                                   scenario.start, scenario.duration)
 
@@ -303,18 +307,12 @@ def _plan_scenario(system: GeneratedSystem, scenario: FaultScenario
 
     def wire(world, kind=kind, scenario=scenario):
         c = world.system.chain
-        if kind in ("e2e-corruption", "e2e-loss"):
+        if kind in _COM_FAULT_KINDS:
             adapter = ComSignalAdapter(world.built.rx_stack, c.signal_name)
-            fault_kind = (CORRUPTION if kind == "e2e-corruption"
-                          else OMISSION)
-            fault = Fault(fault_kind, adapter.target_name, scenario.start,
-                          scenario.duration)
-        elif kind == "e2e-delay":
-            adapter = ComDelayAdapter(world.sim, world.built.rx_stack,
-                                      c.signal_name)
-            fault = Fault(DELAY, adapter.target_name, scenario.start,
-                          scenario.duration,
-                          params={"delay": c.timeout + c.period})
+            fault = Fault(_COM_FAULT_KINDS[kind], adapter.target_name,
+                          scenario.start, scenario.duration,
+                          params=({"delay": c.timeout + c.period}
+                                  if kind == "e2e-delay" else {}))
         elif kind == "can-error-burst":
             adapter = CanBusErrorAdapter(world.built.can_bus, c.pdu_name)
             fault = Fault(CORRUPTION, adapter.target_name, scenario.start,

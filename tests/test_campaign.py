@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import (BABBLING, CORRUPTION, CRASH, CampaignCell,
-                          OMISSION, ReferenceWorld, TIMING_OVERRUN, grid,
+                          OMISSION, ReferenceWorld, TIMING_OVERRUN,
                           reference_cells, run_campaign, run_cell)
 from repro.analysis import format_robustness, robustness_report
 from repro.units import ms
@@ -26,17 +26,6 @@ def report():
 def by_kind(report, kind):
     (result,) = [r for r in report.results if r.cell.kind == kind]
     return result
-
-
-def test_grid_builds_cartesian_matrix_with_pruning():
-    cells = grid([CORRUPTION, CRASH], ["speed", "producer"], [ms(10)],
-                 [ms(20)],
-                 supported=lambda kind, target:
-                 not (kind == CRASH and target == "speed"))
-    labels = [c.label for c in cells]
-    assert len(cells) == 3
-    assert f"{CRASH}@speed+{ms(10)}" not in labels
-    assert cells[0].end == ms(30)
 
 
 def test_run_cell_rejects_window_beyond_horizon():

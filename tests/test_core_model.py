@@ -187,6 +187,26 @@ def test_single_writer_rule():
         comp.connect("s2", "out", "c", "in")
 
 
+def test_single_server_rule():
+    # A client port connected to two servers: the RTE would derive a
+    # request PDU per server and keep one, and calls would reach only
+    # the last server.
+    server = SwComponent("Server")
+    server.provide("srv", cs_iface())
+    client = SwComponent("Client")
+    client.require("cal", cs_iface())
+    comp = Composition("Sys")
+    comp.add(server.instantiate("s1"))
+    comp.add(server.instantiate("s2"))
+    comp.add(client.instantiate("c"))
+    comp.add(client.instantiate("d"))
+    comp.connect("s1", "srv", "c", "cal")
+    with pytest.raises(CompositionError, match="already has a server"):
+        comp.connect("s2", "srv", "c", "cal")
+    comp.connect("s1", "srv", "d", "cal")  # one server, many clients
+    assert len(comp.connectors) == 2
+
+
 def test_fan_out_allowed():
     sensor = SwComponent("Sensor")
     sensor.provide("out", sr_iface())

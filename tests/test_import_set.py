@@ -1,9 +1,10 @@
 """What a serial pipeline run imports.
 
 A ``jobs=1`` run executes every item in-process, so it must not load
-the process-pool stack, and the analysis, network and OS packages
-resolve their exports on first access, so a run loads only the
-submodules it names.  Each check runs in a fresh interpreter: the test
+the process-pool stack; a run without a checkpoint journals nothing, so
+it must not load the journal or ``pickle``.  The analysis, exec,
+network and OS packages resolve their exports on first access, so a run
+loads only the submodules it names.  Each check runs in a fresh interpreter: the test
 process itself has long since imported everything.
 """
 
@@ -21,7 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules (with their submodules) that no serial pipeline executes.
 NEVER_LOADED = ("concurrent.futures", "multiprocessing", "repro.core",
                 "repro.analysis.system_report", "repro.network.tte",
-                "repro.network.ttp", "repro.osek.server")
+                "repro.network.ttp", "repro.osek.server",
+                "pickle", "_pickle", "base64", "repro.exec.checkpoint")
 
 #: Each pipeline entry point at jobs=1 on a tiny input.
 PIPELINES = {
@@ -39,7 +41,8 @@ PIPELINES = {
                 "assert report.cells == 3",
 }
 
-LAZY_PACKAGES = ("repro.analysis", "repro.network", "repro.osek")
+LAZY_PACKAGES = ("repro.analysis", "repro.exec", "repro.network",
+                 "repro.osek")
 #: Exported names more than one submodule defines, with their home:
 #: ``can_rta`` has frame-level functions named like the task-level ones
 #: the package exports.

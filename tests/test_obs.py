@@ -419,3 +419,13 @@ def test_stats_names_the_line_of_an_unreadable_event(tmp_path, event,
                     f"{json.dumps(event)}\n")
     with pytest.raises(ConfigurationError, match=f"line 4: {problem}"):
         summarize_paths([str(path)])
+
+
+def test_events_from_jsonl_names_the_line_of_an_unreadable_event():
+    # The exporters' reader is the one `repro stats` loads logs with.
+    good = json.dumps(HISTOGRAM)
+    assert events_from_jsonl(f"{good}\n\n{good}\n") == [HISTOGRAM] * 2
+    with pytest.raises(ConfigurationError,
+                       match="line 3: counter event lacks 'value'"):
+        events_from_jsonl(
+            f"{good}\n\n{json.dumps({'type': 'counter', 'name': 'n'})}\n")

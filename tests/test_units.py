@@ -58,7 +58,7 @@ def test_ms_us_consistency(value):
 def test_error_hierarchy_all_derive_from_repro_error():
     for name in ("ConfigurationError", "SimulationError", "SchedulingError",
                  "AnalysisError", "ContractError", "CompositionError",
-                 "FaultContainmentViolation", "ProtocolError"):
+                 "ProtocolError"):
         exc_type = getattr(errors, name)
         assert issubclass(exc_type, errors.ReproError)
         assert issubclass(exc_type, Exception)
