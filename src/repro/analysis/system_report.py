@@ -59,16 +59,16 @@ def timing_report(system) -> TimingReport:
         return TimingReport(analysable=False,
                             issues=[f"configuration: {i}" for i in issues])
     domains = {spec.domain for spec in system.ecus.values()}
-    kinds = {system._domain_kind(domain) for domain in domains}
-    if len(domains) > 1 or (kinds - {None} and kinds != {"can"}):
+    # The bus of the one domain, whatever its name.
+    kind, params = system.domain_buses.get(next(iter(domains), None),
+                                           (None, {}))
+    if len(domains) > 1 or kind not in (None, "can"):
         return TimingReport(
             analysable=False,
             issues=["timing report currently supports single-domain CAN "
                     "deployments only"])
-    bitrate = system.bus_params.get("bitrate_bps", 500_000) \
-        if system.bus_kind == "can" else 500_000
     plan = rte_plan(system)
-    model = HolisticModel(bitrate)
+    model = HolisticModel(params.get("bitrate_bps", 500_000))
 
     def writer(source):
         """(writer task of ``source``'s first element or None, element)."""

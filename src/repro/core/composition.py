@@ -19,18 +19,7 @@ from typing import Union
 from repro.errors import CompositionError
 from repro.core.component import ComponentInstance
 from repro.core.interface import SenderReceiverInterface
-from repro.core.port import Port
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """(instance name, port name) — one end of a connector."""
-
-    instance: str
-    port: str
-
-    def __str__(self) -> str:
-        return f"{self.instance}.{self.port}"
+from repro.core.port import Endpoint, Port
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ from repro.core.runnable import (DataReceivedEvent, InitEvent,
 from repro.core.system import SystemModel
 from repro.core.types import DataType
 
-FORMAT_VERSION = 1
+#: The document layout: since 2, every ECU carries its domain and every
+#: domain its bus.
+FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +136,12 @@ def export_system(system: SystemModel) -> dict:
         "system": {
             "name": system.name,
             "root": root_name,
-            "ecus": sorted(system.ecus),
+            "ecus": {name: {"domain": ecu.domain}
+                     for name, ecu in sorted(system.ecus.items())},
             "mapping": dict(system.mapping),
-            "bus": {"kind": system.bus_kind,
-                    "params": dict(system.bus_params)},
+            "buses": {domain: {"kind": kind, "params": dict(params)}
+                      for domain, (kind, params)
+                      in sorted(system.domain_buses.items())},
             "can_ids": dict(system.can_ids),
         },
     }
@@ -298,13 +302,12 @@ def import_system(document: dict,
     system_spec = document["system"]
     system = SystemModel(system_spec["name"])
     system.set_root(build_composition(system_spec["root"]))
-    for ecu in system_spec["ecus"]:
-        system.add_ecu(ecu)
+    for ecu, spec in system_spec["ecus"].items():
+        system.add_ecu(ecu, domain=spec["domain"])
     for instance, ecu in system_spec["mapping"].items():
         system.map(instance, ecu)
-    bus = system_spec["bus"]
-    if bus["kind"] is not None:
-        system.configure_bus(bus["kind"], **bus["params"])
+    for domain, bus in system_spec["buses"].items():
+        system.configure_domain_bus(domain, bus["kind"], **bus["params"])
     for pdu, can_id in system_spec.get("can_ids", {}).items():
         system.set_can_id(pdu, can_id)
     return system

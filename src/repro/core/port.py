@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 PROVIDED = "provided"
 REQUIRED = "required"
 
@@ -37,3 +39,14 @@ class Port:
     def __repr__(self) -> str:
         tag = "P" if self.is_provided else "R"
         return f"<{tag}Port {self.name}:{self.interface.name}>"
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    """(instance name, port name) — one end of a connector."""
+
+    instance: str
+    port: str
+
+    def __str__(self) -> str:
+        return f"{self.instance}.{self.port}"

@@ -24,10 +24,12 @@ timing report see exactly what the runtime deploys.  The rules the
 builder itself enforces, :func:`server_runnable_issues` and
 :func:`bus_capacity_issue`, are the ones ``validate`` reports.
 
-Execution follows implicit (buffered) communication semantics: a task
-snapshots its instance's inputs when it *starts* and commits its outputs
-when it *completes* — so a runnable's observable I/O happens at the
-points timing analysis assumes.
+Runnables get the :class:`~repro.core.component.RunnableContext` of the
+VFB and its port contract; what the RTE adds is the platform.  Execution
+follows implicit (buffered) communication semantics: a task snapshots
+its instance's inputs when it *starts* and commits its outputs when it
+*completes* — so a runnable's observable I/O happens at the points
+timing analysis assumes.
 """
 
 from __future__ import annotations
@@ -37,15 +39,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import CompositionError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.com import (CanComAdapter, ComStack, DIRECT, FlexRayComAdapter,
                        SignalSpec, TRIGGERED, TteComAdapter,
                        pack_sequentially)
 from repro.com.ipdu import IPdu
-from repro.core.component import ComponentInstance
+from repro.core.component import (ComponentInstance, RunnableContext,
+                                  deliver)
 from repro.core.composition import Endpoint
-from repro.core.interface import (ClientServerInterface,
-                                  SenderReceiverInterface)
+from repro.core.interface import SenderReceiverInterface
 from repro.core.runnable import (DataReceivedEvent, InitEvent,
                                  OperationInvokedEvent, Runnable,
                                  TimingEvent)
@@ -61,8 +63,6 @@ from repro.units import us
 SPORADIC_PRIORITY = 1000
 #: Queue depth for event-activated tasks.
 SPORADIC_QUEUE = 16
-#: FIFO depth of queued sender-receiver elements (matches the VFB).
-QUEUE_LENGTH = 16
 
 FIRST_CAN_ID = 0x100
 #: TTEthernet defaults of a domain that does not configure them.
@@ -289,62 +289,6 @@ def server_runnable_issues(plan: RtePlan) -> list[str]:
     return issues
 
 
-class RteContext:
-    """``ctx`` handed to runnables on a deployed system."""
-
-    def __init__(self, runtime: "SystemRuntime", ecu: "_EcuRuntime",
-                 instance: ComponentInstance):
-        self._runtime = runtime
-        self._ecu = ecu
-        self._instance = instance
-        self._snapshot: Optional[dict] = None
-
-    @property
-    def now(self) -> int:
-        """Current virtual time (ns)."""
-        return self._runtime.sim.now
-
-    @property
-    def state(self) -> dict:
-        """The owning instance's private state dict."""
-        return self._instance.state
-
-    def read(self, port: str, element: str) -> int:
-        """Read a sender-receiver element (snapshot during a job)."""
-        key = (self._instance.name, port, element)
-        if key in self._ecu.queues:
-            raise ConfigurationError(
-                f"{self._instance.name}.{port}.{element} is queued; use "
-                f"ctx.receive() instead of ctx.read()")
-        if key not in self._ecu.buffers:
-            raise ConfigurationError(
-                f"{self._instance.name}.{port}.{element} is not a "
-                f"sender-receiver element")
-        if self._snapshot is not None and key in self._snapshot:
-            return self._snapshot[key]
-        return self._ecu.buffers[key]
-
-    def receive(self, port: str, element: str):
-        """Pop the oldest value from a *queued* element's FIFO (None
-        when empty).  Consumption is live (event semantics), not
-        snapshotted."""
-        key = (self._instance.name, port, element)
-        queue = self._ecu.queues.get(key)
-        if queue is None:
-            raise ConfigurationError(
-                f"{self._instance.name}.{port}.{element} is not a queued "
-                f"element of a required port")
-        return queue.popleft() if queue else None
-
-    def write(self, port: str, element: str, value: int) -> None:
-        """Write a provided element (delivered locally and via COM)."""
-        self._runtime._commit_write(self._instance, port, element, value)
-
-    def call(self, port: str, operation: str, **args):
-        """Invoke a client-server operation (sync local, async remote)."""
-        return self._runtime._call(self._instance, port, operation, args)
-
-
 class _EcuRuntime:
     """Runtime state of one deployed ECU."""
 
@@ -352,11 +296,7 @@ class _EcuRuntime:
         self.spec = spec
         self.kernel = kernel
         self.com: Optional[ComStack] = None
-        self.buffers: dict[tuple[str, str, str], int] = {}
-        #: FIFOs of queued elements on required ports.
-        self.queues: dict[tuple[str, str, str], deque] = {}
         self.instances: dict[str, ComponentInstance] = {}
-        self.contexts: dict[str, RteContext] = {}
         #: (instance, port, element) -> tasks to activate on reception.
         self.data_tasks: dict[tuple[str, str, str], list] = {}
         #: server task name -> queue of pending call kwargs.
@@ -376,12 +316,16 @@ class SystemRuntime:
         self.buses: dict[str, object] = {}
         #: auto-generated central gateway, if cross-domain routes exist.
         self.gateway = None
+        #: element tables, contexts and client-server routes of the
+        #: port contract (see RunnableContext).
+        self.buffers: dict[tuple[str, str, str], int] = {}
+        self.queues: dict[tuple[str, str, str], deque] = {}
+        self.contexts: dict[str, RunnableContext] = {}
+        self.servers: dict[Endpoint, Endpoint] = {}
         #: (src_instance, port) -> same-ECU delivery targets.
         self._local_routes: dict[tuple[str, str], list[Endpoint]] = {}
         #: (src_instance, port) pairs whose writes go out over COM.
         self._com_tx: set[tuple[str, str]] = set()
-        #: client endpoint -> server endpoint for client-server connectors.
-        self._cs_routes: dict[Endpoint, Endpoint] = {}
         self._instance_ecu: dict[str, str] = {}
         self.queue_overflows = 0
 
@@ -399,12 +343,11 @@ class SystemRuntime:
 
     def value_of(self, instance: str, port: str, element: str) -> int:
         """Current buffer value of a sender-receiver element."""
-        return self.ecu_of(instance).buffers[(instance, port, element)]
+        return self.buffers[(instance, port, element)]
 
     def queue_depth(self, instance: str, port: str, element: str) -> int:
         """Pending entries of a queued element's FIFO."""
-        return len(self.ecu_of(instance).queues[(instance, port,
-                                                 element)])
+        return len(self.queues[(instance, port, element)])
 
     def response_times(self, task_name: str) -> list[int]:
         """Observed response times of a deployed task."""
@@ -416,109 +359,49 @@ class SystemRuntime:
         return len(self.trace.records("task.deadline_miss", task_name))
 
     # ------------------------------------------------------------------
-    # Data flow
+    # The platform's part of a write and of a call
     # ------------------------------------------------------------------
-    def _commit_write(self, instance: ComponentInstance, port_name: str,
-                      element: str, value: int) -> None:
-        port = instance.port(port_name)
-        if not (port.is_provided
-                and isinstance(port.interface, SenderReceiverInterface)):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} is not a provided "
-                f"sender-receiver port")
-        dtype = port.interface.elements.get(element)
-        if dtype is None:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} has no element {element!r}")
-        dtype.validate(value)
-        key = (instance.name, port_name, element)
-        source_ecu = self.ecu_of(instance.name)
-        if not port.interface.is_queued(element):
-            source_ecu.buffers[key] = value
-        self.trace.log(self.sim.now, "rte.write",
-                       f"{instance.name}.{port_name}.{element}", value=value)
+    def _write(self, key: tuple[str, str, str], value: int) -> None:
+        """Deliver a checked write to its same-ECU receivers and hand
+        it to COM when the port is sent over the bus."""
         source = key[:2]
-        for target in self._local_routes.get(source, ()):
-            self._deliver(source_ecu, target.instance, target.port, element,
-                          value)
+        ecu = self.ecu_of(key[0])
+        signal = ".".join(key)
+        self.trace.log(self.sim.now, "rte.write", signal, value=value)
+        self._deliver(ecu, self._local_routes.get(source, ()), key[2], value)
         if source in self._com_tx:
-            source_ecu.com.write_signal(
-                f"{instance.name}.{port_name}.{element}", value)
+            ecu.com.write_signal(signal, value)
 
-    def _deliver(self, ecu: _EcuRuntime, instance: str, port: str,
-                 element: str, value: int) -> None:
-        key = (instance, port, element)
-        queue = ecu.queues.get(key)
-        if queue is not None:
-            if len(queue) >= QUEUE_LENGTH:
+    def _deliver(self, ecu: _EcuRuntime, targets, element: str,
+                 value: int) -> None:
+        """Deliver ``element``'s value to each target port on ``ecu``,
+        activating the tasks each delivery triggers."""
+        for target in targets:
+            key = (target.instance, target.port, element)
+            if not deliver(self.buffers, self.queues, key, value):
                 self.queue_overflows += 1
                 self.trace.log(self.sim.now, "rte.queue_overflow",
-                               f"{instance}.{port}.{element}")
-            else:
-                queue.append(value)
-        else:
-            ecu.buffers[key] = value
-        for task in ecu.data_tasks.get(key, []):
-            ecu.kernel.activate(task)
+                               f"{target}.{element}")
+            for task in ecu.data_tasks.get(key, []):
+                ecu.kernel.activate(task)
 
-    def _on_com_signal(self, ecu: _EcuRuntime, targets: list[Endpoint],
-                       element: str, value: int) -> None:
-        for target in targets:
-            self._deliver(ecu, target.instance, target.port, element, value)
-
-    # ------------------------------------------------------------------
-    # Client-server
-    # ------------------------------------------------------------------
-    def _call(self, instance: ComponentInstance, port_name: str,
-              operation: str, args: dict):
-        port = instance.port(port_name)
-        if not (port.is_required
-                and isinstance(port.interface, ClientServerInterface)):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} is not a client port")
-        op = port.interface.operations.get(operation)
-        if op is None:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} has no operation "
-                f"{operation!r}")
-        if set(args) != set(op.args):
-            raise ConfigurationError(
-                f"call {operation}: expected args {sorted(op.args)}, got "
-                f"{sorted(args)}")
-        for arg_name, value in args.items():
-            op.args[arg_name].validate(value)
-        client = Endpoint(instance.name, port_name)
-        server = self._cs_routes.get(client)
-        if server is None:
-            raise CompositionError(f"{client} is not connected to a server")
-        client_ecu = self._instance_ecu[instance.name]
-        server_ecu = self._instance_ecu[server.instance]
-        if client_ecu == server_ecu:
-            return self._call_local(server, operation, op, args)
-        return self._call_remote(client, operation, args)
-
-    def _call_local(self, server: Endpoint, operation: str, op, args: dict):
-        ecu = self.ecus[self._instance_ecu[server.instance]]
-        server_instance = ecu.instances[server.instance]
-        runnable = server_instance.component.server_runnable(server.port,
-                                                             operation)
-        self.trace.log(self.sim.now, "rte.call_local",
-                       f"{server.instance}.{server.port}.{operation}")
-        result = runnable.function(ecu.contexts[server.instance], **args)
-        if op.returns is not None:
-            op.returns.validate(result)
-        return result
-
-    def _call_remote(self, client: Endpoint, operation: str,
-                     args: dict) -> None:
-        pdu_name = f"cs.{client}.{operation}"
-        ecu = self.ecus[self._instance_ecu[client.instance]]
+    def _call(self, client: Endpoint, server: Endpoint, op, args: dict):
+        """Run a checked call inline when the server shares the
+        client's ECU, else send its request PDU (a void operation)."""
+        ecu = self.ecu_of(client.instance)
+        if ecu is self.ecu_of(server.instance):
+            runnable = ecu.instances[server.instance].component \
+                .server_runnable(server.port, op.name)
+            self.trace.log(self.sim.now, "rte.call_local",
+                           f"{server}.{op.name}")
+            return runnable.function(self.contexts[server.instance], **args)
+        pdu_name = f"cs.{client}.{op.name}"
         for arg_name, value in args.items():
             ecu.com.write_signal(f"{pdu_name}.{arg_name}", value)
         ecu.com.write_signal(f"{pdu_name}.fire", 1)
-        self.trace.log(self.sim.now, "rte.call_remote",
-                       f"{client}.{operation}")
+        self.trace.log(self.sim.now, "rte.call_remote", f"{client}.{op.name}")
         ecu.com.send_pdu(pdu_name)
+        return None
 
     def __repr__(self) -> str:
         return f"<SystemRuntime {self.system.name} ecus={sorted(self.ecus)}>"
@@ -546,32 +429,20 @@ class RteBuilder:
                                name=name)
             runtime.ecus[name] = _EcuRuntime(spec, kernel)
         for instance in plan.instances.values():
-            ecu = runtime.ecus[self.system.mapping[instance.name]]
-            ecu.instances[instance.name] = instance
-            ecu.contexts[instance.name] = RteContext(runtime, ecu, instance)
-            self._init_buffers(ecu, instance)
+            runtime.ecu_of(instance.name).instances[instance.name] = instance
+            instance.add_elements(runtime.buffers, runtime.queues)
+            runtime.contexts[instance.name] = RunnableContext(runtime,
+                                                              instance)
 
         for source, target in plan.local_routes:
             runtime._local_routes.setdefault(
                 (source.instance, source.port), []).append(target)
-        runtime._cs_routes = plan.servers
+        runtime.servers = plan.servers
         if plan.pdus:
             self._build_bus(sim, runtime, trace, plan)
         for task in plan.tasks:
             self._add_task(runtime, runtime.ecus[task.ecu], task)
         return runtime
-
-    def _init_buffers(self, ecu: _EcuRuntime,
-                      instance: ComponentInstance) -> None:
-        for port_name, port in instance.ports.items():
-            if isinstance(port.interface, SenderReceiverInterface):
-                for element, dtype in port.interface.elements.items():
-                    key = (instance.name, port_name, element)
-                    if port.interface.is_queued(element):
-                        if port.is_required:
-                            ecu.queues[key] = deque()
-                    else:
-                        ecu.buffers[key] = dtype.initial
 
     # ------------------------------------------------------------------
     def _build_bus(self, sim, runtime, trace, plan: RtePlan) -> None:
@@ -599,7 +470,7 @@ class RteBuilder:
                     ecu.com.on_signal(
                         mapping.spec.name,
                         lambda value, e=ecu, ts=targets, el=element:
-                        runtime._on_com_signal(e, ts, el, value))
+                        runtime._deliver(e, ts, el, value))
 
     def _dispatch_remote_calls(self, runtime, plan: RtePlan,
                                pdu: PlannedPdu) -> None:
@@ -748,13 +619,13 @@ class RteBuilder:
         instance, runnable = task.instance, task.runnable
         task_name = task.spec.name
         trigger = runnable.trigger
-        context = ecu.contexts[instance.name]
+        context = runtime.contexts[instance.name]
         is_server = isinstance(trigger, OperationInvokedEvent)
+        buffers = runtime.buffers
+        keys = [key for key in buffers if key[0] == instance.name]
 
         def on_start(job):
-            context._snapshot = {
-                key: value for key, value in ecu.buffers.items()
-                if key[0] == instance.name}
+            context.snapshot = {key: buffers[key] for key in keys}
 
         def on_complete(job):
             try:
@@ -765,7 +636,7 @@ class RteBuilder:
                 else:
                     runnable.function(context)
             finally:
-                context._snapshot = None
+                context.snapshot = None
 
         kernel_task = ecu.kernel.add_task(task.spec, on_start=on_start,
                                           on_complete=on_complete)

@@ -1,10 +1,11 @@
 """Runnables and RTE events.
 
 A runnable is the schedulable unit of a component's behaviour.  Its
-``function`` receives an :class:`RteContext`-like object (``ctx``) with
-``read``/``write``/``call``/``state`` — the same code runs on the VFB and
-on a deployed RTE, which is the transferability property the RTE exists
-to provide.
+``function`` receives a :class:`~repro.core.component.RunnableContext`
+(``ctx``) with ``read``/``receive``/``write``/``call``/``state``/``now``
+— the one context class of the VFB and of every deployed RTE, so the
+same code runs on both, which is the transferability property the RTE
+exists to provide.
 """
 
 from __future__ import annotations

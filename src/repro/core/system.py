@@ -83,19 +83,6 @@ class SystemModel:
                 f"{SUPPORTED_BUSES}")
         self.domain_buses[domain] = (kind, params)
 
-    # -- backward-compatible single-bus accessors ----------------------
-    @property
-    def bus_kind(self) -> Optional[str]:
-        """Bus kind of the default domain (single-bus convenience)."""
-        kind, __ = self.domain_buses.get("default", (None, {}))
-        return kind
-
-    @property
-    def bus_params(self) -> dict:
-        """Bus parameters of the default domain."""
-        __, params = self.domain_buses.get("default", (None, {}))
-        return params
-
     def set_can_id(self, pdu_name: str, can_id: int) -> None:
         """Pin the CAN identifier of a generated PDU."""
         self.can_ids[pdu_name] = can_id
@@ -219,5 +206,7 @@ class SystemModel:
         return RteBuilder(self).build(sim, trace)
 
     def __repr__(self) -> str:
+        buses = {domain: kind
+                 for domain, (kind, __) in sorted(self.domain_buses.items())}
         return (f"<SystemModel {self.name} ecus={sorted(self.ecus)} "
-                f"bus={self.bus_kind}>")
+                f"buses={buses}>")

@@ -5,7 +5,9 @@ the Virtual Functional Bus on a specific ECU" (paper, Section 2).  The VFB
 is therefore the reference semantics: components communicate instantly,
 with no ECUs, buses or scheduling.  Running an application here validates
 its *functional* wiring; deploying the identical component code through
-:mod:`repro.core.rte` adds the platform timing.
+:mod:`repro.core.rte` adds the platform timing.  Both runtimes hand
+runnables the one :class:`~repro.core.component.RunnableContext` and
+share its port contract; this module holds only what the VFB adds.
 
 Semantics: runnable executions are atomic and instantaneous in virtual
 time; a write on a provided sender-receiver port immediately updates all
@@ -18,56 +20,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.errors import CompositionError, ConfigurationError
-from repro.core.component import ComponentInstance
+from repro.errors import CompositionError
+from repro.core.component import (ComponentInstance, RunnableContext,
+                                  deliver)
 from repro.core.composition import Composition, Endpoint
-from repro.core.interface import (ClientServerInterface,
-                                  SenderReceiverInterface)
-from repro.core.runnable import (DataReceivedEvent, InitEvent,
-                                 OperationInvokedEvent, Runnable,
+from repro.core.interface import SenderReceiverInterface
+from repro.core.runnable import (DataReceivedEvent, InitEvent, Runnable,
                                  TimingEvent)
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
-
-#: FIFO depth of queued sender-receiver elements; overflowing sends are
-#: discarded and counted (AUTOSAR's queued-communication overflow rule).
-QUEUE_LENGTH = 16
-
-
-class VfbContext:
-    """The ``ctx`` object handed to runnable functions on the VFB."""
-
-    def __init__(self, vfb: "VfbSimulation", instance: ComponentInstance):
-        self._vfb = vfb
-        self._instance = instance
-
-    @property
-    def now(self) -> int:
-        """Current virtual time (ns)."""
-        return self._vfb.sim.now
-
-    @property
-    def state(self) -> dict:
-        """The owning instance's private state dict."""
-        return self._instance.state
-
-    def read(self, port: str, element: str) -> int:
-        """Current value of a sender-receiver element (R-port: last
-        received; P-port: last written)."""
-        return self._vfb._read(self._instance, port, element)
-
-    def write(self, port: str, element: str, value: int) -> None:
-        """Write a provided element; delivery is immediate."""
-        self._vfb._write(self._instance, port, element, value)
-
-    def receive(self, port: str, element: str):
-        """Pop the oldest value from a *queued* element's FIFO (None
-        when the queue is empty)."""
-        return self._vfb._receive(self._instance, port, element)
-
-    def call(self, port: str, operation: str, **args):
-        """Invoke an operation through a required client-server port."""
-        return self._vfb._call(self._instance, port, operation, args)
 
 
 class VfbSimulation:
@@ -81,29 +42,19 @@ class VfbSimulation:
         self.instances: dict[str, ComponentInstance] = {
             i.name: i for i in instances}
         self.connectors = connectors
-        self._buffers: dict[tuple[str, str, str], int] = {}
-        self._queues: dict[tuple[str, str, str], deque] = {}
+        #: element tables, contexts and client-server routes of the
+        #: port contract (see RunnableContext).
+        self.buffers: dict[tuple[str, str, str], int] = {}
+        self.queues: dict[tuple[str, str, str], deque] = {}
+        self.contexts: dict[str, RunnableContext] = {}
+        self.servers: dict[Endpoint, Endpoint] = {}
         self.queue_overflows = 0
-        self._sr_routes: dict[Endpoint, list[Endpoint]] = {}
-        self._cs_routes: dict[Endpoint, Endpoint] = {}
-        self._data_triggers: dict[tuple[str, str, str], list[tuple]] = {}
-        self._contexts = {name: VfbContext(self, inst)
-                          for name, inst in self.instances.items()}
-        self._build_tables()
         self.runnable_executions = 0
-
-    # ------------------------------------------------------------------
-    def _build_tables(self) -> None:
+        self._sr_routes: dict[Endpoint, list[Endpoint]] = {}
+        self._data_triggers: dict[tuple[str, str, str], list[tuple]] = {}
         for name, instance in self.instances.items():
-            for port_name, port in instance.ports.items():
-                if isinstance(port.interface, SenderReceiverInterface):
-                    for element, dtype in port.interface.elements.items():
-                        key = (name, port_name, element)
-                        if port.interface.is_queued(element):
-                            if port.is_required:
-                                self._queues[key] = deque()
-                        else:
-                            self._buffers[key] = dtype.initial
+            instance.add_elements(self.buffers, self.queues)
+            self.contexts[name] = RunnableContext(self, instance)
             for runnable in instance.component.runnables:
                 trigger = runnable.trigger
                 if isinstance(trigger, DataReceivedEvent):
@@ -117,7 +68,7 @@ class VfbSimulation:
                 self._sr_routes.setdefault(connector.source, []).append(
                     connector.target)
             else:
-                self._cs_routes[connector.target] = connector.source
+                self.servers[connector.target] = connector.source
 
     def start(self) -> None:
         """Schedule Init and Timing runnables; call before running the
@@ -144,116 +95,46 @@ class VfbSimulation:
         self.runnable_executions += 1
         self.trace.log(self.sim.now, "vfb.runnable",
                        f"{instance.name}.{runnable.name}")
-        runnable.function(self._contexts[instance.name])
+        runnable.function(self.contexts[instance.name])
 
-    def _read(self, instance, port_name: str, element: str) -> int:
-        port = instance.port(port_name)
-        if not isinstance(port.interface, SenderReceiverInterface):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} is not a sender-receiver port")
-        if element not in port.interface.elements:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} has no element {element!r}")
-        if port.interface.is_queued(element):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name}.{element} is queued; use "
-                f"ctx.receive() instead of ctx.read()")
-        return self._buffers[(instance.name, port_name, element)]
-
-    def _receive(self, instance, port_name: str, element: str):
-        port = instance.port(port_name)
-        if not (isinstance(port.interface, SenderReceiverInterface)
-                and port.interface.is_queued(element)):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name}.{element} is not a queued "
-                f"element")
-        if not port.is_required:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name}: only receivers consume "
-                f"queued data")
-        queue = self._queues[(instance.name, port_name, element)]
-        return queue.popleft() if queue else None
-
-    def _write(self, instance, port_name: str, element: str,
-               value: int) -> None:
-        port = instance.port(port_name)
-        if not port.is_provided:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name}: cannot write a required port")
-        if not isinstance(port.interface, SenderReceiverInterface):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} is not a sender-receiver port")
-        dtype = port.interface.elements.get(element)
-        if dtype is None:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} has no element {element!r}")
-        dtype.validate(value)
-        queued = port.interface.is_queued(element)
-        if not queued:
-            self._buffers[(instance.name, port_name, element)] = value
-        source = Endpoint(instance.name, port_name)
-        self.trace.log(self.sim.now, "vfb.write",
-                       f"{source}.{element}", value=value)
+    def _write(self, key: tuple[str, str, str], value: int) -> None:
+        """Deliver a checked write to every receiver at once and run
+        their data-triggered runnables."""
+        instance, port, element = key
+        source = Endpoint(instance, port)
+        self.trace.log(self.sim.now, "vfb.write", f"{source}.{element}",
+                       value=value)
         for target in self._sr_routes.get(source, []):
-            key = (target.instance, target.port, element)
-            if queued:
-                queue = self._queues[key]
-                if len(queue) >= QUEUE_LENGTH:
-                    self.queue_overflows += 1
-                    self.trace.log(self.sim.now, "vfb.queue_overflow",
-                                   f"{target}.{element}")
-                else:
-                    queue.append(value)
-            else:
-                self._buffers[key] = value
-            for receiver, runnable in self._data_triggers.get(key, []):
+            target_key = (target.instance, target.port, element)
+            if not deliver(self.buffers, self.queues, target_key, value):
+                self.queue_overflows += 1
+                self.trace.log(self.sim.now, "vfb.queue_overflow",
+                               f"{target}.{element}")
+            for receiver, runnable in self._data_triggers.get(target_key,
+                                                              []):
                 self._execute(receiver, runnable)
 
-    def _call(self, instance, port_name: str, operation: str, args: dict):
-        port = instance.port(port_name)
-        if not (port.is_required
-                and isinstance(port.interface, ClientServerInterface)):
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} is not a client port")
-        op = port.interface.operations.get(operation)
-        if op is None:
-            raise ConfigurationError(
-                f"{instance.name}.{port_name} has no operation "
-                f"{operation!r}")
-        if set(args) != set(op.args):
-            raise ConfigurationError(
-                f"call {operation}: expected args {sorted(op.args)}, "
-                f"got {sorted(args)}")
-        for arg_name, value in args.items():
-            op.args[arg_name].validate(value)
-        client = Endpoint(instance.name, port_name)
-        server_end = self._cs_routes.get(client)
-        if server_end is None:
-            raise CompositionError(
-                f"{client} is not connected to any server")
-        server = self.instances[server_end.instance]
-        runnable = server.component.server_runnable(server_end.port,
-                                                    operation)
+    def _call(self, client: Endpoint, server: Endpoint, op, args: dict):
+        """Run a checked call's server runnable synchronously."""
+        instance = self.instances[server.instance]
+        runnable = instance.component.server_runnable(server.port, op.name)
         if runnable is None:
             raise CompositionError(
-                f"server {server.name} declares no runnable for "
-                f"{server_end.port}.{operation}")
+                f"server {server.instance} declares no runnable for "
+                f"{server.port}.{op.name}")
         self.runnable_executions += 1
         self.trace.log(self.sim.now, "vfb.call",
-                       f"{client} -> {server_end}.{operation}")
-        result = runnable.function(self._contexts[server.name], **args)
-        if op.returns is not None:
-            op.returns.validate(result)
-        return result
+                       f"{client} -> {server}.{op.name}")
+        return runnable.function(self.contexts[server.instance], **args)
 
     # ------------------------------------------------------------------
     def value_of(self, instance: str, port: str, element: str) -> int:
         """Inspect a port buffer (testing/monitoring)."""
-        return self._buffers[(instance, port, element)]
+        return self.buffers[(instance, port, element)]
 
     def queue_depth(self, instance: str, port: str, element: str) -> int:
         """Pending entries of a queued element's FIFO."""
-        return len(self._queues[(instance, port, element)])
+        return len(self.queues[(instance, port, element)])
 
     def __repr__(self) -> str:
         return f"<VfbSimulation instances={len(self.instances)}>"

@@ -307,13 +307,18 @@ def _event_problem(event) -> Optional[str]:
 
 def events_from_jsonl(text: str) -> list[dict]:
     """Parse a JSONL event log back into its event dicts; a line that
-    is no event ``repro stats`` can read raises
-    :class:`~repro.errors.ConfigurationError` naming it."""
+    is no JSON raises ``ValueError``, one that is no event ``repro
+    stats`` can read :class:`~repro.errors.ConfigurationError`, each
+    naming the line."""
     parsed = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        event = json.loads(line)
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}, column {exc.colno}: "
+                             f"{exc.msg}") from exc
         problem = _event_problem(event)
         if problem is not None:
             raise ConfigurationError(f"line {number}: {problem}")

@@ -97,7 +97,8 @@ ROWS = (
            (UNRECOGNIZED, "unrecognized telemetry file format"),
            (CHOPPED_MTF, "truncated MTF file"),
            (BAD_CHROME, "'traceEvents' must be a list"),
-           (BROKEN_JSONL, "cannot read events.jsonl"),
+           (BROKEN_JSONL, "cannot read events.jsonl: line 2, column 10: "
+                          "Unterminated string"),
            (ARRAY_JSONL, "arrays.jsonl: line 1: not an event object"),
            (BARE_HISTOGRAM,
             "histogram.jsonl: line 1: histogram event lacks 'count'"),

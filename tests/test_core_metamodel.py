@@ -55,13 +55,15 @@ def build_system():
 
 def test_export_structure():
     doc = export_system(build_system())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert "Sensor" in doc["components"]
     assert "speed_if" in doc["interfaces"]
     assert doc["system"]["root"] == "Root"
+    assert doc["system"]["ecus"] == {"ECU1": {"domain": "default"},
+                                     "ECU2": {"domain": "default"}}
     assert doc["system"]["mapping"] == {"s": "ECU1", "c": "ECU2"}
-    assert doc["system"]["bus"] == {"kind": "can",
-                                    "params": {"bitrate_bps": 500_000}}
+    assert doc["system"]["buses"] == {
+        "default": {"kind": "can", "params": {"bitrate_bps": 500_000}}}
 
 
 def test_exported_document_is_consistent():

@@ -8,6 +8,7 @@ from repro.bsw import CanGateway
 from repro.core import (Composition, DataReceivedEvent,
                         SenderReceiverInterface, SwComponent, SystemModel,
                         TimingEvent, UINT16)
+from repro.core.metamodel import export_system, import_system
 from repro.network import CanBus, CanFrameSpec
 from repro.sim import Simulator
 from repro.units import ms, us
@@ -56,6 +57,29 @@ def federated_system():
     system.configure_domain_bus("powertrain", "can", bitrate_bps=500_000)
     system.configure_domain_bus("body", "can", bitrate_bps=125_000)
     return system
+
+
+def test_federated_system_survives_metamodel_roundtrip():
+    """Every domain's bus and every ECU's domain are exported, so the
+    rebuilt system validates and runs the original's trace."""
+    original = federated_system()
+    instances, __ = original.root.flatten()
+    behaviors = {f"{instance.component.name}.{runnable.name}":
+                 runnable.function
+                 for instance in instances
+                 for runnable in instance.component.runnables}
+    rebuilt = import_system(export_system(original), behaviors)
+    assert rebuilt.domain_buses == original.domain_buses
+    assert {name: ecu.domain for name, ecu in rebuilt.ecus.items()} == \
+        {name: ecu.domain for name, ecu in original.ecus.items()}
+    assert rebuilt.validate() == []
+    traces = []
+    for system in (federated_system(), rebuilt):
+        sim = Simulator()
+        runtime = system.build(sim)
+        sim.run_until(ms(100))
+        traces.append((len(runtime.trace), runtime.trace.digest()))
+    assert traces[0] == traces[1]
 
 
 def test_validation_requires_every_involved_domain_bus():

@@ -429,3 +429,5 @@ def test_events_from_jsonl_names_the_line_of_an_unreadable_event():
                        match="line 3: counter event lacks 'value'"):
         events_from_jsonl(
             f"{good}\n\n{json.dumps({'type': 'counter', 'name': 'n'})}\n")
+    with pytest.raises(ValueError, match="^line 3, column 2: Expecting"):
+        events_from_jsonl(f"{good}\n\n{{oops\n")

@@ -119,6 +119,49 @@ def test_report_rejects_multi_domain():
     assert any("single-domain" in issue for issue in report.issues)
 
 
+def test_report_bound_covers_a_named_domain():
+    """The one domain of a single-domain CAN system need not be named
+    ``default``: its bitrate is the one analysed, so at 125 kbit/s the
+    frame and chain bounds cover what the deployed system does."""
+    probe = ChainProbe("named")
+    sensor = SwComponent("Sensor")
+    sensor.provide("out", DATA_IF)
+
+    def sample(ctx):
+        ctx.state["n"] = ctx.state.get("n", 0) + 1
+        probe.stamp(ctx.state["n"], ctx.now)
+        ctx.write("out", "v", ctx.state["n"])
+
+    sensor.runnable("sample", TimingEvent(ms(10)), sample, wcet=us(100))
+    sink = SwComponent("Sink")
+    sink.require("in", DATA_IF)
+    sink.runnable("consume", DataReceivedEvent("in", "v"),
+                  lambda ctx: probe.observe(ctx.read("in", "v"), ctx.now),
+                  wcet=us(100))
+    app = Composition("App")
+    app.add(sensor.instantiate("s"))
+    app.add(sink.instantiate("k"))
+    app.connect("s", "out", "k", "in")
+    system = SystemModel("named-domain")
+    system.add_ecu("E1", domain="body")
+    system.add_ecu("E2", domain="body")
+    system.set_root(app)
+    system.map("s", "E1")
+    system.map("k", "E2")
+    system.configure_domain_bus("body", "can", bitrate_bps=125_000)
+    report = timing_report(system)
+    assert report.analysable and report.issues == []
+    sim = Simulator()
+    runtime = system.build(sim)
+    sim.run_until(ms(200))
+    frames = runtime.trace.records("can.rx", "s.out")
+    assert frames and probe.latencies
+    assert max(r.data["latency"] for r in frames) <= \
+        report.frame_wcrt["s.out"]
+    assert probe.worst <= report.chain_latency["s.sample -> s.out -> "
+                                               "k.consume"]
+
+
 def test_report_detects_unschedulable_design():
     # A saturated ECU: sensor (4/10) + hog (4/5) overload E1.
     sensor = SwComponent("Sensor")
