@@ -9,13 +9,63 @@ templates, configuration concept, error handling) and the bus systems.
 
 This "benchmark" audits the implementation against that inventory: every
 named box must resolve to a concrete module/class in the library, and a
-smoke constructor must produce a working instance.  Boxes we intentionally
-abstract (microcontroller/ECU abstraction and complex drivers collapse
-into the simulated kernel substrate) are declared as such, keeping the
-mapping honest.
+smoke constructor must produce a working instance.  The three
+exchange-format boxes (meta model, exchange formats, input templates)
+read "implemented" only when the quickstart CAN system survives
+``import_system(export_system(·))`` with its RTE trace pin intact and a
+damaged document is refused.  Boxes we intentionally abstract
+(microcontroller/ECU abstraction and complex drivers collapse into the
+simulated kernel substrate) are declared as such, keeping the mapping
+honest.
 """
 
+import copy
+import importlib.util
+from pathlib import Path
+
 from _tables import print_table
+
+QUICKSTART = Path(__file__).resolve().parent.parent / "examples" / \
+    "quickstart.py"
+#: The RTE trace pin of the quickstart CAN deployment, as
+#: ``tests/test_rte_trace_pins.py`` pins it: horizon (ms), records,
+#: digest prefix.
+QUICKSTART_CAN_PIN = (200, 322, "76f6576c464e")
+
+
+def exchange_round_trip() -> bool:
+    """True when the quickstart CAN system, exported and imported again,
+    runs its pinned trace, and the export with its ``system.buses``
+    deleted is refused with a ``ConfigurationError``."""
+    from repro.core.metamodel import export_system, import_system
+    from repro.errors import ConfigurationError
+    from repro.sim import Simulator
+    from repro.units import ms
+
+    spec = importlib.util.spec_from_file_location("quickstart_fig1",
+                                                  QUICKSTART)
+    quickstart = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(quickstart)
+    original = quickstart.deploy("can")
+    instances, __ = original.root.flatten()
+    behaviors = {f"{instance.component.name}.{runnable.name}":
+                 runnable.function
+                 for instance in instances
+                 for runnable in instance.component.runnables}
+    document = export_system(original)
+    horizon_ms, records, digest = QUICKSTART_CAN_PIN
+    sim = Simulator()
+    runtime = import_system(document, behaviors).build(sim)
+    sim.run_until(ms(horizon_ms))
+    pinned = (len(runtime.trace), runtime.trace.digest()[:12]) == \
+        (records, digest)
+    damaged = copy.deepcopy(document)
+    del damaged["system"]["buses"]
+    try:
+        import_system(damaged, behaviors)
+    except ConfigurationError:
+        return pinned
+    return False
 
 
 def fig1_inventory() -> list[dict]:
@@ -61,9 +111,12 @@ def fig1_inventory() -> list[dict]:
         ("Watchdog (services)", "repro.bsw.WatchdogManager",
          WatchdogManager),
     ]
+    exchange_boxes = ("Meta Model", "Exchange Formats", "Input Templates")
+    round_trip = exchange_round_trip()
     table = [{"figure1_box": box, "implementation": path,
-              "status": "implemented" if artefact is not None
-              else "missing"}
+              "status": "missing" if artefact is None
+              else "implemented" if round_trip or box not in exchange_boxes
+              else "round trip broken"}
              for box, path, artefact in rows]
     table.extend([
         {"figure1_box": "µController Abstraction",
@@ -83,6 +136,8 @@ def run() -> list[dict]:
 def check(rows: list[dict]) -> None:
     missing = [r for r in rows if r["status"] == "missing"]
     assert not missing, f"Figure 1 boxes unimplemented: {missing}"
+    broken = [r for r in rows if r["status"] == "round trip broken"]
+    assert not broken, f"Figure 1 exchange formats broken: {broken}"
     implemented = [r for r in rows if r["status"] == "implemented"]
     assert len(implemented) >= 19
 

@@ -13,8 +13,9 @@ Four flag groups, each declared once here:
 * model — ``--model PATH|NAME`` (repeatable): ``verify``, ``fuzz``,
   ``resilience``.
 
-:func:`check` is the one post-parse step: flag combinations and
-ranges are usage errors reported through ``parser.error`` (exit 2),
+:func:`check` is the one post-parse step: flag combinations, ranges
+and a file output whose directory does not exist are usage errors
+reported through ``parser.error`` (exit 2) before any work starts,
 and ``--model`` references load through :func:`load_models` with the
 exit mapping of :func:`load_failure`, which :func:`journal_errors`
 shares for a ``--resume`` journal that cannot be resumed.  The exit
@@ -26,6 +27,7 @@ obligation met, ``1`` a document is invalid or a verification failed,
 from __future__ import annotations
 
 import contextlib
+import os
 import sys
 from typing import Optional
 
@@ -108,6 +110,10 @@ def add_model_flag(parser) -> None:
 #: ``(dest, flag)`` of every integer flag that must be positive.
 _POSITIVE = (("jobs", "--jobs"), ("daq_period_us", "--daq-period-us"),
              ("period_us", "--period-us"), ("horizon_ms", "--horizon-ms"))
+#: ``(dest, flag)`` of every file a command writes.
+_OUTPUTS = (("metrics", "--metrics"), ("trace_out", "--trace-out"),
+            ("events", "--events"), ("mtf_out", "--mtf-out"),
+            ("checkpoint", "--checkpoint"), ("output", "--output"))
 
 
 def check(parser, options):
@@ -121,6 +127,10 @@ def check(parser, options):
         value = getattr(options, dest, None)
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1")
+    for dest, flag in _OUTPUTS:
+        directory = os.path.dirname(getattr(options, dest, None) or "")
+        if directory and not os.path.isdir(directory):
+            parser.error(f"{flag}: directory {directory!r} does not exist")
     if getattr(options, "resume", False) and not options.checkpoint:
         parser.error("--resume requires --checkpoint")
     # A parser without --daq (``meas daq``) always samples.

@@ -1,326 +1,325 @@
-"""Meta-model and exchange format.
+"""Meta-model and exchange format (paper, Section 2: "a direct derivation of
+the meta model are the exchange formats … thus inherently consistent").
 
-"The AUTOSAR meta model precisely defines the concepts used to describe a
-self-contained system … A direct derivation of the meta model are the
-exchange formats (based on templates), which are thus inherently
-consistent" (paper, Section 2).
-
-This module is that derivation for our model: every model element exports
-to a plain-dict *template*; a full document round-trips through
-:func:`export_system` / :func:`import_system` (behaviour functions are
-referenced by name and rebound through a registry at import).
-:func:`check_consistency` validates a document without instantiating it —
-the cross-supplier exchange scenario, where the integrator checks a
-supplier's description before accepting it.
+:func:`import_system` is the one walk over a document: each record is
+checked against its layout (:mod:`repro.records`), each reference resolves
+through one lookup, every other rule is its constructor's, and each refused
+element is one ``"<path>: <message>"`` row (what references it is skipped).
+:func:`check_consistency` is the walk without behaviours and
+:func:`export_system` its mirror, refusing what a document cannot carry.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from copy import copy
+from functools import partial
+from typing import Callable, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.core.component import SwComponent
 from repro.core.composition import Composition, CompositionInstance
 from repro.core.interface import (ClientServerInterface, Operation,
                                   SenderReceiverInterface)
+from repro.core.port import PROVIDED, REQUIRED
 from repro.core.runnable import (DataReceivedEvent, InitEvent,
                                  OperationInvokedEvent, TimingEvent)
 from repro.core.system import SystemModel
 from repro.core.types import DataType
+from repro.osek.scheduler import FixedPriorityScheduler
+from repro.records import check_record
 
-#: The document layout: since 2, every ECU carries its domain and every
-#: domain its bus.
-FORMAT_VERSION = 2
+#: 2 added each ECU's domain and each domain's bus; 3 each ECU's overrides.
+FORMAT_VERSION = 3
 
-
-# ----------------------------------------------------------------------
-# Export
-# ----------------------------------------------------------------------
-def _export_trigger(trigger) -> dict:
-    if isinstance(trigger, TimingEvent):
-        return {"kind": "timing", "period": trigger.period,
-                "offset": trigger.offset}
-    if isinstance(trigger, DataReceivedEvent):
-        return {"kind": "data-received", "port": trigger.port,
-                "element": trigger.element}
-    if isinstance(trigger, OperationInvokedEvent):
-        return {"kind": "operation-invoked", "port": trigger.port,
-                "operation": trigger.operation}
-    if isinstance(trigger, InitEvent):
-        return {"kind": "init"}
-    raise ConfigurationError(f"cannot export trigger {trigger!r}")
+#: One layout per record; a type's, trigger's or ECU's fields are attributes.
+DOCUMENT = {"format_version": "int", "types": "object",
+            "interfaces": "object", "components": "object",
+            "compositions": "object", "system": "object"}
+TYPE = {"width_bits": "int", "initial": "int", "scale": "number",
+        "offset": "number", "unit": "str"}
+INTERFACES = {
+    SenderReceiverInterface.kind: {"elements": "{str}", "queued": "[str]"},
+    ClientServerInterface.kind: {"operations": "object"}}
+OPERATION = {"args": "{str}", "returns": "str|null"}
+COMPONENT = {"ports": "object", "runnables": "list"}
+PORT = {"direction": "str", "interface": "str"}
+RUNNABLE = {"name": "str", "trigger": "object", "wcet": "int",
+            "writes": "[[str, str]]", "behavior": "str"}
+#: trigger kind -> (event class, its fields).
+TRIGGERS = {
+    "timing": (TimingEvent, {"period": "int", "offset": "int"}),
+    "data-received": (DataReceivedEvent, {"port": "str", "element": "str"}),
+    "operation-invoked": (OperationInvokedEvent,
+                          {"port": "str", "operation": "str"}),
+    "init": (InitEvent, {})}
+COMPOSITION = {"instances": "object", "connectors": "list",
+               "delegations": "object"}
+INSTANCE = {"kind": "str", "type": "str"}
+CONNECTOR = {"source": "[str, str]", "target": "[str, str]"}
+DELEGATION = {"instance": "str", "port": "str"}
+SYSTEM = {"name": "str", "root": "str", "ecus": "object",
+          "mapping": "{str}", "buses": "object", "can_ids": "{int}"}
+ECU = {"domain": "str", "priorities": "{int}", "partitions": "{str}",
+       "budgets": "{int}"}
+BUS = {"kind": "str|null", "params": "{int}"}
 
 
 def export_system(system: SystemModel) -> dict:
-    """Serialize a system model (structure only; behaviours by name)."""
+    """The document :func:`import_system` rebuilds ``system`` from."""
     if system.root is None:
         raise ConfigurationError("system has no root composition")
-    types: dict[str, dict] = {}
-    interfaces: dict[str, dict] = {}
-    components: dict[str, dict] = {}
-    compositions: dict[str, dict] = {}
+    for name, ecu in system.ecus.items():
+        if ecu.scheduler_factory is not FixedPriorityScheduler:
+            raise ConfigurationError(
+                f"ECU {name!r}: a document carries only the default scheduler")
+    document: dict = {"format_version": FORMAT_VERSION, "types": {},
+                      "interfaces": {}, "components": {}, "compositions": {}}
+
+    def note(section: str, name: str, layout: dict) -> str:
+        if document[section].setdefault(name, layout) != layout:
+            raise ConfigurationError(
+                f"{section[:-1]} {name!r} is bound to two different layouts")
+        return name
+
+    def trigger_layout(trigger) -> dict:
+        for kind, (event, fields) in TRIGGERS.items():
+            if type(trigger) is event:
+                return {"kind": kind,
+                        **{f: getattr(trigger, f) for f in fields}}
+        raise ConfigurationError(f"cannot export trigger {trigger!r}")
 
     def note_type(dtype: DataType) -> str:
-        types[dtype.name] = {"width_bits": dtype.width_bits,
-                             "initial": dtype.initial,
-                             "scale": dtype.scale, "offset": dtype.offset,
-                             "unit": dtype.unit}
-        return dtype.name
+        return note("types", dtype.name, {f: getattr(dtype, f) for f in TYPE})
+
+    def typed(types: dict) -> dict:
+        return {key: note_type(dtype) for key, dtype in types.items()}
 
     def note_interface(interface) -> str:
         if isinstance(interface, SenderReceiverInterface):
-            interfaces[interface.name] = {
-                "kind": "sender-receiver",
-                "elements": {el: note_type(t)
-                             for el, t in interface.elements.items()},
-                "queued": sorted(interface.queued)}
+            layout = {"elements": typed(interface.elements),
+                      "queued": sorted(interface.queued)}
         else:
-            interfaces[interface.name] = {
-                "kind": "client-server",
-                "operations": {
-                    op.name: {
-                        "args": {a: note_type(t)
-                                 for a, t in op.args.items()},
-                        "returns": (note_type(op.returns)
-                                    if op.returns else None)}
-                    for op in interface.operations.values()}}
-        return interface.name
+            layout = {"operations": {
+                op.name: {"args": typed(op.args),
+                          "returns": op.returns and note_type(op.returns)}
+                for op in interface.operations.values()}}
+        return note("interfaces", interface.name,
+                    {"kind": interface.kind, **layout})
 
     def note_component(component: SwComponent) -> str:
-        if component.name in components:
-            return component.name
-        components[component.name] = {
+        return note("components", component.name, {
             "ports": {p.name: {"direction": p.direction,
                                "interface": note_interface(p.interface)}
                       for p in component.ports.values()},
             "runnables": [
-                {"name": r.name, "trigger": _export_trigger(r.trigger),
-                 "wcet": r.wcet,
-                 "writes": [list(w) for w in r.writes],
+                {"name": r.name, "trigger": trigger_layout(r.trigger),
+                 "wcet": r.wcet, "writes": [list(w) for w in r.writes],
                  "behavior": f"{component.name}.{r.name}"}
-                for r in component.runnables]}
-        return component.name
+                for r in component.runnables]})
 
     def note_composition(composition: Composition) -> str:
-        if composition.name in compositions:
-            return composition.name
-        instances = {}
-        for name, instance in composition.instances.items():
-            if isinstance(instance, CompositionInstance):
-                instances[name] = {
-                    "kind": "composition",
-                    "type": note_composition(instance.composition)}
-            else:
-                instances[name] = {
-                    "kind": "component",
-                    "type": note_component(instance.component)}
-        compositions[composition.name] = {
-            "instances": instances,
+        return note("compositions", composition.name, {
+            "instances": {
+                name: {"kind": "composition",
+                       "type": note_composition(instance.composition)}
+                if isinstance(instance, CompositionInstance) else
+                {"kind": "component",
+                 "type": note_component(instance.component)}
+                for name, instance in composition.instances.items()},
             "connectors": [
                 {"source": [c.source.instance, c.source.port],
                  "target": [c.target.instance, c.target.port]}
                 for c in composition.connectors],
             "delegations": {
-                d.name: {"instance": d.inner.instance,
-                         "port": d.inner.port}
-                for d in composition.delegations.values()}}
-        return composition.name
+                d.name: {"instance": d.inner.instance, "port": d.inner.port}
+                for d in composition.delegations.values()}})
 
-    root_name = note_composition(system.root)
-    return {
-        "format_version": FORMAT_VERSION,
-        "types": types,
-        "interfaces": interfaces,
-        "components": components,
-        "compositions": compositions,
-        "system": {
-            "name": system.name,
-            "root": root_name,
-            "ecus": {name: {"domain": ecu.domain}
-                     for name, ecu in sorted(system.ecus.items())},
-            "mapping": dict(system.mapping),
-            "buses": {domain: {"kind": kind, "params": dict(params)}
-                      for domain, (kind, params)
-                      in sorted(system.domain_buses.items())},
-            "can_ids": dict(system.can_ids),
-        },
+    document["system"] = {
+        "name": system.name,
+        "root": note_composition(system.root),
+        "ecus": {name: {f: copy(getattr(ecu, f)) for f in ECU}
+                 for name, ecu in sorted(system.ecus.items())},
+        "mapping": dict(system.mapping),
+        "buses": {domain: {"kind": kind, "params": dict(params)}
+                  for domain, (kind, params)
+                  in sorted(system.domain_buses.items())},
+        "can_ids": dict(system.can_ids),
     }
+    return document
 
 
-# ----------------------------------------------------------------------
-# Consistency checks
-# ----------------------------------------------------------------------
-def check_consistency(document: dict) -> list[str]:
-    """Validate a document's internal references; returns issues."""
-    issues: list[str] = []
-    if document.get("format_version") != FORMAT_VERSION:
-        issues.append(f"unsupported format_version "
-                      f"{document.get('format_version')!r}")
-    types = document.get("types", {})
-    interfaces = document.get("interfaces", {})
-    components = document.get("components", {})
-    compositions = document.get("compositions", {})
-
-    for name, interface in interfaces.items():
-        kind = interface.get("kind")
-        if kind == "sender-receiver":
-            for element, type_name in interface.get("elements", {}).items():
-                if type_name not in types:
-                    issues.append(f"interface {name}: element {element} "
-                                  f"references unknown type {type_name!r}")
-        elif kind == "client-server":
-            for op_name, op in interface.get("operations", {}).items():
-                for arg, type_name in op.get("args", {}).items():
-                    if type_name not in types:
-                        issues.append(
-                            f"interface {name}.{op_name}: arg {arg} "
-                            f"references unknown type {type_name!r}")
-                returns = op.get("returns")
-                if returns is not None and returns not in types:
-                    issues.append(f"interface {name}.{op_name}: unknown "
-                                  f"return type {returns!r}")
-        else:
-            issues.append(f"interface {name}: unknown kind {kind!r}")
-
-    for name, component in components.items():
-        for port_name, port in component.get("ports", {}).items():
-            if port.get("interface") not in interfaces:
-                issues.append(f"component {name}: port {port_name} "
-                              f"references unknown interface "
-                              f"{port.get('interface')!r}")
-        for runnable in component.get("runnables", []):
-            trigger = runnable.get("trigger", {})
-            if trigger.get("kind") in ("data-received",
-                                       "operation-invoked"):
-                if trigger.get("port") not in component.get("ports", {}):
-                    issues.append(
-                        f"component {name}: runnable "
-                        f"{runnable.get('name')} triggers on unknown "
-                        f"port {trigger.get('port')!r}")
-
-    for name, composition in compositions.items():
-        instance_decls = composition.get("instances", {})
-        for iname, decl in instance_decls.items():
-            registry = (components if decl.get("kind") == "component"
-                        else compositions)
-            if decl.get("type") not in registry:
-                issues.append(f"composition {name}: instance {iname} has "
-                              f"unknown type {decl.get('type')!r}")
-        for connector in composition.get("connectors", []):
-            for role in ("source", "target"):
-                inst = connector.get(role, [None, None])[0]
-                if inst not in instance_decls:
-                    issues.append(f"composition {name}: connector {role} "
-                                  f"references unknown instance {inst!r}")
-
-    system = document.get("system", {})
-    root = system.get("root")
-    if root not in compositions:
-        issues.append(f"system root {root!r} is not an exported "
-                      f"composition")
-    ecus = set(system.get("ecus", []))
-    for instance, ecu in system.get("mapping", {}).items():
-        if ecu not in ecus:
-            issues.append(f"mapping: instance {instance!r} mapped to "
-                          f"unknown ECU {ecu!r}")
-    return issues
+class _Refused(Exception):
+    """Ends the walk of one element (``args``: its row, unless recorded);
+    the class itself is the table entry of a refused element."""
 
 
-# ----------------------------------------------------------------------
-# Import
-# ----------------------------------------------------------------------
-def import_system(document: dict,
-                  behaviors: dict[str, Callable]) -> SystemModel:
-    """Rebuild a system model from a document.
+def _walk(document, behaviors: Optional[dict]):
+    """The system ``document`` builds (None if refused) and its rows."""
+    problems: list[str] = []
+    types, interfaces, components, compositions = {}, {}, {}, {}
 
-    ``behaviors`` maps the exported behaviour references
-    (``"Component.runnable"``) back to Python callables.
-    """
-    issues = check_consistency(document)
-    if issues:
-        raise ConfigurationError(
-            "document fails consistency checks:\n  " + "\n  ".join(issues))
-    types = {name: DataType(name, **spec)
-             for name, spec in document["types"].items()}
-    interfaces = {}
-    for name, spec in document["interfaces"].items():
-        if spec["kind"] == "sender-receiver":
-            interfaces[name] = SenderReceiverInterface(
-                name, {el: types[t] for el, t in spec["elements"].items()},
-                queued=set(spec.get("queued", [])))
-        else:
-            interfaces[name] = ClientServerInterface(
-                name,
-                {op_name: Operation(
-                    op_name,
-                    {a: types[t] for a, t in op["args"].items()},
-                    types[op["returns"]] if op["returns"] else None)
-                 for op_name, op in spec["operations"].items()})
-    components = {}
-    for name, spec in document["components"].items():
+    def attempt(path: str, make, *args):
+        """``make(*args)``, or :class:`_Refused` with the rows recorded."""
+        try:
+            return make(*args)
+        except _Refused as refusal:
+            problems.extend(refusal.args)
+        except ReproError as exc:
+            problems.append(f"{path}: {exc}")
+        return _Refused
+
+    def shape(path: str, data, layout: dict) -> dict:
+        """The fields of ``layout``, read from the record ``data``."""
+        if not check_record(path, data, layout, problems):
+            raise _Refused
+        return {field: data[field] for field in layout}
+
+    def each(path: str, items, layout: dict):
+        """``(path, key, record)`` of each record of a map or a list."""
+        keyed = isinstance(items, dict)
+        for key in items if keyed else range(len(items)):
+            where = f"{path}.{key}" if keyed else f"{path}[{key}]"
+            yield where, key, shape(where, items[key], layout)
+
+    def lookup(table: dict, what: str, name: str, path: str):
+        """The one way a reference resolves."""
+        if not isinstance(name, str) or name not in table:
+            raise _Refused(f"{path}: unknown {what} {name!r}")
+        if table[name] is _Refused:
+            raise _Refused
+        return table[name]
+
+    def typed(names: dict, path: str) -> dict:
+        return {key: lookup(types, "type", name, f"{path}.{key}")
+                for key, name in names.items()}
+
+    def new_interface(path, name, spec):
+        kind = shape(path, spec, {"kind": "str"})["kind"]
+        spec = shape(path, spec, lookup(INTERFACES, "interface kind", kind,
+                                        f"{path}.kind"))
+        if kind == SenderReceiverInterface.kind:
+            return SenderReceiverInterface(
+                name, typed(spec["elements"], f"{path}.elements"),
+                set(spec["queued"]))
+        return ClientServerInterface(name, {
+            op_name: Operation(op_name, typed(op["args"], f"{where}.args"),
+                               None if op["returns"] is None else lookup(
+                                   types, "type", op["returns"],
+                                   f"{where}.returns"))
+            for where, op_name, op in each(f"{path}.operations",
+                                           spec["operations"], OPERATION)})
+
+    def new_component(path, name, spec):
+        shape(path, spec, COMPONENT)
         component = SwComponent(name)
-        for port_name, port in spec["ports"].items():
-            if port["direction"] == "provided":
-                component.provide(port_name, interfaces[port["interface"]])
-            else:
-                component.require(port_name, interfaces[port["interface"]])
-        for runnable in spec["runnables"]:
-            behavior = behaviors.get(runnable["behavior"])
-            if behavior is None:
-                raise ConfigurationError(
-                    f"no behaviour registered for "
-                    f"{runnable['behavior']!r}")
-            component.runnable(runnable["name"],
-                               _import_trigger(runnable["trigger"]),
-                               behavior, wcet=runnable["wcet"],
-                               writes=runnable.get("writes"))
-        components[name] = component
+        add_port = {PROVIDED: component.provide, REQUIRED: component.require}
+        for where, port_name, port in each(f"{path}.ports", spec["ports"],
+                                           PORT):
+            add = lookup(add_port, "direction", port["direction"],
+                         f"{where}.direction")
+            add(port_name, lookup(interfaces, "interface", port["interface"],
+                                  f"{where}.interface"))
+        for where, _, runnable in each(f"{path}.runnables",
+                                       spec["runnables"], RUNNABLE):
+            at = f"{where}.trigger"
+            event, fields = lookup(TRIGGERS, "trigger kind",
+                                   runnable["trigger"].get("kind"),
+                                   f"{at}.kind")
+            component.runnable(
+                runnable["name"], event(**shape(at, runnable["trigger"],
+                                                fields)),
+                None if behaviors is None else lookup(
+                    behaviors, "behaviour", runnable["behavior"],
+                    f"{where}.behavior"),
+                wcet=runnable["wcet"], writes=runnable["writes"])
+        return component
 
-    compositions: dict[str, Composition] = {}
+    def composition(name: str, path: str) -> Composition:
+        """The composition ``name``, built on its first reference (its
+        table entry is None while it is being built)."""
+        if compositions.get(name, _Refused) is None:
+            raise _Refused(f"{path}: composition {name!r} contains itself")
+        if name in document["compositions"] and name not in compositions:
+            compositions[name] = None
+            where = f"compositions.{name}"
+            compositions[name] = attempt(where, new_composition, where, name,
+                                         document["compositions"][name])
+        return lookup(compositions, "composition", name, path)
 
-    def build_composition(name: str) -> Composition:
-        if name in compositions:
-            return compositions[name]
-        spec = document["compositions"][name]
-        composition = Composition(name)
-        compositions[name] = composition
-        for iname, decl in spec["instances"].items():
-            if decl["kind"] == "component":
-                composition.add(components[decl["type"]].instantiate(iname))
-            else:
-                composition.add(
-                    build_composition(decl["type"]).instantiate(iname))
-        for delegation_name, d in spec["delegations"].items():
-            composition.delegate(delegation_name, d["instance"], d["port"])
-        for connector in spec["connectors"]:
-            composition.connect(connector["source"][0],
-                                connector["source"][1],
-                                connector["target"][0],
-                                connector["target"][1])
-        return composition
+    def new_composition(path, name, spec):
+        shape(path, spec, COMPOSITION)
+        built = Composition(name)
+        templates = {"component": partial(lookup, components, "component"),
+                     "composition": composition}
+        for where, instance, decl in each(f"{path}.instances",
+                                          spec["instances"], INSTANCE):
+            resolve = lookup(templates, "instance kind", decl["kind"],
+                             f"{where}.kind")
+            built.add(resolve(decl["type"], f"{where}.type")
+                      .instantiate(instance))
+        for _, port, inner in each(f"{path}.delegations",
+                                   spec["delegations"], DELEGATION):
+            built.delegate(port, inner["instance"], inner["port"])
+        for _, _, connector in each(f"{path}.connectors", spec["connectors"],
+                                    CONNECTOR):
+            built.connect(*connector["source"], *connector["target"])
+        return built
 
-    system_spec = document["system"]
-    system = SystemModel(system_spec["name"])
-    system.set_root(build_composition(system_spec["root"]))
-    for ecu, spec in system_spec["ecus"].items():
-        system.add_ecu(ecu, domain=spec["domain"])
-    for instance, ecu in system_spec["mapping"].items():
+    def new_ecu(path, name, spec):
+        spec = shape(path, spec, ECU)
+        ecu = system.add_ecu(name, domain=spec["domain"])
+        ecu.priorities.update(spec["priorities"])
+        ecu.partitions.update(spec["partitions"])
+        for task, budget in spec["budgets"].items():
+            ecu.set_budget(task, budget)
+
+    if not check_record("document", document, DOCUMENT, problems):
+        return None, problems
+    if document["format_version"] != FORMAT_VERSION:
+        return None, [f"format_version: this build reads {FORMAT_VERSION}, "
+                      f"not {document['format_version']!r}"]
+    for section, table, make in (
+            ("types", types, lambda path, name, spec: DataType(
+                name, **shape(path, spec, TYPE))),
+            ("interfaces", interfaces, new_interface),
+            ("components", components, new_component)):
+        for name, spec in document[section].items():
+            path = f"{section}.{name}"
+            table[name] = attempt(path, make, path, name, spec)
+    for name in document["compositions"]:
+        path = f"compositions.{name}"
+        attempt(path, composition, name, path)
+    spec = document["system"]
+    if not check_record("system", spec, SYSTEM, problems):
+        return None, problems
+    system = SystemModel(spec["name"])
+    attempt("system.root", lambda: system.set_root(
+        composition(spec["root"], "system.root")))
+    for name, ecu in spec["ecus"].items():
+        path = f"system.ecus.{name}"
+        attempt(path, new_ecu, path, name, ecu)
+    for instance, ecu in spec["mapping"].items():
         system.map(instance, ecu)
-    for domain, bus in system_spec["buses"].items():
-        system.configure_domain_bus(domain, bus["kind"], **bus["params"])
-    for pdu, can_id in system_spec.get("can_ids", {}).items():
-        system.set_can_id(pdu, can_id)
+        attempt("system.mapping", lookup, spec["ecus"], "ECU", ecu,
+                f"system.mapping.{instance}")
+    for domain, bus in spec["buses"].items():
+        path = f"system.buses.{domain}"
+        attempt(path, lambda: system.configure_domain_bus(
+            domain, shape(path, bus, BUS)["kind"], **bus["params"]))
+    system.can_ids.update(spec["can_ids"])
+    return system, problems
+
+
+def check_consistency(document) -> list[str]:
+    """One ``"<path>: <message>"`` row per refused element of ``document``."""
+    return _walk(document, None)[1]
+
+
+def import_system(document, behaviors: dict[str, Callable]) -> SystemModel:
+    """The system ``document`` describes, its behaviours from ``behaviors``
+    (``"Component.runnable"`` -> callable)."""
+    system, problems = _walk(document, behaviors)
+    if problems:
+        raise ConfigurationError(
+            "document fails consistency checks:\n  " + "\n  ".join(problems))
     return system
-
-
-def _import_trigger(spec: dict):
-    kind = spec["kind"]
-    if kind == "timing":
-        return TimingEvent(spec["period"], spec["offset"])
-    if kind == "data-received":
-        return DataReceivedEvent(spec["port"], spec["element"])
-    if kind == "operation-invoked":
-        return OperationInvokedEvent(spec["port"], spec["operation"])
-    if kind == "init":
-        return InitEvent()
-    raise ConfigurationError(f"unknown trigger kind {kind!r}")

@@ -407,6 +407,18 @@ class SystemRuntime:
         return f"<SystemRuntime {self.system.name} ecus={sorted(self.ecus)}>"
 
 
+#: Bus kind -> the parameters its builder reads (``None``: no bus).
+BUS_PARAMS = {
+    "can": ("bitrate_bps",),
+    "tte": ("bitrate_bps", "tt_period", "switch_delay"),
+    "flexray": ("slot_length", "n_static_slots", "minislot_length",
+                "n_minislots", "nit_length", "bitrate_bps"),
+    None: (),
+}
+#: Processing delay of the central gateway between CAN domains.
+GATEWAY_DELAY = us(100)
+
+
 class RteBuilder:
     """Instantiates the :func:`rte_plan` of one system model."""
 
@@ -606,7 +618,7 @@ class RteBuilder:
                 f"{sorted(missing)}")
         gateway = CanGateway(
             sim, "CGW", {d: can_buses[d] for d in sorted(needed_domains)},
-            processing_delay=self.system.gateway_delay, trace=trace)
+            processing_delay=GATEWAY_DELAY, trace=trace)
         runtime.gateway = gateway
         for pdu_name, (src_domain, destinations) in routes.items():
             gateway.route(pdu_name, src_domain,

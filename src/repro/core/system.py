@@ -21,10 +21,8 @@ from repro.errors import ConfigurationError
 from repro.core.composition import Composition
 from repro.core.ecu import EcuSpec
 from repro.core.interface import ClientServerInterface
-from repro.core.rte import (RteBuilder, bus_capacity_issue, rte_plan,
-                            server_runnable_issues)
-
-SUPPORTED_BUSES = ("can", "flexray", "tte", None)
+from repro.core.rte import (BUS_PARAMS, RteBuilder, bus_capacity_issue,
+                            rte_plan, server_runnable_issues)
 
 
 class SystemModel:
@@ -38,7 +36,6 @@ class SystemModel:
         #: per-domain bus configuration: domain -> (kind, params).
         self.domain_buses: dict[str, tuple[Optional[str], dict]] = {}
         self.can_ids: dict[str, int] = {}
-        self.gateway_delay: int = 100_000
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,12 +72,20 @@ class SystemModel:
 
     def configure_domain_bus(self, domain: str, kind: Optional[str],
                              **params) -> None:
-        """Configure one domain's bus.  Cross-domain traffic is routed
-        through an auto-generated central gateway (CAN domains only)."""
-        if kind not in SUPPORTED_BUSES:
+        """Configure one domain's bus with parameters its kind reads
+        (:data:`~repro.core.rte.BUS_PARAMS`).  Cross-domain traffic is
+        routed through an auto-generated central gateway (CAN domains
+        only)."""
+        if kind not in BUS_PARAMS:
             raise ConfigurationError(
                 f"unsupported bus kind {kind!r}; pick from "
-                f"{SUPPORTED_BUSES}")
+                f"{tuple(BUS_PARAMS)}")
+        unread = sorted(set(params) - set(BUS_PARAMS[kind]))
+        if unread:
+            raise ConfigurationError(
+                f"bus kind {kind!r} reads no parameter "
+                f"{', '.join(unread)}; it reads "
+                f"{', '.join(BUS_PARAMS[kind]) or 'none'}")
         self.domain_buses[domain] = (kind, params)
 
     def set_can_id(self, pdu_name: str, can_id: int) -> None:

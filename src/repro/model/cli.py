@@ -212,13 +212,13 @@ def model_command(args: list[str]) -> int:
         "digest", help="print each valid document's deterministic digest")
     sub.add_argument("refs", nargs="+", metavar="PATH|NAME")
 
-    sub = commands.add_parser(
+    convert = commands.add_parser(
         "convert", help="re-emit a model document, or the one a "
                         "counterexample payload wraps, as a canonical "
                         "model document")
-    sub.add_argument("ref", metavar="PATH|NAME")
-    sub.add_argument("--output", "-o", metavar="PATH",
-                     help="write here instead of stdout")
+    convert.add_argument("ref", metavar="PATH|NAME")
+    convert.add_argument("--output", "-o", metavar="PATH",
+                         help="write here instead of stdout")
 
     sub = commands.add_parser(
         "testgen", help="compile models into a deterministic pytest "
@@ -254,7 +254,7 @@ def model_command(args: list[str]) -> int:
     if options.command == "digest":
         return _digest(options.refs)
     if options.command == "convert":
-        return _convert(options.ref, options.output)
+        return _convert(options.ref, cli.check(convert, options).output)
     if options.command == "testgen":
         if options.output_dir is None:
             from repro.model.testgen import DEFAULT_OUTPUT_DIR

@@ -43,7 +43,8 @@ so a hand-edited file fails with something actionable, never a
    section, CAN frame spec, COM frame, I-PDU, signal mapping, signal,
    FlexRay config, static and dynamic writer, E2E chain, fault
    scenario, and the objects holding them) has one layout below giving
-   each field's JSON type; one helper checks a record against it.
+   each field's JSON type; :func:`repro.records.check_record` checks a
+   record against it.
 2. **References and cross-record rules.**  Every reference resolves: a
    COM frame's sender to a fixed-priority ECU, its I-PDU and a chain's
    PDU to a CAN frame spec, chain producer/consumer and critical
@@ -82,6 +83,7 @@ from __future__ import annotations
 
 from repro.digest import canonical_digest
 from repro.errors import ConfigurationError
+from repro.records import check_record, check_records
 
 #: Magic tag every model document carries in its ``format`` field.
 FORMAT = "repro.model"
@@ -121,24 +123,6 @@ def is_model_document(data) -> bool:
 # ----------------------------------------------------------------------
 # record tables
 # ----------------------------------------------------------------------
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: The JSON types a layout names (``"int|null"`` admits null too).
-_TYPES = {
-    "int": _is_int,
-    "int|null": lambda v: v is None or _is_int(v),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "str|null": lambda v: v is None or isinstance(v, str),
-    "list": lambda v: isinstance(v, list),
-    "[str]": lambda v: isinstance(v, list)
-    and all(isinstance(x, str) for x in v),
-    "object": lambda v: isinstance(v, dict),
-    "object|null": lambda v: v is None or isinstance(v, dict),
-}
-
 #: One layout per record: every field and its JSON type.
 TASK = {"name": "str", "wcet": "int", "period": "int", "offset": "int",
         "deadline": "int|null", "priority": "int",
@@ -183,41 +167,6 @@ FAULT_SCENARIO = {"kind": "str", "start": "int", "duration": "int",
                   "target": "str"}
 
 
-#: JSON names of the Python types ``json`` decodes to.
-_JSON_NAMES = {"NoneType": "null", "dict": "object", "float": "number"}
-
-
-def _record(path: str, data, layout: dict, problems: list[str]) -> bool:
-    """True when ``data`` is an object carrying every field of
-    ``layout`` with its JSON type; each miss is a problem row."""
-    if not isinstance(data, dict):
-        problems.append(f"{path}: expected an object")
-        return False
-    missing = [name for name in layout if name not in data]
-    if missing:
-        problems.append(f"{path}: missing field(s) {', '.join(missing)}")
-        return False
-    wrong = [name for name, kind in layout.items()
-             if not _TYPES[kind](data[name])]
-    for name in wrong:
-        got = type(data[name]).__name__
-        problems.append(f"{path}.{name}: expected "
-                        f"{layout[name].replace('|', ' or ')}, got "
-                        f"{_JSON_NAMES.get(got, got)}")
-    return not wrong
-
-
-def _records(path: str, items, layout: dict,
-             problems: list[str]) -> list[tuple[str, dict]]:
-    """``(path, record)`` for every well-shaped record of list
-    ``items``."""
-    if not isinstance(items, list):
-        problems.append(f"{path}: expected a list")
-        return []
-    return [(f"{path}[{i}]", item) for i, item in enumerate(items)
-            if _record(f"{path}[{i}]", item, layout, problems)]
-
-
 def _duplicates(values) -> list:
     values = list(values)
     return sorted({v for v in values if values.count(v) > 1})
@@ -229,7 +178,7 @@ def _duplicates(values) -> list:
 def _validate_osek(osek, problems: list[str]) -> dict[str, set]:
     """Validate ``osek``; returns {fixed-priority ECU: task names}."""
     fp_tasks: dict[str, set] = {}
-    if not _record("osek", osek, OSEK, problems):
+    if not check_record("osek", osek, OSEK, problems):
         return fp_tasks
     owner: dict[str, str] = {}      # task name -> its ECU
     priority: dict[str, int] = {}   # fixed-priority task -> priority
@@ -237,14 +186,16 @@ def _validate_osek(osek, problems: list[str]) -> dict[str, set]:
     for name, ecu in sorted(osek["ecus"].items()):
         path = f"osek.ecus.{name}"
         tdma = isinstance(ecu, dict) and ecu.get("scheduler") == "tdma"
-        if not _record(path, ecu, TDMA_ECU if tdma else FP_ECU, problems):
+        if not check_record(path, ecu, TDMA_ECU if tdma else FP_ECU,
+                            problems):
             continue
         if ecu["scheduler"] not in SCHEDULERS:
             problems.append(
                 f"{path}: unknown scheduler {ecu['scheduler']!r}; "
                 f"expected one of {', '.join(SCHEDULERS)}")
             continue
-        tasks = _records(f"{path}.tasks", ecu["tasks"], TASK, problems)
+        tasks = check_records(f"{path}.tasks", ecu["tasks"], TASK,
+                              problems)
         levels: dict[int, str] = {}     # priority -> task, on this ECU
         for where, task in tasks:
             if not task["name"]:
@@ -286,9 +237,9 @@ def _validate_osek(osek, problems: list[str]) -> dict[str, set]:
         resources = {}
     ceilings = {name: resource["ceiling"]
                 for name, resource in sorted(resources.items())
-                if _record(f"osek.resources.{name}", resource, RESOURCE,
-                           problems)}
-    for where, section in _records(
+                if check_record(f"osek.resources.{name}", resource,
+                                RESOURCE, problems)}
+    for where, section in check_records(
             "osek.critical_sections", osek.get("critical_sections") or [],
             CRITICAL_SECTION, problems):
         task, resource = section["task"], section["resource"]
@@ -321,16 +272,16 @@ def _validate_network(network, problems: list[str]) -> dict[str, dict]:
                     f"network.{reserved}: {reserved.upper()} schedules "
                     f"are reserved in format_version {FORMAT_VERSION}; "
                     f"only null is accepted")
-    if not _record("network", network, NETWORK, problems):
+    if not check_record("network", network, NETWORK, problems):
         return {}
 
     specs: dict[str, dict] = {}
     can = network["can"]
-    if can is not None and _record("network.can", can, CAN, problems):
+    if can is not None and check_record("network.can", can, CAN, problems):
         if can["bitrate_bps"] < 1:
             problems.append("network.can: bitrate_bps must be a "
                             "positive integer")
-        shaped = [spec for _, spec in _records(
+        shaped = [spec for _, spec in check_records(
             "network.can.frame_specs", can["frame_specs"], FRAME_SPEC,
             problems)]
         specs = {spec["name"]: spec for spec in shaped}
@@ -342,12 +293,13 @@ def _validate_network(network, problems: list[str]) -> dict[str, dict]:
                             f"identifier {dup:#x}")
 
     flexray = network["flexray"]
-    if flexray is None or not _record("network.flexray", flexray, FLEXRAY,
-                                      problems):
+    if flexray is None or not check_record("network.flexray", flexray,
+                                           FLEXRAY, problems):
         return specs
     config, nodes = flexray["config"], flexray["nodes"]
     n_slots = None
-    if _record("network.flexray.config", config, FLEXRAY_CONFIG, problems):
+    if check_record("network.flexray.config", config, FLEXRAY_CONFIG,
+                    problems):
         n_slots = config["n_static_slots"]
         for knob in ("minislot_length", "n_minislots", "nit_length",
                      "bitrate_bps"):
@@ -356,10 +308,12 @@ def _validate_network(network, problems: list[str]) -> dict[str, dict]:
                                 f"a positive integer")
     for dup in _duplicates(nodes):
         problems.append(f"network.flexray.nodes: duplicate node {dup!r}")
-    static = _records("network.flexray.static_writers",
-                      flexray["static_writers"], STATIC_WRITER, problems)
-    dynamic = _records("network.flexray.dynamic_writers",
-                       flexray["dynamic_writers"], DYNAMIC_WRITER, problems)
+    static = check_records("network.flexray.static_writers",
+                           flexray["static_writers"], STATIC_WRITER,
+                           problems)
+    dynamic = check_records("network.flexray.dynamic_writers",
+                            flexray["dynamic_writers"], DYNAMIC_WRITER,
+                            problems)
     for where, writer in static + dynamic:
         if writer["node"] not in nodes:
             problems.append(f"{where}: node {writer['node']!r} is not in "
@@ -382,17 +336,17 @@ def _validate_network(network, problems: list[str]) -> dict[str, dict]:
 
 def _validate_com(com, problems: list[str], fp_tasks: dict[str, set],
                   specs: dict[str, dict], has_can: bool) -> None:
-    if not _record("com", com, COM, problems):
+    if not check_record("com", com, COM, problems):
         return
     mapped: dict[str, str] = {}     # signal name -> its I-PDU
     pdus: set = set()
-    for where, frame in _records("com.frames", com["frames"], COM_FRAME,
-                                 problems):
+    for where, frame in check_records("com.frames", com["frames"],
+                                      COM_FRAME, problems):
         if frame["sender"] not in fp_tasks:
             problems.append(f"{where}: sender {frame['sender']!r} is not "
                             f"a fixed-priority ECU")
         ipdu = frame["ipdu"]
-        if not _record(f"{where}.ipdu", ipdu, IPDU, problems):
+        if not check_record(f"{where}.ipdu", ipdu, IPDU, problems):
             continue
         name = ipdu["name"]
         spec = specs.get(name)
@@ -411,11 +365,11 @@ def _validate_com(com, problems: list[str], fp_tasks: dict[str, set],
         if name in pdus:
             problems.append(f"{where}: duplicate I-PDU name {name!r}")
         pdus.add(name)
-        for at, mapping in _records(f"{where}.ipdu.mappings",
-                                    ipdu["mappings"], SIGNAL_MAPPING,
-                                    problems):
+        for at, mapping in check_records(f"{where}.ipdu.mappings",
+                                         ipdu["mappings"], SIGNAL_MAPPING,
+                                         problems):
             signal = mapping["signal"]
-            if not _record(f"{at}.signal", signal, SIGNAL, problems):
+            if not check_record(f"{at}.signal", signal, SIGNAL, problems):
                 continue
             first = mapped.setdefault(signal["name"], name)
             if first != name:
@@ -426,7 +380,8 @@ def _validate_com(com, problems: list[str], fp_tasks: dict[str, set],
     if len(chains) > 1:
         problems.append(f"com.chains: at most one E2E chain is "
                         f"supported, got {len(chains)}")
-    for where, chain in _records("com.chains", chains, E2E_CHAIN, problems):
+    for where, chain in check_records("com.chains", chains, E2E_CHAIN,
+                                      problems):
         if not has_can:
             problems.append(f"{where}: an E2E chain needs a CAN bus "
                             f"(network.can is null)")
@@ -519,9 +474,10 @@ def validate_document(doc) -> list[str]:
     network = doc["network"] if isinstance(doc["network"], dict) else {}
     _validate_com(doc["com"], problems, fp_tasks, specs,
                   isinstance(network.get("can"), dict))
-    if _record("resilience", doc["resilience"], RESILIENCE, problems):
-        _records("resilience.scenarios", doc["resilience"]["scenarios"],
-                 FAULT_SCENARIO, problems)
+    if check_record("resilience", doc["resilience"], RESILIENCE, problems):
+        check_records("resilience.scenarios",
+                      doc["resilience"]["scenarios"], FAULT_SCENARIO,
+                      problems)
     return problems or _build_problems(doc)
 
 

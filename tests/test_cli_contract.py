@@ -44,6 +44,8 @@ UNRECOGNIZED, CHOPPED_MTF = "notes.txt", "chopped.mtf"
 BAD_CHROME, BROKEN_JSONL = "trace.json", "events.jsonl"
 ARRAY_JSONL, BARE_HISTOGRAM = "arrays.jsonl", "histogram.jsonl"
 UNTYPED_LINE, TEXT_COUNTER = "untyped.jsonl", "counter.jsonl"
+#: A directory that does not exist, for file outputs placed into it.
+NO_DIR = "nodir"
 
 #: subcommand argv prefix -> the prog its errors are reported under.
 COMMANDS = {
@@ -54,12 +56,14 @@ COMMANDS = {
     "scenarios-run": (["model", "scenarios", "run", "tdma-overload"],
                       "repro model scenarios run"),
     "meas-daq": (["meas", "daq", "adas-fusion"], "repro meas daq"),
+    "convert": (["model", "convert", "tdma-overload"],
+                "repro model convert"),
     "stats": (["stats"], "repro stats"),
 }
 
 ROWS = (
     [(command, ["--jobs", jobs], 2, "--jobs must be >= 1")
-     for command in COMMANDS if command != "stats"
+     for command in COMMANDS if command not in ("stats", "convert")
      for jobs in ("0", "-2")]
     + [(command, ["--resume"], 2, "--resume requires --checkpoint")
        for command in RESUMABLE]
@@ -77,6 +81,16 @@ ROWS = (
        for legacy in (LEGACY, LEGACY_PAYLOAD)]
     + [(command, ["--mtf-out", "x.mtf"], 2, "--mtf-out requires --daq")
        for command in ("verify", "campaign")]
+    + [(command, [*extra, flag, f"{NO_DIR}/out"], 2,
+        f"{reported}: directory {NO_DIR!r} does not exist")
+       for command, extra, flag, reported in (
+           ("verify", [], "--metrics", "--metrics"),
+           ("verify", [], "--trace-out", "--trace-out"),
+           ("verify", [], "--events", "--events"),
+           ("verify", ["--daq"], "--mtf-out", "--mtf-out"),
+           ("verify", [], "--checkpoint", "--checkpoint"),
+           ("meas-daq", [], "--mtf-out", "--mtf-out"),
+           ("convert", [], "-o", "--output"))]
     + [("meas-daq", ["--period-us", "-5"], 2, "--period-us must be >= 1"),
        ("meas-daq", ["--horizon-ms", "-5"], 2,
         "--horizon-ms must be >= 1")]

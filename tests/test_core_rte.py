@@ -5,6 +5,8 @@ unchanged on the VFB and on any deployment (1 ECU, N ECUs over CAN or
 FlexRay) — only timing differs.
 """
 
+import inspect
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -475,3 +477,28 @@ def test_plan_tasks_are_the_deployed_tasks():
     assert on_speed.max_activations == SPORADIC_QUEUE
     assert list(plan.pdus) == ["s.out"]
     assert plan.pdus["s.out"].targets[0][0] == "ECU2"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("can", {"bitrate": 125_000}),
+    ("tte", {"period": 1}),
+    ("flexray", {"bitrate": 10_000_000}),
+    (None, {"bitrate_bps": 500_000}),
+], ids=["can", "tte", "flexray", "none"])
+def test_configure_bus_refuses_a_parameter_its_kind_never_reads(kind,
+                                                                params):
+    system = two_node_system()
+    (unread,) = params
+    with pytest.raises(ConfigurationError,
+                       match=f"bus kind {kind!r} reads no parameter "
+                             f"{unread};"):
+        system.configure_bus(kind, **params)
+    assert system.domain_buses == {"default": ("can", {})}
+
+
+def test_flexray_bus_parameters_are_the_config_keywords():
+    from repro.core.rte import BUS_PARAMS
+    from repro.network import FlexRayConfig
+
+    assert BUS_PARAMS["flexray"] == tuple(
+        inspect.signature(FlexRayConfig).parameters)
