@@ -17,8 +17,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "e2e": ("Chain", "EVENT", "SAMPLED", "Stage"),
     "probes": ("ChainProbe",),
     "holistic": ("HolisticModel", "HolisticResult"),
-    "system_report": ("TimingReport", "timing_report",
-                      "format_robustness", "robustness_report"),
+    "system_report": ("TimingReport", "timing_report"),
+    "robustness": ("format_robustness", "robustness_report"),
     "sensitivity": ("admissible_new_frame", "admissible_new_task",
                     "critical_bitrate", "critical_scaling_factor",
                     "replace_spec", "task_slack"),

@@ -22,7 +22,9 @@ rules on it, and :func:`~repro.analysis.system_report.timing_report`
 analyses its tasks and frames — so the configuration check and the
 timing report see exactly what the runtime deploys.  The rules the
 builder itself enforces, :func:`server_runnable_issues` and
-:func:`bus_capacity_issue`, are the ones ``validate`` reports.
+:func:`bus_capacity_issue`, are the ones ``validate`` reports, and
+:func:`bus_params_issue` refuses, when a bus is configured, a value
+:class:`RteBuilder` could not run.
 
 Runnables get the :class:`~repro.core.component.RunnableContext` of the
 VFB and its port contract; what the RTE adds is the platform.  Execution
@@ -68,6 +70,8 @@ FIRST_CAN_ID = 0x100
 #: TTEthernet defaults of a domain that does not configure them.
 TT_PERIOD = us(5_000)
 TTE_BITRATE_BPS = 100_000_000
+#: The fastest bitrate a bus takes: its bit time is 1 ns.
+MAX_BITRATE_BPS = 1_000_000_000
 
 
 def assign_rm_priorities(explicit: dict[str, int],
@@ -248,11 +252,42 @@ def flexray_static_slots(params: dict, n_pdus: int) -> int:
     return params.get("n_static_slots", max(2, n_pdus))
 
 
+def flexray_config(params: dict, n_pdus: int) -> FlexRayConfig:
+    """The cluster of a FlexRay domain sending ``n_pdus`` PDUs: 100 µs
+    static slots unless configured, and :func:`flexray_static_slots`."""
+    return FlexRayConfig(**{
+        "slot_length": us(100), **params,
+        "n_static_slots": flexray_static_slots(params, n_pdus)})
+
+
 def tt_stream_slot(params: dict) -> int:
     """Window each TT stream of a TTEthernet domain gets (ns): twice a
     minimum frame's transmission time."""
     return ethernet_frame_time(
         64, params.get("bitrate_bps", TTE_BITRATE_BPS)) * 2
+
+
+def bus_params_issue(kind: Optional[str], params: dict) -> Optional[str]:
+    """The issue when a bus of ``kind`` cannot run on ``params``, else
+    None: each bitrate has a bit time of 1 ns or more, a TTEthernet
+    switch delay is not negative and its period positive, and a FlexRay
+    cluster is one :class:`~repro.network.FlexRayConfig` accepts."""
+    bitrate = params.get("bitrate_bps", MAX_BITRATE_BPS)
+    if not 1 <= bitrate <= MAX_BITRATE_BPS:
+        return (f"bitrate_bps {bitrate} is outside 1..{MAX_BITRATE_BPS} "
+                f"(a bit time of at least 1 ns)")
+    if params.get("switch_delay", 0) < 0:
+        return f"switch_delay {params['switch_delay']} is negative"
+    if params.get("tt_period", 1) <= 0:
+        return f"tt_period {params['tt_period']} is not positive"
+    if kind == "flexray":
+        try:
+            flexray_config(params, 0)
+        except ConfigurationError as error:
+            given = ", ".join(f"{name} {value}"
+                              for name, value in sorted(params.items()))
+            return f"FlexRay {given}: {error}"
+    return None
 
 
 def bus_capacity_issue(domain: str, kind: Optional[str], params: dict,
@@ -570,12 +605,9 @@ class RteBuilder:
                         rx_of[ecu_name])
                 switch.start()
             else:  # flexray
-                config = FlexRayConfig(**{
-                    "slot_length": us(100), **params,
-                    "n_static_slots": flexray_static_slots(
-                        params, len(domain_pdus))})
-                bus = FlexRayBus(sim, config, trace=trace,
-                                 name=f"FR:{domain}")
+                bus = FlexRayBus(sim,
+                                 flexray_config(params, len(domain_pdus)),
+                                 trace=trace, name=f"FR:{domain}")
                 runtime.buses[domain] = bus
                 controllers = {name: bus.attach(name) for name in members}
                 slot_maps: dict[str, dict] = {name: {} for name in members}

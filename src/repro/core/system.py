@@ -22,7 +22,8 @@ from repro.core.composition import Composition
 from repro.core.ecu import EcuSpec
 from repro.core.interface import ClientServerInterface
 from repro.core.rte import (BUS_PARAMS, RteBuilder, bus_capacity_issue,
-                            rte_plan, server_runnable_issues)
+                            bus_params_issue, rte_plan,
+                            server_runnable_issues)
 
 
 class SystemModel:
@@ -73,9 +74,10 @@ class SystemModel:
     def configure_domain_bus(self, domain: str, kind: Optional[str],
                              **params) -> None:
         """Configure one domain's bus with parameters its kind reads
-        (:data:`~repro.core.rte.BUS_PARAMS`).  Cross-domain traffic is
-        routed through an auto-generated central gateway (CAN domains
-        only)."""
+        (:data:`~repro.core.rte.BUS_PARAMS`), at values it can run
+        (:func:`~repro.core.rte.bus_params_issue`).  Cross-domain
+        traffic is routed through an auto-generated central gateway
+        (CAN domains only)."""
         if kind not in BUS_PARAMS:
             raise ConfigurationError(
                 f"unsupported bus kind {kind!r}; pick from "
@@ -86,6 +88,9 @@ class SystemModel:
                 f"bus kind {kind!r} reads no parameter "
                 f"{', '.join(unread)}; it reads "
                 f"{', '.join(BUS_PARAMS[kind]) or 'none'}")
+        issue = bus_params_issue(kind, params)
+        if issue is not None:
+            raise ConfigurationError(f"domain {domain!r}: {issue}")
         self.domain_buses[domain] = (kind, params)
 
     def set_can_id(self, pdu_name: str, can_id: int) -> None:

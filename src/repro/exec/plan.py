@@ -15,9 +15,10 @@ checkpoint journal.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
+
+from repro.digest import sha256
 
 #: Pin the pickle protocol so fingerprints agree across interpreter
 #: versions with different default protocols.
@@ -59,4 +60,4 @@ class Plan:
         payload = pickle.dumps(
             (self.label, self.base_seed, 1, self.items),
             protocol=_PICKLE_PROTOCOL)
-        return hashlib.sha256(payload).hexdigest()
+        return sha256(payload).hexdigest()

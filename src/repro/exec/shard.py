@@ -16,7 +16,7 @@ exists to eliminate.
 
 from __future__ import annotations
 
-import hashlib
+from repro.digest import sha256
 
 #: Domain separator so exec-derived seeds can never collide with a
 #: caller's own use of small integer seeds.
@@ -31,5 +31,5 @@ def derive_seed(base_seed: int, index: int) -> int:
     between neighbouring indices.
     """
     message = f"{_SEED_DOMAIN}:{base_seed}:{index}".encode()
-    digest = hashlib.sha256(message).digest()
+    digest = sha256(message).digest()
     return int.from_bytes(digest[:8], "big") >> 1

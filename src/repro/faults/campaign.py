@@ -15,7 +15,7 @@ that world: a protected CAN speed link carrying the
 :func:`~repro.bsw.recovery.recovery_stack` every resilience world also
 carries.  Each cell is judged by :func:`repro.faults.monitor.judge`, the
 rule resilience scenarios are judged by.  The report is a plain data
-structure consumable by :mod:`repro.analysis.system_report`.
+structure consumable by :mod:`repro.analysis.robustness`.
 """
 
 from __future__ import annotations

@@ -37,13 +37,13 @@ written, ``1`` drift or an invalid model, ``2`` an unreadable input.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.digest import sha256
 from repro.errors import ConfigurationError
 from repro.model import schema
 from repro.model.build import Model
@@ -82,7 +82,7 @@ def _slug(name: str) -> str:
 
 def file_sha256(content: str) -> str:
     """SHA-256 of a generated module's exact byte content."""
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+    return sha256(content.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -422,7 +422,7 @@ def write_suite(refs: Optional[Sequence[str]] = None,
 def _disk_sha(path: str) -> Optional[str]:
     try:
         with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
+            return sha256(handle.read()).hexdigest()
     except OSError:
         return None
 

@@ -240,6 +240,11 @@ DAMAGED = {
                         {"bitrate": 125_000})],
                       ["system.buses.default: bus kind 'can' reads no "
                        "parameter bitrate; it reads bitrate_bps"]),
+    "bus-bitrate": ([(("system", "buses", "default", "params",
+                       "bitrate_bps"), 0)],
+                    ["system.buses.default: domain 'default': bitrate_bps "
+                     "0 is outside 1..1000000000 (a bit time of at least "
+                     "1 ns)"]),
 }
 
 

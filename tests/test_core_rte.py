@@ -496,6 +496,46 @@ def test_configure_bus_refuses_a_parameter_its_kind_never_reads(kind,
     assert system.domain_buses == {"default": ("can", {})}
 
 
+BITRATE_RANGE = "is outside 1..1000000000 (a bit time of at least 1 ns)"
+
+
+@pytest.mark.parametrize("kind, params, issue", [
+    ("can", {"bitrate_bps": 0}, f"bitrate_bps 0 {BITRATE_RANGE}"),
+    ("can", {"bitrate_bps": 1_000_000_001},
+     f"bitrate_bps 1000000001 {BITRATE_RANGE}"),
+    ("tte", {"bitrate_bps": 0}, f"bitrate_bps 0 {BITRATE_RANGE}"),
+    ("tte", {"switch_delay": -1}, "switch_delay -1 is negative"),
+    ("tte", {"tt_period": 0}, "tt_period 0 is not positive"),
+    ("flexray", {"bitrate_bps": 0}, f"bitrate_bps 0 {BITRATE_RANGE}"),
+    ("flexray", {"slot_length": 0},
+     "FlexRay slot_length 0: static segment must be non-empty"),
+    ("flexray", {"n_minislots": 4},
+     "FlexRay n_minislots 4: minislots need a positive length"),
+], ids=["can-bitrate-0", "can-bitrate-fast", "tte-bitrate-0",
+        "tte-switch-delay", "tte-period", "flexray-bitrate-0",
+        "flexray-slot-length", "flexray-minislots"])
+def test_configure_bus_refuses_a_value_its_bus_cannot_run(kind, params,
+                                                          issue):
+    """Refused where it is configured, naming the domain, instead of a
+    bare ``ValueError`` from ``validate`` or ``build`` or a simulation
+    of an impossible bus."""
+    system = two_node_system()
+    with pytest.raises(ConfigurationError) as err:
+        system.configure_domain_bus("default", kind, **params)
+    assert str(err.value) == f"domain 'default': {issue}"
+    assert system.domain_buses == {"default": ("can", {})}
+
+
+@pytest.mark.parametrize("bitrate", [1, 1_000_000_000])
+def test_configure_bus_takes_the_bitrate_range_edges(bitrate):
+    system = two_node_system()
+    for kind in ("tte", "flexray", "can"):
+        system.configure_bus(kind, bitrate_bps=bitrate)
+        assert system.domain_buses == {
+            "default": (kind, {"bitrate_bps": bitrate})}
+    assert system.validate() == []
+
+
 def test_flexray_bus_parameters_are_the_config_keywords():
     from repro.core.rte import BUS_PARAMS
     from repro.network import FlexRayConfig

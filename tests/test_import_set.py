@@ -2,7 +2,10 @@
 
 A ``jobs=1`` run executes every item in-process, so it must not load
 the process-pool stack; a run without a checkpoint journals nothing, so
-it must not load the journal or ``pickle``.  The analysis, exec,
+it must not load the journal or ``pickle``.  No run loads
+:mod:`hashlib`, whose import maps OpenSSL into the process:
+:mod:`repro.digest` hashes with the builtin SHA-256 and is the one
+module that names a hash implementation.  The analysis, exec,
 network and OS packages resolve their exports on first access, so a run
 loads only the submodules it names.  Each check runs in a fresh interpreter: the test
 process itself has long since imported everything.
@@ -23,7 +26,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NEVER_LOADED = ("concurrent.futures", "multiprocessing", "repro.core",
                 "repro.analysis.system_report", "repro.network.tte",
                 "repro.network.ttp", "repro.osek.server",
-                "pickle", "_pickle", "base64", "repro.exec.checkpoint")
+                "pickle", "_pickle", "base64", "repro.exec.checkpoint",
+                "hashlib", "_hashlib")
 
 #: Each pipeline entry point at jobs=1 on a tiny input.
 PIPELINES = {
@@ -39,6 +43,10 @@ PIPELINES = {
                 "report = run_campaign(ReferenceWorld,\n"
                 "                      reference_cells()[:3], ms(300))\n"
                 "assert report.cells == 3",
+    "campaign-cli": "import contextlib, io\n"
+                    "from repro.__main__ import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    assert main(['repro', 'campaign', '--smoke']) == 0",
 }
 
 LAZY_PACKAGES = ("repro.analysis", "repro.exec", "repro.network",
@@ -70,6 +78,25 @@ def test_serial_pipeline_loads_nothing_it_does_not_execute(pipeline):
         f"    name for name in sys.modules for prefix in {NEVER_LOADED!r}\n"
         f"    if name == prefix or name.startswith(prefix + '.'))))")
     assert loaded == []
+
+
+#: Modules that implement a hash: only ``repro/digest.py`` names one.
+HASH_MODULES = {"hashlib", "_hashlib", "_sha2", "_sha256"}
+
+
+def test_only_the_digest_module_names_a_hash_implementation():
+    importers = set()
+    for path in SRC.joinpath("repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if HASH_MODULES & {name.split(".")[0] for name in names}:
+                importers.add(path.relative_to(SRC).as_posix())
+    assert importers == {"repro/digest.py"}
 
 
 def home_modules(package: str) -> dict[str, str]:
